@@ -102,11 +102,13 @@ class Cluster:
         return self.functions[label]
 
 
-def _border(n: int) -> set:
+def border_labels(n: int) -> set:
+    """The labels of the first row and the first column."""
     return {(i, 1) for i in range(1, n + 1)} | {(1, j) for j in range(1, n + 1)}
 
 
-def _all_labels(n: int, sl: bool) -> Tuple[Label, ...]:
+def grid_labels(n: int, sl: bool) -> Tuple[Label, ...]:
+    """Every label in row-major order; SL drops the determinant label (1, 1)."""
     labels = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     if sl:
         labels.remove((1, 1))
@@ -116,9 +118,9 @@ def _all_labels(n: int, sl: bool) -> Tuple[Label, ...]:
 def standard_cluster(n: int, sl: bool = False) -> Cluster:
     """The seed of trailing minors with the whole border frozen."""
     ring = get_ring(n)
-    labels = _all_labels(n, sl)
+    labels = grid_labels(n, sl)
     functions = {lab: standard_minor(ring, *lab).det() for lab in labels}
-    frozen = _border(n)
+    frozen = border_labels(n)
     if sl:
         frozen.discard((1, 1))
     return Cluster(
@@ -139,15 +141,15 @@ def initial_cluster(triple: BDTriple, sl: bool = False) -> Cluster:
     (alpha+1, 1), (1, beta+1) unfrozen."""
     n, alpha, beta = triple.n, triple.alpha, triple.beta
     ring = get_ring(n)
-    labels = _all_labels(n, sl)
+    labels = grid_labels(n, sl)
     special = set(first_family(n, alpha, beta)) | set(second_family(n, alpha, beta))
     functions: Dict[Label, Poly] = {}
     for lab in labels:
         if lab in special:
-            functions[lab] = determinant(build_Mtilde(ring, alpha, beta, *lab, mode="diagonal"))
+            functions[lab] = determinant(build_Mtilde(ring, alpha, beta, *lab))
         else:
             functions[lab] = standard_minor(ring, *lab).det()
-    frozen = _border(n) - {(alpha + 1, 1), (1, beta + 1)}
+    frozen = border_labels(n) - {(alpha + 1, 1), (1, beta + 1)}
     if sl:
         frozen.discard((1, 1))
     return Cluster(

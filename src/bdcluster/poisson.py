@@ -27,11 +27,14 @@ and the Sklyanin bracket of two polynomial functions f, g of X is
     {f, g} = <R_+(F), G> - <R_+(F'), G'>,
 
 with F = (grad f) X, F' = X (grad f) (entrywise F_ij = sum_k df/dx[k,i]
-x[k,j], F'_ij = sum_k df/dx[j,k] x[i,k]) and <.,.> the trace form.
+x[k,j] = col_replace(f, i, j), F'_ij = sum_k df/dx[j,k] x[i,k] =
+row_replace(f, j, i)) and <A, B> = tr(AB) the trace form.
 
-r_plus applies the closed form above; r_plus_oracle contracts the
-explicit tensor of r against a matrix.  The two are kept as separate
-code paths on purpose and checked against each other.
+r_plus applies the closed form above, and the bracket is computed as
+exactly that pairing of r_plus with the tables of f and g, so R_+ has
+one implementation.  r_plus_oracle contracts the explicit tensor of r
+against a matrix; the two are kept as separate code paths on purpose
+and checked against each other.
 """
 
 from __future__ import annotations
@@ -43,14 +46,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bdseed import BDTriple, Cluster
-from .polyring import (
-    Poly,
-    NotConstant,
-    NotDivisible,
-    constant_value,
-    exact_divide,
-    partial_derivative,
-)
+from .polymat import col_replace, row_replace
+from .polyring import Poly, NotConstant, NotDivisible, constant_value, exact_divide
 
 TensorKey = Tuple[Tuple[int, int], Tuple[int, int]]
 Tensor = Dict[TensorKey, Fraction]
@@ -58,15 +55,6 @@ Tensor = Dict[TensorKey, Fraction]
 
 class NotLogCanonical(ArithmeticError):
     """Raised when a bracket is not a rational multiple of the product."""
-
-
-def cartan_matrix(n: int) -> List[List[int]]:
-    """The Cartan matrix of sl(n): 2 on the diagonal, -1 off it."""
-    m = n - 1
-    return [
-        [2 if p == q else (-1 if abs(p - q) == 1 else 0) for q in range(m)]
-        for p in range(m)
-    ]
 
 
 def build_r0(
@@ -113,14 +101,6 @@ class DualBasis:
 
     def s(self, k: int, p: int) -> int:
         return self.n - p if p >= k else -p
-
-    def h_hat(self, p: int) -> Tuple[Fraction, ...]:
-        n = self.n
-        return tuple(Fraction(self.s(k, p), n) for k in range(1, n + 1))
-
-    def h(self, p: int) -> Tuple[int, ...]:
-        n = self.n
-        return tuple(1 if k == p else (-1 if k == p + 1 else 0) for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -329,85 +309,34 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 # Sklyanin bracket
 
 
-def gradient_tables(f: Poly, n: int):
-    """Precompute F = (grad f) X and F' = X (grad f) and their pairings
-    with the dual diagonal basis.  Returns (F, F', hF, hF') with F, F'
-    full n-by-n polynomial matrices and hF[p] = <hhat_{p+1}, F>."""
-    ring = f.ring
-    zero = ring.zero
-    d = {}
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            dv = partial_derivative(f, ("x", k, i))
-            if dv:
-                d[(k, i)] = dv
-    F = [[zero] * n for _ in range(n)]
-    Fp = [[zero] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                dv = d.get((k, i))
-                if dv is not None:
-                    acc = acc + dv * ring.x(k, j)
-            F[i - 1][j - 1] = acc
-            acc = zero
-            for k in range(1, n + 1):
-                dv = d.get((j, k))
-                if dv is not None:
-                    acc = acc + dv * ring.x(i, k)
-            Fp[i - 1][j - 1] = acc
-    dual = DualBasis(n)
-    hF = [
-        sum((F[k][k] * Fraction(dual.s(k + 1, p), n) for k in range(n)), zero)
-        for p in range(1, n)
-    ]
-    hFp = [
-        sum((Fp[k][k] * Fraction(dual.s(k + 1, p), n) for k in range(n)), zero)
-        for p in range(1, n)
-    ]
-    return (F, Fp, hF, hFp)
+def gradient_tables(f: Poly, op: RPlusOperator):
+    """The tables of f for the operator's bracket: (F, F', R_+(F), R_+(F'))
+    with F_ij = col_replace(f, i, j) and F'_ij = row_replace(f, j, i)."""
+    idx = range(1, op.n + 1)
+    F = [[col_replace(f, i, j) for j in idx] for i in idx]
+    Fp = [[row_replace(f, j, i) for j in idx] for i in idx]
+    return (F, Fp, r_plus(op, F), r_plus(op, Fp))
 
 
-def bracket_from_tables(ta, tb, op: RPlusOperator) -> Poly:
-    """<R_+(F), G> - <R_+(F'), G'> evaluated from precomputed tables."""
-    F, Fp, hF, hFp = ta
-    G, Gp, hG, hGp = tb
-    n = op.n
-    zero = F[0][0] * 0
-    total = zero
+def bracket_from_tables(ta, tb) -> Poly:
+    """<R_+(F), G> - <R_+(F'), G'> from the tables of f and g, made for
+    the same operator."""
+    _, _, RF, RFp = ta
+    G, Gp, _, _ = tb
+    n = len(G)
+    total = G[0][0] * 0
     for i in range(n):
-        for j in range(i + 1, n):
-            if F[i][j] and G[j][i]:
-                total = total + F[i][j] * G[j][i]
-            if Fp[i][j] and Gp[j][i]:
-                total = total - Fp[i][j] * Gp[j][i]
-    m = n - 1
-    for q in range(m):
-        col = [op.c[p][q] for p in range(m)]
-        u = sum((hF[p] * col[p] for p in range(m) if col[p]), zero)
-        if u and hG[q]:
-            total = total + u * hG[q]
-        up = sum((hFp[p] * col[p] for p in range(m) if col[p]), zero)
-        if up and hGp[q]:
-            total = total - up * hGp[q]
-    if op.wedge_active:
-        a, b = op.alpha - 1, op.beta - 1
-        total = (
-            total
-            + F[a][a + 1] * G[b + 1][b]
-            - F[b + 1][b] * G[a][a + 1]
-            - Fp[a][a + 1] * Gp[b + 1][b]
-            + Fp[b + 1][b] * Gp[a][a + 1]
-        )
+        for j in range(n):
+            if RF[i][j] and G[j][i]:
+                total = total + RF[i][j] * G[j][i]
+            if RFp[i][j] and Gp[j][i]:
+                total = total - RFp[i][j] * Gp[j][i]
     return total
 
 
 def sklyanin_bracket(f: Poly, g: Poly, op: RPlusOperator) -> Poly:
     """The Poisson bracket {f, g} for the operator's r-matrix."""
-    ta = gradient_tables(f, op.n)
-    tb = gradient_tables(g, op.n)
-    return bracket_from_tables(ta, tb, op)
+    return bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
 
 
 def poisson_coefficient(
@@ -450,7 +379,7 @@ def _sweep_pair(idx: int):
     tables = _SWEEP["tables"]
     funcs = _SWEEP["funcs"]
     op = _SWEEP["op"]
-    br = bracket_from_tables(tables[ia], tables[ib], op)
+    br = bracket_from_tables(tables[ia], tables[ib])
     try:
         omega = poisson_coefficient(funcs[ia], funcs[ib], op, bracket=br)
         return (idx, True, omega)
@@ -459,13 +388,17 @@ def _sweep_pair(idx: int):
 
 
 def sweep_workers() -> int:
-    """Worker count for pair sweeps; BD_CLUSTER_THREADS caps it."""
+    """Worker count for pair sweeps: BD_CLUSTER_THREADS if set, else up
+    to 4, capped by the CPU count."""
     env = os.environ.get("BD_CLUSTER_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            pass
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"BD_CLUSTER_THREADS must be a positive integer, got {env!r}")
+        return workers
     return max(1, min(4, os.cpu_count() or 1))
 
 
@@ -476,7 +409,7 @@ def omega_sweep(
 ):
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
     with ia < ib and failures a list of (ia, ib, reason)."""
-    tables = [gradient_tables(f, op.n) for f in functions]
+    tables = [gradient_tables(f, op) for f in functions]
     L = len(functions)
     pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
     nproc = processes if processes is not None else sweep_workers()

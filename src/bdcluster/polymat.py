@@ -2,7 +2,7 @@
 
 The cluster functions of interest are all determinants of submatrices
 of an n-by-n matrix of indeterminates X (and, for the two special
-families, of 2x2-block matrices mixing X with a second copy Y).  This
+families, of 2x2-block matrices glued from two submatrices of X).  This
 module knows how to build those matrices and take their determinants,
 and provides the "replace a column/row of a minor by a neighbouring
 one" operators that show up throughout the bracket computations.
@@ -79,7 +79,7 @@ def _check_label(n: int, i: int, j: int) -> None:
         raise IndexOutOfRange(f"label ({i},{j}) outside 1..{n}")
 
 
-def build_M(ring: PolyRing, i: int, j: int, sym: str = "x") -> Matrix:
+def build_M(ring: PolyRing, i: int, j: int) -> Matrix:
     """Submatrix of X whose determinant is the cluster function at (i, j).
 
     For j > i it consists of rows i..n-j+i and columns j..n; for j <= i
@@ -94,7 +94,7 @@ def build_M(ring: PolyRing, i: int, j: int, sym: str = "x") -> Matrix:
     else:
         rows = range(i, n + 1)
         cols = range(j, n - i + j + 1)
-    return [[ring.var(sym, r, c) for c in cols] for r in rows]
+    return [[ring.x(r, c) for c in cols] for r in rows]
 
 
 def first_family(n: int, alpha: int, beta: int) -> List[tuple]:
@@ -113,7 +113,6 @@ def build_Mtilde(
     beta: int,
     i: int,
     j: int,
-    mode: str = "diagonal",
 ) -> Matrix:
     """Block matrix for a special label of the (alpha, beta) structure.
 
@@ -133,15 +132,10 @@ def build_Mtilde(
     block of rows 1..n-beta, columns beta..n glued over the last two
     columns of the middle X block (rows alpha..n, columns 1..alpha+1).
 
-    In "diagonal" mode the Y block is written in the x variables
-    (both copies evaluated on the same matrix); in "double" mode it
-    keeps its own y variables.
+    Y names the second kind of block only; its entries are x variables.
     """
     n = ring.n
     _check_label(n, i, j)
-    if mode not in ("diagonal", "double"):
-        raise ValueError(f"mode must be 'diagonal' or 'double', not {mode!r}")
-    ysym = "x" if mode == "diagonal" else "y"
     zero = ring.zero
 
     if j <= alpha and i == n + j - alpha:
@@ -153,14 +147,14 @@ def build_Mtilde(
             grid = [[zero] * size for _ in range(size)]
             for r in range(xrows):
                 for c in range(xrows + 1):
-                    grid[r][c] = ring.var("x", i + r, j + c)
+                    grid[r][c] = ring.x(i + r, j + c)
             for r in range(beta + 1):
                 for c in range(beta + 1):
-                    grid[xrows + r][xrows - 1 + c] = ring.var(ysym, 1 + r, beta + c)
+                    grid[xrows + r][xrows - 1 + c] = ring.x(1 + r, beta + c)
             base = xrows + beta - 1
             for r in range(n - alpha + 1):
                 for c in range(n - alpha):
-                    grid[base + r][xrows + beta + c] = ring.var("x", alpha + r, 1 + c)
+                    grid[base + r][xrows + beta + c] = ring.x(alpha + r, 1 + c)
             return grid
         # First family: X rows i..n over Y rows 1..n-beta.
         yrows = n - beta
@@ -169,11 +163,11 @@ def build_Mtilde(
         # X block: columns j..alpha+1 occupy grid columns 0..xrows.
         for r in range(xrows):
             for c in range(xrows + 1):
-                grid[r][c] = ring.var("x", i + r, j + c)
+                grid[r][c] = ring.x(i + r, j + c)
         # Y block: columns beta..n occupy grid columns xrows-1..size-1.
         for r in range(yrows):
             for c in range(yrows + 1):
-                grid[xrows + r][xrows - 1 + c] = ring.var(ysym, 1 + r, beta + c)
+                grid[xrows + r][xrows - 1 + c] = ring.x(1 + r, beta + c)
         return grid
 
     if i <= beta and j == n + i - beta:
@@ -185,14 +179,14 @@ def build_Mtilde(
             grid = [[zero] * size for _ in range(size)]
             for r in range(ycols + 1):
                 for c in range(ycols):
-                    grid[r][c] = ring.var(ysym, i + r, j + c)
+                    grid[r][c] = ring.x(i + r, j + c)
             for r in range(alpha + 1):
                 for c in range(alpha + 1):
-                    grid[ycols - 1 + r][ycols + c] = ring.var("x", alpha + r, 1 + c)
+                    grid[ycols - 1 + r][ycols + c] = ring.x(alpha + r, 1 + c)
             base = ycols + alpha - 1
             for r in range(n - beta):
                 for c in range(n - beta + 1):
-                    grid[ycols + alpha + r][base + c] = ring.var(ysym, 1 + r, beta + c)
+                    grid[ycols + alpha + r][base + c] = ring.x(1 + r, beta + c)
             return grid
         # Second family: Y columns j..n to the left of X columns 1..n-alpha.
         xcols = n - alpha
@@ -201,11 +195,11 @@ def build_Mtilde(
         # Y block: rows i..beta+1 occupy grid rows 0..ycols.
         for r in range(ycols + 1):
             for c in range(ycols):
-                grid[r][c] = ring.var(ysym, i + r, j + c)
+                grid[r][c] = ring.x(i + r, j + c)
         # X block: rows alpha..n occupy grid rows ycols-1..size-1.
         for r in range(xcols + 1):
             for c in range(xcols):
-                grid[ycols - 1 + r][ycols + c] = ring.var("x", alpha + r, 1 + c)
+                grid[ycols - 1 + r][ycols + c] = ring.x(alpha + r, 1 + c)
         return grid
 
     raise IndexNotSpecial(
@@ -219,7 +213,6 @@ def build_Mtilde_shift(
     beta: int,
     i: int,
     j: int,
-    mode: str = "diagonal",
 ) -> Matrix:
     """The block matrix of build_Mtilde with its leading line stepped out.
 
@@ -232,23 +225,22 @@ def build_Mtilde_shift(
     expand along.
     """
     n = ring.n
-    ysym = "x" if mode == "diagonal" else "y"
-    grid = build_Mtilde(ring, alpha, beta, i, j, mode)
+    grid = build_Mtilde(ring, alpha, beta, i, j)
     # Valid special labels always leave room for the step: the first
     # family has i >= n+1-alpha >= 2 and the second family j >= 2.
     if j <= alpha and i == n + j - alpha:
         xrows = n - i + 1
         for c in range(xrows + 1):
-            grid[0][c] = ring.var("x", i - 1, j + c)
+            grid[0][c] = ring.x(i - 1, j + c)
         return grid
     ycols = n - j + 1
     for r in range(ycols + 1):
-        grid[r][0] = ring.var(ysym, i + r, j - 1)
+        grid[r][0] = ring.x(i + r, j - 1)
     return grid
 
 
-def col_replace(f: Poly, i: int, j: int, sym: str = "x") -> Poly:
-    """The polynomial sum_k (df/d{sym}[k,i]) * {sym}[k,j].
+def col_replace(f: Poly, i: int, j: int) -> Poly:
+    """The polynomial sum_k (df/dx[k,i]) * x[k,j].
 
     When f is the determinant of a submatrix of X using column i exactly
     once, this is the same determinant with column i replaced by column j.
@@ -259,14 +251,14 @@ def col_replace(f: Poly, i: int, j: int, sym: str = "x") -> Poly:
         raise IndexOutOfRange(f"column index outside 1..{n}")
     out = ring.zero
     for k in range(1, n + 1):
-        d = partial_derivative(f, (sym, k, i))
+        d = partial_derivative(f, ("x", k, i))
         if d:
-            out = out + d * ring.var(sym, k, j)
+            out = out + d * ring.x(k, j)
     return out
 
 
-def row_replace(f: Poly, i: int, j: int, sym: str = "x") -> Poly:
-    """The polynomial sum_k (df/d{sym}[i,k]) * {sym}[j,k].
+def row_replace(f: Poly, i: int, j: int) -> Poly:
+    """The polynomial sum_k (df/dx[i,k]) * x[j,k].
 
     Replaces row i of a determinant by row j, in the same sense as
     col_replace.
@@ -277,9 +269,9 @@ def row_replace(f: Poly, i: int, j: int, sym: str = "x") -> Poly:
         raise IndexOutOfRange(f"row index outside 1..{n}")
     out = ring.zero
     for k in range(1, n + 1):
-        d = partial_derivative(f, (sym, i, k))
+        d = partial_derivative(f, ("x", i, k))
         if d:
-            out = out + d * ring.var(sym, j, k)
+            out = out + d * ring.x(j, k)
     return out
 
 
@@ -308,12 +300,6 @@ class Minor:
             )
         if self.row_hi - self.row_lo != self.col_hi - self.col_lo:
             raise NotSquare("minor rectangle is not square")
-
-    def matrix(self) -> Matrix:
-        return [
-            [self.ring.x(r, c) for c in range(self.col_lo, self.col_hi + 1)]
-            for r in range(self.row_lo, self.row_hi + 1)
-        ]
 
     def det(self) -> Poly:
         return _minor_det(self.ring, self.row_lo, self.row_hi, self.col_lo, self.col_hi)

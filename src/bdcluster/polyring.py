@@ -12,8 +12,9 @@ lexicographic comparison of exponent vectors in variable order
 x[1,1] < x[1,2] < ... < y[n,n] (earlier variables dominate), which is
 the monomial order used for leading terms, division, and printing.
 Packing also makes monomial multiplication a single integer addition.
-Exponents must stay below 128 per variable; nothing in this package
-gets anywhere near that.
+Exponents must stay below 128 per variable: a product that reaches 128
+in any variable raises ExponentOverflow instead of carrying into the
+neighbouring byte.
 
 Coefficients are Python ints whenever the value is integral and
 fractions.Fraction otherwise, so arithmetic stays exact throughout.
@@ -45,6 +46,10 @@ class DivisionByZero(ZeroDivisionError):
 
 class NotDivisible(ArithmeticError):
     """Raised when exact division leaves a nonzero remainder."""
+
+
+class ExponentOverflow(ArithmeticError):
+    """Raised when a product has an exponent of 128 or more in some variable."""
 
 
 class MissingAssignment(LookupError):
@@ -160,14 +165,6 @@ class Poly:
         n = self.ring.nvars
         return max(sum(m.to_bytes(n, "big")) for m in self._d)
 
-    def as_terms(self) -> List[Tuple[Dict[VarId, int], Scalar]]:
-        """Terms as (exponent map, coefficient), leading term first."""
-        ring = self.ring
-        return [
-            (ring.monomial_exponents(m), self._d[m])
-            for m in sorted(self._d, reverse=True)
-        ]
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
@@ -247,6 +244,11 @@ class Poly:
             for ma, ca in a.items():
                 k = ma + mb
                 out[k] = get(k, 0) + ca * cb
+        # Operand bytes are below 0x80, so a byte of the sum cannot carry
+        # and an overflow shows as a set high bit.
+        himask = self.ring._himask
+        if any(k & himask for k in out):
+            raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
         return Poly(self.ring, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
@@ -268,17 +270,6 @@ class Poly:
 
     def __str__(self):
         return render(self)
-
-
-def arith(p: Poly, q: Poly, op: str) -> Poly:
-    """Combine two polynomials with one of the operators '+', '-', '*'."""
-    if op == "+":
-        return p + q
-    if op == "-":
-        return p - q
-    if op == "*":
-        return p * q
-    raise ValueError(f"unknown operator {op!r}")
 
 
 def partial_derivative(p: Poly, v: VarId) -> Poly:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .bdseed import BDTriple, Cluster, Label, standard_cluster, initial_cluster
+from .bdseed import BDTriple, Cluster, Label, border_labels, grid_labels
 from .polyring import NotDivisible, exact_divide
 
 
@@ -59,19 +59,8 @@ def _grid_arcs(n: int) -> List[Tuple[Label, Label]]:
     return arcs
 
 
-def _border(n: int) -> set:
-    return {(i, 1) for i in range(1, n + 1)} | {(1, j) for j in range(1, n + 1)}
-
-
-def _grid_labels(n: int, sl: bool) -> Tuple[Label, ...]:
-    labels = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    if sl:
-        labels.remove((1, 1))
-    return tuple(labels)
-
-
 def standard_quiver(n: int, sl: bool = False) -> Quiver:
-    border = _border(n)
+    border = border_labels(n)
     arcs = {
         (s, d): 1
         for s, d in _grid_arcs(n)
@@ -81,12 +70,12 @@ def standard_quiver(n: int, sl: bool = False) -> Quiver:
     if sl:
         frozen.discard((1, 1))
         arcs = {(s, d): w for (s, d), w in arcs.items() if s != (1, 1) and d != (1, 1)}
-    return Quiver(n=n, labels=_grid_labels(n, sl), frozen=frozenset(frozen), arcs=arcs)
+    return Quiver(n=n, labels=grid_labels(n, sl), frozen=frozenset(frozen), arcs=arcs)
 
 
 def bd_quiver(triple: BDTriple, sl: bool = False) -> Quiver:
     n, alpha, beta = triple.n, triple.alpha, triple.beta
-    border = _border(n)
+    border = border_labels(n)
     arcs = {
         (s, d): 1
         for s, d in _grid_arcs(n)
@@ -106,7 +95,7 @@ def bd_quiver(triple: BDTriple, sl: bool = False) -> Quiver:
     if sl:
         frozen.discard((1, 1))
         arcs = {(s, d): w for (s, d), w in arcs.items() if s != (1, 1) and d != (1, 1)}
-    return Quiver(n=n, labels=_grid_labels(n, sl), frozen=frozenset(frozen), arcs=arcs)
+    return Quiver(n=n, labels=grid_labels(n, sl), frozen=frozenset(frozen), arcs=arcs)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Machine verification of the defining properties of the cluster structures.
 
-Every check returns a VerificationReport with a pass/fail status, a
-list of human-readable failure witnesses, and wall time.  Checks are
-pure computations in exact rational arithmetic; "pass" means the
-property holds on the nose for the requested size and pair.
+Checks are run by name through run_checks, which looks each one up in
+CHECKS and returns one VerificationReport per check with a pass/fail
+status, a list of human-readable failure witnesses, details and wall
+time.  Checks are pure computations in exact rational arithmetic;
+"pass" means the property holds on the nose for the requested size and
+pair.
 
 Two deliberate fault injections are available to demonstrate that the
 checks can fail: dropping a term from the cluster function at label
@@ -16,15 +18,16 @@ import enum
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bdseed import (
     BDTriple,
     Cluster,
+    get_ring,
     initial_cluster,
     standard_cluster,
 )
-from .polymat import col_replace, first_family, row_replace, second_family, standard_minor
+from .polymat import col_replace, first_family, row_replace, second_family
 from .polyring import Poly
 from .poisson import (
     NotLogCanonical,
@@ -37,7 +40,6 @@ from .poisson import (
     r_plus,
     r_plus_operator,
     r_plus_oracle,
-    sklyanin_bracket,
     verify_cybe,
 )
 from .quiver import (
@@ -52,6 +54,9 @@ from .quiver import (
 )
 
 MAX_WITNESSES = 10
+
+# What a check returns: its failure witnesses and its details.
+Outcome = Tuple[List[str], dict]
 
 
 class Fault(enum.Enum):
@@ -85,6 +90,7 @@ class VerificationReport:
             "status": self.status,
             "witnesses": list(self.witnesses),
             "seconds": self.seconds,
+            "details": dict(self.details),
         }
 
 
@@ -126,7 +132,7 @@ class _Workspace:
 
     def cluster(self) -> Cluster:
         if self._cluster is None:
-            if self.standard or self.triple is None:
+            if self.standard:
                 c = standard_cluster(self.n, sl=self.sl)
             else:
                 c = initial_cluster(self.triple, sl=self.sl)
@@ -142,7 +148,7 @@ class _Workspace:
 
     def quiver(self) -> Quiver:
         if self._quiver is None:
-            if self.standard or self.triple is None:
+            if self.standard:
                 self._quiver = standard_quiver(self.n, sl=self.sl)
             else:
                 self._quiver = bd_quiver(self.triple, sl=self.sl)
@@ -150,10 +156,7 @@ class _Workspace:
 
     def op(self) -> RPlusOperator:
         if self._op is None:
-            if self.triple is None:
-                op = r_plus_operator(n=self.n, standard=True)
-            else:
-                op = r_plus_operator(self.triple, standard=self.standard)
+            op = r_plus_operator(self.triple, self.n, self.standard)
             if self.fault is Fault.ZERO_R0:
                 m = self.n - 1
                 zeros = tuple(tuple(0 for _ in range(m)) for _ in range(m))
@@ -172,52 +175,21 @@ class _Workspace:
         return self._omega
 
 
-def _report(check: str, ws: _Workspace, witnesses: List[str], started: float, details=None) -> VerificationReport:
-    return VerificationReport(
-        check=check,
-        n=ws.n,
-        alpha=ws.alpha,
-        beta=ws.beta,
-        status="pass" if not witnesses else "fail",
-        witnesses=witnesses[:MAX_WITNESSES],
-        seconds=round(time.perf_counter() - started, 6),
-        details=details or {},
-    )
-
-
 # ----------------------------------------------------------------------
-# Individual checks
+# Individual checks.  Each takes a _Workspace and returns an Outcome.
 
 
-def check_log_canonical(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    sl: bool = False,
-    standard: bool = False,
-    fault: Optional[Fault] = None,
-    processes: Optional[int] = None,
-    _ws: Optional[_Workspace] = None,
-) -> VerificationReport:
+def check_log_canonical(ws: _Workspace) -> Outcome:
     """Every pair of cluster functions has {f, g} = omega f g."""
-    started = time.perf_counter()
-    ws = _ws or _Workspace(triple, n, sl, standard, fault, processes)
     labels, _, failures = ws.omega()
     witnesses = [
         f"pair ({labels[ia]}, {labels[ib]}): {reason}" for ia, ib, reason in failures
     ]
     details = {"pairs": len(labels) * (len(labels) - 1) // 2, "failures": len(failures)}
-    return _report("logcanon", ws, witnesses, started, details)
+    return witnesses, details
 
 
-def check_compatibility(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    sl: bool = False,
-    standard: bool = False,
-    fault: Optional[Fault] = None,
-    processes: Optional[int] = None,
-    _ws: Optional[_Workspace] = None,
-) -> VerificationReport:
+def check_compatibility(ws: _Workspace) -> Outcome:
     """The product of the exchange matrix with the coefficient matrix is
     [D 0] with D = s*I for a single sign s.
 
@@ -226,17 +198,10 @@ def check_compatibility(
     the product under the opposite (incidence-oriented) convention is
     s times the recorded one.
     """
-    started = time.perf_counter()
-    ws = _ws or _Workspace(triple, n, sl, standard, fault, processes)
     labels, omegas, failures = ws.omega()
     if failures:
         ia, ib, reason = failures[0]
-        return _report(
-            "compat",
-            ws,
-            [f"coefficient matrix undefined: pair ({labels[ia]}, {labels[ib]}): {reason}"],
-            started,
-        )
+        return [f"coefficient matrix undefined: pair ({labels[ia]}, {labels[ib]}): {reason}"], {}
     em = to_exchange_matrix(ws.quiver())
     cl_index = {lab: i for i, lab in enumerate(labels)}
 
@@ -274,75 +239,41 @@ def check_compatibility(
             witnesses.append(
                 f"diagonal of the product is not a uniform unit: saw {bad} and {first}"
             )
-    details = {"diagonal_sign": sign, "n_mutable": em.n_mutable}
-    return _report("compat", ws, witnesses, started, details)
+    return witnesses, {"diagonal_sign": sign, "n_mutable": em.n_mutable}
 
 
-def check_rank(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    sl: bool = False,
-    standard: bool = False,
-    fault: Optional[Fault] = None,
-    processes: Optional[int] = None,
-    _ws: Optional[_Workspace] = None,
-) -> VerificationReport:
+def check_rank(ws: _Workspace) -> Outcome:
     """The exchange matrix has full rank, equal to the mutable count."""
-    started = time.perf_counter()
-    ws = _ws or _Workspace(triple, n, sl, standard, fault, processes)
     em = to_exchange_matrix(ws.quiver())
     rank = matrix_rank(em.entries)
     witnesses = []
     if rank != em.n_mutable:
         witnesses.append(f"rank is {rank}, expected {em.n_mutable}")
-    details = {"rank": rank, "n_mutable": em.n_mutable}
-    return _report("rank", ws, witnesses, started, details)
+    return witnesses, {"rank": rank, "n_mutable": em.n_mutable}
 
 
-def check_stable_count(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    sl: bool = False,
-    standard: bool = False,
-    fault: Optional[Fault] = None,
-    processes: Optional[int] = None,
-    _ws: Optional[_Workspace] = None,
-) -> VerificationReport:
+def check_stable_count(ws: _Workspace) -> Outcome:
     """The frozen set has the predicted size (2(n-2) for the exotic
     structure on SL, one more on GL; 2n-2 and 2n-1 for the standard)."""
-    started = time.perf_counter()
-    ws = _ws or _Workspace(triple, n, sl, standard, fault, processes)
-    cluster = ws.cluster()
     nn = ws.n
-    if ws.standard or ws.triple is None:
+    if ws.standard:
         expected = (2 * nn - 2) if ws.sl else (2 * nn - 1)
     else:
         expected = 2 * (nn - 2) if ws.sl else 2 * nn - 3
-    actual = len(cluster.frozen)
+    actual = len(ws.cluster().frozen)
     witnesses = []
     if actual != expected:
         witnesses.append(f"{actual} frozen variables, expected {expected}")
-    details = {"frozen": actual, "expected": expected}
-    return _report("stable", ws, witnesses, started, details)
+    return witnesses, {"frozen": actual, "expected": expected}
 
 
-def check_regularity(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    sl: bool = False,
-    standard: bool = False,
-    fault: Optional[Fault] = None,
-    processes: Optional[int] = None,
-    _ws: Optional[_Workspace] = None,
-) -> VerificationReport:
+def check_regularity(ws: _Workspace) -> Outcome:
     """Every one-step exchange from the initial seed is a polynomial.
 
     Divisibility is checked in the ambient polynomial ring, so this
     check always runs on the GL cluster (where the statement holds
     literally; on SL it holds only modulo det X = 1).
     """
-    started = time.perf_counter()
-    ws = _ws or _Workspace(triple, n, False, standard, fault, processes)
     if ws.sl:
         ws = _Workspace(ws.triple, ws.n, False, ws.standard, ws.fault, ws.processes)
     seed = make_seed(ws.cluster(), ws.quiver())
@@ -354,36 +285,26 @@ def check_regularity(
             mutated += 1
         except NotLaurentPolynomial as e:
             witnesses.append(f"exchange at {lab}: {e}")
-    details = {"exchanges": mutated}
-    return _report("regular", ws, witnesses, started, details)
+    return witnesses, {"exchanges": mutated}
 
 
-def check_frozen_log_canonical_with_coordinates(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    sl: bool = False,
-    standard: bool = False,
-    fault: Optional[Fault] = None,
-    processes: Optional[int] = None,
-    _ws: Optional[_Workspace] = None,
-) -> VerificationReport:
+def check_frozen_log_canonical_with_coordinates(ws: _Workspace) -> Outcome:
     """Frozen variables are log-canonical with every matrix entry."""
-    started = time.perf_counter()
-    ws = _ws or _Workspace(triple, n, sl, standard, fault, processes)
     cluster = ws.cluster()
     op = ws.op()
-    ring = cluster.ring
+    idx = range(1, ws.n + 1)
+    coords = [((i, j), cluster.ring.x(i, j)) for i in idx for j in idx]
+    coord_tables = [gradient_tables(g, op) for _, g in coords]
     witnesses = []
     for lab in sorted(cluster.frozen):
         f = cluster.functions[lab]
-        for i in range(1, ws.n + 1):
-            for j in range(1, ws.n + 1):
-                g = ring.x(i, j)
-                try:
-                    poisson_coefficient(f, g, op)
-                except NotLogCanonical as e:
-                    witnesses.append(f"frozen {lab} with x[{i},{j}]: {e}")
-    return _report("frozen", ws, witnesses, started)
+        ft = gradient_tables(f, op)
+        for ((i, j), g), gt in zip(coords, coord_tables):
+            try:
+                poisson_coefficient(f, g, op, bracket=bracket_from_tables(ft, gt))
+            except NotLogCanonical as e:
+                witnesses.append(f"frozen {lab} with x[{i},{j}]: {e}")
+    return witnesses, {}
 
 
 def _expected_s_omega(triple: BDTriple, label) -> int:
@@ -404,11 +325,7 @@ def _expected_s_omega_prime(triple: BDTriple, label) -> int:
     return v
 
 
-def check_s_omega(
-    triple: BDTriple,
-    fault: Optional[Fault] = None,
-    processes: Optional[int] = None,
-) -> VerificationReport:
+def check_s_omega(ws: _Workspace) -> Outcome:
     """The alternating sums of standard-bracket coefficients against the
     four bottom-row (respectively right-column) entries match their
     predicted values on every standard cluster function.
@@ -425,64 +342,36 @@ def check_s_omega(
     exchange computations.  Since w is antisymmetric the two orders
     differ only by a global sign.
     """
-    started = time.perf_counter()
-    ws = _Workspace(triple, None, False, True, fault, processes)
+    triple = ws.triple
     n, alpha, beta = triple.n, triple.alpha, triple.beta
     cluster = standard_cluster(n)
-    op = r_plus_operator(triple, standard=True)
-    if fault is Fault.ZERO_R0:
-        m = n - 1
-        op = replace(op, c=tuple(tuple(0 for _ in range(m)) for _ in range(m)))
+    op = _Workspace(triple, standard=True, fault=ws.fault).op()
     funcs = cluster.functions
-    witnesses = []
+    tables = {lab: gradient_tables(funcs[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
     col_labels = [(alpha, n), (alpha + 1, n), (beta, n), (beta + 1, n)]
-    corner_tables = {
-        lab: gradient_tables(funcs[lab], n) for lab in set(row_labels + col_labels)
-    }
     signs = (1, -1, -1, 1)
+    witnesses = []
     for lab in cluster.labels:
-        g = funcs[lab]
-        gt = gradient_tables(g, n)
         for kind, corners, expected in (
             ("row", row_labels, _expected_s_omega(triple, lab)),
             ("column", col_labels, _expected_s_omega_prime(triple, lab)),
         ):
+            s = 0
             try:
-                if kind == "row":
-                    terms = (
-                        sgn
-                        * poisson_coefficient(
-                            funcs[c],
-                            g,
-                            op,
-                            bracket=bracket_from_tables(corner_tables[c], gt, op),
-                        )
-                        for sgn, c in zip(signs, corners)
-                    )
-                else:
-                    terms = (
-                        sgn
-                        * poisson_coefficient(
-                            g,
-                            funcs[c],
-                            op,
-                            bracket=bracket_from_tables(gt, corner_tables[c], op),
-                        )
-                        for sgn, c in zip(signs, corners)
-                    )
-                s = sum(terms)
-                if s != expected:
-                    witnesses.append(f"{kind} sum at {lab}: got {s}, expected {expected}")
+                for sgn, c in zip(signs, corners):
+                    a, b = (c, lab) if kind == "row" else (lab, c)
+                    br = bracket_from_tables(tables[a], tables[b])
+                    s += sgn * poisson_coefficient(funcs[a], funcs[b], op, bracket=br)
             except NotLogCanonical as e:
                 witnesses.append(f"{kind} sum at {lab}: {e}")
-    return _report("somega", ws, witnesses, started)
+                continue
+            if s != expected:
+                witnesses.append(f"{kind} sum at {lab}: got {s}, expected {expected}")
+    return witnesses, {}
 
 
-def check_bracket_difference(
-    triple: BDTriple,
-    fault: Optional[Fault] = None,
-) -> VerificationReport:
+def check_bracket_difference(ws: _Workspace) -> Outcome:
     """The exotic and standard-companion brackets differ by the wedge:
 
         {f,g}_ab - {f,g}_std = f^(a<-a+1) g^(b+1<-b) - f^(b+1<-b) g^(a<-a+1)
@@ -490,21 +379,18 @@ def check_bracket_difference(
 
     checked on every pair of coordinate functions.
     """
-    started = time.perf_counter()
-    ws = _Workspace(triple, None, False, False, fault, None)
-    n, alpha, beta = triple.n, triple.alpha, triple.beta
-    ring = standard_cluster(n).ring
-    exotic = r_plus_operator(triple, standard=False)
-    std = r_plus_operator(triple, standard=True)
+    n, alpha, beta = ws.n, ws.alpha, ws.beta
+    ring = get_ring(n)
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    exotic_op = r_plus_operator(ws.triple, standard=False)
+    std_op = r_plus_operator(ws.triple, standard=True)
+    exotic = [gradient_tables(f, exotic_op) for f in coords]
+    std = [gradient_tables(f, std_op) for f in coords]
     witnesses = []
-    tables = [gradient_tables(f, n) for f in coords]
     for ia in range(len(coords)):
         for ib in range(ia + 1, len(coords)):
             f, g = coords[ia], coords[ib]
-            lhs = bracket_from_tables(tables[ia], tables[ib], exotic) - bracket_from_tables(
-                tables[ia], tables[ib], std
-            )
+            lhs = bracket_from_tables(exotic[ia], exotic[ib]) - bracket_from_tables(std[ia], std[ib])
             rhs = (
                 col_replace(f, alpha, alpha + 1) * col_replace(g, beta + 1, beta)
                 - col_replace(f, beta + 1, beta) * col_replace(g, alpha, alpha + 1)
@@ -515,73 +401,51 @@ def check_bracket_difference(
                 witnesses.append(
                     f"difference mismatch at coordinate pair ({ia}, {ib}): {lhs - rhs}"
                 )
-    return _report("bracketdiff", ws, witnesses, started)
+    return witnesses, {}
 
 
-def check_cybe(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    standard: bool = False,
-) -> VerificationReport:
+def check_cybe(ws: _Workspace) -> Outcome:
     """The r tensor solves the classical Yang-Baxter equation and
     r + r_21 is the split Casimir."""
-    started = time.perf_counter()
-    ws = _Workspace(triple, n, False, standard, None, None)
-    if triple is None:
-        rt = build_r_tensor(ws.n, standard=True)
-    else:
-        rt = build_r_tensor(ws.n, triple.alpha, triple.beta, standard=standard)
+    rt = build_r_tensor(ws.n, ws.alpha, ws.beta, standard=ws.standard)
     cybe, unitary, witnesses = verify_cybe(rt, ws.n)
     out = [] if (cybe and unitary) else witnesses
-    details = {"cybe": cybe, "unitary": unitary, "terms": len(rt)}
-    return _report("cybe", ws, out, started, details)
+    return out, {"cybe": cybe, "unitary": unitary, "terms": len(rt)}
 
 
-def check_r_plus_consistency(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    standard: bool = False,
-) -> VerificationReport:
+def check_r_plus_consistency(ws: _Workspace) -> Outcome:
     """The closed-form half operator agrees with the tensor contraction
     on every matrix unit."""
-    started = time.perf_counter()
-    ws = _Workspace(triple, n, False, standard, None, None)
     nn = ws.n
-    if triple is None:
-        op = r_plus_operator(n=nn, standard=True)
-        rt = build_r_tensor(nn, standard=True)
-    else:
-        op = r_plus_operator(triple, standard=standard)
-        rt = build_r_tensor(nn, triple.alpha, triple.beta, standard=standard)
+    op = r_plus_operator(ws.triple, nn, ws.standard)
+    rt = build_r_tensor(nn, ws.alpha, ws.beta, standard=ws.standard)
     witnesses = []
     for k in range(nn):
         for l in range(nn):
             unit = [[Fraction(1) if (i, j) == (k, l) else Fraction(0) for j in range(nn)] for i in range(nn)]
-            left = r_plus(op, unit)
-            right = r_plus_oracle(rt, unit)
-            if left != right:
+            if r_plus(op, unit) != r_plus_oracle(rt, unit):
                 witnesses.append(f"operator and tensor disagree on unit e[{k + 1},{l + 1}]")
-    return _report("rplus", ws, witnesses, started)
+    return witnesses, {}
 
 
 # ----------------------------------------------------------------------
 # Suites
 
-CHECKS_WITH_TRIPLE_ONLY = {"somega", "bracketdiff"}
-
-_ALL = (
-    "logcanon",
-    "compat",
-    "rank",
-    "stable",
-    "regular",
-    "frozen",
-    "somega",
-    "bracketdiff",
-    "cybe",
-    "rplus",
-)
-_NEEDS_PAIR = ("somega", "bracketdiff")
+# Check name -> (name of the check function in this module, needs a pair).
+# Functions are looked up by name when run, so a rebinding of the module
+# attribute (as a tracer does) is honoured.
+CHECKS = {
+    "logcanon": ("check_log_canonical", False),
+    "compat": ("check_compatibility", False),
+    "rank": ("check_rank", False),
+    "stable": ("check_stable_count", False),
+    "regular": ("check_regularity", False),
+    "frozen": ("check_frozen_log_canonical_with_coordinates", False),
+    "somega": ("check_s_omega", True),
+    "bracketdiff": ("check_bracket_difference", True),
+    "cybe": ("check_cybe", False),
+    "rplus": ("check_r_plus_consistency", False),
+}
 
 
 def run_checks(
@@ -595,44 +459,35 @@ def run_checks(
 ) -> List[VerificationReport]:
     """Run checks by name, sharing the coefficient sweep between them.
 
-    "all" expands to every suite; the two lemma-level suites that need
-    a pair (somega, bracketdiff) are skipped when none was given.
+    "all" expands to every check in CHECKS order; the two lemma-level
+    checks that need a pair (somega, bracketdiff) are skipped when none
+    was given.
     """
     expanded: List[str] = []
     for name in names:
         if name == "all":
-            expanded.extend(
-                c for c in _ALL if triple is not None or c not in _NEEDS_PAIR
-            )
+            expanded.extend(c for c, (_, pair) in CHECKS.items() if triple is not None or not pair)
+        elif name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}")
+        elif CHECKS[name][1] and triple is None:
+            raise ValueError(f"{name} needs a pair")
         else:
             expanded.append(name)
     ws = _Workspace(triple, n, sl, standard, fault, processes)
     reports = []
     for name in expanded:
-        if name == "logcanon":
-            reports.append(check_log_canonical(_ws=ws))
-        elif name == "compat":
-            reports.append(check_compatibility(_ws=ws))
-        elif name == "rank":
-            reports.append(check_rank(_ws=ws))
-        elif name == "stable":
-            reports.append(check_stable_count(_ws=ws))
-        elif name == "regular":
-            reports.append(check_regularity(_ws=ws))
-        elif name == "frozen":
-            reports.append(check_frozen_log_canonical_with_coordinates(_ws=ws))
-        elif name == "somega":
-            if triple is None:
-                raise ValueError("somega needs a pair")
-            reports.append(check_s_omega(triple, fault=fault, processes=processes))
-        elif name == "bracketdiff":
-            if triple is None:
-                raise ValueError("bracketdiff needs a pair")
-            reports.append(check_bracket_difference(triple, fault=fault))
-        elif name == "cybe":
-            reports.append(check_cybe(triple, n=n, standard=standard))
-        elif name == "rplus":
-            reports.append(check_r_plus_consistency(triple, n=n, standard=standard))
-        else:
-            raise ValueError(f"unknown check {name!r}")
+        started = time.perf_counter()
+        witnesses, details = globals()[CHECKS[name][0]](ws)
+        reports.append(
+            VerificationReport(
+                check=name,
+                n=ws.n,
+                alpha=ws.alpha,
+                beta=ws.beta,
+                status="pass" if not witnesses else "fail",
+                witnesses=witnesses[:MAX_WITNESSES],
+                seconds=round(time.perf_counter() - started, 6),
+                details=details,
+            )
+        )
     return reports

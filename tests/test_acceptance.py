@@ -21,17 +21,7 @@ from bdcluster.quiver import (
     mutate_seed,
     to_exchange_matrix,
 )
-from bdcluster.verify import (
-    Fault,
-    check_bracket_difference,
-    check_cybe,
-    check_r_plus_consistency,
-    check_rank,
-    check_regularity,
-    check_s_omega,
-    check_stable_count,
-    run_checks,
-)
+from bdcluster.verify import Fault, run_checks
 
 ALL_TRIPLES = [
     BDTriple(n, a, b)
@@ -93,8 +83,8 @@ def test_criterion_02_compatibility():
 def test_criterion_03_maximal_rank():
     ok = True
     for t in ALL_TRIPLES:
-        gl = check_rank(t)
-        sl = check_rank(t, sl=True)
+        gl = run_checks(["rank"], triple=t)[0]
+        sl = run_checks(["rank"], triple=t, sl=True)[0]
         n = t.n
         expected_sl_mutable = n * n - 1 - (2 * n - 4)
         if not (gl.passed and sl.passed and sl.details["n_mutable"] == expected_sl_mutable):
@@ -106,7 +96,7 @@ def test_criterion_03_maximal_rank():
 def test_criterion_04_stable_count():
     ok = True
     for t in ALL_TRIPLES:
-        rep = check_stable_count(t, sl=True)
+        rep = run_checks(["stable"], triple=t, sl=True)[0]
         if not (rep.passed and rep.details["frozen"] == 2 * (t.n - 2)):
             ok = False
             print(f"  {t}: {rep.details}")
@@ -159,7 +149,7 @@ def test_criterion_05_regularity():
     ok = True
     identities = 0
     for t in ALL_TRIPLES:
-        rep = check_regularity(t)
+        rep = run_checks(["regular"], triple=t)[0]
         n, a, b = t.n, t.alpha, t.beta
         if not (rep.passed and rep.details["exchanges"] == n * n - (2 * n - 3)):
             ok = False
@@ -201,12 +191,12 @@ def test_criterion_06_half_operator_closed_form():
     ok = True
     runs = 0
     for n in (2, 3, 4, 5):
-        rep = check_r_plus_consistency(n=n)
+        rep = run_checks(["rplus"], n=n)[0]
         runs += 1
         ok = ok and rep.passed
     for t in ALL_TRIPLES:
         for std in (False, True):
-            rep = check_r_plus_consistency(t, standard=std)
+            rep = run_checks(["rplus"], triple=t, standard=std)[0]
             runs += 1
             if not rep.passed:
                 ok = False
@@ -220,14 +210,14 @@ def test_criterion_07_yang_baxter():
     ok = True
     runs = 0
     for n in (2, 3, 4):
-        rep = check_cybe(n=n)
+        rep = run_checks(["cybe"], n=n)[0]
         runs += 1
         ok = ok and rep.passed
     for t in ALL_TRIPLES:
         if t.n > 4:
             continue
         for std in (False, True):
-            rep = check_cybe(t, standard=std)
+            rep = run_checks(["cybe"], triple=t, standard=std)[0]
             runs += 1
             if not rep.passed:
                 ok = False
@@ -244,13 +234,13 @@ def test_criterion_08_bracket_lemmas():
     runs = 0
     for t in ALL_TRIPLES:
         if t.n == 3:
-            rep = check_bracket_difference(t)
+            rep = run_checks(["bracketdiff"], triple=t)[0]
             runs += 1
             if not rep.passed:
                 ok = False
                 print(f"  bracket difference {t}: {rep.witnesses[:2]}")
     for t in ALL_TRIPLES:
-        rep = check_s_omega(t)
+        rep = run_checks(["somega"], triple=t)[0]
         runs += 1
         if not rep.passed:
             ok = False

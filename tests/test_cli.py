@@ -2,6 +2,7 @@
 
 import json
 
+from bdcluster import cli
 from bdcluster.bdseed import get_ring
 from bdcluster.cli import main
 
@@ -155,9 +156,7 @@ class TestCheck:
         assert rc == 0
         reports = json.loads(out)
         assert len(reports) == 1
-        assert set(reports[0]) == {
-            "check", "n", "alpha", "beta", "status", "witnesses", "seconds",
-        }
+        assert reports[0]["details"] == {"frozen": 3, "expected": 3}
         assert reports[0]["status"] == "pass"
 
     def test_all_standard(self, capsys):
@@ -180,6 +179,21 @@ class TestCheck:
         rc, _, err = run(capsys, "check", "rank", "--n", "3", "--alpha", "2", "--beta", "2")
         assert rc == 2
         assert "error:" in err
+
+    def test_bad_thread_count_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BD_CLUSTER_THREADS", "four")
+        rc, out, err = run(capsys, "check", "logcanon", "--n", "3")
+        assert rc == 2
+        assert out == ""
+        assert "error:" in err and "BD_CLUSTER_THREADS" in err
+
+    def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
+        # A verb whose arithmetic overflows the packed exponents.
+        monkeypatch.setattr(cli, "standard_cluster", lambda n, sl=False: get_ring(n).x(1, 1) ** 128)
+        rc, out, err = run(capsys, "seed", "--n", "3")
+        assert rc == 2
+        assert out == ""
+        assert "error:" in err and "128" in err
 
     def test_lonely_alpha_rejected(self, capsys):
         rc, _, err = run(capsys, "seed", "--n", "3", "--alpha", "1")

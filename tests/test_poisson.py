@@ -4,6 +4,7 @@ Every numeric expectation in this file was worked out by hand (or with
 the independent tensor-contraction oracle) before being frozen here.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from bdcluster.poisson import (
     bracket_from_tables,
     build_r0,
     build_r_tensor,
-    cartan_matrix,
     casimir_tensor,
     gradient_tables,
     omega_matrix,
@@ -32,6 +32,7 @@ from bdcluster.poisson import (
     tensor_transpose,
     verify_cybe,
 )
+from bdcluster.polyring import partial_derivative
 
 
 def unit(n, i, j):
@@ -43,9 +44,6 @@ def unit(n, i, j):
 
 
 class TestR0:
-    def test_cartan(self):
-        assert cartan_matrix(4) == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-
     def test_standard_is_unipotent_bidiagonal(self):
         assert build_r0(4, standard=True) == (
             (1, 0, 0),
@@ -82,17 +80,19 @@ class TestDualBasis:
         assert [d.s(k, 3) for k in (1, 2, 3, 4)] == [1, 1, 1, -3]
 
     def test_h_hat_is_traceless(self):
+        # hhat_p has diagonal entries s(k, p) / n.
         d = DualBasis(5)
         for p in range(1, 5):
-            assert sum(d.h_hat(p)) == 0
+            assert sum(d.s(k, p) for k in range(1, 6)) == 0
 
     def test_duality_pairing(self):
-        # <h_p, hhat_q> = delta_pq under the trace form on diagonals.
+        # <h_p, hhat_q> = delta_pq under the trace form on diagonals, with
+        # h_p = e_pp - e_{p+1,p+1}: (s(p, q) - s(p+1, q)) / n.
         for n in (2, 3, 4, 5):
             d = DualBasis(n)
             for p in range(1, n):
                 for q in range(1, n):
-                    pair = sum(a * b for a, b in zip(d.h(p), d.h_hat(q)))
+                    pair = Fraction(d.s(p, q) - d.s(p + 1, q), n)
                     assert pair == (1 if p == q else 0)
 
 
@@ -255,11 +255,61 @@ class TestSklyaninBracket:
         assert poisson_coefficient(self.x(2, 1), self.x(1, 2), self.op) == 0
 
     def test_tables_route_agrees(self):
-        f = self.x(1, 2) * self.x(1, 1)
-        g = self.x(2, 2) + self.x(2, 1)
-        ta = gradient_tables(f, 2)
-        tb = gradient_tables(g, 2)
-        assert bracket_from_tables(ta, tb, self.op) == sklyanin_bracket(f, g, self.op)
+        """bracket_from_tables equals <R_+(F), G> - <R_+(F'), G'> with R_+
+        contracted from the r tensor, on random polynomials for n <= 4:
+        every minimal pair with its exotic operator and its standard
+        companion, and the standard operator of each size."""
+        rng = random.Random(1412)
+        cases = [(n, None, True) for n in (2, 3, 4)]
+        for n in (3, 4):
+            for a in range(1, n):
+                for b in range(a + 1, n):
+                    cases += [(n, (a, b), False), (n, (a, b), True)]
+        for n, pair, std in cases:
+            ring = get_ring(n)
+            if pair is None:
+                op = r_plus_operator(n=n, standard=True)
+                rt = build_r_tensor(n, standard=True)
+            else:
+                op = r_plus_operator(BDTriple(n, *pair), standard=std)
+                rt = build_r_tensor(n, *pair, standard=std)
+            for _ in range(3):
+                f, g = _random_poly(rng, ring), _random_poly(rng, ring)
+                got = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
+                assert got == _oracle_bracket(f, g, rt, n), (n, pair, std, str(f), str(g))
+
+
+def _random_poly(rng, ring):
+    p = ring.zero
+    for _ in range(rng.randint(1, 3)):
+        mono = ring.const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3)):
+            mono = mono * ring.x(rng.randint(1, ring.n), rng.randint(1, ring.n))
+        p = p + mono
+    return p
+
+
+def _oracle_bracket(f, g, rt, n):
+    """<R_+(F), G> - <R_+(F'), G'> from partial derivatives and the tensor:
+    F_ij = sum_k df/dx[k,i] x[k,j], F'_ij = sum_k df/dx[j,k] x[i,k]."""
+    ring = f.ring
+    idx = range(1, n + 1)
+
+    def d(p, k, i):
+        return partial_derivative(p, ("x", k, i))
+
+    def grads(p):
+        P = [[sum((d(p, k, i) * ring.x(k, j) for k in idx), ring.zero) for j in idx] for i in idx]
+        Pp = [[sum((d(p, j, k) * ring.x(i, k) for k in idx), ring.zero) for j in idx] for i in idx]
+        return P, Pp
+
+    (F, Fp), (G, Gp) = grads(f), grads(g)
+    RF, RFp = r_plus_oracle(rt, F), r_plus_oracle(rt, Fp)
+    total = ring.zero
+    for i in range(n):
+        for j in range(n):
+            total = total + RF[i][j] * G[j][i] - RFp[i][j] * Gp[j][i]
+    return total
 
 
 class TestExoticCoefficients:
@@ -318,10 +368,14 @@ class TestSweeps:
     def test_sweep_workers_env(self, monkeypatch):
         monkeypatch.setenv("BD_CLUSTER_THREADS", "2")
         assert sweep_workers() == 2
-        monkeypatch.setenv("BD_CLUSTER_THREADS", "bogus")
-        assert sweep_workers() >= 1
         monkeypatch.delenv("BD_CLUSTER_THREADS")
         assert sweep_workers() >= 1
+
+    @pytest.mark.parametrize("value", ["four", "2.5", "0", "-3"])
+    def test_sweep_workers_rejects_bad_env(self, monkeypatch, value):
+        monkeypatch.setenv("BD_CLUSTER_THREADS", value)
+        with pytest.raises(ValueError, match="BD_CLUSTER_THREADS"):
+            sweep_workers()
 
 
 # ----------------------------------------------------------------------

@@ -180,8 +180,7 @@ class TestSubmatrixFamilies:
                 assert standard_minor(R3, i, j).det() == determinant(build_M(R3, i, j))
 
     def test_trailing_chain(self):
-        f = standard_minor(R4, 1, 2)
-        m = f.matrix()
+        m = build_M(R4, 1, 2)
         assert len(m) == 3
         inner = standard_minor(R4, 2, 3)
         assert determinant([row[1:] for row in m[1:]]) == inner.det()
@@ -212,18 +211,9 @@ class TestSpecialFamilies:
             ["0", "0", "x[3,1]", "x[3,2]"],
         ]
 
-    def test_double_mode_uses_second_alphabet(self):
-        m = build_Mtilde(R3, 1, 2, 1, 2, mode="double")
-        assert str(m[0][0]) == "y[1,2]"
-        assert str(m[1][2]) == "x[1,1]"
-
     def test_not_special(self):
         with pytest.raises(IndexNotSpecial):
             build_Mtilde(R3, 1, 2, 2, 2)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            build_Mtilde(R3, 1, 2, 3, 1, mode="other")
 
     def test_block_shapes_are_square(self):
         for (n, a, b) in [(4, 1, 3), (5, 2, 4), (5, 1, 2)]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdcluster.polyring import (
     DivisionByZero,
+    ExponentOverflow,
     MissingAssignment,
     NotConstant,
     NotDivisible,
@@ -73,9 +74,9 @@ class TestBasics:
 
     def test_var_roundtrip(self):
         p = R3.x(2, 3)
-        ((exps, coeff),) = p.as_terms()
-        assert exps == {("x", 2, 3): 1}
-        assert coeff == 1
+        assert len(p) == 1
+        assert R3.monomial_exponents(p.leading_monomial()) == {("x", 2, 3): 1}
+        assert p.leading_coefficient() == 1
 
     def test_lex_order_respects_variable_listing(self):
         # x[1,1] dominates every later variable.
@@ -140,6 +141,29 @@ def test_division_with_fractional_leading_coefficient():
     q = Fraction(3, 7) * R2.x(1, 2) + Fraction(1, 2)
     p = (R2.x(2, 1) - 5) * q
     assert exact_divide(p, q) == R2.x(2, 1) - 5
+
+
+class TestExponentOverflow:
+    """Exponents live in one byte each; 128 or more must raise, not carry."""
+
+    def test_largest_exponent_is_fine(self):
+        p = R2.x(1, 2) ** 127
+        assert R2.monomial_exponents(p.leading_monomial()) == {("x", 1, 2): 127}
+        assert exact_divide(p, R2.x(1, 2)) == R2.x(1, 2) ** 126
+
+    def test_power_overflow_raises(self):
+        x = R2.x(1, 2)
+        with pytest.raises(ExponentOverflow):
+            x ** 128
+        # Once carried into the neighbouring byte, this used to read x[1,1].
+        with pytest.raises(ExponentOverflow):
+            x ** 255 * x
+
+    def test_product_overflow_raises(self):
+        x = R2.x(2, 2)
+        with pytest.raises(ExponentOverflow):
+            (x ** 100 + 1) * (x ** 28 - R2.y(1, 1))
+        assert isinstance(ExponentOverflow(), ArithmeticError)
 
 
 class TestCalculusAndEvaluation:

@@ -7,27 +7,20 @@ here each check is exercised once on size 3 plus the failure paths.
 import pytest
 
 from bdcluster.bdseed import BDTriple
-from bdcluster.verify import (
-    Fault,
-    check_bracket_difference,
-    check_compatibility,
-    check_cybe,
-    check_frozen_log_canonical_with_coordinates,
-    check_log_canonical,
-    check_r_plus_consistency,
-    check_rank,
-    check_regularity,
-    check_s_omega,
-    check_stable_count,
-    run_checks,
-)
+from bdcluster.verify import Fault, run_checks
 
 T312 = BDTriple(3, 1, 2)
 
 
+def one(name, triple=None, **kwargs):
+    """The report of a single check run through run_checks."""
+    (report,) = run_checks([name], triple=triple, **kwargs)
+    return report
+
+
 class TestIndividualChecks:
     def test_log_canonical_passes(self):
-        rep = check_log_canonical(T312)
+        rep = one("logcanon", T312)
         assert rep.passed
         assert rep.check == "logcanon"
         assert (rep.n, rep.alpha, rep.beta) == (3, 1, 2)
@@ -35,61 +28,61 @@ class TestIndividualChecks:
         assert rep.details["pairs"] == 9 * 8 // 2
 
     def test_compatibility_sign(self):
-        rep = check_compatibility(T312)
+        rep = one("compat", T312)
         assert rep.passed
         assert rep.details["diagonal_sign"] == -1
         assert rep.details["n_mutable"] == 9 - 3
 
     def test_rank_full(self):
-        rep = check_rank(T312)
+        rep = one("rank", T312)
         assert rep.passed
         assert rep.details["rank"] == rep.details["n_mutable"] == 6
 
     def test_stable_counts(self):
-        assert check_stable_count(T312).details["frozen"] == 3
-        assert check_stable_count(T312, sl=True).details["frozen"] == 2
-        assert check_stable_count(n=3).details["frozen"] == 5
-        assert check_stable_count(n=3, sl=True).details["frozen"] == 4
+        assert one("stable", T312).details["frozen"] == 3
+        assert one("stable", T312, sl=True).details["frozen"] == 2
+        assert one("stable", n=3).details["frozen"] == 5
+        assert one("stable", n=3, sl=True).details["frozen"] == 4
 
     def test_regularity(self):
-        rep = check_regularity(T312)
+        rep = one("regular", T312)
         assert rep.passed
         assert rep.details["exchanges"] == 6
 
     def test_regularity_ignores_sl_flag(self):
         # Divisibility is checked in the ambient ring, so the SL request
         # still runs on the GL cluster and sees all 6 exchanges.
-        rep = check_regularity(T312, sl=True)
+        rep = one("regular", T312, sl=True)
         assert rep.passed
         assert rep.details["exchanges"] == 6
 
     def test_frozen_log_canonical(self):
-        assert check_frozen_log_canonical_with_coordinates(T312).passed
+        assert one("frozen", T312).passed
 
     def test_s_omega(self):
-        assert check_s_omega(T312).passed
+        assert one("somega", T312).passed
 
     def test_bracket_difference(self):
-        assert check_bracket_difference(T312).passed
+        assert one("bracketdiff", T312).passed
 
     def test_cybe(self):
-        rep = check_cybe(T312)
+        rep = one("cybe", T312)
         assert rep.passed
         assert rep.details["cybe"] and rep.details["unitary"]
         assert rep.details["terms"] > 0
-        assert check_cybe(n=3).passed
+        assert one("cybe", n=3).passed
 
     def test_r_plus_consistency(self):
-        assert check_r_plus_consistency(T312).passed
-        assert check_r_plus_consistency(T312, standard=True).passed
-        assert check_r_plus_consistency(n=4).passed
+        assert one("rplus", T312).passed
+        assert one("rplus", T312, standard=True).passed
+        assert one("rplus", n=4).passed
 
     def test_standard_structure_checks(self):
         for rep in (
-            check_log_canonical(n=3),
-            check_compatibility(n=3),
-            check_rank(n=3),
-            check_regularity(n=3),
+            one("logcanon", n=3),
+            one("compat", n=3),
+            one("rank", n=3),
+            one("regular", n=3),
         ):
             assert rep.passed, rep.witnesses
             assert rep.alpha is None and rep.beta is None
@@ -97,13 +90,13 @@ class TestIndividualChecks:
 
 class TestFaults:
     def test_dropped_term_breaks_log_canonicality(self):
-        rep = check_log_canonical(T312, fault=Fault.DROP_PHI31_TERM)
+        rep = one("logcanon", T312, fault=Fault.DROP_PHI31_TERM)
         assert not rep.passed
         assert rep.witnesses
         assert any("(3, 1)" in w for w in rep.witnesses)
 
     def test_zeroed_diagonal_breaks_sums(self):
-        rep = check_s_omega(T312, fault=Fault.ZERO_R0)
+        rep = one("somega", T312, fault=Fault.ZERO_R0)
         assert not rep.passed
         assert any("sum at" in w for w in rep.witnesses)
 
@@ -114,15 +107,18 @@ class TestFaults:
 
 class TestReports:
     def test_report_dict_shape(self):
-        rep = check_rank(T312)
+        rep = one("rank", T312)
         d = rep.to_dict()
-        assert set(d) == {"check", "n", "alpha", "beta", "status", "witnesses", "seconds"}
+        assert set(d) == {
+            "check", "n", "alpha", "beta", "status", "witnesses", "seconds", "details",
+        }
+        assert d["details"] == {"rank": 6, "n_mutable": 6}
         assert d["status"] == "pass"
         assert d["witnesses"] == []
         assert isinstance(d["seconds"], float)
 
     def test_witness_cap(self):
-        rep = check_log_canonical(T312, fault=Fault.DROP_PHI31_TERM)
+        rep = one("logcanon", T312, fault=Fault.DROP_PHI31_TERM)
         assert len(rep.witnesses) <= 10
 
 
