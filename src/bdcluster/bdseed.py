@@ -117,41 +117,32 @@ def grid_labels(n: int, sl: bool) -> Tuple[Label, ...]:
 
 def standard_cluster(n: int, sl: bool = False) -> Cluster:
     """The seed of trailing minors with the whole border frozen."""
-    ring = get_ring(n)
-    labels = grid_labels(n, sl)
-    functions = {lab: standard_minor(ring, *lab).det() for lab in labels}
-    frozen = border_labels(n)
-    if sl:
-        frozen.discard((1, 1))
-    return Cluster(
-        ring=ring,
-        n=n,
-        labels=labels,
-        functions=functions,
-        frozen=frozenset(frozen),
-        sl=sl,
-        standard=True,
-        triple=None,
-    )
+    return _cluster(n, sl, None)
 
 
 def initial_cluster(triple: BDTriple, sl: bool = False) -> Cluster:
-    """The exotic seed for a normalized pair: block minors at the special
-    labels, everything else a trailing minor, and the two border labels
+    """The exotic seed for a normalized pair: the standard seed with block
+    minors at the special labels and the two border labels
     (alpha+1, 1), (1, beta+1) unfrozen."""
-    n, alpha, beta = triple.n, triple.alpha, triple.beta
+    return _cluster(triple.n, sl, triple)
+
+
+def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
     ring = get_ring(n)
     labels = grid_labels(n, sl)
-    special = set(first_family(n, alpha, beta)) | set(second_family(n, alpha, beta))
-    functions: Dict[Label, Poly] = {}
-    for lab in labels:
-        if lab in special:
-            functions[lab] = determinant(build_Mtilde(ring, alpha, beta, *lab))
-        else:
-            functions[lab] = standard_minor(ring, *lab).det()
-    frozen = border_labels(n) - {(alpha + 1, 1), (1, beta + 1)}
-    if sl:
-        frozen.discard((1, 1))
+    frozen = border_labels(n) & set(labels)
+    blocks: Dict[Label, Poly] = {}
+    if triple is not None:
+        alpha, beta = triple.alpha, triple.beta
+        blocks = {
+            lab: determinant(build_Mtilde(ring, alpha, beta, *lab))
+            for lab in first_family(n, alpha, beta) + second_family(n, alpha, beta)
+        }
+        frozen -= {(alpha + 1, 1), (1, beta + 1)}
+    functions = {
+        lab: blocks[lab] if lab in blocks else standard_minor(ring, *lab).det()
+        for lab in labels
+    }
     return Cluster(
         ring=ring,
         n=n,
@@ -159,7 +150,7 @@ def initial_cluster(triple: BDTriple, sl: bool = False) -> Cluster:
         functions=functions,
         frozen=frozenset(frozen),
         sl=sl,
-        standard=False,
+        standard=triple is None,
         triple=triple,
     )
 

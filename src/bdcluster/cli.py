@@ -20,23 +20,10 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .bdseed import BDTriple, initial_cluster, normalize_triple, standard_cluster
-from .poisson import (
-    NotLogCanonical,
-    poisson_coefficient,
-    r_plus_operator,
-    sklyanin_bracket,
-)
-from .quiver import (
-    FrozenDirection,
-    NotLaurentPolynomial,
-    bd_quiver,
-    make_seed,
-    mutate_seed,
-    standard_quiver,
-    to_dot,
-)
-from .verify import CHECKS, Fault, VerificationReport, run_checks
+from .bdseed import BDTriple, normalize_triple
+from .poisson import NotLogCanonical, poisson_coefficient, sklyanin_bracket
+from .quiver import FrozenDirection, NotLaurentPolynomial, make_seed, mutate_seed, to_dot
+from .verify import CHECKS, Fault, VerificationReport, Workspace, run_checks
 
 
 class CliError(Exception):
@@ -75,15 +62,13 @@ def _triple(args) -> Optional[BDTriple]:
     return normalize_triple(args.n, args.alpha, args.beta)
 
 
-def _cluster(args):
-    triple = _triple(args)
-    if triple is None or args.standard:
-        return standard_cluster(args.n, sl=args.sl), triple
-    return initial_cluster(triple, sl=args.sl), triple
+def _workspace(args) -> Workspace:
+    return Workspace(_triple(args), args.n, args.sl, args.standard)
 
 
 def _cmd_seed(args) -> int:
-    cluster, triple = _cluster(args)
+    ws = _workspace(args)
+    cluster, triple = ws.cluster(), ws.triple
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -106,11 +91,7 @@ def _cmd_seed(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
-    triple = _triple(args)
-    if triple is None or args.standard:
-        q = standard_quiver(args.n, sl=args.sl)
-    else:
-        q = bd_quiver(triple, sl=args.sl)
+    q = _workspace(args).quiver()
     if args.dot:
         print(to_dot(q))
         return 0
@@ -134,16 +115,13 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    cluster, triple = _cluster(args)
+    ws = _workspace(args)
+    cluster, op = ws.cluster(), ws.op()
     la = _parse_label(args.f)
     lb = _parse_label(args.g)
     for lab in (la, lb):
         if lab not in cluster.functions:
             raise CliError(f"({lab[0]},{lab[1]}) is not a label of this cluster")
-    if triple is None:
-        op = r_plus_operator(n=args.n, standard=True)
-    else:
-        op = r_plus_operator(triple, standard=args.standard)
     f, g = cluster.functions[la], cluster.functions[lb]
     br = sklyanin_bracket(f, g, op)
     omega = None
@@ -172,9 +150,13 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    cluster, triple = _cluster(args)
+    # Exchange on GL, where divisibility holds in the polynomial ring;
+    # on SL the printed GL variable represents the SL one.
+    ws = _workspace(args).gl()
     lab = _parse_label(args.at)
-    seed = make_seed(cluster)
+    if args.sl and lab == (1, 1):
+        raise CliError(f"{lab} is not a vertex")
+    seed = make_seed(ws.cluster(), ws.quiver())
     try:
         new_seed = mutate_seed(seed, lab)
     except (FrozenDirection, NotLaurentPolynomial) as e:
@@ -268,7 +250,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, ArithmeticError) as e:
+    except Exception as e:
+        # Imported only here: a dead sweep worker is the one way to get it.
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(e, (CliError, ValueError, ArithmeticError, BrokenProcessPool)):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

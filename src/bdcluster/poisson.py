@@ -408,19 +408,29 @@ def omega_sweep(
     processes: Optional[int] = None,
 ):
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
-    with ia < ib and failures a list of (ia, ib, reason)."""
+    with ia < ib and failures a list of (ia, ib, reason).
+
+    processes defaults to sweep_workers(); it must be at least 1.
+    """
+    nproc = processes if processes is not None else sweep_workers()
+    if nproc < 1:
+        raise ValueError(f"processes must be a positive integer, got {nproc}")
     tables = [gradient_tables(f, op) for f in functions]
     L = len(functions)
     pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
-    nproc = processes if processes is not None else sweep_workers()
-    results = []
     if nproc > 1 and len(pairs) >= 32 and hasattr(os, "fork"):
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            nproc, initializer=_sweep_init, initargs=(tables, list(functions), op, pairs)
+        # Imported here, as at module level it slows every start-up.  Forked
+        # workers inherit the tables; a dead one raises BrokenProcessPool.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            nproc,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_sweep_init,
+            initargs=(tables, list(functions), op, pairs),
         ) as pool:
             chunk = max(1, len(pairs) // (nproc * 8))
-            results = pool.map(_sweep_pair, range(len(pairs)), chunksize=chunk)
+            results = list(pool.map(_sweep_pair, range(len(pairs)), chunksize=chunk))
     else:
         _sweep_init(tables, list(functions), op, pairs)
         results = [_sweep_pair(i) for i in range(len(pairs))]

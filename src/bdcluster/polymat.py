@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .polyring import Poly, PolyRing, partial_derivative
 
@@ -79,21 +79,19 @@ def _check_label(n: int, i: int, j: int) -> None:
         raise IndexOutOfRange(f"label ({i},{j}) outside 1..{n}")
 
 
-def build_M(ring: PolyRing, i: int, j: int) -> Matrix:
-    """Submatrix of X whose determinant is the cluster function at (i, j).
-
-    For j > i it consists of rows i..n-j+i and columns j..n; for j <= i
-    of rows i..n and columns j..n-i+j.  Either way the (1,1) entry is
-    x[i,j] and the matrix is square.
-    """
-    n = ring.n
+def _trailing(n: int, i: int, j: int) -> Tuple[range, range]:
+    """Rows and columns of the largest square submatrix of X with
+    upper-left corner (i, j): rows i..n-j+i and columns j..n for j > i,
+    rows i..n and columns j..n-i+j for j <= i."""
     _check_label(n, i, j)
     if j > i:
-        rows = range(i, n - j + i + 1)
-        cols = range(j, n + 1)
-    else:
-        rows = range(i, n + 1)
-        cols = range(j, n - i + j + 1)
+        return range(i, n - j + i + 1), range(j, n + 1)
+    return range(i, n + 1), range(j, n - i + j + 1)
+
+
+def build_M(ring: PolyRing, i: int, j: int) -> Matrix:
+    """Submatrix of X whose determinant is the cluster function at (i, j)."""
+    rows, cols = _trailing(ring.n, i, j)
     return [[ring.x(r, c) for c in cols] for r in rows]
 
 
@@ -107,6 +105,54 @@ def second_family(n: int, alpha: int, beta: int) -> List[tuple]:
     return [(m, n + m - beta) for m in range(1, beta + 1)]
 
 
+def _chain(n: int, alpha: int, beta: int, i: int, j: int):
+    """The X blocks (rows, cols) glued into the matrix at a special label,
+    and whether the first two share columns (else rows).
+
+    The chain starts with the head block at the label: X rows i..n,
+    columns j..alpha+1 for the first family (i = n+j-alpha), X rows
+    i..beta+1, columns j..n for the second (j = n+i-beta).  A
+    first-family head is followed by the Y block X[1..n-beta, beta..n],
+    a second-family head by the low block X[alpha..n, 1..n-alpha].  When
+    n = 2*beta the label (1, beta+1) is itself special, so Y grows to
+    rows 1..beta+1 and the low block follows it; symmetrically, when
+    n = 2*alpha the low block grows to columns 1..alpha+1 and Y follows
+    it.  Y and low name blocks only; every entry is an x variable.
+    """
+    _check_label(n, i, j)
+    y = (range(1, (beta + 1 if n == 2 * beta else n - beta) + 1), range(beta, n + 1))
+    low = (range(alpha, n + 1), range(1, (alpha + 1 if n == 2 * alpha else n - alpha) + 1))
+    if j <= alpha and i == n + j - alpha:
+        head = (range(i, n + 1), range(j, alpha + 2))
+        return [head, y] + ([low] if n == 2 * beta else []), True
+    if i <= beta and j == n + i - beta:
+        head = (range(i, beta + 2), range(j, n + 1))
+        return [head, low] + ([y] if n == 2 * alpha else []), False
+    raise IndexNotSpecial(
+        f"({i},{j}) is not a special label for alpha={alpha}, beta={beta}"
+    )
+
+
+def _glue(ring: PolyRing, blocks, share_cols: bool) -> Matrix:
+    """Place each block so it shares two grid columns with the block
+    before it, then two grid rows, alternating; zeros elsewhere."""
+    top = left = 0
+    placed = []
+    for k, (rows, cols) in enumerate(blocks):
+        if k:
+            prev_rows, prev_cols = blocks[k - 1]
+            top += len(prev_rows) - (0 if share_cols else 2)
+            left += len(prev_cols) - (2 if share_cols else 0)
+            share_cols = not share_cols
+        placed.append((top, left, rows, cols))
+    size = top + len(rows)
+    grid = [[ring.zero] * size for _ in range(size)]
+    for top, left, rows, cols in placed:
+        for r, xr in enumerate(rows):
+            grid[top + r][left : left + len(cols)] = [ring.x(xr, xc) for xc in cols]
+    return grid
+
+
 def build_Mtilde(
     ring: PolyRing,
     alpha: int,
@@ -114,97 +160,14 @@ def build_Mtilde(
     i: int,
     j: int,
 ) -> Matrix:
-    """Block matrix for a special label of the (alpha, beta) structure.
+    """Block matrix for a special label of the (alpha, beta) structure:
+    the chain of X blocks of _chain, glued.
 
-    First family (i = n+j-alpha, j <= alpha): an X block of rows i..n,
-    columns j..alpha+1 in the upper left, glued over its last two
-    columns to a Y block of rows 1..n-beta, columns beta..n.  Second
-    family (j = n+i-beta, i <= beta): a Y block of rows i..beta+1,
-    columns j..n in the upper left, glued over its last two rows to an
-    X block of rows alpha..n, columns 1..n-alpha.
-
-    When n = 2*beta the label (1, beta+1) heading the second family is
-    itself a removed border label, so every first-family matrix picks
-    up a third block: the Y block grows to rows 1..beta+1, columns
-    beta..n and is glued over its last two rows to a trailing X block
-    of rows alpha..n, columns 1..n-alpha.  Symmetrically, when
-    n = 2*alpha every second-family matrix ends with a trailing Y
-    block of rows 1..n-beta, columns beta..n glued over the last two
-    columns of the middle X block (rows alpha..n, columns 1..alpha+1).
-
-    Y names the second kind of block only; its entries are x variables.
+    For example, the first-family label (i, j) away from n = 2*beta
+    gives X rows i..n, columns j..alpha+1 in the upper left, glued over
+    its last two columns to X rows 1..n-beta, columns beta..n.
     """
-    n = ring.n
-    _check_label(n, i, j)
-    zero = ring.zero
-
-    if j <= alpha and i == n + j - alpha:
-        xrows = n - i + 1          # = alpha - j + 1
-        if n == 2 * beta:
-            # Three blocks: X rows i..n over the square Y block over
-            # X rows alpha..n.
-            size = n + beta + 1 - j
-            grid = [[zero] * size for _ in range(size)]
-            for r in range(xrows):
-                for c in range(xrows + 1):
-                    grid[r][c] = ring.x(i + r, j + c)
-            for r in range(beta + 1):
-                for c in range(beta + 1):
-                    grid[xrows + r][xrows - 1 + c] = ring.x(1 + r, beta + c)
-            base = xrows + beta - 1
-            for r in range(n - alpha + 1):
-                for c in range(n - alpha):
-                    grid[base + r][xrows + beta + c] = ring.x(alpha + r, 1 + c)
-            return grid
-        # First family: X rows i..n over Y rows 1..n-beta.
-        yrows = n - beta
-        size = xrows + yrows
-        grid = [[zero] * size for _ in range(size)]
-        # X block: columns j..alpha+1 occupy grid columns 0..xrows.
-        for r in range(xrows):
-            for c in range(xrows + 1):
-                grid[r][c] = ring.x(i + r, j + c)
-        # Y block: columns beta..n occupy grid columns xrows-1..size-1.
-        for r in range(yrows):
-            for c in range(yrows + 1):
-                grid[xrows + r][xrows - 1 + c] = ring.x(1 + r, beta + c)
-        return grid
-
-    if i <= beta and j == n + i - beta:
-        ycols = n - j + 1          # = beta - i + 1
-        if n == 2 * alpha:
-            # Three blocks: Y columns j..n, then the square X block,
-            # then Y columns beta..n.
-            size = n + alpha + 1 - i
-            grid = [[zero] * size for _ in range(size)]
-            for r in range(ycols + 1):
-                for c in range(ycols):
-                    grid[r][c] = ring.x(i + r, j + c)
-            for r in range(alpha + 1):
-                for c in range(alpha + 1):
-                    grid[ycols - 1 + r][ycols + c] = ring.x(alpha + r, 1 + c)
-            base = ycols + alpha - 1
-            for r in range(n - beta):
-                for c in range(n - beta + 1):
-                    grid[ycols + alpha + r][base + c] = ring.x(1 + r, beta + c)
-            return grid
-        # Second family: Y columns j..n to the left of X columns 1..n-alpha.
-        xcols = n - alpha
-        size = ycols + xcols
-        grid = [[zero] * size for _ in range(size)]
-        # Y block: rows i..beta+1 occupy grid rows 0..ycols.
-        for r in range(ycols + 1):
-            for c in range(ycols):
-                grid[r][c] = ring.x(i + r, j + c)
-        # X block: rows alpha..n occupy grid rows ycols-1..size-1.
-        for r in range(xcols + 1):
-            for c in range(xcols):
-                grid[ycols - 1 + r][ycols + c] = ring.x(alpha + r, 1 + c)
-        return grid
-
-    raise IndexNotSpecial(
-        f"({i},{j}) is not a special label for alpha={alpha}, beta={beta}"
-    )
+    return _glue(ring, *_chain(ring.n, alpha, beta, i, j))
 
 
 def build_Mtilde_shift(
@@ -216,27 +179,22 @@ def build_Mtilde_shift(
 ) -> Matrix:
     """The block matrix of build_Mtilde with its leading line stepped out.
 
-    For a first-family label the first grid row (row i of the leading X
+    For a first-family label the first grid row (row i of the leading
     block) is rewritten with row i-1; for a second-family label the
-    first grid column (column j of the leading Y block) is rewritten
+    first grid column (column j of the leading block) is rewritten
     with column j-1.  This is the block-matrix form of the one-step
     row/column replacement maps on minors, and it is what the glued
     determinants of a coincidence structure (n = 2*alpha or n = 2*beta)
-    expand along.
+    expand along.  Special labels always leave room for the step: the
+    first family has i >= 2 and the second family j >= 2.
     """
-    n = ring.n
-    grid = build_Mtilde(ring, alpha, beta, i, j)
-    # Valid special labels always leave room for the step: the first
-    # family has i >= n+1-alpha >= 2 and the second family j >= 2.
-    if j <= alpha and i == n + j - alpha:
-        xrows = n - i + 1
-        for c in range(xrows + 1):
-            grid[0][c] = ring.x(i - 1, j + c)
-        return grid
-    ycols = n - j + 1
-    for r in range(ycols + 1):
-        grid[r][0] = ring.x(i + r, j - 1)
-    return grid
+    blocks, share_cols = _chain(ring.n, alpha, beta, i, j)
+    rows, cols = blocks[0]
+    if share_cols:
+        blocks[0] = ([i - 1, *rows[1:]], cols)
+    else:
+        blocks[0] = (rows, [j - 1, *cols[1:]])
+    return _glue(ring, blocks, share_cols)
 
 
 def col_replace(f: Poly, i: int, j: int) -> Poly:
@@ -337,8 +295,5 @@ def _minor_det(ring: PolyRing, row_lo: int, row_hi: int, col_lo: int, col_hi: in
 
 def standard_minor(ring: PolyRing, i: int, j: int) -> Minor:
     """The Minor whose determinant is the standard cluster function at (i, j)."""
-    n = ring.n
-    _check_label(n, i, j)
-    if j > i:
-        return Minor(ring, i, n - j + i, j, n)
-    return Minor(ring, i, n, j, n - i + j)
+    rows, cols = _trailing(ring.n, i, j)
+    return Minor(ring, rows[0], rows[-1], cols[0], cols[-1])

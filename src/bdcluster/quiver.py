@@ -20,7 +20,7 @@ entry b_ij = (arrows i -> j) - (arrows j -> i).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .bdseed import BDTriple, Cluster, Label, border_labels, grid_labels
 from .polyring import NotDivisible, exact_divide
@@ -46,56 +46,46 @@ class Quiver:
         return self.arcs.get((src, dst), 0)
 
 
-def _grid_arcs(n: int) -> List[Tuple[Label, Label]]:
-    arcs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j < n:
-                arcs.append(((i, j), (i, j + 1)))
-            if i < n:
-                arcs.append(((i, j), (i + 1, j)))
-            if i < n and j < n:
-                arcs.append(((i + 1, j + 1), (i, j)))
-    return arcs
-
-
 def standard_quiver(n: int, sl: bool = False) -> Quiver:
-    border = border_labels(n)
-    arcs = {
-        (s, d): 1
-        for s, d in _grid_arcs(n)
-        if not (s in border and d in border)
-    }
-    frozen = set(border)
-    if sl:
-        frozen.discard((1, 1))
-        arcs = {(s, d): w for (s, d), w in arcs.items() if s != (1, 1) and d != (1, 1)}
-    return Quiver(n=n, labels=grid_labels(n, sl), frozen=frozenset(frozen), arcs=arcs)
+    labels = grid_labels(n, False)
+    inside, border = set(labels), border_labels(n)
+    arcs = {}
+    for i, j in labels:
+        for s, d in (((i, j), (i, j + 1)), ((i, j), (i + 1, j)), ((i + 1, j + 1), (i, j))):
+            if s in inside and d in inside and not (s in border and d in border):
+                arcs[(s, d)] = 1
+    return _restrict(Quiver(n=n, labels=labels, frozen=frozenset(border), arcs=arcs), sl)
 
 
 def bd_quiver(triple: BDTriple, sl: bool = False) -> Quiver:
+    """The standard quiver's arcs plus the six pair arcs, with
+    (alpha+1, 1) and (1, beta+1) unfrozen."""
     n, alpha, beta = triple.n, triple.alpha, triple.beta
-    border = border_labels(n)
-    arcs = {
-        (s, d): 1
-        for s, d in _grid_arcs(n)
-        if not (s in border and d in border)
-    }
-    extra = [
+    q = standard_quiver(n)
+    arcs = dict(q.arcs)
+    for arc in [
         ((alpha, 1), (alpha + 1, 1)),
         ((1, beta), (1, beta + 1)),
         ((n, alpha + 1), (1, beta + 1)),
         ((1, beta + 1), (n, alpha)),
         ((beta + 1, n), (alpha + 1, 1)),
         ((alpha + 1, 1), (beta, n)),
-    ]
-    for arc in extra:
+    ]:
         arcs[arc] = 1
-    frozen = border - {(alpha + 1, 1), (1, beta + 1)}
-    if sl:
-        frozen.discard((1, 1))
-        arcs = {(s, d): w for (s, d), w in arcs.items() if s != (1, 1) and d != (1, 1)}
-    return Quiver(n=n, labels=grid_labels(n, sl), frozen=frozenset(frozen), arcs=arcs)
+    frozen = q.frozen - {(alpha + 1, 1), (1, beta + 1)}
+    return _restrict(replace(q, frozen=frozen, arcs=arcs), sl)
+
+
+def _restrict(q: Quiver, sl: bool) -> Quiver:
+    """On SL, drop the determinant vertex (1, 1) and its arcs."""
+    if not sl:
+        return q
+    return replace(
+        q,
+        labels=grid_labels(q.n, True),
+        frozen=q.frozen - {(1, 1)},
+        arcs={(s, d): w for (s, d), w in q.arcs.items() if (1, 1) not in (s, d)},
+    )
 
 
 @dataclass(frozen=True)

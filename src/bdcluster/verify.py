@@ -94,9 +94,14 @@ class VerificationReport:
         }
 
 
-class _Workspace:
+class Workspace:
     """Caches the cluster, quiver, operator, and pairwise coefficients
-    for one (pair, mode, fault) so several checks can share them."""
+    for one (pair, mode, fault) so several checks can share them.
+
+    The checks and the CLI pick the structure here: the standard one
+    without a pair, else the pair's exotic structure, or its standard
+    companion when standard is set.
+    """
 
     def __init__(
         self,
@@ -129,6 +134,14 @@ class _Workspace:
     @property
     def beta(self) -> Optional[int]:
         return self.triple.beta if self.triple is not None else None
+
+    def gl(self) -> "Workspace":
+        """The same structure on GL.  Exchanges divide in the ambient
+        polynomial ring only there; on SL the divisibility holds modulo
+        det X = 1, and the GL variable represents the SL one."""
+        if not self.sl:
+            return self
+        return Workspace(self.triple, self.n, False, self.standard, self.fault, self.processes)
 
     def cluster(self) -> Cluster:
         if self._cluster is None:
@@ -176,10 +189,10 @@ class _Workspace:
 
 
 # ----------------------------------------------------------------------
-# Individual checks.  Each takes a _Workspace and returns an Outcome.
+# Individual checks.  Each takes a Workspace and returns an Outcome.
 
 
-def check_log_canonical(ws: _Workspace) -> Outcome:
+def check_log_canonical(ws: Workspace) -> Outcome:
     """Every pair of cluster functions has {f, g} = omega f g."""
     labels, _, failures = ws.omega()
     witnesses = [
@@ -189,7 +202,7 @@ def check_log_canonical(ws: _Workspace) -> Outcome:
     return witnesses, details
 
 
-def check_compatibility(ws: _Workspace) -> Outcome:
+def check_compatibility(ws: Workspace) -> Outcome:
     """The product of the exchange matrix with the coefficient matrix is
     [D 0] with D = s*I for a single sign s.
 
@@ -242,7 +255,7 @@ def check_compatibility(ws: _Workspace) -> Outcome:
     return witnesses, {"diagonal_sign": sign, "n_mutable": em.n_mutable}
 
 
-def check_rank(ws: _Workspace) -> Outcome:
+def check_rank(ws: Workspace) -> Outcome:
     """The exchange matrix has full rank, equal to the mutable count."""
     em = to_exchange_matrix(ws.quiver())
     rank = matrix_rank(em.entries)
@@ -252,7 +265,7 @@ def check_rank(ws: _Workspace) -> Outcome:
     return witnesses, {"rank": rank, "n_mutable": em.n_mutable}
 
 
-def check_stable_count(ws: _Workspace) -> Outcome:
+def check_stable_count(ws: Workspace) -> Outcome:
     """The frozen set has the predicted size (2(n-2) for the exotic
     structure on SL, one more on GL; 2n-2 and 2n-1 for the standard)."""
     nn = ws.n
@@ -267,15 +280,13 @@ def check_stable_count(ws: _Workspace) -> Outcome:
     return witnesses, {"frozen": actual, "expected": expected}
 
 
-def check_regularity(ws: _Workspace) -> Outcome:
+def check_regularity(ws: Workspace) -> Outcome:
     """Every one-step exchange from the initial seed is a polynomial.
 
     Divisibility is checked in the ambient polynomial ring, so this
-    check always runs on the GL cluster (where the statement holds
-    literally; on SL it holds only modulo det X = 1).
+    check always runs on the GL cluster (see Workspace.gl).
     """
-    if ws.sl:
-        ws = _Workspace(ws.triple, ws.n, False, ws.standard, ws.fault, ws.processes)
+    ws = ws.gl()
     seed = make_seed(ws.cluster(), ws.quiver())
     witnesses = []
     mutated = 0
@@ -288,7 +299,7 @@ def check_regularity(ws: _Workspace) -> Outcome:
     return witnesses, {"exchanges": mutated}
 
 
-def check_frozen_log_canonical_with_coordinates(ws: _Workspace) -> Outcome:
+def check_frozen_log_canonical_with_coordinates(ws: Workspace) -> Outcome:
     """Frozen variables are log-canonical with every matrix entry."""
     cluster = ws.cluster()
     op = ws.op()
@@ -325,7 +336,7 @@ def _expected_s_omega_prime(triple: BDTriple, label) -> int:
     return v
 
 
-def check_s_omega(ws: _Workspace) -> Outcome:
+def check_s_omega(ws: Workspace) -> Outcome:
     """The alternating sums of standard-bracket coefficients against the
     four bottom-row (respectively right-column) entries match their
     predicted values on every standard cluster function.
@@ -345,7 +356,7 @@ def check_s_omega(ws: _Workspace) -> Outcome:
     triple = ws.triple
     n, alpha, beta = triple.n, triple.alpha, triple.beta
     cluster = standard_cluster(n)
-    op = _Workspace(triple, standard=True, fault=ws.fault).op()
+    op = Workspace(triple, standard=True, fault=ws.fault).op()
     funcs = cluster.functions
     tables = {lab: gradient_tables(funcs[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
@@ -371,7 +382,7 @@ def check_s_omega(ws: _Workspace) -> Outcome:
     return witnesses, {}
 
 
-def check_bracket_difference(ws: _Workspace) -> Outcome:
+def check_bracket_difference(ws: Workspace) -> Outcome:
     """The exotic and standard-companion brackets differ by the wedge:
 
         {f,g}_ab - {f,g}_std = f^(a<-a+1) g^(b+1<-b) - f^(b+1<-b) g^(a<-a+1)
@@ -404,7 +415,7 @@ def check_bracket_difference(ws: _Workspace) -> Outcome:
     return witnesses, {}
 
 
-def check_cybe(ws: _Workspace) -> Outcome:
+def check_cybe(ws: Workspace) -> Outcome:
     """The r tensor solves the classical Yang-Baxter equation and
     r + r_21 is the split Casimir."""
     rt = build_r_tensor(ws.n, ws.alpha, ws.beta, standard=ws.standard)
@@ -413,7 +424,7 @@ def check_cybe(ws: _Workspace) -> Outcome:
     return out, {"cybe": cybe, "unitary": unitary, "terms": len(rt)}
 
 
-def check_r_plus_consistency(ws: _Workspace) -> Outcome:
+def check_r_plus_consistency(ws: Workspace) -> Outcome:
     """The closed-form half operator agrees with the tensor contraction
     on every matrix unit."""
     nn = ws.n
@@ -473,7 +484,7 @@ def run_checks(
             raise ValueError(f"{name} needs a pair")
         else:
             expanded.append(name)
-    ws = _Workspace(triple, n, sl, standard, fault, processes)
+    ws = Workspace(triple, n, sl, standard, fault, processes)
     reports = []
     for name in expanded:
         started = time.perf_counter()

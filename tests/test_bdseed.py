@@ -138,7 +138,9 @@ class TestClosedForms:
         assert theta(t, 1) == ring.x(3, 1) * ring.x(1, 3) - ring.x(3, 2) * ring.x(1, 2)
 
     def test_block_determinants_match_closed_forms(self):
-        for n in (3, 4):
+        # n = 6 holds both coincidences: n = 2*beta at (6,1,3) and
+        # (6,2,3), n = 2*alpha at (6,3,4) and (6,3,5).
+        for n in (3, 4, 5, 6):
             ring = get_ring(n)
             for a, b in all_pairs(n):
                 t = BDTriple(n, a, b)

@@ -2,7 +2,7 @@
 
 import json
 
-from bdcluster import cli
+from bdcluster import verify
 from bdcluster.bdseed import get_ring
 from bdcluster.cli import main
 
@@ -136,6 +136,16 @@ class TestMutate:
         assert payload["at"] == "2,2"
         assert payload["new_variable"]
 
+    def test_sl_prints_the_gl_exchange(self, capsys):
+        # Next to (1,1) the SL exchange divides only modulo det X = 1, so
+        # the SL verb exchanges on GL, as the regularity check does.
+        for pair in ((), ("--alpha", "1", "--beta", "3")):
+            n = "4" if pair else "3"
+            gl = run(capsys, "mutate", "--n", n, *pair, "--at", "2,2")
+            sl = run(capsys, "mutate", "--n", n, *pair, "--at", "2,2", "--sl")
+            assert gl[0] == 0 and gl[1]
+            assert sl == gl
+
     def test_frozen_label_errors(self, capsys):
         rc, _, err = run(capsys, "mutate", "--n", "3", "--at", "1,1")
         assert rc == 2
@@ -186,10 +196,16 @@ class TestCheck:
         assert rc == 2
         assert out == ""
         assert "error:" in err and "BD_CLUSTER_THREADS" in err
+        monkeypatch.delenv("BD_CLUSTER_THREADS")
+        for count in ("0", "-3"):
+            rc, out, err = run(capsys, "check", "logcanon", "--n", "3", "--processes", count)
+            assert rc == 2
+            assert out == ""
+            assert "error:" in err and "processes" in err
 
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         # A verb whose arithmetic overflows the packed exponents.
-        monkeypatch.setattr(cli, "standard_cluster", lambda n, sl=False: get_ring(n).x(1, 1) ** 128)
+        monkeypatch.setattr(verify, "standard_cluster", lambda n, sl=False: get_ring(n).x(1, 1) ** 128)
         rc, out, err = run(capsys, "seed", "--n", "3")
         assert rc == 2
         assert out == ""

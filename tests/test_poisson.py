@@ -4,8 +4,13 @@ Every numeric expectation in this file was worked out by hand (or with
 the independent tensor-contraction oracle) before being frozen here.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -376,6 +381,43 @@ class TestSweeps:
         monkeypatch.setenv("BD_CLUSTER_THREADS", value)
         with pytest.raises(ValueError, match="BD_CLUSTER_THREADS"):
             sweep_workers()
+        if value.lstrip("-").isdigit():
+            # The same count passed to the sweep directly is refused too.
+            monkeypatch.delenv("BD_CLUSTER_THREADS")
+            ring = get_ring(2)
+            op = r_plus_operator(n=2, standard=True)
+            with pytest.raises(ValueError, match="processes"):
+                omega_sweep([ring.x(1, 1), ring.x(2, 2)], op, processes=int(value))
+
+    def test_dead_worker_fails_the_sweep(self):
+        # A pool worker that dies mid-sweep must make the sweep raise (and
+        # the CLI exit 2), not leave it waiting for results forever.  Run
+        # in a subprocess so a hang fails this test instead of the suite.
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from bdcluster import cli, poisson
+
+            def die(idx):
+                os._exit(1)
+
+            poisson._sweep_pair = die
+            sys.exit(cli.main(["check", "logcanon", "--n", "4", "--alpha", "1",
+                               "--beta", "3", "--processes", "2"]))
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and "terminated abruptly" in proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Determinants, minor families, and the special block matrices."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from bdcluster.polyring import PolyRing
 from bdcluster.polymat import (
     IndexNotSpecial,
     IndexOutOfRange,
+    Minor,
     NotSquare,
     build_M,
     build_Mtilde,
@@ -24,6 +26,9 @@ from bdcluster.polymat import (
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
+
+# sha256 of _layout_lines for n = 2..7 (see test_layout_digest_unchanged).
+LAYOUT_DIGEST = "9de8f98a9cb2bbb8961163a4bc2728f033d60534716b5374fc2ce90f3133312a"
 
 
 def cofactor_det(rows):
@@ -321,3 +326,35 @@ class TestReplacements:
     def test_shift_variant_rejects_ordinary_labels(self):
         with pytest.raises(IndexNotSpecial):
             build_Mtilde_shift(R4, 2, 3, 2, 1)
+
+
+def _layout_lines(n):
+    """One line per builder call on every label 0..n+1 (so out-of-range
+    ones too) and every ordered pair of distinct roots, with the rendered
+    matrix, the minor's rectangle, or the name of the error raised."""
+    ring = PolyRing(n)
+
+    def show(build, *args):
+        try:
+            out = build(ring, *args)
+        except (IndexNotSpecial, IndexOutOfRange) as e:
+            return type(e).__name__
+        if isinstance(out, Minor):
+            return f"{out.row_lo}..{out.row_hi}x{out.col_lo}..{out.col_hi}"
+        return ";".join(",".join(str(e) if e else "0" for e in row) for row in out)
+
+    pairs = [(a, b) for a in range(1, n) for b in range(1, n) if a != b]
+    for i in range(n + 2):
+        for j in range(n + 2):
+            yield f"M {n} {i} {j} {show(build_M, i, j)}"
+            yield f"S {n} {i} {j} {show(standard_minor, i, j)}"
+            for a, b in pairs:
+                yield f"T {n} {a} {b} {i} {j} {show(build_Mtilde, a, b, i, j)}"
+                yield f"U {n} {a} {b} {i} {j} {show(build_Mtilde_shift, a, b, i, j)}"
+
+
+def test_layout_digest_unchanged():
+    # Recorded before the block matrices were described as chains of X
+    # blocks; every layout for n <= 7 must stay the same.
+    text = "\n".join(line for n in range(2, 8) for line in _layout_lines(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGEST
