@@ -21,7 +21,13 @@ import sys
 from typing import List, Optional, Tuple
 
 from .bdseed import BDTriple, normalize_triple
-from .poisson import NotLogCanonical, poisson_coefficient, sklyanin_bracket
+from .poisson import (
+    NotLogCanonical,
+    bracket_from_tables,
+    gradient_tables,
+    poisson_coefficient,
+    unscale,
+)
 from .quiver import FrozenDirection, NotLaurentPolynomial, make_seed, mutate_seed, to_dot
 from .verify import CHECKS, Fault, VerificationReport, Workspace, run_checks
 
@@ -123,11 +129,12 @@ def _cmd_bracket(args) -> int:
         if lab not in cluster.functions:
             raise CliError(f"({lab[0]},{lab[1]}) is not a label of this cluster")
     f, g = cluster.functions[la], cluster.functions[lb]
-    br = sklyanin_bracket(f, g, op)
+    scaled = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
+    br = unscale(scaled, op.n)
     omega = None
     reason = None
     try:
-        omega = poisson_coefficient(f, g, op, bracket=br)
+        omega = poisson_coefficient(f, g, op, bracket=scaled)
     except NotLogCanonical as e:
         reason = str(e)
     if args.format == "json":

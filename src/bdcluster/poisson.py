@@ -30,11 +30,17 @@ with F = (grad f) X, F' = X (grad f) (entrywise F_ij = sum_k df/dx[k,i]
 x[k,j] = col_replace(f, i, j), F'_ij = sum_k df/dx[j,k] x[i,k] =
 row_replace(f, j, i)) and <A, B> = tr(AB) the trace form.
 
-r_plus applies the closed form above, and the bracket is computed as
-exactly that pairing of r_plus with the tables of f and g, so R_+ has
-one implementation.  r_plus_oracle contracts the explicit tensor of r
-against a matrix; the two are kept as separate code paths on purpose
-and checked against each other.
+The only denominators in R_+ are the n of each hhat pairing and the n
+of each hhat entry, so n^2 R_+ maps integer matrices to integer
+matrices.  The bracket path works in that scale: gradient_tables
+stores n^2 R_+(F) and n^2 R_+(F'), bracket_from_tables returns the
+integer pairing n^2 {f, g}, and poisson_coefficient divides it by f g
+in integers and returns omega = quotient / n^2, the one Fraction made
+per pair.  r_plus, sklyanin_bracket and unscale remove the n^2 for
+callers that need R_+ or {f, g} itself.  R_+ has one implementation,
+the scaled core behind r_plus and the tables.  r_plus_oracle contracts
+the explicit tensor of r against a matrix; the two are kept as
+separate code paths on purpose and checked against each other.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bdseed import BDTriple, Cluster
 from .polymat import col_replace, row_replace
-from .polyring import Poly, NotConstant, NotDivisible, constant_value, exact_divide
+from .polyring import ExponentOverflow, NotDivisible, Poly, _normalize_scalar, exact_divide
 
 TensorKey = Tuple[Tuple[int, int], Tuple[int, int]]
 Tensor = Dict[TensorKey, Fraction]
@@ -152,32 +158,49 @@ def r_plus_operator(
     )
 
 
-def r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
-    """Apply R_+ to an n-by-n matrix with rational or polynomial entries."""
+def _scaled_r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
+    """n^2 R_+(mat), with integer coefficients on an integer matrix.
+
+    <hhat_p, mat> is sum_k s(k, p) mat_kk / n and the entries of hhat_q
+    are s(k, q) / n, so the diagonal part is an integer combination over
+    n^2; the strict upper and wedge parts are scaled to match.
+    """
     n = op.n
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError(f"matrix must be {n}x{n}")
+    nn = n * n
     zero = mat[0][0] * 0
     out = [[zero for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            out[i][j] = mat[i][j]
-    # Diagonal part through the coefficient matrix.
+            out[i][j] = mat[i][j] * nn
+    # Diagonal part through the coefficient matrix; hvals[p] = n <hhat_p, mat>.
     m = n - 1
-    dual = op.dual
-    hvals = [
-        sum((mat[k][k] * Fraction(dual.s(k + 1, p + 1), n) for k in range(n)), zero)
-        for p in range(m)
-    ]
+    s = op.dual.s
+    hvals = [sum((mat[k][k] * s(k + 1, p + 1) for k in range(n)), zero) for p in range(m)]
     for q in range(m):
         wq = sum((hvals[p] * op.c[p][q] for p in range(m) if op.c[p][q]), zero)
         for k in range(n):
-            out[k][k] = out[k][k] + wq * Fraction(dual.s(k + 1, q + 1), n)
+            out[k][k] = out[k][k] + wq * s(k + 1, q + 1)
     if op.wedge_active:
         a, b = op.alpha, op.beta
-        out[b - 1][b] = out[b - 1][b] + mat[a - 1][a]
-        out[a][a - 1] = out[a][a - 1] - mat[b][b - 1]
+        out[b - 1][b] = out[b - 1][b] + mat[a - 1][a] * nn
+        out[a][a - 1] = out[a][a - 1] - mat[b][b - 1] * nn
     return out
+
+
+def unscale(x, n: int):
+    """x / n^2 for a scalar or a polynomial, integral coefficients as ints:
+    R_+ from n^2 R_+, or {f, g} from the pairing of bracket_from_tables."""
+    nn = n * n
+    if isinstance(x, Poly):
+        return Poly(x.ring, {m: _normalize_scalar(Fraction(c, nn)) for m, c in x._d.items()})
+    return _normalize_scalar(Fraction(x, nn))
+
+
+def r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
+    """Apply R_+ to an n-by-n matrix with rational or polynomial entries."""
+    return [[unscale(v, op.n) for v in row] for row in _scaled_r_plus(op, mat)]
 
 
 def build_r_tensor(
@@ -310,33 +333,51 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 
 
 def gradient_tables(f: Poly, op: RPlusOperator):
-    """The tables of f for the operator's bracket: (F, F', R_+(F), R_+(F'))
-    with F_ij = col_replace(f, i, j) and F'_ij = row_replace(f, j, i)."""
+    """The tables of f for the operator's bracket: (F, F', n^2 R_+(F),
+    n^2 R_+(F')) with F_ij = col_replace(f, i, j) and F'_ij =
+    row_replace(f, j, i).  All four have integer coefficients when f has."""
     idx = range(1, op.n + 1)
     F = [[col_replace(f, i, j) for j in idx] for i in idx]
     Fp = [[row_replace(f, j, i) for j in idx] for i in idx]
-    return (F, Fp, r_plus(op, F), r_plus(op, Fp))
+    return (F, Fp, _scaled_r_plus(op, F), _scaled_r_plus(op, Fp))
 
 
 def bracket_from_tables(ta, tb) -> Poly:
-    """<R_+(F), G> - <R_+(F'), G'> from the tables of f and g, made for
-    the same operator."""
+    """n^2 {f, g} = <n^2 R_+(F), G> - <n^2 R_+(F'), G'> from the tables
+    of f and g, made for the same operator.
+
+    All 2n^2 products are accumulated into one dict of packed monomials.
+    """
     _, _, RF, RFp = ta
     G, Gp, _, _ = tb
+    ring = G[0][0].ring
     n = len(G)
-    total = G[0][0] * 0
-    for i in range(n):
-        for j in range(n):
-            if RF[i][j] and G[j][i]:
-                total = total + RF[i][j] * G[j][i]
-            if RFp[i][j] and Gp[j][i]:
-                total = total - RFp[i][j] * Gp[j][i]
-    return total
+    acc: dict = {}
+    get = acc.get
+    for R, H, sign in ((RF, G, 1), (RFp, Gp, -1)):
+        for i in range(n):
+            for j in range(n):
+                a, b = R[i][j]._d, H[j][i]._d
+                if not (a and b):
+                    continue
+                if len(a) < len(b):
+                    a, b = b, a
+                for mb, cb in b.items():
+                    cb = sign * cb
+                    for ma, ca in a.items():
+                        k = ma + mb
+                        acc[k] = get(k, 0) + ca * cb
+    # As in Poly.__mul__: operand bytes are below 0x80, so an exponent of
+    # 128 shows as a set high bit, on any key, even one whose sum cancelled.
+    himask = ring._himask
+    if any(k & himask for k in acc):
+        raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+    return Poly(ring, {m: c for m, c in acc.items() if c})
 
 
 def sklyanin_bracket(f: Poly, g: Poly, op: RPlusOperator) -> Poly:
     """The Poisson bracket {f, g} for the operator's r-matrix."""
-    return bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
+    return unscale(bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op)), op.n)
 
 
 def poisson_coefficient(
@@ -347,18 +388,21 @@ def poisson_coefficient(
 ) -> Fraction:
     """The scalar omega with {f, g} = omega * f * g.
 
-    Raises NotLogCanonical when the bracket is not such a multiple.
+    bracket, when given, is the scaled pairing n^2 {f, g} from
+    bracket_from_tables.  Raises NotLogCanonical when the bracket is not
+    such a multiple.
     """
-    br = sklyanin_bracket(f, g, op) if bracket is None else bracket
-    if not br:
+    if bracket is None:
+        bracket = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
+    if not bracket:
         return Fraction(0)
     try:
-        quo = exact_divide(br, f * g)
-        return Fraction(constant_value(quo))
+        quo = exact_divide(bracket, f * g)._d
     except NotDivisible as e:
         raise NotLogCanonical(f"bracket is not divisible by the product: {e}") from None
-    except NotConstant:
-        raise NotLogCanonical("bracket is a non-constant multiple of the product") from None
+    if len(quo) != 1 or 0 not in quo:
+        raise NotLogCanonical("bracket is a non-constant multiple of the product")
+    return Fraction(quo[0], op.n * op.n)
 
 
 # ----------------------------------------------------------------------

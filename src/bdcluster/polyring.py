@@ -356,7 +356,12 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
                 "is not reducible by the divisor's leading term"
             )
         tmono = m - qlead
-        tc = _normalize_scalar(Fraction(c, qlc) if isinstance(c, int) and isinstance(qlc, int) else c / qlc)
+        if isinstance(c, int) and isinstance(qlc, int):
+            tc, r = divmod(c, qlc)
+            if r:
+                tc = Fraction(c, qlc)
+        else:
+            tc = _normalize_scalar(c / qlc)
         quot[tmono] = tc
         for m2, c2 in qd.items():
             k = tmono + m2

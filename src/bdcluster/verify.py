@@ -40,6 +40,8 @@ from .poisson import (
     r_plus,
     r_plus_operator,
     r_plus_oracle,
+    sweep_workers,
+    unscale,
     verify_cybe,
 )
 from .quiver import (
@@ -401,16 +403,17 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
     for ia in range(len(coords)):
         for ib in range(ia + 1, len(coords)):
             f, g = coords[ia], coords[ib]
+            # Both brackets come scaled by n^2.
             lhs = bracket_from_tables(exotic[ia], exotic[ib]) - bracket_from_tables(std[ia], std[ib])
             rhs = (
                 col_replace(f, alpha, alpha + 1) * col_replace(g, beta + 1, beta)
                 - col_replace(f, beta + 1, beta) * col_replace(g, alpha, alpha + 1)
                 - row_replace(f, alpha + 1, alpha) * row_replace(g, beta, beta + 1)
                 + row_replace(f, beta, beta + 1) * row_replace(g, alpha + 1, alpha)
-            )
+            ) * (n * n)
             if lhs != rhs:
                 witnesses.append(
-                    f"difference mismatch at coordinate pair ({ia}, {ib}): {lhs - rhs}"
+                    f"difference mismatch at coordinate pair ({ia}, {ib}): {unscale(lhs - rhs, n)}"
                 )
     return witnesses, {}
 
@@ -484,6 +487,11 @@ def run_checks(
             raise ValueError(f"{name} needs a pair")
         else:
             expanded.append(name)
+    # Checked here so that a bad count fails every check, not only those that sweep.
+    if processes is None:
+        processes = sweep_workers()
+    elif processes < 1:
+        raise ValueError(f"processes must be a positive integer, got {processes}")
     ws = Workspace(triple, n, sl, standard, fault, processes)
     reports = []
     for name in expanded:

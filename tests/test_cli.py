@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in process."""
 
 import json
+from dataclasses import replace
 
 from bdcluster import verify
 from bdcluster.bdseed import get_ring
@@ -191,22 +192,41 @@ class TestCheck:
         assert "error:" in err
 
     def test_bad_thread_count_is_an_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BD_CLUSTER_THREADS", "four")
-        rc, out, err = run(capsys, "check", "logcanon", "--n", "3")
-        assert rc == 2
-        assert out == ""
-        assert "error:" in err and "BD_CLUSTER_THREADS" in err
-        monkeypatch.delenv("BD_CLUSTER_THREADS")
-        for count in ("0", "-3"):
-            rc, out, err = run(capsys, "check", "logcanon", "--n", "3", "--processes", count)
-            assert rc == 2
-            assert out == ""
-            assert "error:" in err and "processes" in err
+        # Checks that do not sweep (rank) must refuse a bad count too.
+        for check in ("logcanon", "rank"):
+            for value in ("four", "0"):
+                monkeypatch.setenv("BD_CLUSTER_THREADS", value)
+                rc, out, err = run(capsys, "check", check, "--n", "3")
+                assert rc == 2, (check, value)
+                assert out == ""
+                assert "error:" in err and "BD_CLUSTER_THREADS" in err
+            monkeypatch.delenv("BD_CLUSTER_THREADS")
+            for count in ("0", "-3"):
+                rc, out, err = run(capsys, "check", check, "--n", "3", "--processes", count)
+                assert rc == 2, (check, count)
+                assert out == ""
+                assert "error:" in err and "processes" in err
 
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         # A verb whose arithmetic overflows the packed exponents.
         monkeypatch.setattr(verify, "standard_cluster", lambda n, sl=False: get_ring(n).x(1, 1) ** 128)
         rc, out, err = run(capsys, "seed", "--n", "3")
+        assert rc == 2
+        assert out == ""
+        assert "error:" in err and "128" in err
+
+    def test_bracket_overflow_exits_2(self, capsys, monkeypatch):
+        # The fused bracket kernel keeps the exponent guard: x[1,1]^64
+        # against itself reaches x[1,1]^128 in the pairing.
+        standard = verify.standard_cluster
+
+        def big(n, sl=False):
+            c = standard(n, sl=sl)
+            x = get_ring(n).x(1, 1) ** 64
+            return replace(c, functions={**c.functions, (1, 2): x, (2, 2): x})
+
+        monkeypatch.setattr(verify, "standard_cluster", big)
+        rc, out, err = run(capsys, "bracket", "--n", "2", "--f", "1,2", "--g", "2,2")
         assert rc == 2
         assert out == ""
         assert "error:" in err and "128" in err

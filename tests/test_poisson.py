@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcluster.bdseed import BDTriple, get_ring, standard_cluster
+from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
     DualBasis,
     NotLogCanonical,
@@ -37,7 +37,7 @@ from bdcluster.poisson import (
     tensor_transpose,
     verify_cybe,
 )
-from bdcluster.polyring import partial_derivative
+from bdcluster.polyring import ExponentOverflow, partial_derivative
 
 
 def unit(n, i, j):
@@ -260,10 +260,11 @@ class TestSklyaninBracket:
         assert poisson_coefficient(self.x(2, 1), self.x(1, 2), self.op) == 0
 
     def test_tables_route_agrees(self):
-        """bracket_from_tables equals <R_+(F), G> - <R_+(F'), G'> with R_+
-        contracted from the r tensor, on random polynomials for n <= 4:
-        every minimal pair with its exotic operator and its standard
-        companion, and the standard operator of each size."""
+        """bracket_from_tables equals n^2 (<R_+(F), G> - <R_+(F'), G'>)
+        with R_+ contracted from the r tensor, and sklyanin_bracket equals
+        the unscaled pairing, on random polynomials for n <= 4: every
+        minimal pair with its exotic operator and its standard companion,
+        and the standard operator of each size."""
         rng = random.Random(1412)
         cases = [(n, None, True) for n in (2, 3, 4)]
         for n in (3, 4):
@@ -280,8 +281,39 @@ class TestSklyaninBracket:
                 rt = build_r_tensor(n, *pair, standard=std)
             for _ in range(3):
                 f, g = _random_poly(rng, ring), _random_poly(rng, ring)
+                want = _oracle_bracket(f, g, rt, n)
                 got = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
-                assert got == _oracle_bracket(f, g, rt, n), (n, pair, std, str(f), str(g))
+                assert got == n * n * want, (n, pair, std, str(f), str(g))
+                assert sklyanin_bracket(f, g, op) == want, (n, pair, std, str(f), str(g))
+
+    def test_kernel_stays_integral(self):
+        """On the integer seed functions every table entry and every
+        scaled bracket has int coefficients, for the exotic operator and
+        its standard companion."""
+        t = BDTriple(4, 1, 3)
+        funcs = list(initial_cluster(t).functions.values())
+        for std in (False, True):
+            op = r_plus_operator(t, standard=std)
+            tables = [gradient_tables(f, op) for f in funcs]
+            for table in tables:
+                for mat in table:
+                    for row in mat:
+                        for entry in row:
+                            assert all(isinstance(c, int) for c in entry._d.values()), str(entry)
+            for ia, ib in [(0, 1), (2, 5), (3, 7), (4, len(funcs) - 1)]:
+                br = bracket_from_tables(tables[ia], tables[ib])
+                assert all(isinstance(c, int) for c in br._d.values()), str(br)
+
+    def test_kernel_keeps_the_overflow_guard(self):
+        # F_11 = 64 x[1,1]^64 for both functions, so one product in the
+        # pairing reaches x[1,1]^128.
+        ring = get_ring(2)
+        f = g = ring.x(1, 1) ** 64
+        ta = gradient_tables(f, self.op)
+        with pytest.raises(ExponentOverflow):
+            bracket_from_tables(ta, ta)
+        with pytest.raises(ExponentOverflow):
+            sklyanin_bracket(f, g, self.op)
 
 
 def _random_poly(rng, ring):
