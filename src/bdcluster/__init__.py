@@ -13,7 +13,6 @@ from .polyring import (
     Poly,
     DivisionByZero,
     MissingAssignment,
-    NotConstant,
     NotDivisible,
     ExponentOverflow,
 )
@@ -47,7 +46,6 @@ from .quiver import (
     standard_quiver,
     bd_quiver,
     to_exchange_matrix,
-    from_exchange_matrix,
     mutate_matrix,
     matrix_rank,
     Seed,
@@ -66,7 +64,6 @@ from .poisson import (
     verify_cybe,
     sklyanin_bracket,
     poisson_coefficient,
-    omega_matrix,
 )
 from .verify import VerificationReport, Fault, run_checks
 
@@ -75,7 +72,6 @@ __all__ = [
     "Poly",
     "DivisionByZero",
     "MissingAssignment",
-    "NotConstant",
     "NotDivisible",
     "ExponentOverflow",
     "NotSquare",
@@ -103,7 +99,6 @@ __all__ = [
     "standard_quiver",
     "bd_quiver",
     "to_exchange_matrix",
-    "from_exchange_matrix",
     "mutate_matrix",
     "matrix_rank",
     "Seed",
@@ -120,7 +115,6 @@ __all__ = [
     "verify_cybe",
     "sklyanin_bracket",
     "poisson_coefficient",
-    "omega_matrix",
     "VerificationReport",
     "Fault",
     "run_checks",

@@ -91,9 +91,6 @@ class Cluster:
     labels: Tuple[Label, ...]
     functions: Dict[Label, Poly] = field(compare=False)
     frozen: frozenset
-    sl: bool = False
-    standard: bool = True
-    triple: Optional[BDTriple] = None
 
     def mutable_labels(self) -> Tuple[Label, ...]:
         return tuple(lab for lab in self.labels if lab not in self.frozen)
@@ -102,17 +99,23 @@ class Cluster:
         return self.functions[label]
 
 
-def border_labels(n: int) -> set:
-    """The labels of the first row and the first column."""
-    return {(i, 1) for i in range(1, n + 1)} | {(1, j) for j in range(1, n + 1)}
+def seed_labels(
+    n: int, triple: Optional[BDTriple] = None, sl: bool = False
+) -> Tuple[Tuple[Label, ...], frozenset]:
+    """The vertex labels of a seed and its frozen set, shared by the
+    cluster and the quiver.
 
-
-def grid_labels(n: int, sl: bool) -> Tuple[Label, ...]:
-    """Every label in row-major order; SL drops the determinant label (1, 1)."""
+    The labels are row-major; SL drops the determinant label (1, 1).
+    The frozen labels are those of the first row and the first column,
+    less (alpha+1, 1) and (1, beta+1) when a pair is given.
+    """
     labels = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     if sl:
         labels.remove((1, 1))
-    return tuple(labels)
+    frozen = {lab for lab in labels if 1 in lab}
+    if triple is not None:
+        frozen -= {(triple.alpha + 1, 1), (1, triple.beta + 1)}
+    return tuple(labels), frozenset(frozen)
 
 
 def standard_cluster(n: int, sl: bool = False) -> Cluster:
@@ -129,8 +132,7 @@ def initial_cluster(triple: BDTriple, sl: bool = False) -> Cluster:
 
 def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
     ring = get_ring(n)
-    labels = grid_labels(n, sl)
-    frozen = border_labels(n) & set(labels)
+    labels, frozen = seed_labels(n, triple, sl)
     blocks: Dict[Label, Poly] = {}
     if triple is not None:
         alpha, beta = triple.alpha, triple.beta
@@ -138,21 +140,11 @@ def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
             lab: determinant(build_Mtilde(ring, alpha, beta, *lab))
             for lab in first_family(n, alpha, beta) + second_family(n, alpha, beta)
         }
-        frozen -= {(alpha + 1, 1), (1, beta + 1)}
     functions = {
         lab: blocks[lab] if lab in blocks else standard_minor(ring, *lab).det()
         for lab in labels
     }
-    return Cluster(
-        ring=ring,
-        n=n,
-        labels=labels,
-        functions=functions,
-        frozen=frozenset(frozen),
-        sl=sl,
-        standard=triple is None,
-        triple=triple,
-    )
+    return Cluster(ring=ring, n=n, labels=labels, functions=functions, frozen=frozen)
 
 
 def theta(triple: BDTriple, k: int) -> Poly:

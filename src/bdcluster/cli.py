@@ -20,7 +20,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .bdseed import BDTriple, normalize_triple
+from .bdseed import BDTriple, normalize_triple, seed_labels
 from .poisson import (
     NotLogCanonical,
     bracket_from_tables,
@@ -82,7 +82,7 @@ def _cmd_seed(args) -> int:
             "beta": triple.beta if triple else None,
             "transposed": triple.transposed if triple else False,
             "sl": args.sl,
-            "standard": cluster.standard,
+            "standard": ws.standard,
             "frozen": sorted(f"{i},{j}" for i, j in cluster.frozen),
             "functions": {
                 f"{i},{j}": str(cluster.functions[(i, j)]) for i, j in cluster.labels
@@ -157,12 +157,13 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    ws = _workspace(args)
+    lab = _parse_label(args.at)
+    if lab not in seed_labels(ws.n, ws.triple, ws.sl)[0]:
+        raise CliError(f"{lab} is not a vertex")
     # Exchange on GL, where divisibility holds in the polynomial ring;
     # on SL the printed GL variable represents the SL one.
-    ws = _workspace(args).gl()
-    lab = _parse_label(args.at)
-    if args.sl and lab == (1, 1):
-        raise CliError(f"{lab} is not a vertex")
+    ws = ws.gl()
     seed = make_seed(ws.cluster(), ws.quiver())
     try:
         new_seed = mutate_seed(seed, lab)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bdseed import BDTriple, Cluster
+from .bdseed import BDTriple
 from .polymat import col_replace, row_replace
 from .polyring import ExponentOverflow, NotDivisible, Poly, _normalize_scalar, exact_divide
 
@@ -67,12 +67,11 @@ def build_r0(
     n: int,
     alpha: Optional[int] = None,
     beta: Optional[int] = None,
-    standard: bool = False,
 ) -> Tuple[Tuple[int, ...], ...]:
     """Coefficient matrix of the diagonal part of r, size (n-1)x(n-1).
 
-    A alone for the standard structure and for beta = alpha + 1; A + B
-    for separated pairs.  Rows and columns are indexed by simple roots.
+    A alone without a pair and for beta = alpha + 1; A + B for
+    separated pairs.  Rows and columns are indexed by simple roots.
     """
     m = n - 1
     a = [[0] * m for _ in range(m)]
@@ -80,7 +79,7 @@ def build_r0(
         a[i][i] = 1
         if i > 0:
             a[i][i - 1] = -1
-    if not standard and alpha is not None:
+    if alpha is not None:
         if beta is None:
             raise ValueError("alpha given without beta")
         if not (1 <= alpha < beta <= m):
@@ -144,7 +143,7 @@ def r_plus_operator(
             alpha=None,
             beta=None,
             standard=True,
-            c=build_r0(n, standard=True),
+            c=build_r0(n),
             dual=DualBasis(n),
         )
     n = triple.n
@@ -210,7 +209,7 @@ def build_r_tensor(
     standard: bool = False,
 ) -> Tensor:
     """The full r tensor as {((i,j),(k,l)): coefficient of e_ij (x) e_kl}."""
-    c = build_r0(n, alpha, beta) if alpha is not None else build_r0(n, standard=True)
+    c = build_r0(n, alpha, beta)
     dual = DualBasis(n)
     out: Tensor = {}
     m = n - 1
@@ -488,29 +487,3 @@ def omega_sweep(
         else:
             failures.append((pair[0], pair[1], payload))
     return omegas, failures
-
-
-def omega_matrix(
-    cluster: Cluster,
-    op: RPlusOperator,
-    processes: Optional[int] = None,
-):
-    """The antisymmetric matrix omega over the cluster's label order.
-
-    Raises NotLogCanonical (naming the first offending pair) if any
-    pair of cluster functions fails to be log-canonical.
-    """
-    labels = list(cluster.labels)
-    funcs = [cluster.functions[lab] for lab in labels]
-    omegas, failures = omega_sweep(funcs, op, processes=processes)
-    if failures:
-        ia, ib, reason = failures[0]
-        raise NotLogCanonical(
-            f"pair ({labels[ia]}, {labels[ib]}) is not log-canonical: {reason}"
-        )
-    L = len(labels)
-    mat = [[Fraction(0)] * L for _ in range(L)]
-    for (ia, ib), w in omegas.items():
-        mat[ia][ib] = w
-        mat[ib][ia] = -w
-    return labels, mat

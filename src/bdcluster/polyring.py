@@ -60,10 +60,6 @@ class MissingAssignment(LookupError):
         super().__init__(f"no value assigned to {self.missing}")
 
 
-class NotConstant(ValueError):
-    """Raised when a constant value is requested from a non-constant polynomial."""
-
-
 class PolyRing:
     """The ring Q[x[i,j], y[i,j] : 1 <= i, j <= n] with a fixed monomial order."""
 
@@ -307,14 +303,6 @@ def evaluate(p: Poly, assignment: Mapping[VarId, Scalar]) -> Fraction:
                     term *= values[idx] ** e
         total += term
     return total
-
-
-def constant_value(p: Poly) -> Fraction:
-    if not p._d:
-        return Fraction(0)
-    if len(p._d) == 1 and 0 in p._d:
-        return Fraction(p._d[0])
-    raise NotConstant(f"{p} is not constant")
 
 
 def _monomial_divides(divisor: int, mono: int, himask: int) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from .bdseed import BDTriple, Cluster, Label, border_labels, grid_labels
+from .bdseed import BDTriple, Cluster, Label, seed_labels
 from .polyring import NotDivisible, exact_divide
 
 
@@ -47,44 +47,43 @@ class Quiver:
 
 
 def standard_quiver(n: int, sl: bool = False) -> Quiver:
-    labels = grid_labels(n, False)
-    inside, border = set(labels), border_labels(n)
-    arcs = {}
-    for i, j in labels:
-        for s, d in (((i, j), (i, j + 1)), ((i, j), (i + 1, j)), ((i + 1, j + 1), (i, j))):
-            if s in inside and d in inside and not (s in border and d in border):
-                arcs[(s, d)] = 1
-    return _restrict(Quiver(n=n, labels=labels, frozen=frozenset(border), arcs=arcs), sl)
+    return _quiver(n, sl, None)
 
 
 def bd_quiver(triple: BDTriple, sl: bool = False) -> Quiver:
     """The standard quiver's arcs plus the six pair arcs, with
     (alpha+1, 1) and (1, beta+1) unfrozen."""
-    n, alpha, beta = triple.n, triple.alpha, triple.beta
-    q = standard_quiver(n)
-    arcs = dict(q.arcs)
-    for arc in [
-        ((alpha, 1), (alpha + 1, 1)),
-        ((1, beta), (1, beta + 1)),
-        ((n, alpha + 1), (1, beta + 1)),
-        ((1, beta + 1), (n, alpha)),
-        ((beta + 1, n), (alpha + 1, 1)),
-        ((alpha + 1, 1), (beta, n)),
-    ]:
-        arcs[arc] = 1
-    frozen = q.frozen - {(alpha + 1, 1), (1, beta + 1)}
-    return _restrict(replace(q, frozen=frozen, arcs=arcs), sl)
+    return _quiver(triple.n, sl, triple)
 
 
-def _restrict(q: Quiver, sl: bool) -> Quiver:
-    """On SL, drop the determinant vertex (1, 1) and its arcs."""
-    if not sl:
-        return q
-    return replace(
-        q,
-        labels=grid_labels(q.n, True),
-        frozen=q.frozen - {(1, 1)},
-        arcs={(s, d): w for (s, d), w in q.arcs.items() if (1, 1) not in (s, d)},
+def _quiver(n: int, sl: bool, triple: Optional[BDTriple]) -> Quiver:
+    """The grid arcs not joining two vertices of the first row and
+    column, then the pair arcs; an arc is kept only when both ends are
+    labels, which on SL drops the arcs at (1, 1)."""
+    labels, frozen = seed_labels(n, triple, sl)
+    border = seed_labels(n)[1]
+    arcs = [
+        (s, d)
+        for i, j in labels
+        for s, d in (((i, j), (i, j + 1)), ((i, j), (i + 1, j)), ((i + 1, j + 1), (i, j)))
+        if not (s in border and d in border)
+    ]
+    if triple is not None:
+        alpha, beta = triple.alpha, triple.beta
+        arcs += [
+            ((alpha, 1), (alpha + 1, 1)),
+            ((1, beta), (1, beta + 1)),
+            ((n, alpha + 1), (1, beta + 1)),
+            ((1, beta + 1), (n, alpha)),
+            ((beta + 1, n), (alpha + 1, 1)),
+            ((alpha + 1, 1), (beta, n)),
+        ]
+    inside = set(labels)
+    return Quiver(
+        n=n,
+        labels=labels,
+        frozen=frozen,
+        arcs={arc: 1 for arc in arcs if arc[0] in inside and arc[1] in inside},
     )
 
 
@@ -93,20 +92,15 @@ class ExchangeMatrix:
     """Rows indexed by mutable labels, columns by all labels.
 
     labels lists every vertex, mutable block first, row-major inside
-    each block; permutation[k] is the position of labels[k] in the plain
-    row-major ordering of all vertices.
+    each block.
     """
 
     labels: Tuple[Label, ...]
     n_mutable: int
     entries: Tuple[Tuple[int, ...], ...]
-    permutation: Tuple[int, ...]
 
     def mutable_labels(self) -> Tuple[Label, ...]:
         return self.labels[: self.n_mutable]
-
-    def column_index(self, label: Label) -> int:
-        return self.labels.index(label)
 
     def entry(self, row_label: Label, col_label: Label) -> int:
         r = self.labels.index(row_label)
@@ -117,46 +111,12 @@ class ExchangeMatrix:
 
 def to_exchange_matrix(q: Quiver) -> ExchangeMatrix:
     mutable = sorted(set(q.labels) - set(q.frozen))
-    frozen = sorted(q.frozen)
-    labels = tuple(mutable + frozen)
-    row_major = {lab: k for k, lab in enumerate(sorted(q.labels))}
-    permutation = tuple(row_major[lab] for lab in labels)
+    labels = tuple(mutable + sorted(q.frozen))
     w = q.arcs.get
     entries = tuple(
         tuple(w((r, c), 0) - w((c, r), 0) for c in labels) for r in mutable
     )
-    return ExchangeMatrix(
-        labels=labels,
-        n_mutable=len(mutable),
-        entries=entries,
-        permutation=permutation,
-    )
-
-
-def from_exchange_matrix(em: ExchangeMatrix) -> Quiver:
-    """Rebuild the quiver from an exchange matrix.
-
-    Only arcs with at least one mutable endpoint are recoverable, which
-    is the invariant the round trip promises.
-    """
-    n = max(max(i, j) for i, j in em.labels)
-    arcs: Dict[Tuple[Label, Label], int] = {}
-    for r in range(em.n_mutable):
-        for c, lab in enumerate(em.labels):
-            b = em.entries[r][c]
-            if b > 0:
-                arcs[(em.labels[r], lab)] = b
-            elif b < 0 and c >= em.n_mutable:
-                # A negative entry against a frozen column is the only
-                # record of a frozen-to-mutable arc; mutable-to-mutable
-                # arcs also show up positively on the mirrored entry.
-                arcs[(lab, em.labels[r])] = -b
-    return Quiver(
-        n=n,
-        labels=tuple(sorted(em.labels)),
-        frozen=frozenset(em.labels[em.n_mutable :]),
-        arcs=arcs,
-    )
+    return ExchangeMatrix(labels=labels, n_mutable=len(mutable), entries=entries)
 
 
 def mutate_matrix(em: ExchangeMatrix, label: Label) -> ExchangeMatrix:
@@ -218,12 +178,7 @@ class Seed:
     matrix: ExchangeMatrix
 
 
-def make_seed(cluster: Cluster, quiver: Optional[Quiver] = None) -> Seed:
-    if quiver is None:
-        if cluster.standard:
-            quiver = standard_quiver(cluster.n, sl=cluster.sl)
-        else:
-            quiver = bd_quiver(cluster.triple, sl=cluster.sl)
+def make_seed(cluster: Cluster, quiver: Quiver) -> Seed:
     if set(quiver.labels) != set(cluster.labels):
         raise ValueError("cluster and quiver have different vertex sets")
     return Seed(cluster=cluster, matrix=to_exchange_matrix(quiver))

@@ -27,7 +27,7 @@ from .bdseed import (
     initial_cluster,
     standard_cluster,
 )
-from .polymat import col_replace, first_family, row_replace, second_family
+from .polymat import first_family, second_family
 from .polyring import Poly
 from .poisson import (
     NotLogCanonical,
@@ -390,9 +390,11 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
         {f,g}_ab - {f,g}_std = f^(a<-a+1) g^(b+1<-b) - f^(b+1<-b) g^(a<-a+1)
                                - f_(a+1<-a) g_(b<-b+1) + f_(b<-b+1) g_(a+1<-a)
 
-    checked on every pair of coordinate functions.
+    checked on every pair of coordinate functions.  The replacements are
+    entries of the gradient tables: f^(i<-j) = F[i][j] and
+    f_(j<-i) = F'[i][j] (1-based).
     """
-    n, alpha, beta = ws.n, ws.alpha, ws.beta
+    n, a, b = ws.n, ws.alpha, ws.beta
     ring = get_ring(n)
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     exotic_op = r_plus_operator(ws.triple, standard=False)
@@ -401,15 +403,16 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
     std = [gradient_tables(f, std_op) for f in coords]
     witnesses = []
     for ia in range(len(coords)):
+        Ff, Fpf = exotic[ia][:2]
         for ib in range(ia + 1, len(coords)):
-            f, g = coords[ia], coords[ib]
+            Fg, Fpg = exotic[ib][:2]
             # Both brackets come scaled by n^2.
             lhs = bracket_from_tables(exotic[ia], exotic[ib]) - bracket_from_tables(std[ia], std[ib])
             rhs = (
-                col_replace(f, alpha, alpha + 1) * col_replace(g, beta + 1, beta)
-                - col_replace(f, beta + 1, beta) * col_replace(g, alpha, alpha + 1)
-                - row_replace(f, alpha + 1, alpha) * row_replace(g, beta, beta + 1)
-                + row_replace(f, beta, beta + 1) * row_replace(g, alpha + 1, alpha)
+                Ff[a - 1][a] * Fg[b][b - 1]
+                - Ff[b][b - 1] * Fg[a - 1][a]
+                - Fpf[a - 1][a] * Fpg[b][b - 1]
+                + Fpf[b][b - 1] * Fpg[a - 1][a]
             ) * (n * n)
             if lhs != rhs:
                 witnesses.append(

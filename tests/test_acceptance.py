@@ -300,7 +300,6 @@ def _random_exchange_matrix(rng):
         labels=tuple((1, k + 1) for k in range(total)),
         n_mutable=nm,
         entries=tuple(tuple(r) for r in rows),
-        permutation=tuple(range(total)),
     )
 
 

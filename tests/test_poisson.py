@@ -25,7 +25,6 @@ from bdcluster.poisson import (
     build_r_tensor,
     casimir_tensor,
     gradient_tables,
-    omega_matrix,
     omega_sweep,
     poisson_coefficient,
     r_plus,
@@ -50,15 +49,15 @@ def unit(n, i, j):
 
 class TestR0:
     def test_standard_is_unipotent_bidiagonal(self):
-        assert build_r0(4, standard=True) == (
+        assert build_r0(4) == (
             (1, 0, 0),
             (-1, 1, 0),
             (0, -1, 1),
         )
 
     def test_adjacent_pair_keeps_plain_form(self):
-        assert build_r0(4, 1, 2) == build_r0(4, standard=True)
-        assert build_r0(5, 3, 4) == build_r0(5, standard=True)
+        assert build_r0(4, 1, 2) == build_r0(4)
+        assert build_r0(5, 3, 4) == build_r0(5)
 
     def test_separated_pair_adds_correction(self):
         # alpha=1, beta=3 in size 4: B has +1 at (1,3),(2,1),(3,2) and
@@ -365,13 +364,14 @@ class TestSweeps:
     def test_omega_matrix_standard_n2(self):
         cl = standard_cluster(2)
         op = r_plus_operator(n=2, standard=True)
-        labels, mat = omega_matrix(cl, op)
+        labels = list(cl.labels)
         assert labels == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        w = {
-            (la, lb): mat[labels.index(la)][labels.index(lb)]
-            for la in labels
-            for lb in labels
-        }
+        omegas, failures = omega_sweep([cl[lab] for lab in labels], op)
+        assert failures == []
+        w = {(la, la): 0 for la in labels}
+        for (ia, ib), v in omegas.items():
+            w[(labels[ia], labels[ib])] = v
+            w[(labels[ib], labels[ia])] = -v
         # the determinant row is identically zero
         for lab in labels:
             assert w[((1, 1), lab)] == 0
@@ -389,18 +389,6 @@ class TestSweeps:
         assert omegas == {}
         assert len(failures) == 1
         assert failures[0][:2] == (0, 1)
-
-    def test_omega_matrix_raises_with_pair_name(self):
-        ring = get_ring(2)
-        cl = standard_cluster(2)
-        bad = dict(cl.functions)
-        bad[(1, 1)] = ring.x(1, 1)  # no longer the determinant
-        from dataclasses import replace
-
-        broken = replace(cl, functions=bad)
-        op = r_plus_operator(n=2, standard=True)
-        with pytest.raises(NotLogCanonical, match=r"\(1, 1\)"):
-            omega_matrix(broken, op)
 
     def test_sweep_workers_env(self, monkeypatch):
         monkeypatch.setenv("BD_CLUSTER_THREADS", "2")

@@ -9,11 +9,9 @@ from bdcluster.polyring import (
     DivisionByZero,
     ExponentOverflow,
     MissingAssignment,
-    NotConstant,
     NotDivisible,
     Poly,
     PolyRing,
-    constant_value,
     evaluate,
     exact_divide,
     partial_derivative,
@@ -194,11 +192,6 @@ class TestCalculusAndEvaluation:
             evaluate(p, {("x", 1, 1): 1})
         assert ("y", 2, 2) in err.value.missing
 
-    def test_constant_value(self):
-        assert constant_value(R2.const(Fraction(-7, 3))) == Fraction(-7, 3)
-        assert constant_value(R2.zero) == 0
-        with pytest.raises(NotConstant):
-            constant_value(R2.x(1, 1))
 
 
 @given(p=polys, point=st.fixed_dictionaries({}))

@@ -12,7 +12,6 @@ from bdcluster.quiver import (
     FrozenDirection,
     NotLaurentPolynomial,
     bd_quiver,
-    from_exchange_matrix,
     make_seed,
     matrix_rank,
     mutate_matrix,
@@ -104,14 +103,6 @@ class TestExchangeMatrix:
                 for c in range(em.n_mutable):
                     assert em.entries[r][c] == -em.entries[c][r]
 
-    def test_round_trip_through_quiver(self):
-        q = bd_quiver(BDTriple(4, 1, 3))
-        em = to_exchange_matrix(q)
-        back = from_exchange_matrix(em)
-        em2 = to_exchange_matrix(back)
-        assert em2.entries == em.entries
-        assert em2.labels == em.labels
-
     def test_rank_of_standard(self):
         em = to_exchange_matrix(standard_quiver(3))
         assert matrix_rank(em.entries) == em.n_mutable
@@ -138,7 +129,6 @@ def _random_exchange_matrices(rng, count):
                 labels=labels,
                 n_mutable=nm,
                 entries=tuple(tuple(r) for r in rows),
-                permutation=tuple(range(total)),
             )
         )
     return out
@@ -168,7 +158,6 @@ def test_matrix_mutation_involution_hypothesis(data):
         labels=tuple((1, k + 1) for k in range(nm)),
         n_mutable=nm,
         entries=tuple(tuple(r) for r in entries),
-        permutation=tuple(range(nm)),
     )
     k = data.draw(st.integers(min_value=0, max_value=nm - 1))
     lab = em.labels[k]
@@ -186,7 +175,7 @@ class TestSeedMutation:
         # At (2,2) of the standard n=3 seed the exchange relation is
         # f22 * f22' = f21*f12*f33 + f23*f32*f11, and the quotient
         # expands to the polynomial below (checked by hand).
-        seed = make_seed(standard_cluster(3))
+        seed = make_seed(standard_cluster(3), standard_quiver(3))
         new = mutate_seed(seed, (2, 2))
         ring = seed.cluster.ring
         x = ring.x
@@ -204,7 +193,7 @@ class TestSeedMutation:
         assert lhs == rhs
 
     def test_seed_mutation_restores_cluster(self):
-        seed = make_seed(standard_cluster(3))
+        seed = make_seed(standard_cluster(3), standard_quiver(3))
         once = mutate_seed(seed, (2, 3))
         twice = mutate_seed(once, (2, 3))
         assert twice.cluster.functions[(2, 3)] == seed.cluster.functions[(2, 3)]
@@ -219,7 +208,7 @@ class TestSeedMutation:
             assert twice.cluster.functions[lab] == seed.cluster.functions[lab]
 
     def test_frozen_vertex_rejected(self):
-        seed = make_seed(standard_cluster(3))
+        seed = make_seed(standard_cluster(3), standard_quiver(3))
         with pytest.raises(FrozenDirection):
             mutate_seed(seed, (1, 2))
 
@@ -231,7 +220,7 @@ class TestSeedMutation:
         funcs = dict(cluster.functions)
         funcs[(2, 2)] = funcs[(2, 2)] + 1
         broken = replace(cluster, functions=funcs)
-        seed = make_seed(broken)
+        seed = make_seed(broken, standard_quiver(3))
         with pytest.raises(NotLaurentPolynomial):
             mutate_seed(seed, (2, 3))
 

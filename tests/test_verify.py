@@ -7,7 +7,7 @@ here each check is exercised once on size 3 plus the failure paths.
 import pytest
 
 from bdcluster.bdseed import BDTriple
-from bdcluster.verify import Fault, run_checks
+from bdcluster.verify import Fault, Workspace, run_checks
 
 T312 = BDTriple(3, 1, 2)
 
@@ -16,6 +16,37 @@ def one(name, triple=None, **kwargs):
     """The report of a single check run through run_checks."""
     (report,) = run_checks([name], triple=triple, **kwargs)
     return report
+
+
+def _structures():
+    """(n, pair, standard) for the standard structure and every pair,
+    exotic and standard companion, n = 2..5."""
+    for n in range(2, 6):
+        yield n, None, True
+        for a in range(1, n):
+            for b in range(a + 1, n):
+                yield n, (a, b), False
+                yield n, (a, b), True
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize(
+        "n, pair, standard",
+        list(_structures()),
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_cluster_and_quiver_share_labels_and_frozen(self, n, pair, standard):
+        triple = BDTriple(n, *pair) if pair else None
+        seen = {}
+        for sl in (False, True):
+            ws = Workspace(triple, n, sl=sl, standard=standard)
+            cluster, quiver = ws.cluster(), ws.quiver()
+            assert cluster.labels == quiver.labels
+            assert cluster.frozen == quiver.frozen
+            seen[sl] = set(cluster.labels), set(cluster.frozen)
+        gl_labels, gl_frozen = seen[False]
+        assert seen[True] == (gl_labels - {(1, 1)}, gl_frozen - {(1, 1)})
+        assert (1, 1) in gl_labels and (1, 1) in gl_frozen
 
 
 class TestIndividualChecks:
