@@ -25,7 +25,6 @@ from .polymat import (
     build_Mtilde,
     col_replace,
     row_replace,
-    Minor,
 )
 from .bdseed import (
     BDTriple,
@@ -82,7 +81,6 @@ __all__ = [
     "build_Mtilde",
     "col_replace",
     "row_replace",
-    "Minor",
     "BDTriple",
     "InvalidRoot",
     "EqualRoots",

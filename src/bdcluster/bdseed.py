@@ -24,12 +24,14 @@ from typing import Dict, Optional, Tuple
 
 from .polyring import Poly, PolyRing
 from .polymat import (
+    build_M,
     build_Mtilde,
     build_Mtilde_shift,
+    col_replace,
     determinant,
     first_family,
+    row_replace,
     second_family,
-    standard_minor,
 )
 
 Label = Tuple[int, int]
@@ -141,7 +143,7 @@ def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
             for lab in first_family(n, alpha, beta) + second_family(n, alpha, beta)
         }
     functions = {
-        lab: blocks[lab] if lab in blocks else standard_minor(ring, *lab).det()
+        lab: blocks[lab] if lab in blocks else determinant(build_M(ring, *lab))
         for lab in labels
     }
     return Cluster(ring=ring, n=n, labels=labels, functions=functions, frozen=frozen)
@@ -153,8 +155,9 @@ def theta(triple: BDTriple, k: int) -> Poly:
         theta_k = f * g - f_right * g_left
 
     with f the trailing minor at (n+k-alpha, k) (columns k..alpha),
-    g the one at (1, beta+1), and the arrows swapping the boundary
-    column of each for its neighbour.
+    g the one at (1, beta+1) (columns beta+1..n), f_right = f with
+    column alpha replaced by alpha+1 and g_left = g with column beta+1
+    replaced by beta.
 
     When n = 2*beta the label (1, beta+1) heads the second family and
     carries the glued function psi_1 instead of a plain minor, so g and
@@ -165,14 +168,14 @@ def theta(triple: BDTriple, k: int) -> Poly:
     if not (1 <= k <= alpha):
         raise InvalidRoot(f"first-family index {k} outside 1..{alpha}")
     ring = get_ring(n)
-    f = standard_minor(ring, n + k - alpha, k)
+    f = determinant(build_M(ring, n + k - alpha, k))
     if n == 2 * beta:
-        g_det = determinant(build_Mtilde(ring, alpha, beta, 1, beta + 1))
+        g = determinant(build_Mtilde(ring, alpha, beta, 1, beta + 1))
         g_left = determinant(build_Mtilde_shift(ring, alpha, beta, 1, beta + 1))
     else:
-        g = standard_minor(ring, 1, beta + 1)
-        g_det, g_left = g.det(), g.left()
-    return f.det() * g_det - f.right() * g_left
+        g = determinant(build_M(ring, 1, beta + 1))
+        g_left = col_replace(g, beta + 1, beta)
+    return f * g - col_replace(f, alpha, alpha + 1) * g_left
 
 
 def psi(triple: BDTriple, m: int) -> Poly:
@@ -181,8 +184,8 @@ def psi(triple: BDTriple, m: int) -> Poly:
         psi_m = f * g - f_down * g_up
 
     with f the trailing minor at (m, n+m-beta) (rows m..beta), g the one
-    at (alpha+1, 1), and the arrows swapping the boundary row of each
-    for its neighbour.
+    at (alpha+1, 1) (rows alpha+1..n), f_down = f with row beta replaced
+    by beta+1 and g_up = g with row alpha+1 replaced by alpha.
 
     When n = 2*alpha the label (alpha+1, 1) heads the first family and
     carries the glued function theta_1 instead of a plain minor, so g
@@ -193,11 +196,11 @@ def psi(triple: BDTriple, m: int) -> Poly:
     if not (1 <= m <= beta):
         raise InvalidRoot(f"second-family index {m} outside 1..{beta}")
     ring = get_ring(n)
-    f = standard_minor(ring, m, n + m - beta)
+    f = determinant(build_M(ring, m, n + m - beta))
     if n == 2 * alpha:
-        g_det = determinant(build_Mtilde(ring, alpha, beta, alpha + 1, 1))
+        g = determinant(build_Mtilde(ring, alpha, beta, alpha + 1, 1))
         g_up = determinant(build_Mtilde_shift(ring, alpha, beta, alpha + 1, 1))
     else:
-        g = standard_minor(ring, alpha + 1, 1)
-        g_det, g_up = g.det(), g.up()
-    return f.det() * g_det - f.down() * g_up
+        g = determinant(build_M(ring, alpha + 1, 1))
+        g_up = row_replace(g, alpha + 1, alpha)
+    return f * g - row_replace(f, beta, beta + 1) * g_up

@@ -28,7 +28,8 @@ and the Sklyanin bracket of two polynomial functions f, g of X is
 
 with F = (grad f) X, F' = X (grad f) (entrywise F_ij = sum_k df/dx[k,i]
 x[k,j] = col_replace(f, i, j), F'_ij = sum_k df/dx[j,k] x[i,k] =
-row_replace(f, j, i)) and <A, B> = tr(AB) the trace form.
+row_replace(f, j, i)) and <A, B> = tr(AB) the trace form.  F and F'
+come from one pass over the terms of f (polymat._replacement_tables).
 
 The only denominators in R_+ are the n of each hhat pairing and the n
 of each hhat entry, so n^2 R_+ maps integer matrices to integer
@@ -52,7 +53,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bdseed import BDTriple
-from .polymat import col_replace, row_replace
+from .polymat import _replacement_tables
 from .polyring import ExponentOverflow, NotDivisible, Poly, _normalize_scalar, exact_divide
 
 TensorKey = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -334,10 +335,9 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 def gradient_tables(f: Poly, op: RPlusOperator):
     """The tables of f for the operator's bracket: (F, F', n^2 R_+(F),
     n^2 R_+(F')) with F_ij = col_replace(f, i, j) and F'_ij =
-    row_replace(f, j, i).  All four have integer coefficients when f has."""
-    idx = range(1, op.n + 1)
-    F = [[col_replace(f, i, j) for j in idx] for i in idx]
-    Fp = [[row_replace(f, j, i) for j in idx] for i in idx]
+    row_replace(f, j, i), all read from one pass over f's terms.  All
+    four have integer coefficients when f has."""
+    F, Fp = _replacement_tables(f)
     return (F, Fp, _scaled_r_plus(op, F), _scaled_r_plus(op, Fp))
 
 

@@ -3,18 +3,20 @@
 The cluster functions of interest are all determinants of submatrices
 of an n-by-n matrix of indeterminates X (and, for the two special
 families, of 2x2-block matrices glued from two submatrices of X).  This
-module knows how to build those matrices and take their determinants,
-and provides the "replace a column/row of a minor by a neighbouring
-one" operators that show up throughout the bracket computations.
+module knows how to build those matrices and take their determinants.
+
+It also holds the column and row replacement maps, which replace a
+column or row of a minor by another.  One pass over a polynomial's
+terms gives all of them at once, as the tables F = (grad f) X and
+F' = X (grad f) that the Sklyanin bracket is built from;
+col_replace and row_replace each read one entry of those tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .polyring import Poly, PolyRing, partial_derivative
+from .polyring import ExponentOverflow, Poly, PolyRing
 
 Matrix = List[List[Poly]]
 
@@ -197,22 +199,60 @@ def build_Mtilde_shift(
     return _glue(ring, blocks, share_cols)
 
 
+def _replacement_tables(f: Poly) -> Tuple[Matrix, Matrix]:
+    """F and F' of f from one pass over its terms, with 1-based
+    F[i][j] = col_replace(f, i, j) and F'[i][j] = row_replace(f, j, i).
+
+    A term c*m holding x[a,b]^e differentiates to c*e*m/x[a,b], so it
+    adds c*e*m*x[a,t]/x[a,b] to F[b][t] and c*e*m*x[t,b]/x[a,b] to
+    F'[t][a] for every t; each is one shift of the packed key.
+    """
+    ring = f.ring
+    n = ring.n
+    nn = n * n
+    # unit[(a-1)*n + (b-1)] is the packed key of x[a,b].
+    unit = [1 << ring._shift[k] for k in range(nn)]
+    in_row = [unit[a * n : a * n + n] for a in range(n)]
+    in_col = [unit[b::n] for b in range(n)]
+    F = [[{} for _ in range(n)] for _ in range(n)]
+    # Fp_t[a][t] accumulates F'[t][a].
+    Fp_t = [[{} for _ in range(n)] for _ in range(n)]
+    y_bits = (ring.nvars - nn) * 8
+    for m, c in f._d.items():
+        for k, e in enumerate((m >> y_bits).to_bytes(nn, "big")):
+            if not e:
+                continue
+            a, b = divmod(k, n)
+            base = m - unit[k]
+            ce = c * e
+            for acc, u in zip(F[b], in_row[a]):
+                key = base + u
+                acc[key] = acc.get(key, 0) + ce
+            for acc, u in zip(Fp_t[a], in_col[b]):
+                key = base + u
+                acc[key] = acc.get(key, 0) + ce
+    # As in Poly.__mul__: a key byte below 0x80 plus one cannot carry, so
+    # an exponent of 128 shows as a set high bit.
+    himask = ring._himask
+    tables = (F, [list(col) for col in zip(*Fp_t)])
+    if any(key & himask for T in tables for row in T for acc in row for key in acc):
+        raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+    return tuple(
+        [[Poly(ring, {k: v for k, v in acc.items() if v}) for acc in row] for row in T]
+        for T in tables
+    )
+
+
 def col_replace(f: Poly, i: int, j: int) -> Poly:
     """The polynomial sum_k (df/dx[k,i]) * x[k,j].
 
     When f is the determinant of a submatrix of X using column i exactly
     once, this is the same determinant with column i replaced by column j.
     """
-    ring = f.ring
-    n = ring.n
+    n = f.ring.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"column index outside 1..{n}")
-    out = ring.zero
-    for k in range(1, n + 1):
-        d = partial_derivative(f, ("x", k, i))
-        if d:
-            out = out + d * ring.x(k, j)
-    return out
+    return _replacement_tables(f)[0][i - 1][j - 1]
 
 
 def row_replace(f: Poly, i: int, j: int) -> Poly:
@@ -221,79 +261,7 @@ def row_replace(f: Poly, i: int, j: int) -> Poly:
     Replaces row i of a determinant by row j, in the same sense as
     col_replace.
     """
-    ring = f.ring
-    n = ring.n
+    n = f.ring.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"row index outside 1..{n}")
-    out = ring.zero
-    for k in range(1, n + 1):
-        d = partial_derivative(f, ("x", i, k))
-        if d:
-            out = out + d * ring.x(j, k)
-    return out
-
-
-@dataclass(frozen=True)
-class Minor:
-    """A contiguous minor det X[row_lo..row_hi, col_lo..col_hi] of X.
-
-    The arrow methods shift one boundary line of the rectangle by one:
-    right() swaps the last column col_hi for col_hi+1, left() swaps the
-    first column col_lo for col_lo-1, down() swaps the last row, up()
-    the first row.
-    """
-
-    ring: PolyRing
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-
-    def __post_init__(self):
-        n = self.ring.n
-        if not (1 <= self.row_lo <= self.row_hi <= n and 1 <= self.col_lo <= self.col_hi <= n):
-            raise IndexOutOfRange(
-                f"minor rows {self.row_lo}..{self.row_hi}, cols {self.col_lo}..{self.col_hi} "
-                f"outside 1..{n}"
-            )
-        if self.row_hi - self.row_lo != self.col_hi - self.col_lo:
-            raise NotSquare("minor rectangle is not square")
-
-    def det(self) -> Poly:
-        return _minor_det(self.ring, self.row_lo, self.row_hi, self.col_lo, self.col_hi)
-
-    def right(self) -> Poly:
-        if self.col_hi + 1 > self.ring.n:
-            raise IndexOutOfRange("no column to the right of the minor")
-        return col_replace(self.det(), self.col_hi, self.col_hi + 1)
-
-    def left(self) -> Poly:
-        if self.col_lo - 1 < 1:
-            raise IndexOutOfRange("no column to the left of the minor")
-        return col_replace(self.det(), self.col_lo, self.col_lo - 1)
-
-    def down(self) -> Poly:
-        if self.row_hi + 1 > self.ring.n:
-            raise IndexOutOfRange("no row below the minor")
-        return row_replace(self.det(), self.row_hi, self.row_hi + 1)
-
-    def up(self) -> Poly:
-        if self.row_lo - 1 < 1:
-            raise IndexOutOfRange("no row above the minor")
-        return row_replace(self.det(), self.row_lo, self.row_lo - 1)
-
-
-@lru_cache(maxsize=4096)
-def _minor_det(ring: PolyRing, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> Poly:
-    return determinant(
-        [
-            [ring.x(r, c) for c in range(col_lo, col_hi + 1)]
-            for r in range(row_lo, row_hi + 1)
-        ]
-    )
-
-
-def standard_minor(ring: PolyRing, i: int, j: int) -> Minor:
-    """The Minor whose determinant is the standard cluster function at (i, j)."""
-    rows, cols = _trailing(ring.n, i, j)
-    return Minor(ring, rows[0], rows[-1], cols[0], cols[-1])
+    return _replacement_tables(f)[1][j - 1][i - 1]

@@ -155,12 +155,6 @@ class Poly:
     def leading_coefficient(self) -> Scalar:
         return self._d[self.leading_monomial()]
 
-    def total_degree(self) -> int:
-        if not self._d:
-            return 0
-        n = self.ring.nvars
-        return max(sum(m.to_bytes(n, "big")) for m in self._d)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
@@ -363,10 +357,6 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
     return Poly(p.ring, quot)
 
 
-def _scalar_str(c: Scalar) -> str:
-    return str(c)
-
-
 def render(p: Poly) -> str:
     """Deterministic text form, terms in decreasing monomial order."""
     if not p._d:
@@ -385,9 +375,9 @@ def render(p: Poly) -> str:
         if body and mag == 1:
             term = body
         elif body:
-            term = f"{_scalar_str(mag)}*{body}"
+            term = f"{mag}*{body}"
         else:
-            term = _scalar_str(mag)
+            term = str(mag)
         if not pieces:
             pieces.append(f"-{term}" if neg else term)
         else:

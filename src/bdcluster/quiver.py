@@ -189,17 +189,12 @@ def mutate_seed(seed: Seed, label: Label) -> Seed:
     mutate the matrix.  Raises NotLaurentPolynomial if the exchange
     polynomial is not divisible by the old variable."""
     em = seed.matrix
-    try:
-        k = em.labels.index(label)
-    except ValueError:
-        raise FrozenDirection(f"{label} is not a vertex") from None
-    if k >= em.n_mutable:
-        raise FrozenDirection(f"cannot mutate at frozen vertex {label}")
+    new_matrix = mutate_matrix(em, label)
     funcs = seed.cluster.functions
     ring = seed.cluster.ring
     pos = ring.one
     neg = ring.one
-    row = em.entries[k]
+    row = em.entries[em.labels.index(label)]
     for c, lab in enumerate(em.labels):
         b = row[c]
         if b > 0:
@@ -215,7 +210,7 @@ def mutate_seed(seed: Seed, label: Label) -> Seed:
     new_funcs = dict(funcs)
     new_funcs[label] = new_var
     new_cluster = replace(seed.cluster, functions=new_funcs)
-    return Seed(cluster=new_cluster, matrix=mutate_matrix(em, label))
+    return Seed(cluster=new_cluster, matrix=new_matrix)
 
 
 def to_dot(q: Quiver) -> str:

@@ -120,6 +120,9 @@ class Workspace:
             standard = True
         self.triple = triple
         self.n = triple.n if triple is not None else n
+        # SL drops only (1, 1), so every seed with n >= 3 has the label.
+        if fault is Fault.DROP_PHI31_TERM and self.n < 3:
+            raise ValueError(f"fault {fault.value} needs label (3, 1), which n = {self.n} lacks")
         self.sl = sl
         self.standard = standard
         self.fault = fault

@@ -186,6 +186,17 @@ class TestCheck:
         assert "status=fail" in out
         assert "pair (" in out
 
+    def test_fault_without_its_label_is_an_error(self, capsys):
+        # n = 2 has no label (3, 1) to plant the fault at, on GL or SL.
+        for extra in ((), ("--sl",)):
+            rc, out, err = run(
+                capsys, "check", "logcanon", "--n", "2", *extra,
+                "--inject-fault", "drop-phi31-term",
+            )
+            assert rc == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and "(3, 1)" in err
+
     def test_equal_roots_rejected(self, capsys):
         rc, _, err = run(capsys, "check", "rank", "--n", "3", "--alpha", "2", "--beta", "2")
         assert rc == 2

@@ -259,11 +259,13 @@ class TestSklyaninBracket:
         assert poisson_coefficient(self.x(2, 1), self.x(1, 2), self.op) == 0
 
     def test_tables_route_agrees(self):
-        """bracket_from_tables equals n^2 (<R_+(F), G> - <R_+(F'), G'>)
-        with R_+ contracted from the r tensor, and sklyanin_bracket equals
-        the unscaled pairing, on random polynomials for n <= 4: every
-        minimal pair with its exotic operator and its standard companion,
-        and the standard operator of each size."""
+        """The tables' F and F' equal the ones built from partial
+        derivatives entry by entry, bracket_from_tables equals
+        n^2 (<R_+(F), G> - <R_+(F'), G'>) with R_+ contracted from the r
+        tensor, and sklyanin_bracket equals the unscaled pairing, on
+        random polynomials for n <= 4: every minimal pair with its exotic
+        operator and its standard companion, and the standard operator of
+        each size."""
         rng = random.Random(1412)
         cases = [(n, None, True) for n in (2, 3, 4)]
         for n in (3, 4):
@@ -280,8 +282,11 @@ class TestSklyaninBracket:
                 rt = build_r_tensor(n, *pair, standard=std)
             for _ in range(3):
                 f, g = _random_poly(rng, ring), _random_poly(rng, ring)
+                ta, tb = gradient_tables(f, op), gradient_tables(g, op)
+                for p, t in ((f, ta), (g, tb)):
+                    assert t[:2] == _oracle_grads(p, n), (n, pair, std, str(p))
                 want = _oracle_bracket(f, g, rt, n)
-                got = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
+                got = bracket_from_tables(ta, tb)
                 assert got == n * n * want, (n, pair, std, str(f), str(g))
                 assert sklyanin_bracket(f, g, op) == want, (n, pair, std, str(f), str(g))
 
@@ -313,6 +318,10 @@ class TestSklyaninBracket:
             bracket_from_tables(ta, ta)
         with pytest.raises(ExponentOverflow):
             sklyanin_bracket(f, g, self.op)
+        # The tables themselves: d/dx[1,1] of x[1,1] x[1,2]^127, times
+        # x[1,2], reaches x[1,2]^128.
+        with pytest.raises(ExponentOverflow):
+            gradient_tables(ring.x(1, 1) * ring.x(1, 2) ** 127, self.op)
 
 
 def _random_poly(rng, ring):
@@ -325,21 +334,24 @@ def _random_poly(rng, ring):
     return p
 
 
-def _oracle_bracket(f, g, rt, n):
-    """<R_+(F), G> - <R_+(F'), G'> from partial derivatives and the tensor:
-    F_ij = sum_k df/dx[k,i] x[k,j], F'_ij = sum_k df/dx[j,k] x[i,k]."""
-    ring = f.ring
+def _oracle_grads(p, n):
+    """F and F' from partial derivatives:
+    F_ij = sum_k dp/dx[k,i] x[k,j], F'_ij = sum_k dp/dx[j,k] x[i,k]."""
+    ring = p.ring
     idx = range(1, n + 1)
 
-    def d(p, k, i):
+    def d(k, i):
         return partial_derivative(p, ("x", k, i))
 
-    def grads(p):
-        P = [[sum((d(p, k, i) * ring.x(k, j) for k in idx), ring.zero) for j in idx] for i in idx]
-        Pp = [[sum((d(p, j, k) * ring.x(i, k) for k in idx), ring.zero) for j in idx] for i in idx]
-        return P, Pp
+    P = [[sum((d(k, i) * ring.x(k, j) for k in idx), ring.zero) for j in idx] for i in idx]
+    Pp = [[sum((d(j, k) * ring.x(i, k) for k in idx), ring.zero) for j in idx] for i in idx]
+    return P, Pp
 
-    (F, Fp), (G, Gp) = grads(f), grads(g)
+
+def _oracle_bracket(f, g, rt, n):
+    """<R_+(F), G> - <R_+(F'), G'> from _oracle_grads and the tensor."""
+    ring = f.ring
+    (F, Fp), (G, Gp) = _oracle_grads(f, n), _oracle_grads(g, n)
     RF, RFp = r_plus_oracle(rt, F), r_plus_oracle(rt, Fp)
     total = ring.zero
     for i in range(n):

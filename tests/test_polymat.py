@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdcluster.polyring import PolyRing
+from bdcluster.polyring import ExponentOverflow, PolyRing
 from bdcluster.polymat import (
     IndexNotSpecial,
     IndexOutOfRange,
-    Minor,
     NotSquare,
+    _trailing,
     build_M,
     build_Mtilde,
     build_Mtilde_shift,
@@ -21,7 +21,6 @@ from bdcluster.polymat import (
     first_family,
     row_replace,
     second_family,
-    standard_minor,
 )
 
 R3 = PolyRing(3)
@@ -179,16 +178,10 @@ class TestSubmatrixFamilies:
         with pytest.raises(IndexOutOfRange):
             build_M(R3, 0, 1)
 
-    def test_standard_minor_dets_match_build_M(self):
-        for i in range(1, 4):
-            for j in range(1, 4):
-                assert standard_minor(R3, i, j).det() == determinant(build_M(R3, i, j))
-
     def test_trailing_chain(self):
         m = build_M(R4, 1, 2)
         assert len(m) == 3
-        inner = standard_minor(R4, 2, 3)
-        assert determinant([row[1:] for row in m[1:]]) == inner.det()
+        assert determinant([row[1:] for row in m[1:]]) == determinant(build_M(R4, 2, 3))
 
 
 class TestSpecialFamilies:
@@ -277,7 +270,7 @@ class TestReplacements:
         assert col_replace(R3.x(3, 1), 1, 2) == R3.x(3, 2)
 
     def test_col_replace_absent_column(self):
-        f = standard_minor(R3, 1, 2).det()
+        f = determinant(build_M(R3, 1, 2))
         assert col_replace(f, 1, 3).is_zero()
 
     def test_col_replace_repeated_column_kills_minor(self):
@@ -288,26 +281,38 @@ class TestReplacements:
         assert row_replace(R3.x(1, 3), 1, 2) == R3.x(2, 3)
 
     def test_minor_arrows(self):
-        f21 = standard_minor(R3, 2, 1)
-        up = f21.up()
+        # Stepping the first row of the minor at (2,1) up, and the last
+        # column of the 1x1 minors at (3,1) and (1,3) out by one.
+        up = row_replace(determinant(build_M(R3, 2, 1)), 2, 1)
         expect = determinant(
             [[R3.x(1, 1), R3.x(1, 2)], [R3.x(3, 1), R3.x(3, 2)]]
         )
         assert up == expect
-        assert standard_minor(R3, 3, 1).right() == R3.x(3, 2)
-        assert standard_minor(R3, 1, 3).left() == R3.x(1, 2)
+        assert col_replace(determinant(build_M(R3, 3, 1)), 1, 2) == R3.x(3, 2)
+        assert col_replace(determinant(build_M(R3, 1, 3)), 3, 2) == R3.x(1, 2)
 
     def test_arrow_out_of_range(self):
+        f = determinant(build_M(R3, 1, 1))
         with pytest.raises(IndexOutOfRange):
-            standard_minor(R3, 1, 1).up()
+            row_replace(f, 1, 0)
         with pytest.raises(IndexOutOfRange):
-            standard_minor(R3, 1, 1).right()
+            col_replace(f, 3, 4)
 
     def test_arrows_agree_with_replacements(self):
-        f = standard_minor(R3, 2, 1)
-        assert f.right() == col_replace(f.det(), 2, 3)
-        g = standard_minor(R3, 1, 2)
-        assert g.down() == row_replace(g.det(), 2, 3)
+        x = R3.x
+        f = determinant(build_M(R3, 2, 1))
+        assert col_replace(f, 2, 3) == determinant([[x(2, 1), x(2, 3)], [x(3, 1), x(3, 3)]])
+        g = determinant(build_M(R3, 1, 2))
+        assert row_replace(g, 2, 3) == determinant([[x(1, 2), x(1, 3)], [x(3, 2), x(3, 3)]])
+
+    def test_overflow_guard(self):
+        # d/dx[1,1] of x[1,1] x[1,2]^127, times x[1,2], reaches x[1,2]^128.
+        # Both maps read one table pass, so row_replace raises too.
+        f = R3.x(1, 1) * R3.x(1, 2) ** 127
+        with pytest.raises(ExponentOverflow):
+            col_replace(f, 1, 2)
+        with pytest.raises(ExponentOverflow):
+            row_replace(f, 1, 1)
 
     def test_shift_variant_first_family(self):
         m = build_Mtilde_shift(R4, 2, 3, 3, 1)
@@ -331,7 +336,7 @@ class TestReplacements:
 def _layout_lines(n):
     """One line per builder call on every label 0..n+1 (so out-of-range
     ones too) and every ordered pair of distinct roots, with the rendered
-    matrix, the minor's rectangle, or the name of the error raised."""
+    matrix, the trailing rectangle, or the name of the error raised."""
     ring = PolyRing(n)
 
     def show(build, *args):
@@ -339,15 +344,16 @@ def _layout_lines(n):
             out = build(ring, *args)
         except (IndexNotSpecial, IndexOutOfRange) as e:
             return type(e).__name__
-        if isinstance(out, Minor):
-            return f"{out.row_lo}..{out.row_hi}x{out.col_lo}..{out.col_hi}"
+        if isinstance(out, tuple):
+            rows, cols = out
+            return f"{rows[0]}..{rows[-1]}x{cols[0]}..{cols[-1]}"
         return ";".join(",".join(str(e) if e else "0" for e in row) for row in out)
 
     pairs = [(a, b) for a in range(1, n) for b in range(1, n) if a != b]
     for i in range(n + 2):
         for j in range(n + 2):
             yield f"M {n} {i} {j} {show(build_M, i, j)}"
-            yield f"S {n} {i} {j} {show(standard_minor, i, j)}"
+            yield f"S {n} {i} {j} {show(lambda r, *a: _trailing(r.n, *a), i, j)}"
             for a, b in pairs:
                 yield f"T {n} {a} {b} {i} {j} {show(build_Mtilde, a, b, i, j)}"
                 yield f"U {n} {a} {b} {i} {j} {show(build_Mtilde_shift, a, b, i, j)}"

@@ -81,12 +81,6 @@ class TestBasics:
         assert (R2.x(1, 1) + R2.x(2, 2)).leading_monomial() == R2.x(1, 1).leading_monomial()
         assert (R2.x(1, 2) + R2.y(1, 1)).leading_monomial() == R2.x(1, 2).leading_monomial()
 
-    def test_total_degree(self):
-        p = R2.x(1, 1) * R2.x(1, 2) * R2.x(2, 1) + R2.x(2, 2)
-        assert p.total_degree() == 3
-        assert R2.zero.total_degree() == 0
-        assert R2.one.total_degree() == 0
-
     def test_str_of_simple_polynomials(self):
         assert str(R2.zero) == "0"
         assert str(R2.x(1, 2) - R2.x(2, 1)) == "x[1,2] - x[2,1]"
