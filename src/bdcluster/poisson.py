@@ -34,22 +34,26 @@ come from one pass over the terms of f (polymat._replacement_tables).
 The only denominators in R_+ are the n of each hhat pairing and the n
 of each hhat entry, so n^2 R_+ maps integer matrices to integer
 matrices.  The bracket path works in that scale: gradient_tables
-stores n^2 R_+(F) and n^2 R_+(F'), bracket_from_tables returns the
-integer pairing n^2 {f, g}, and poisson_coefficient divides it by f g
-in integers and returns omega = quotient / n^2, the one Fraction made
-per pair.  r_plus, sklyanin_bracket and unscale remove the n^2 for
-callers that need R_+ or {f, g} itself.  R_+ has one implementation,
-the scaled core behind r_plus and the tables.  r_plus_oracle contracts
-the explicit tensor of r against a matrix; the two are kept as
-separate code paths on purpose and checked against each other.
+stores n^2 R_+(F) and n^2 R_+(F') and tags the diagonal entries that
+are integer multiples of f (_tag), bracket_from_tables returns the
+integer pairing n^2 {f, g}, and poisson_coefficient reads n^2 omega at
+the leading monomial of f g, making the one Fraction per pair.  r_plus,
+sklyanin_bracket and unscale remove the n^2 for callers that need R_+
+or {f, g} itself.  R_+ has one implementation, the scaled core behind
+r_plus and the tables.  r_plus_oracle contracts the explicit tensor of
+r against a matrix; the two are kept as separate code paths on purpose
+and checked against each other.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bdseed import BDTriple
@@ -130,6 +134,14 @@ class RPlusOperator:
     def wedge_active(self) -> bool:
         return self.alpha is not None and not self.standard
 
+    @cached_property
+    def diagonal(self) -> Tuple[Tuple[int, ...], ...]:
+        """M with n^2 R_+(mat)_kk = sum_l M_kl mat_ll: M_kl = sum_pq s(k, q) c_pq s(l, p)."""
+        s, c, r, idx = self.dual.s, self.c, range(1, self.n), range(1, self.n + 1)
+        return tuple(
+            tuple(sum(s(k, q) * c[p - 1][q - 1] * s(l, p) for p in r for q in r) for l in idx) for k in idx
+        )
+
 
 def r_plus_operator(
     triple: Optional[BDTriple] = None,
@@ -158,12 +170,34 @@ def r_plus_operator(
     )
 
 
-def _scaled_r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
+def _combine(terms, zero):
+    """sum of k * v over terms (k, v), polynomials in one dict."""
+    if not isinstance(zero, Poly):
+        return sum((v * k for k, v in terms), zero)
+    acc: dict = {}
+    for k, v in terms:
+        for m, c in v._d.items():
+            acc[m] = acc.get(m, 0) + k * c
+    return Poly(zero.ring, {m: c for m, c in acc.items() if c})
+
+
+def _tag(degrees, weights) -> Optional[int]:
+    """t when sum_l weights[l] F_ll (or F'_ll) is t f, else None: F_bb sums
+    f's terms, each times its degree in column b (Euler), so this holds
+    when every column (or row) degree vector v in degrees has sum_l
+    weights[l] v[l] = t."""
+    values = {sum(w * v[l] for l, w in enumerate(weights) if w) for v in degrees}
+    return None if len(values) > 1 else values.pop() if values else 0
+
+
+def _scaled_r_plus(op: RPlusOperator, mat: Sequence[Sequence], rho=None, multiples=None) -> List[List]:
     """n^2 R_+(mat), with integer coefficients on an integer matrix.
 
     <hhat_p, mat> is sum_k s(k, p) mat_kk / n and the entries of hhat_q
-    are s(k, q) / n, so the diagonal part is an integer combination over
-    n^2; the strict upper and wedge parts are scaled to match.
+    are s(k, q) / n, so the diagonal is sum_l M_kl mat_ll with M =
+    op.diagonal; the strict upper and wedge parts are scaled to match.
+    A diagonal entry tagged rho[k] = t is t f from multiples = {1: f, ...},
+    shared by f's tables; any other is summed in one dict.
     """
     n = op.n
     if len(mat) != n or any(len(row) != n for row in mat):
@@ -174,14 +208,11 @@ def _scaled_r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
     for i in range(n):
         for j in range(i + 1, n):
             out[i][j] = mat[i][j] * nn
-    # Diagonal part through the coefficient matrix; hvals[p] = n <hhat_p, mat>.
-    m = n - 1
-    s = op.dual.s
-    hvals = [sum((mat[k][k] * s(k + 1, p + 1) for k in range(n)), zero) for p in range(m)]
-    for q in range(m):
-        wq = sum((hvals[p] * op.c[p][q] for p in range(m) if op.c[p][q]), zero)
-        for k in range(n):
-            out[k][k] = out[k][k] + wq * s(k + 1, q + 1)
+    for k, row in enumerate(op.diagonal):
+        if rho and rho[k] is not None:
+            out[k][k] = multiples.setdefault(rho[k], multiples[1] * rho[k])
+        else:
+            out[k][k] = _combine([(mkl, mat[l][l]) for l, mkl in enumerate(row) if mkl], zero)
     if op.wedge_active:
         a, b = op.alpha, op.beta
         out[b - 1][b] = out[b - 1][b] + mat[a - 1][a] * nn
@@ -332,44 +363,75 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 # Sklyanin bracket
 
 
-def gradient_tables(f: Poly, op: RPlusOperator):
-    """The tables of f for the operator's bracket: (F, F', n^2 R_+(F),
-    n^2 R_+(F')) with F_ij = col_replace(f, i, j) and F'_ij =
-    row_replace(f, j, i), all read from one pass over f's terms.  All
-    four have integer coefficients when f has."""
-    F, Fp = _replacement_tables(f)
-    return (F, Fp, _scaled_r_plus(op, F), _scaled_r_plus(op, Fp))
+Tables = namedtuple("Tables", "F Fp RF RFp f tags")
 
 
-def bracket_from_tables(ta, tb) -> Poly:
-    """n^2 {f, g} = <n^2 R_+(F), G> - <n^2 R_+(F'), G'> from the tables
-    of f and g, made for the same operator.
+def gradient_tables(f: Poly, op: RPlusOperator) -> Tables:
+    """The tables of f for op from one pass over f's terms: F_ij =
+    col_replace(f, i, j), F'_ij = row_replace(f, j, i), RF = n^2 R_+(F),
+    RFp = n^2 R_+(F'), f, and tags (cols, rows, rho, rho_p), tags[m][k]
+    being t when entry kk of the m-th matrix is t f, else None.  All are
+    ints when f has int coefficients."""
+    F, Fp, cols, rows = _replacement_tables(f)
+    weights = ([[int(k == l) for l in range(op.n)] for k in range(op.n)],) * 2 + (op.diagonal,) * 2
+    tags = tuple([_tag(d, w) for w in ws] for d, ws in zip((cols, rows) * 2, weights))
+    multiples = {1: f}
+    for T, tag in zip((F, Fp), tags):
+        for k, t in enumerate(tag):
+            if t is not None:
+                T[k][k] = multiples.setdefault(t, f * t)
+    RF, RFp = (_scaled_r_plus(op, T, rho, multiples) for T, rho in zip((F, Fp), tags[2:]))
+    return Tables(F, Fp, RF, RFp, f, tags)
 
-    All 2n^2 products are accumulated into one dict of packed monomials.
-    """
-    _, _, RF, RFp = ta
-    G, Gp, _, _ = tb
-    ring = G[0][0].ring
-    n = len(G)
-    acc: dict = {}
-    get = acc.get
-    for R, H, sign in ((RF, G, 1), (RFp, Gp, -1)):
-        for i in range(n):
-            for j in range(n):
+
+def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
+    """n^2 {f, g} = <n^2 R_+(F), G> - <n^2 R_+(F'), G'> from the tables of
+    f and g for one operator, in one dict of packed monomials.  A diagonal
+    product RF_kk G_kk = rho_k f delta_k g adds rho_k delta_k to lam; with
+    only RF_kk (G_kk) tagged it adds rho_k G_kk (delta_k RF_kk) to A (B).
+    f A + g B + lam f g is added last."""
+    f, g = ta.f, tb.f
+    ring = f.ring
+    himask = ring._himask
+    # A factored product never reaches acc and its exponent guard, so it is
+    # factored only if its factors' key ORs (each byte bounding that
+    # exponent, below 0x80) add up with no high bit.
+    of, og = reduce(or_, f._d, 0), reduce(or_, g._d, 0)
+    lam, fa, gb, products = 0, [], [], []
+    sides = ((ta.RF, tb.F, ta.tags[2], tb.tags[0], 1), (ta.RFp, tb.Fp, ta.tags[3], tb.tags[1], -1))
+    for R, H, rho, delta, sign in sides:
+        for i in range(ring.n):
+            for j in range(ring.n):
                 a, b = R[i][j]._d, H[j][i]._d
                 if not (a and b):
                     continue
-                if len(a) < len(b):
-                    a, b = b, a
-                for mb, cb in b.items():
-                    cb = sign * cb
-                    for ma, ca in a.items():
-                        k = ma + mb
-                        acc[k] = get(k, 0) + ca * cb
+                if i == j:
+                    r, d = rho[i], delta[i]
+                    if r is not None and d is not None and not (of + og) & himask:
+                        lam += sign * r * d
+                        continue
+                    if d is None and r is not None and not (of + reduce(or_, b, 0)) & himask:
+                        fa.append((sign * r, H[i][i]))
+                        continue
+                    if r is None and d is not None and not (reduce(or_, a, 0) + og) & himask:
+                        gb.append((sign * d, R[i][i]))
+                        continue
+                products.append((a, b, sign))
+    products += [(f._d, _combine(fa, ring.zero)._d, 1), (g._d, _combine(gb, ring.zero)._d, 1)]
+    products.append((f._d, g._d, lam))
+    acc: dict = {}
+    get = acc.get
+    for a, b, scale in products:
+        if len(a) < len(b):
+            a, b = b, a
+        for mb, cb in b.items() if scale else ():
+            cb = scale * cb
+            for ma, ca in a.items():
+                k = ma + mb
+                acc[k] = get(k, 0) + ca * cb
     # As in Poly.__mul__: operand bytes are below 0x80, so an exponent of
     # 128 shows as a set high bit, on any key, even one whose sum cancelled.
-    himask = ring._himask
-    if any(k & himask for k in acc):
+    if reduce(or_, acc, 0) & himask:
         raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
     return Poly(ring, {m: c for m, c in acc.items() if c})
 
@@ -388,15 +450,23 @@ def poisson_coefficient(
     """The scalar omega with {f, g} = omega * f * g.
 
     bracket, when given, is the scaled pairing n^2 {f, g} from
-    bracket_from_tables.  Raises NotLogCanonical when the bracket is not
-    such a multiple.
+    bracket_from_tables.  n^2 omega is read at the leading monomial of
+    f g, lead f + lead g.  Raises NotLogCanonical when the bracket is not
+    that multiple of f g, with exact division's remainder as witness.
     """
     if bracket is None:
         bracket = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
     if not bracket:
         return Fraction(0)
+    fg = f * g
+    if fg:
+        lf, lg = max(f._d), max(g._d)
+        lc, w = f._d[lf] * g._d[lg], bracket._d.get(lf + lg, 0)
+        # bracket * lc == w * f g, compared without division.
+        if {m: c * lc for m, c in bracket._d.items()} == {m: c * w for m, c in fg._d.items()}:
+            return Fraction(w, lc * op.n * op.n)
     try:
-        quo = exact_divide(bracket, f * g)._d
+        quo = exact_divide(bracket, fg)._d
     except NotDivisible as e:
         raise NotLogCanonical(f"bracket is not divisible by the product: {e}") from None
     if len(quo) != 1 or 0 not in quo:
@@ -410,23 +480,13 @@ def poisson_coefficient(
 _SWEEP: dict = {}
 
 
-def _sweep_init(tables, funcs, op, pairs):
-    _SWEEP["tables"] = tables
-    _SWEEP["funcs"] = funcs
-    _SWEEP["op"] = op
-    _SWEEP["pairs"] = pairs
-
-
 def _sweep_pair(idx: int):
     ia, ib = _SWEEP["pairs"][idx]
-    tables = _SWEEP["tables"]
-    funcs = _SWEEP["funcs"]
-    op = _SWEEP["op"]
-    br = bracket_from_tables(tables[ia], tables[ib])
+    ta, tb = _SWEEP["tables"][ia], _SWEEP["tables"][ib]
     try:
-        omega = poisson_coefficient(funcs[ia], funcs[ib], op, bracket=br)
-        return (idx, True, omega)
-    except NotLogCanonical as e:
+        br = bracket_from_tables(ta, tb)
+        return (idx, True, poisson_coefficient(ta.f, tb.f, _SWEEP["op"], bracket=br))
+    except (NotLogCanonical, ExponentOverflow) as e:
         return (idx, False, str(e))
 
 
@@ -449,16 +509,20 @@ def omega_sweep(
     functions: Sequence[Poly],
     op: RPlusOperator,
     processes: Optional[int] = None,
+    *,
+    tables: Optional[Sequence[Tables]] = None,
 ):
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
-    with ia < ib and failures a list of (ia, ib, reason).
+    with ia < ib and failures a list of (ia, ib, reason), overflows too.
 
     processes defaults to sweep_workers(); it must be at least 1.
+    tables, when given, are the functions' gradient tables for op.
     """
     nproc = processes if processes is not None else sweep_workers()
     if nproc < 1:
         raise ValueError(f"processes must be a positive integer, got {nproc}")
-    tables = [gradient_tables(f, op) for f in functions]
+    if tables is None:
+        tables = [gradient_tables(f, op) for f in functions]
     L = len(functions)
     pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
     if nproc > 1 and len(pairs) >= 32 and hasattr(os, "fork"):
@@ -469,13 +533,13 @@ def omega_sweep(
         with ProcessPoolExecutor(
             nproc,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=_sweep_init,
-            initargs=(tables, list(functions), op, pairs),
+            initializer=_SWEEP.update,
+            initargs=({"tables": tables, "op": op, "pairs": pairs},),
         ) as pool:
             chunk = max(1, len(pairs) // (nproc * 8))
             results = list(pool.map(_sweep_pair, range(len(pairs)), chunksize=chunk))
     else:
-        _sweep_init(tables, list(functions), op, pairs)
+        _SWEEP.update(tables=tables, op=op, pairs=pairs)
         results = [_sweep_pair(i) for i in range(len(pairs))]
         _SWEEP.clear()
     omegas = {}

@@ -97,8 +97,8 @@ class VerificationReport:
 
 
 class Workspace:
-    """Caches the cluster, quiver, operator, and pairwise coefficients
-    for one (pair, mode, fault) so several checks can share them.
+    """Caches the cluster, quiver, operator, tables and coefficients for
+    one (pair, mode, fault) so several checks can share them.
 
     The checks and the CLI pick the structure here: the standard one
     without a pair, else the pair's exotic structure, or its standard
@@ -131,6 +131,7 @@ class Workspace:
         self._quiver: Optional[Quiver] = None
         self._op: Optional[RPlusOperator] = None
         self._omega = None
+        self._tables: dict = {}
 
     @property
     def alpha(self) -> Optional[int]:
@@ -182,13 +183,21 @@ class Workspace:
             self._op = op
         return self._op
 
+    def tables(self, f: Poly, op: RPlusOperator):
+        """The gradient tables of f for op, made once per distinct (f, op)."""
+        key = (op, frozenset(f._d.items()))
+        if key not in self._tables:
+            self._tables[key] = gradient_tables(f, op)
+        return self._tables[key]
+
     def omega(self):
         """(labels, {(ia, ib): omega}, failures) over the cluster label order."""
         if self._omega is None:
             cluster = self.cluster()
             labels = list(cluster.labels)
             funcs = [cluster.functions[lab] for lab in labels]
-            omegas, failures = omega_sweep(funcs, self.op(), processes=self.processes)
+            tables = [self.tables(f, self.op()) for f in funcs]
+            omegas, failures = omega_sweep(funcs, self.op(), processes=self.processes, tables=tables)
             self._omega = (labels, omegas, failures)
         return self._omega
 
@@ -309,15 +318,13 @@ def check_frozen_log_canonical_with_coordinates(ws: Workspace) -> Outcome:
     cluster = ws.cluster()
     op = ws.op()
     idx = range(1, ws.n + 1)
-    coords = [((i, j), cluster.ring.x(i, j)) for i in idx for j in idx]
-    coord_tables = [gradient_tables(g, op) for _, g in coords]
+    coords = [((i, j), ws.tables(cluster.ring.x(i, j), op)) for i in idx for j in idx]
     witnesses = []
     for lab in sorted(cluster.frozen):
-        f = cluster.functions[lab]
-        ft = gradient_tables(f, op)
-        for ((i, j), g), gt in zip(coords, coord_tables):
+        ft = ws.tables(cluster.functions[lab], op)
+        for (i, j), gt in coords:
             try:
-                poisson_coefficient(f, g, op, bracket=bracket_from_tables(ft, gt))
+                poisson_coefficient(ft.f, gt.f, op, bracket=bracket_from_tables(ft, gt))
             except NotLogCanonical as e:
                 witnesses.append(f"frozen {lab} with x[{i},{j}]: {e}")
     return witnesses, {}
@@ -363,7 +370,7 @@ def check_s_omega(ws: Workspace) -> Outcome:
     cluster = standard_cluster(n)
     op = Workspace(triple, standard=True, fault=ws.fault).op()
     funcs = cluster.functions
-    tables = {lab: gradient_tables(funcs[lab], op) for lab in cluster.labels}
+    tables = {lab: ws.tables(funcs[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
     col_labels = [(alpha, n), (alpha + 1, n), (beta, n), (beta + 1, n)]
     signs = (1, -1, -1, 1)
@@ -402,8 +409,8 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     exotic_op = r_plus_operator(ws.triple, standard=False)
     std_op = r_plus_operator(ws.triple, standard=True)
-    exotic = [gradient_tables(f, exotic_op) for f in coords]
-    std = [gradient_tables(f, std_op) for f in coords]
+    exotic = [ws.tables(f, exotic_op) for f in coords]
+    std = [ws.tables(f, std_op) for f in coords]
     witnesses = []
     for ia in range(len(coords)):
         Ff, Fpf = exotic[ia][:2]

@@ -242,6 +242,23 @@ class TestCheck:
         assert out == ""
         assert "error:" in err and "128" in err
 
+    def test_sweep_overflow_is_a_witness(self, capsys, monkeypatch):
+        # The same overflow inside a coefficient sweep belongs to one pair:
+        # check logcanon names both labels and fails instead of stopping.
+        standard = verify.standard_cluster
+
+        def big(n, sl=False):
+            c = standard(n, sl=sl)
+            ring = get_ring(n)
+            x = ring.x(1, 1) ** 64
+            return replace(c, functions={**c.functions, (1, 2): x, (2, 2): x + ring.x(1, 2)})
+
+        monkeypatch.setattr(verify, "standard_cluster", big)
+        rc, out, err = run(capsys, "check", "logcanon", "--n", "2")
+        assert rc == 1
+        assert err == ""
+        assert "  pair ((1, 2), (2, 2)): a product has an exponent of 128 or more in some variable\n" in out
+
     def test_lonely_alpha_rejected(self, capsys):
         rc, _, err = run(capsys, "seed", "--n", "3", "--alpha", "1")
         assert rc == 2

@@ -4,6 +4,7 @@ Every numeric expectation in this file was worked out by hand (or with
 the independent tensor-contraction oracle) before being frozen here.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdcluster import poisson
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
     DualBasis,
@@ -37,6 +39,13 @@ from bdcluster.poisson import (
     verify_cybe,
 )
 from bdcluster.polyring import ExponentOverflow, partial_derivative
+from bdcluster.verify import Workspace
+
+# sha256 of every omega of all ten minimal pairs with n <= 5, one line
+# "n alpha beta ia ib omega" per pair of functions (see
+# test_omega_digest_unchanged).  Recorded before the bracket kernel
+# factored out the tagged diagonal products.
+OMEGA_DIGEST = "0b5461997949400db92c52066ebb6722186e9412ad385765eb7bcbee7bd9d687"
 
 
 def unit(n, i, j):
@@ -291,22 +300,70 @@ class TestSklyaninBracket:
                 assert sklyanin_bracket(f, g, op) == want, (n, pair, std, str(f), str(g))
 
     def test_kernel_stays_integral(self):
-        """On the integer seed functions every table entry and every
-        scaled bracket has int coefficients, for the exotic operator and
-        its standard companion."""
+        """On the integer seed functions every entry of the four table
+        matrices and every scaled bracket has int coefficients, and every
+        diagonal tag is an int or None, for the exotic operator and its
+        standard companion."""
         t = BDTriple(4, 1, 3)
         funcs = list(initial_cluster(t).functions.values())
         for std in (False, True):
             op = r_plus_operator(t, standard=std)
             tables = [gradient_tables(f, op) for f in funcs]
             for table in tables:
-                for mat in table:
+                for mat in (table.F, table.Fp, table.RF, table.RFp):
                     for row in mat:
                         for entry in row:
                             assert all(isinstance(c, int) for c in entry._d.values()), str(entry)
+                for tags in table.tags:
+                    assert all(tag is None or type(tag) is int for tag in tags), tags
+            assert any(type(tag) is int for table in tables for tags in table.tags for tag in tags)
             for ia, ib in [(0, 1), (2, 5), (3, 7), (4, len(funcs) - 1)]:
                 br = bracket_from_tables(tables[ia], tables[ib])
                 assert all(isinstance(c, int) for c in br._d.values()), str(br)
+
+    def test_factored_bracket_equals_plain(self):
+        """bracket_from_tables with every tag stripped to None multiplies
+        every product as it stands; the factored kernel must give the same
+        bracket on every ordered pair of seed functions for n <= 4, for the
+        exotic operator and its standard companion, and on every frozen
+        function against every coordinate."""
+        factored = 0
+        for n in (3, 4):
+            ring = get_ring(n)
+            coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            for a in range(1, n):
+                for b in range(a + 1, n):
+                    cluster = initial_cluster(BDTriple(n, a, b))
+                    funcs = [cluster.functions[lab] for lab in cluster.labels]
+                    frozen = [funcs.index(cluster.functions[lab]) for lab in cluster.frozen]
+                    L = len(funcs)
+                    pairs = [(i, j) for i in range(L) for j in range(L) if i != j]
+                    pairs += [(i, L + k) for i in frozen for k in range(n * n)]
+                    pairs += [(L + k, i) for i in frozen for k in range(n * n)]
+                    for std in (False, True):
+                        op = r_plus_operator(BDTriple(n, a, b), standard=std)
+                        tables = [gradient_tables(f, op) for f in funcs + coords]
+                        for i, j in pairs:
+                            ta, tb = tables[i], tables[j]
+                            got = bracket_from_tables(ta, tb)
+                            want = bracket_from_tables(_untagged(ta), _untagged(tb))
+                            assert got == want, (n, a, b, std, str(ta.f), str(tb.f))
+                            factored += any(t is not None for t in ta.tags[2] + tb.tags[0])
+        # The comparison covered the factored path, not only the plain one.
+        assert factored > 1000
+
+    def test_one_sided_tag_keeps_the_overflow_guard(self):
+        # f = x[1,1]^64 is tagged in column 1, g = x[1,1]^64 + x[1,2] is not,
+        # so the products R_11 G_11 and R'_11 G'_11 go to A.  Their x[1,1]^64
+        # parts cancel there, but multiplied as they stand each product
+        # reaches x[1,1]^128.
+        ring = get_ring(2)
+        f = ring.x(1, 1) ** 64
+        g = f + ring.x(1, 2)
+        ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
+        assert ta.tags[2][0] is not None and tb.tags[0][0] is None
+        with pytest.raises(ExponentOverflow):
+            bracket_from_tables(ta, tb)
 
     def test_kernel_keeps_the_overflow_guard(self):
         # F_11 = 64 x[1,1]^64 for both functions, so one product in the
@@ -322,6 +379,11 @@ class TestSklyaninBracket:
         # x[1,2], reaches x[1,2]^128.
         with pytest.raises(ExponentOverflow):
             gradient_tables(ring.x(1, 1) * ring.x(1, 2) ** 127, self.op)
+
+
+def _untagged(t):
+    """The tables t with every tag None: the bracket multiplies every product."""
+    return t._replace(tags=tuple([None] * len(tags) for tags in t.tags))
 
 
 def _random_poly(rng, ring):
@@ -394,6 +456,27 @@ class TestSweeps:
             for lb in labels:
                 assert w[(la, lb)] == -w[(lb, la)]
 
+    def test_omega_digest_unchanged(self):
+        lines = []
+        for n in (3, 4, 5):
+            for a in range(1, n):
+                for b in range(a + 1, n):
+                    _, omegas, failures = Workspace(BDTriple(n, a, b)).omega()
+                    assert failures == []
+                    lines += [f"{n} {a} {b} {ia} {ib} {w}" for (ia, ib), w in sorted(omegas.items())]
+        assert len(lines) == 2196
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OMEGA_DIGEST
+
+    def test_omega_is_read_without_division(self, monkeypatch):
+        # Log-canonical pairs never reach exact division: omega is read at
+        # the product's leading monomial and checked by comparison.
+        def refuse(p, q):
+            raise AssertionError("exact_divide called on a log-canonical pair")
+
+        monkeypatch.setattr(poisson, "exact_divide", refuse)
+        _, omegas, failures = Workspace(BDTriple(4, 1, 3), processes=1).omega()
+        assert failures == [] and len(omegas) == 16 * 15 // 2
+
     def test_omega_sweep_reports_failures(self):
         ring = get_ring(2)
         op = r_plus_operator(n=2, standard=True)
@@ -401,6 +484,16 @@ class TestSweeps:
         assert omegas == {}
         assert len(failures) == 1
         assert failures[0][:2] == (0, 1)
+
+    def test_overflowing_pair_is_a_failure(self):
+        # x[1,1]^64 against x[1,1]^64 + x[1,2] overflows; the sweep names
+        # that pair and still computes the others.
+        ring = get_ring(2)
+        op = r_plus_operator(n=2, standard=True)
+        big = ring.x(1, 1) ** 64
+        omegas, failures = omega_sweep([ring.x(1, 2), big, big + ring.x(1, 2)], op)
+        assert (1, 2, "a product has an exponent of 128 or more in some variable") in failures
+        assert omegas[(0, 1)] == -32
 
     def test_sweep_workers_env(self, monkeypatch):
         monkeypatch.setenv("BD_CLUSTER_THREADS", "2")

@@ -4,12 +4,23 @@ The heavy sweeps over all pairs and sizes live in the acceptance tests;
 here each check is exercised once on size 3 plus the failure paths.
 """
 
+import hashlib
+
 import pytest
 
+from bdcluster import verify
 from bdcluster.bdseed import BDTriple
 from bdcluster.verify import Fault, Workspace, run_checks
 
 T312 = BDTriple(3, 1, 2)
+
+# sha256 of the logcanon witnesses, joined by newlines, under the
+# drop-phi31-term fault.  Recorded while the coefficient was still read
+# from exact division, which the failure reasons still come from.
+DROPPED_TERM_WITNESSES = {
+    (3, 1, 2): "0bba7ea772dd1748cb0252eaf267a06ee4b237bf4c73d45d5e8ea4515654fdeb",
+    (4, 1, 3): "0f30013bec98474600c219978d7f06268517b983d7de6ffd5cd13c559ce2df97",
+}
 
 
 def one(name, triple=None, **kwargs):
@@ -126,6 +137,12 @@ class TestFaults:
         assert rep.witnesses
         assert any("(3, 1)" in w for w in rep.witnesses)
 
+    @pytest.mark.parametrize("pair", sorted(DROPPED_TERM_WITNESSES), ids=lambda p: "-".join(map(str, p)))
+    def test_dropped_term_witnesses_unchanged(self, pair):
+        rep = one("logcanon", BDTriple(*pair), fault=Fault.DROP_PHI31_TERM)
+        text = "\n".join(rep.witnesses)
+        assert hashlib.sha256(text.encode()).hexdigest() == DROPPED_TERM_WITNESSES[pair], text
+
     def test_zeroed_diagonal_breaks_sums(self):
         rep = one("somega", T312, fault=Fault.ZERO_R0)
         assert not rep.passed
@@ -191,6 +208,21 @@ class TestRunChecks:
             run_checks(["somega"], n=3)
         with pytest.raises(ValueError, match="needs a pair"):
             run_checks(["bracketdiff"], n=3)
+
+    def test_each_table_is_made_once(self, monkeypatch):
+        # The checks share the workspace's tables: frozen reuses the
+        # sweep's, and frozen and bracketdiff share the coordinates'.
+        made = []
+        real = verify.gradient_tables
+
+        def counted(f, op):
+            made.append((op, frozenset(f._d.items())))
+            return real(f, op)
+
+        monkeypatch.setattr(verify, "gradient_tables", counted)
+        reports = run_checks(["all"], triple=BDTriple(4, 1, 3), processes=1)
+        assert all(r.passed for r in reports)
+        assert len(made) == len(set(made))
 
     def test_fault_propagates(self):
         reports = run_checks(["logcanon"], triple=T312, fault=Fault.DROP_PHI31_TERM)
