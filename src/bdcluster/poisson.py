@@ -33,14 +33,14 @@ come from one pass over the terms of f (polymat._replacement_tables).
 
 The only denominators in R_+ are the n of each hhat pairing and the n
 of each hhat entry, so n^2 R_+ maps integer matrices to integer
-matrices.  The bracket path works in that scale: gradient_tables
-stores n^2 R_+(F) and n^2 R_+(F') and tags the diagonal entries that
-are integer multiples of f (_tag), bracket_from_tables returns the
-integer pairing n^2 {f, g}, and poisson_coefficient reads n^2 omega at
-the leading monomial of f g, making the one Fraction per pair.  r_plus,
-sklyanin_bracket and unscale remove the n^2 for callers that need R_+
-or {f, g} itself.  R_+ has one implementation, the scaled core behind
-r_plus and the tables.  r_plus_oracle contracts the explicit tensor of
+matrices.  bracket_from_tables returns the integer pairing n^2 {f, g}:
+the diagonal of R_+ pairs with G as one bilinear form in the degree
+classes of f and g, and the rest pairs table entries directly, so no
+R_+ of a table is stored.  poisson_coefficient reads n^2 omega at the
+leading monomial of f g, making the one Fraction per pair; r_plus,
+sklyanin_bracket and unscale remove the n^2.  RPlusOperator holds R_+
+as one diagonal matrix and one off-diagonal entry list, read by r_plus
+and the bracket alike.  r_plus_oracle contracts the explicit tensor of
 r against a matrix; the two are kept as separate code paths on purpose
 and checked against each other.
 """
@@ -53,7 +53,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import mul, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bdseed import BDTriple
@@ -142,6 +142,18 @@ class RPlusOperator:
             tuple(sum(s(k, q) * c[p - 1][q - 1] * s(l, p) for p in r for q in r) for l in idx) for k in idx
         )
 
+    @cached_property
+    def off_diagonal(self) -> Tuple[Tuple[int, Tuple[int, int], Tuple[int, int]], ...]:
+        """(coefficient, source, target) with n^2 R_+(mat)[target] +=
+        coefficient * mat[source], 0-based: the strict upper part times
+        n^2, then the wedge."""
+        n, nn = self.n, self.n * self.n
+        out = [(nn, (i, j), (i, j)) for i in range(n) for j in range(i + 1, n)]
+        if self.wedge_active:
+            a, b = self.alpha, self.beta
+            out += [(nn, (a - 1, a), (b - 1, b)), (-nn, (b, b - 1), (a, a - 1))]
+        return tuple(out)
+
 
 def r_plus_operator(
     triple: Optional[BDTriple] = None,
@@ -170,56 +182,6 @@ def r_plus_operator(
     )
 
 
-def _combine(terms, zero):
-    """sum of k * v over terms (k, v), polynomials in one dict."""
-    if not isinstance(zero, Poly):
-        return sum((v * k for k, v in terms), zero)
-    acc: dict = {}
-    for k, v in terms:
-        for m, c in v._d.items():
-            acc[m] = acc.get(m, 0) + k * c
-    return Poly(zero.ring, {m: c for m, c in acc.items() if c})
-
-
-def _tag(degrees, weights) -> Optional[int]:
-    """t when sum_l weights[l] F_ll (or F'_ll) is t f, else None: F_bb sums
-    f's terms, each times its degree in column b (Euler), so this holds
-    when every column (or row) degree vector v in degrees has sum_l
-    weights[l] v[l] = t."""
-    values = {sum(w * v[l] for l, w in enumerate(weights) if w) for v in degrees}
-    return None if len(values) > 1 else values.pop() if values else 0
-
-
-def _scaled_r_plus(op: RPlusOperator, mat: Sequence[Sequence], rho=None, multiples=None) -> List[List]:
-    """n^2 R_+(mat), with integer coefficients on an integer matrix.
-
-    <hhat_p, mat> is sum_k s(k, p) mat_kk / n and the entries of hhat_q
-    are s(k, q) / n, so the diagonal is sum_l M_kl mat_ll with M =
-    op.diagonal; the strict upper and wedge parts are scaled to match.
-    A diagonal entry tagged rho[k] = t is t f from multiples = {1: f, ...},
-    shared by f's tables; any other is summed in one dict.
-    """
-    n = op.n
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise ValueError(f"matrix must be {n}x{n}")
-    nn = n * n
-    zero = mat[0][0] * 0
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i][j] = mat[i][j] * nn
-    for k, row in enumerate(op.diagonal):
-        if rho and rho[k] is not None:
-            out[k][k] = multiples.setdefault(rho[k], multiples[1] * rho[k])
-        else:
-            out[k][k] = _combine([(mkl, mat[l][l]) for l, mkl in enumerate(row) if mkl], zero)
-    if op.wedge_active:
-        a, b = op.alpha, op.beta
-        out[b - 1][b] = out[b - 1][b] + mat[a - 1][a] * nn
-        out[a][a - 1] = out[a][a - 1] - mat[b][b - 1] * nn
-    return out
-
-
 def unscale(x, n: int):
     """x / n^2 for a scalar or a polynomial, integral coefficients as ints:
     R_+ from n^2 R_+, or {f, g} from the pairing of bracket_from_tables."""
@@ -230,8 +192,22 @@ def unscale(x, n: int):
 
 
 def r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
-    """Apply R_+ to an n-by-n matrix with rational or polynomial entries."""
-    return [[unscale(v, op.n) for v in row] for row in _scaled_r_plus(op, mat)]
+    """Apply R_+ to an n-by-n matrix with rational or polynomial entries.
+
+    <hhat_p, mat> is sum_k s(k, p) mat_kk / n and the entries of hhat_q
+    are s(k, q) / n, so n^2 R_+(mat) has diagonal sum_l M_kl mat_ll with
+    M = op.diagonal, and op.off_diagonal holds the rest.
+    """
+    n = op.n
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError(f"matrix must be {n}x{n}")
+    zero = mat[0][0] * 0
+    out = [[zero for _ in range(n)] for _ in range(n)]
+    for k, row in enumerate(op.diagonal):
+        out[k][k] = sum((mat[l][l] * mkl for l, mkl in enumerate(row) if mkl), zero)
+    for co, (si, sj), (ti, tj) in op.off_diagonal:
+        out[ti][tj] = out[ti][tj] + mat[si][sj] * co
+    return [[unscale(v, n) for v in row] for row in out]
 
 
 def build_r_tensor(
@@ -363,68 +339,58 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 # Sklyanin bracket
 
 
-Tables = namedtuple("Tables", "F Fp RF RFp f tags")
+Tables = namedtuple("Tables", "F Fp f classes top op")
 
 
 def gradient_tables(f: Poly, op: RPlusOperator) -> Tables:
     """The tables of f for op from one pass over f's terms: F_ij =
-    col_replace(f, i, j), F'_ij = row_replace(f, j, i), RF = n^2 R_+(F),
-    RFp = n^2 R_+(F'), f, and tags (cols, rows, rho, rho_p), tags[m][k]
-    being t when entry kk of the m-th matrix is t f, else None.  All are
-    ints when f has int coefficients."""
-    F, Fp, cols, rows = _replacement_tables(f)
-    weights = ([[int(k == l) for l in range(op.n)] for k in range(op.n)],) * 2 + (op.diagonal,) * 2
-    tags = tuple([_tag(d, w) for w in ws] for d, ws in zip((cols, rows) * 2, weights))
-    multiples = {1: f}
-    for T, tag in zip((F, Fp), tags):
-        for k, t in enumerate(tag):
-            if t is not None:
-                T[k][k] = multiples.setdefault(t, f * t)
-    RF, RFp = (_scaled_r_plus(op, T, rho, multiples) for T, rho in zip((F, Fp), tags[2:]))
-    return Tables(F, Fp, RF, RFp, f, tags)
+    col_replace(f, i, j), F'_ij = row_replace(f, j, i), f, its degree
+    classes {(column degrees, row degrees): part of f}, the packed key of
+    its maximum exponents, and op.  All coefficients are ints when f's
+    are."""
+    F, Fp, classes, top = _replacement_tables(f)
+    return Tables(F, Fp, f, classes, top, op)
 
 
 def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
     """n^2 {f, g} = <n^2 R_+(F), G> - <n^2 R_+(F'), G'> from the tables of
-    f and g for one operator, in one dict of packed monomials.  A diagonal
-    product RF_kk G_kk = rho_k f delta_k g adds rho_k delta_k to lam; with
-    only RF_kk (G_kk) tagged it adds rho_k G_kk (delta_k RF_kk) to A (B).
-    f A + g B + lam f g is added last."""
-    f, g = ta.f, tb.f
+    f and g for one operator, in one dict of packed monomials.
+
+    F_ll is the sum of f's terms, each times its degree in column l
+    (Euler; F'_ll likewise with rows), so with M = op.diagonal the
+    diagonal of the pairing is sum_{c,d} w(c, d) f_c g_d over the degree
+    classes c of f and d of g, w(c, d) = col(d) M col(c) - row(d) M
+    row(c).  Each entry (co, s, t) of op.off_diagonal adds co F_s G_t'
+    with t' = t transposed, and subtracts co F'_s G'_t'.
+    """
+    f, op = ta.f, ta.op
     ring = f.ring
     himask = ring._himask
-    # A factored product never reaches acc and its exponent guard, so it is
-    # factored only if its factors' key ORs (each byte bounding that
-    # exponent, below 0x80) add up with no high bit.
-    of, og = reduce(or_, f._d, 0), reduce(or_, g._d, 0)
-    lam, fa, gb, products = 0, [], [], []
-    sides = ((ta.RF, tb.F, ta.tags[2], tb.tags[0], 1), (ta.RFp, tb.Fp, ta.tags[3], tb.tags[1], -1))
-    for R, H, rho, delta, sign in sides:
-        for i in range(ring.n):
-            for j in range(ring.n):
-                a, b = R[i][j]._d, H[j][i]._d
-                if not (a and b):
-                    continue
-                if i == j:
-                    r, d = rho[i], delta[i]
-                    if r is not None and d is not None and not (of + og) & himask:
-                        lam += sign * r * d
-                        continue
-                    if d is None and r is not None and not (of + reduce(or_, b, 0)) & himask:
-                        fa.append((sign * r, H[i][i]))
-                        continue
-                    if r is None and d is not None and not (reduce(or_, a, 0) + og) & himask:
-                        gb.append((sign * d, R[i][i]))
-                        continue
-                products.append((a, b, sign))
-    products += [(f._d, _combine(fa, ring.zero)._d, 1), (g._d, _combine(gb, ring.zero)._d, 1)]
-    products.append((f._d, g._d, lam))
+    # A class pair of weight 0 never reaches acc and its exponent guard, so
+    # f g is guarded as a whole: each byte of top is below 0x80, so an
+    # exponent of 128 in the product shows as a set high bit.
+    if (ta.top + tb.top) & himask:
+        raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+    M = op.diagonal
+    products = []
+    for (cf, rf), part_f in ta.classes.items():
+        mc = [sum(mk * e for mk, e in zip(row, cf)) for row in M]
+        mr = [sum(mk * e for mk, e in zip(row, rf)) for row in M]
+        for (cg, rg), part_g in tb.classes.items():
+            w = sum(map(mul, cg, mc)) - sum(map(mul, rg, mr))
+            if w:
+                products.append((part_f, part_g, w))
+    for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
+        for co, (si, sj), (ti, tj) in op.off_diagonal:
+            a, b = R[si][sj]._d, H[tj][ti]._d
+            if a and b:
+                products.append((a, b, sign * co))
     acc: dict = {}
     get = acc.get
     for a, b, scale in products:
         if len(a) < len(b):
             a, b = b, a
-        for mb, cb in b.items() if scale else ():
+        for mb, cb in b.items():
             cb = scale * cb
             for ma, ca in a.items():
                 k = ma + mb

@@ -201,8 +201,10 @@ def build_Mtilde_shift(
 
 def _replacement_tables(f: Poly):
     """F and F' of f from one pass over its terms, with 1-based
-    F[i][j] = col_replace(f, i, j) and F'[i][j] = row_replace(f, j, i),
-    and the sets of the terms' column and row degree vectors.
+    F[i][j] = col_replace(f, i, j) and F'[i][j] = row_replace(f, j, i);
+    f's degree classes {(column degrees, row degrees): {monomial:
+    coefficient}}; and the packed key of f's maximum exponent in each
+    variable.
 
     A term c*m holding x[a,b]^e differentiates to c*e*m/x[a,b], so it
     adds c*e*m*x[a,t]/x[a,b] to F[b][t] and c*e*m*x[t,b]/x[a,b] to
@@ -219,11 +221,12 @@ def _replacement_tables(f: Poly):
     # Fp_t[a][t] accumulates F'[t][a].
     Fp_t = [[{} for _ in range(n)] for _ in range(n)]
     y_bits = (ring.nvars - nn) * 8
-    cols, rows = set(), set()
+    classes: dict = {}
     for m, c in f._d.items():
         exps = (m >> y_bits).to_bytes(nn, "big")
-        cols.add(tuple(sum(exps[b::n]) for b in range(n)))
-        rows.add(tuple(sum(exps[a * n : a * n + n]) for a in range(n)))
+        cdeg = tuple(sum(exps[b::n]) for b in range(n))
+        rdeg = tuple(sum(exps[a * n : a * n + n]) for a in range(n))
+        classes.setdefault((cdeg, rdeg), {})[m] = c
         for k, e in enumerate(exps):
             if not e:
                 continue
@@ -242,10 +245,11 @@ def _replacement_tables(f: Poly):
     tables = (F, [list(col) for col in zip(*Fp_t)])
     if any(key & himask for T in tables for row in T for acc in row for key in acc):
         raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+    top = int.from_bytes(bytes(map(max, zip(*(m.to_bytes(ring.nvars, "big") for m in f._d)))), "big")
     return *(
         [[Poly(ring, {k: v for k, v in acc.items() if v}) for acc in row] for row in T]
         for T in tables
-    ), cols, rows
+    ), classes, top
 
 
 def col_replace(f: Poly, i: int, j: int) -> Poly:

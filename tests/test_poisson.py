@@ -47,6 +47,12 @@ from bdcluster.verify import Workspace
 # factored out the tagged diagonal products.
 OMEGA_DIGEST = "0b5461997949400db92c52066ebb6722186e9412ad385765eb7bcbee7bd9d687"
 
+# sha256 of 2,652 scaled brackets, one line "n alpha beta std i j bracket"
+# per pair of tables (see test_bracket_digest_unchanged).  Recorded with
+# the tagged-diagonal kernel, before the diagonal became one bilinear form
+# in the degree classes.
+BRACKET_DIGEST = "abcb7b2c2bb850b2e6883c4128fdfe2a4b430ca3f3a2fed447e76c9c3e4878a1"
+
 
 def unit(n, i, j):
     """The elementary matrix e_ij over Fractions."""
@@ -300,34 +306,34 @@ class TestSklyaninBracket:
                 assert sklyanin_bracket(f, g, op) == want, (n, pair, std, str(f), str(g))
 
     def test_kernel_stays_integral(self):
-        """On the integer seed functions every entry of the four table
-        matrices and every scaled bracket has int coefficients, and every
-        diagonal tag is an int or None, for the exotic operator and its
-        standard companion."""
+        """On the integer seed functions every entry of F and F', every
+        degree-class part and every scaled bracket has int coefficients,
+        for the exotic operator and its standard companion; the class
+        parts split f."""
         t = BDTriple(4, 1, 3)
         funcs = list(initial_cluster(t).functions.values())
         for std in (False, True):
             op = r_plus_operator(t, standard=std)
             tables = [gradient_tables(f, op) for f in funcs]
             for table in tables:
-                for mat in (table.F, table.Fp, table.RF, table.RFp):
+                for mat in (table.F, table.Fp):
                     for row in mat:
                         for entry in row:
                             assert all(isinstance(c, int) for c in entry._d.values()), str(entry)
-                for tags in table.tags:
-                    assert all(tag is None or type(tag) is int for tag in tags), tags
-            assert any(type(tag) is int for table in tables for tags in table.tags for tag in tags)
+                for part in table.classes.values():
+                    assert all(isinstance(c, int) for c in part.values()), part
+                parts = [m for part in table.classes.values() for m in part]
+                assert sorted(parts) == sorted(table.f._d), str(table.f)
             for ia, ib in [(0, 1), (2, 5), (3, 7), (4, len(funcs) - 1)]:
                 br = bracket_from_tables(tables[ia], tables[ib])
                 assert all(isinstance(c, int) for c in br._d.values()), str(br)
 
-    def test_factored_bracket_equals_plain(self):
-        """bracket_from_tables with every tag stripped to None multiplies
-        every product as it stands; the factored kernel must give the same
-        bracket on every ordered pair of seed functions for n <= 4, for the
-        exotic operator and its standard companion, and on every frozen
-        function against every coordinate."""
-        factored = 0
+    def test_bracket_digest_unchanged(self):
+        """Every ordered pair of seed functions for n <= 4, for the exotic
+        operator and its standard companion, and every frozen function
+        against every coordinate both ways: the scaled brackets hash to
+        BRACKET_DIGEST."""
+        lines = []
         for n in (3, 4):
             ring = get_ring(n)
             coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -342,28 +348,34 @@ class TestSklyaninBracket:
                     pairs += [(L + k, i) for i in frozen for k in range(n * n)]
                     for std in (False, True):
                         op = r_plus_operator(BDTriple(n, a, b), standard=std)
-                        tables = [gradient_tables(f, op) for f in funcs + coords]
-                        for i, j in pairs:
-                            ta, tb = tables[i], tables[j]
-                            got = bracket_from_tables(ta, tb)
-                            want = bracket_from_tables(_untagged(ta), _untagged(tb))
-                            assert got == want, (n, a, b, std, str(ta.f), str(tb.f))
-                            factored += any(t is not None for t in ta.tags[2] + tb.tags[0])
-        # The comparison covered the factored path, not only the plain one.
-        assert factored > 1000
+                        t = [gradient_tables(f, op) for f in funcs + coords]
+                        lines += [
+                            f"{n} {a} {b} {int(std)} {i} {j} {bracket_from_tables(t[i], t[j])}"
+                            for i, j in pairs
+                        ]
+        assert len(lines) == 2652
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BRACKET_DIGEST
 
-    def test_one_sided_tag_keeps_the_overflow_guard(self):
-        # f = x[1,1]^64 is tagged in column 1, g = x[1,1]^64 + x[1,2] is not,
-        # so the products R_11 G_11 and R'_11 G'_11 go to A.  Their x[1,1]^64
-        # parts cancel there, but multiplied as they stand each product
-        # reaches x[1,1]^128.
+    def test_weight_zero_class_pair_keeps_the_overflow_guard(self):
+        # f = x[1,1]^64 and the x[1,1]^64 class of g = x[1,1]^64 + x[1,2]
+        # have equal column and row degrees, so their class pair has weight
+        # 0 and is never multiplied; f g still reaches x[1,1]^128.
         ring = get_ring(2)
         f = ring.x(1, 1) ** 64
         g = f + ring.x(1, 2)
         ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
-        assert ta.tags[2][0] is not None and tb.tags[0][0] is None
+        assert list(ta.classes) == [((64, 0), (64, 0))] and ((64, 0), (64, 0)) in tb.classes
         with pytest.raises(ExponentOverflow):
             bracket_from_tables(ta, tb)
+
+    def test_overflow_guard_reads_max_exponents(self):
+        # The ORs of f's keys hold 64 | 63 = 0x7F in x[1,1], and with g's
+        # 0x01 they would reach the high bit; the largest exponents add
+        # up to 65 only.
+        ring = get_ring(2)
+        x11, x12 = ring.x(1, 1), ring.x(1, 2)
+        got = sklyanin_bracket(x11**64 + x11**63, x11 * x12, self.op)
+        assert got == 32 * x11**65 * x12 + Fraction(63, 2) * x11**64 * x12
 
     def test_kernel_keeps_the_overflow_guard(self):
         # F_11 = 64 x[1,1]^64 for both functions, so one product in the
@@ -379,11 +391,6 @@ class TestSklyaninBracket:
         # x[1,2], reaches x[1,2]^128.
         with pytest.raises(ExponentOverflow):
             gradient_tables(ring.x(1, 1) * ring.x(1, 2) ** 127, self.op)
-
-
-def _untagged(t):
-    """The tables t with every tag None: the bracket multiplies every product."""
-    return t._replace(tags=tuple([None] * len(tags) for tags in t.tags))
 
 
 def _random_poly(rng, ring):
@@ -584,6 +591,16 @@ def test_bracket_antisymmetric(f, g):
 def test_bracket_leibniz(f, g, h):
     lhs = sklyanin_bracket(f, g * h, OP2)
     rhs = sklyanin_bracket(f, g, OP2) * h + g * sklyanin_bracket(f, h, OP2)
+    assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_poly(R3), small_poly(R3), small_poly(R3))
+def test_bracket_leibniz_exotic(f, g, h):
+    # g h mixes the degree classes of g and h, so the diagonal pairs
+    # classes that neither factor has on its own.
+    lhs = sklyanin_bracket(f, g * h, OP3)
+    rhs = sklyanin_bracket(f, g, OP3) * h + g * sklyanin_bracket(f, h, OP3)
     assert lhs == rhs
 
 
