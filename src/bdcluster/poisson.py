@@ -36,13 +36,19 @@ of each hhat entry, so n^2 R_+ maps integer matrices to integer
 matrices.  bracket_from_tables returns the integer pairing n^2 {f, g}:
 the diagonal of R_+ pairs with G as one bilinear form in the degree
 classes of f and g, and the rest pairs table entries directly, so no
-R_+ of a table is stored.  poisson_coefficient reads n^2 omega at the
-leading monomial of f g, making the one Fraction per pair; r_plus,
-sklyanin_bracket and unscale remove the n^2.  RPlusOperator holds R_+
-as one diagonal matrix and one off-diagonal entry list, read by r_plus
-and the bracket alike.  r_plus_oracle contracts the explicit tensor of
-r against a matrix; the two are kept as separate code paths on purpose
-and checked against each other.
+R_+ of a table is stored.  coefficient_from_tables tests {f, g} =
+omega f g in one integer accumulation of lc n^2 {f, g} - W f g, with W
+the bracket's coefficient at the leading monomial of f g and lc that
+monomial's coefficient, so a log-canonical pair forms neither the
+bracket nor f g and makes one Fraction, omega = W / (lc n^2); a pair
+that fails goes to exact division for its witness.  omega_sweep runs
+it over all pairs, forking a pool only for sweeps of at least
+POOL_MIN_PRODUCTS term products.  r_plus, sklyanin_bracket and unscale
+remove the n^2.  RPlusOperator holds R_+ as one diagonal matrix and one
+off-diagonal entry list, read by r_plus and the bracket alike.
+r_plus_oracle contracts the explicit tensor of r against a matrix; the
+two are kept as separate code paths on purpose and checked against
+each other.
 """
 
 from __future__ import annotations
@@ -352,42 +358,50 @@ def gradient_tables(f: Poly, op: RPlusOperator) -> Tables:
     return Tables(F, Fp, f, classes, top, op)
 
 
-def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
-    """n^2 {f, g} = <n^2 R_+(F), G> - <n^2 R_+(F'), G'> from the tables of
-    f and g for one operator, in one dict of packed monomials.
+def _pairing(ta: Tables, tb: Tables):
+    """The products whose sum is n^2 {f, g} = <n^2 R_+(F), G> - <n^2
+    R_+(F'), G'>, as (diagonal, off_diagonal) lists of (terms, terms,
+    weight).
 
     F_ll is the sum of f's terms, each times its degree in column l
     (Euler; F'_ll likewise with rows), so with M = op.diagonal the
     diagonal of the pairing is sum_{c,d} w(c, d) f_c g_d over the degree
     classes c of f and d of g, w(c, d) = col(d) M col(c) - row(d) M
-    row(c).  Each entry (co, s, t) of op.off_diagonal adds co F_s G_t'
-    with t' = t transposed, and subtracts co F'_s G'_t'.
+    row(c); every class pair is listed, weight 0 included.  Each entry
+    (co, s, t) of op.off_diagonal adds co F_s G_t' with t' = t
+    transposed, and subtracts co F'_s G'_t'.
     """
-    f, op = ta.f, ta.op
-    ring = f.ring
-    himask = ring._himask
-    # A class pair of weight 0 never reaches acc and its exponent guard, so
-    # f g is guarded as a whole: each byte of top is below 0x80, so an
-    # exponent of 128 in the product shows as a set high bit.
-    if (ta.top + tb.top) & himask:
+    # A class pair of weight 0 never reaches the accumulator and its
+    # exponent guard, so f g is guarded as a whole: each byte of top is
+    # below 0x80, so an exponent of 128 in the product shows as a set
+    # high bit.
+    if (ta.top + tb.top) & ta.f.ring._himask:
         raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+    op = ta.op
     M = op.diagonal
-    products = []
+    diagonal = []
     for (cf, rf), part_f in ta.classes.items():
         mc = [sum(mk * e for mk, e in zip(row, cf)) for row in M]
         mr = [sum(mk * e for mk, e in zip(row, rf)) for row in M]
         for (cg, rg), part_g in tb.classes.items():
-            w = sum(map(mul, cg, mc)) - sum(map(mul, rg, mr))
-            if w:
-                products.append((part_f, part_g, w))
+            diagonal.append((part_f, part_g, sum(map(mul, cg, mc)) - sum(map(mul, rg, mr))))
+    off_diagonal = []
     for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
         for co, (si, sj), (ti, tj) in op.off_diagonal:
             a, b = R[si][sj]._d, H[tj][ti]._d
             if a and b:
-                products.append((a, b, sign * co))
+                off_diagonal.append((a, b, sign * co))
+    return diagonal, off_diagonal
+
+
+def _accumulate(products, himask: int) -> dict:
+    """sum of weight * a * b over (a, b, weight) in products, skipping
+    weight 0, as one dict of packed monomials; zero sums stay in."""
     acc: dict = {}
     get = acc.get
     for a, b, scale in products:
+        if not scale:
+            continue
         if len(a) < len(b):
             a, b = b, a
         for mb, cb in b.items():
@@ -399,12 +413,59 @@ def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
     # 128 shows as a set high bit, on any key, even one whose sum cancelled.
     if reduce(or_, acc, 0) & himask:
         raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+    return acc
+
+
+def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
+    """n^2 {f, g} from the tables of f and g for one operator (_pairing),
+    in one dict of packed monomials."""
+    ring = ta.f.ring
+    diagonal, off_diagonal = _pairing(ta, tb)
+    acc = _accumulate(diagonal + off_diagonal, ring._himask)
     return Poly(ring, {m: c for m, c in acc.items() if c})
 
 
 def sklyanin_bracket(f: Poly, g: Poly, op: RPlusOperator) -> Poly:
     """The Poisson bracket {f, g} for the operator's r-matrix."""
     return unscale(bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op)), op.n)
+
+
+def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
+    """The scalar omega with {f, g} = omega * f * g, from the tables of f
+    and g for one operator, without forming the bracket or f g.
+
+    With L = lead f + lead g and lc = lc(f) lc(g), W is the coefficient
+    of n^2 {f, g} at L, so log-canonicity is lc n^2 {f, g} - W f g = 0.
+    Both terms expand over the same products: f g is the sum of f_c g_d
+    over every class pair, so the pair (c, d) carries the weight
+    lc w(c, d) - W, and each off-diagonal product of _pairing carries lc
+    times its coefficient.  One dict accumulates them all;
+    omega = W / (lc n^2) when every sum is 0.  Otherwise the pair fails
+    with the reason that exact division of the bracket by f g gives.
+    """
+    f, g, op = ta.f, tb.f, ta.op
+    diagonal, off_diagonal = _pairing(ta, tb)
+    if not f._d or not g._d:
+        return Fraction(0)
+    lf, lg = max(f._d), max(g._d)
+    L, lc = lf + lg, f._d[lf] * g._d[lg]
+    # Only lead f times lead g reaches L in f g, so on the diagonal W
+    # comes from the class pair of the two leading terms alone.
+    W = lc * next(w for a, b, w in diagonal if lf in a and lg in b)
+    for a, b, co in off_diagonal:
+        if len(a) < len(b):
+            a, b = b, a
+        # Packed keys add without carry, so a hit at L - m is exactly one
+        # factorization of L.
+        W += co * sum(a.get(L - mb, 0) * cb for mb, cb in b.items())
+    acc = _accumulate(
+        [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal],
+        f.ring._himask,
+    )
+    if any(acc.values()):
+        # Not log-canonical: exact division raises with the witness.
+        return poisson_coefficient(f, g, op, bracket=bracket_from_tables(ta, tb))
+    return Fraction(W, lc * op.n * op.n)
 
 
 def poisson_coefficient(
@@ -415,24 +476,18 @@ def poisson_coefficient(
 ) -> Fraction:
     """The scalar omega with {f, g} = omega * f * g.
 
-    bracket, when given, is the scaled pairing n^2 {f, g} from
-    bracket_from_tables.  n^2 omega is read at the leading monomial of
-    f g, lead f + lead g.  Raises NotLogCanonical when the bracket is not
-    that multiple of f g, with exact division's remainder as witness.
+    Without bracket this is coefficient_from_tables on the tables of f
+    and g.  bracket, when given, is the scaled pairing n^2 {f, g} from
+    bracket_from_tables, and omega is its exact quotient by f g.  Raises
+    NotLogCanonical when the bracket is not a constant multiple of f g,
+    with exact division's remainder as witness.
     """
     if bracket is None:
-        bracket = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
+        return coefficient_from_tables(gradient_tables(f, op), gradient_tables(g, op))
     if not bracket:
         return Fraction(0)
-    fg = f * g
-    if fg:
-        lf, lg = max(f._d), max(g._d)
-        lc, w = f._d[lf] * g._d[lg], bracket._d.get(lf + lg, 0)
-        # bracket * lc == w * f g, compared without division.
-        if {m: c * lc for m, c in bracket._d.items()} == {m: c * w for m, c in fg._d.items()}:
-            return Fraction(w, lc * op.n * op.n)
     try:
-        quo = exact_divide(bracket, fg)._d
+        quo = exact_divide(bracket, f * g)._d
     except NotDivisible as e:
         raise NotLogCanonical(f"bracket is not divisible by the product: {e}") from None
     if len(quo) != 1 or 0 not in quo:
@@ -445,15 +500,34 @@ def poisson_coefficient(
 
 _SWEEP: dict = {}
 
+# A sweep forks its pool only when its pairs together take at least this
+# many term products (pair_products).  On a 2-CPU host a two-worker pool
+# costs 10-35 ms to start and drain, while in-process the sweeps run about
+# 3 million products a second: the pool lost on the n = 5 sweeps of
+# 109,000-126,000 products and won on those of 431,000 and more.
+POOL_MIN_PRODUCTS = 250_000
+
 
 def _sweep_pair(idx: int):
     ia, ib = _SWEEP["pairs"][idx]
-    ta, tb = _SWEEP["tables"][ia], _SWEEP["tables"][ib]
     try:
-        br = bracket_from_tables(ta, tb)
-        return (idx, True, poisson_coefficient(ta.f, tb.f, _SWEEP["op"], bracket=br))
+        return (idx, True, coefficient_from_tables(_SWEEP["tables"][ia], _SWEEP["tables"][ib]))
     except (NotLogCanonical, ExponentOverflow) as e:
         return (idx, False, str(e))
+
+
+def _sweep_task(idxs: List[int]):
+    return [_sweep_pair(idx) for idx in idxs]
+
+
+def pair_products(ta: Tables, tb: Tables) -> int:
+    """An upper bound on the term products of coefficient_from_tables:
+    |f| |g| on the diagonal plus |F_s| |G_t'| + |F'_s| |G'_t'| for each
+    off-diagonal entry of the operator."""
+    total = len(ta.f) * len(tb.f)
+    for _, (si, sj), (ti, tj) in ta.op.off_diagonal:
+        total += len(ta.F[si][sj]) * len(tb.F[tj][ti]) + len(ta.Fp[si][sj]) * len(tb.Fp[tj][ti])
+    return total
 
 
 def sweep_workers() -> int:
@@ -491,7 +565,8 @@ def omega_sweep(
         tables = [gradient_tables(f, op) for f in functions]
     L = len(functions)
     pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
-    if nproc > 1 and len(pairs) >= 32 and hasattr(os, "fork"):
+    cost = [pair_products(tables[ia], tables[ib]) for ia, ib in pairs] if nproc > 1 else []
+    if nproc > 1 and sum(cost) >= POOL_MIN_PRODUCTS and hasattr(os, "fork"):
         # Imported here, as at module level it slows every start-up.  Forked
         # workers inherit the tables; a dead one raises BrokenProcessPool.
         from concurrent.futures import ProcessPoolExecutor
@@ -500,12 +575,22 @@ def omega_sweep(
             nproc,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_SWEEP.update,
-            initargs=({"tables": tables, "op": op, "pairs": pairs},),
+            initargs=({"tables": tables, "pairs": pairs},),
         ) as pool:
-            chunk = max(1, len(pairs) // (nproc * 8))
-            results = list(pool.map(_sweep_pair, range(len(pairs)), chunksize=chunk))
+            # Heaviest first, so the heaviest pair starts at once.  A task
+            # closes once it holds 1/16 of a worker's share of the products:
+            # a heavy pair runs alone, and light pairs share one round trip.
+            share = sum(cost) / (nproc * 16)
+            tasks, load = [[]], 0
+            for idx in sorted(range(len(pairs)), key=cost.__getitem__, reverse=True):
+                if load >= share:
+                    tasks.append([])
+                    load = 0
+                tasks[-1].append(idx)
+                load += cost[idx]
+            results = [r for done in pool.map(_sweep_task, tasks, chunksize=1) for r in done]
     else:
-        _SWEEP.update(tables=tables, op=op, pairs=pairs)
+        _SWEEP.update(tables=tables, pairs=pairs)
         results = [_sweep_pair(i) for i in range(len(pairs))]
         _SWEEP.clear()
     omegas = {}

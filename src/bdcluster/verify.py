@@ -34,9 +34,9 @@ from .poisson import (
     RPlusOperator,
     build_r_tensor,
     bracket_from_tables,
+    coefficient_from_tables,
     gradient_tables,
     omega_sweep,
-    poisson_coefficient,
     r_plus,
     r_plus_operator,
     r_plus_oracle,
@@ -324,7 +324,7 @@ def check_frozen_log_canonical_with_coordinates(ws: Workspace) -> Outcome:
         ft = ws.tables(cluster.functions[lab], op)
         for (i, j), gt in coords:
             try:
-                poisson_coefficient(ft.f, gt.f, op, bracket=bracket_from_tables(ft, gt))
+                coefficient_from_tables(ft, gt)
             except NotLogCanonical as e:
                 witnesses.append(f"frozen {lab} with x[{i},{j}]: {e}")
     return witnesses, {}
@@ -369,8 +369,7 @@ def check_s_omega(ws: Workspace) -> Outcome:
     n, alpha, beta = triple.n, triple.alpha, triple.beta
     cluster = standard_cluster(n)
     op = Workspace(triple, standard=True, fault=ws.fault).op()
-    funcs = cluster.functions
-    tables = {lab: ws.tables(funcs[lab], op) for lab in cluster.labels}
+    tables = {lab: ws.tables(cluster.functions[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
     col_labels = [(alpha, n), (alpha + 1, n), (beta, n), (beta + 1, n)]
     signs = (1, -1, -1, 1)
@@ -384,8 +383,7 @@ def check_s_omega(ws: Workspace) -> Outcome:
             try:
                 for sgn, c in zip(signs, corners):
                     a, b = (c, lab) if kind == "row" else (lab, c)
-                    br = bracket_from_tables(tables[a], tables[b])
-                    s += sgn * poisson_coefficient(funcs[a], funcs[b], op, bracket=br)
+                    s += sgn * coefficient_from_tables(tables[a], tables[b])
             except NotLogCanonical as e:
                 witnesses.append(f"{kind} sum at {lab}: {e}")
                 continue

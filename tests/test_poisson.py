@@ -4,6 +4,7 @@ Every numeric expectation in this file was worked out by hand (or with
 the independent tensor-contraction oracle) before being frozen here.
 """
 
+import concurrent.futures
 import hashlib
 import os
 import random
@@ -26,6 +27,7 @@ from bdcluster.poisson import (
     build_r0,
     build_r_tensor,
     casimir_tensor,
+    coefficient_from_tables,
     gradient_tables,
     omega_sweep,
     poisson_coefficient,
@@ -38,8 +40,8 @@ from bdcluster.poisson import (
     tensor_transpose,
     verify_cybe,
 )
-from bdcluster.polyring import ExponentOverflow, partial_derivative
-from bdcluster.verify import Workspace
+from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, exact_divide, partial_derivative
+from bdcluster.verify import Fault, Workspace
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
 # "n alpha beta ia ib omega" per pair of functions (see
@@ -263,6 +265,24 @@ class TestSklyaninBracket:
         with pytest.raises(NotLogCanonical):
             poisson_coefficient(self.x(1, 1), self.x(2, 2), self.op, bracket=br)
 
+    def test_bracket_zero_at_the_lead_monomial_is_not_omega_zero(self):
+        # {x11, x22} = x12 x21 is 0 at x11 x22, the leading monomial of the
+        # product, so the coefficient read there is 0; the pair still
+        # fails, with exact division's reason.
+        f, g = self.x(1, 1), self.x(2, 2)
+        ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
+        br = bracket_from_tables(ta, tb)
+        assert br and (f * g).leading_monomial() not in br._d
+        with pytest.raises(NotLogCanonical) as want:
+            poisson_coefficient(f, g, self.op, bracket=br)
+        for compute in (
+            lambda: coefficient_from_tables(ta, tb),
+            lambda: poisson_coefficient(f, g, self.op),
+        ):
+            with pytest.raises(NotLogCanonical) as got:
+                compute()
+            assert str(got.value) == str(want.value)
+
     def test_determinant_is_casimir(self):
         det = self.x(1, 1) * self.x(2, 2) - self.x(1, 2) * self.x(2, 1)
         for i in (1, 2):
@@ -387,10 +407,29 @@ class TestSklyaninBracket:
             bracket_from_tables(ta, ta)
         with pytest.raises(ExponentOverflow):
             sklyanin_bracket(f, g, self.op)
+        # Every class pair of f f has weight 0 and no off-diagonal product
+        # is nonzero, so nothing is accumulated: only the guard on the
+        # largest exponents sees f f reach x[1,1]^128.
+        with pytest.raises(ExponentOverflow):
+            coefficient_from_tables(ta, ta)
         # The tables themselves: d/dx[1,1] of x[1,1] x[1,2]^127, times
         # x[1,2], reaches x[1,2]^128.
         with pytest.raises(ExponentOverflow):
             gradient_tables(ring.x(1, 1) * ring.x(1, 2) ** 127, self.op)
+
+    def test_off_diagonal_overflow_passes_the_largest_exponents(self):
+        # The largest exponents of x[1,2] add up to 63 + 64, but F_12 =
+        # x[1,2]^64 and G_21 holds x[1,2]^64 x[2,1], so the strict upper
+        # part reaches x[1,2]^128; the guard on accumulated keys sees it.
+        ring = get_ring(2)
+        f = ring.x(1, 1) * ring.x(1, 2) ** 63
+        g = ring.x(1, 2) ** 64 * ring.x(2, 2)
+        ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
+        assert not (ta.top + tb.top) & ring._himask
+        with pytest.raises(ExponentOverflow):
+            bracket_from_tables(ta, tb)
+        with pytest.raises(ExponentOverflow):
+            coefficient_from_tables(ta, tb)
 
 
 def _random_poly(rng, ring):
@@ -439,6 +478,15 @@ class TestExoticCoefficients:
         assert poisson_coefficient(x(3, 1), x(1, 3), op) == Fraction(-1, 3)
         assert poisson_coefficient(x(3, 2), x(1, 3), op) == 0
         assert poisson_coefficient(x(3, 3), x(1, 3), op) == Fraction(-2, 3)
+
+
+def _seed_tables(triple):
+    """The seed functions of a pair in label order, its exotic operator,
+    and their tables."""
+    ws = Workspace(triple)
+    cluster, op = ws.cluster(), ws.op()
+    funcs = [cluster.functions[lab] for lab in cluster.labels]
+    return funcs, op, [gradient_tables(f, op) for f in funcs]
 
 
 class TestSweeps:
@@ -521,10 +569,63 @@ class TestSweeps:
             with pytest.raises(ValueError, match="processes"):
                 omega_sweep([ring.x(1, 1), ring.x(2, 2)], op, processes=int(value))
 
+    def test_forced_pool_matches_serial(self, monkeypatch):
+        # With the threshold at 0 every sweep forks; omegas and failures
+        # (the faulted seed's and the overflowing pair's) come back in
+        # pair order, as in-process.
+        started = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(poisson, "POOL_MIN_PRODUCTS", 0)
+        ring = get_ring(2)
+        big = ring.x(1, 1) ** 64
+        cases = [([ring.x(1, 2), big, big + ring.x(1, 2)], r_plus_operator(n=2, standard=True))]
+        for fault in (None, Fault.DROP_PHI31_TERM):
+            ws = Workspace(BDTriple(4, 1, 3), fault=fault)
+            cluster = ws.cluster()
+            cases.append(([cluster.functions[lab] for lab in cluster.labels], ws.op()))
+        failures = []
+        for funcs, op in cases:
+            serial = omega_sweep(funcs, op, processes=1)
+            assert omega_sweep(funcs, op, processes=2) == serial
+            failures.append(bool(serial[1]))
+        assert len(started) == len(cases)
+        assert failures == [True, False, True]
+
+    def test_light_sweep_stays_in_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started for a sweep below the threshold")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        funcs, op, tables = _seed_tables(BDTriple(4, 1, 3))
+        pairs = [(ia, ib) for ia in range(len(funcs)) for ib in range(ia + 1, len(funcs))]
+        assert sum(poisson.pair_products(tables[ia], tables[ib]) for ia, ib in pairs) < poisson.POOL_MIN_PRODUCTS
+        omegas, failures = omega_sweep(funcs, op, processes=2, tables=tables)
+        assert failures == [] and len(omegas) == len(pairs)
+
+    def test_sweep_never_multiplies_polynomials(self, monkeypatch):
+        # The pair test accumulates n^2 {f, g} and f g together, so no
+        # Poly product (f g above all) is formed for a log-canonical pair.
+        funcs, op, tables = _seed_tables(BDTriple(4, 1, 3))
+
+        def refuse(self, other):
+            raise AssertionError("Poly.__mul__ called in the sweep")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        omegas, failures = omega_sweep(funcs, op, processes=1, tables=tables)
+        assert failures == [] and len(omegas) == 16 * 15 // 2
+
     def test_dead_worker_fails_the_sweep(self):
         # A pool worker that dies mid-sweep must make the sweep raise (and
         # the CLI exit 2), not leave it waiting for results forever.  Run
         # in a subprocess so a hang fails this test instead of the suite.
+        # The (4,1,3) sweep is below the pool threshold, so the threshold
+        # is lowered to 0 to make it fork.
         script = textwrap.dedent(
             """
             import os, sys
@@ -534,6 +635,7 @@ class TestSweeps:
                 os._exit(1)
 
             poisson._sweep_pair = die
+            poisson.POOL_MIN_PRODUCTS = 0
             sys.exit(cli.main(["check", "logcanon", "--n", "4", "--alpha", "1",
                                "--beta", "3", "--processes", "2"]))
             """
@@ -634,3 +736,30 @@ def test_bracket_jacobi_exotic_on_coordinates(i1, j1, i2, j2, i3, j3):
 @given(small_poly(R3, max_terms=2, max_exp=1), small_poly(R3, max_terms=2, max_exp=1))
 def test_bracket_antisymmetric_exotic(f, g):
     assert sklyanin_bracket(f, g, OP3) == -sklyanin_bracket(g, f, OP3)
+
+
+def _division_oracle(f, g, op):
+    """omega, or the NotLogCanonical text, from the unscaled bracket and
+    exact division by f g."""
+    nn = op.n * op.n
+    br = sklyanin_bracket(f, g, op) * nn
+    if not br:
+        return Fraction(0)
+    try:
+        quo = exact_divide(br, f * g)._d
+    except NotDivisible as e:
+        return f"bracket is not divisible by the product: {e}"
+    if len(quo) != 1 or 0 not in quo:
+        return "bracket is a non-constant multiple of the product"
+    return Fraction(quo[0], nn)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_poly(R3, max_terms=2), small_poly(R3, max_terms=2))
+def test_coefficient_matches_division_oracle(f, g):
+    want = _division_oracle(f, g, OP3)
+    try:
+        got = poisson_coefficient(f, g, OP3)
+    except NotLogCanonical as e:
+        got = str(e)
+    assert got == want
