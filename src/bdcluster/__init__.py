@@ -54,7 +54,6 @@ from .quiver import (
 from .poisson import (
     NotLogCanonical,
     build_r0,
-    DualBasis,
     RPlusOperator,
     r_plus_operator,
     r_plus,
@@ -104,7 +103,6 @@ __all__ = [
     "mutate_seed",
     "NotLogCanonical",
     "build_r0",
-    "DualBasis",
     "RPlusOperator",
     "r_plus_operator",
     "r_plus",

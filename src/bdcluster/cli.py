@@ -24,8 +24,8 @@ from .bdseed import BDTriple, normalize_triple, seed_labels
 from .poisson import (
     NotLogCanonical,
     bracket_from_tables,
+    coefficient_from_tables,
     gradient_tables,
-    poisson_coefficient,
     unscale,
 )
 from .quiver import FrozenDirection, NotLaurentPolynomial, make_seed, mutate_seed, to_dot
@@ -129,12 +129,12 @@ def _cmd_bracket(args) -> int:
         if lab not in cluster.functions:
             raise CliError(f"({lab[0]},{lab[1]}) is not a label of this cluster")
     f, g = cluster.functions[la], cluster.functions[lb]
-    scaled = bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op))
-    br = unscale(scaled, op.n)
+    ta, tb = gradient_tables(f, op), gradient_tables(g, op)
+    br = unscale(bracket_from_tables(ta, tb), op.n)
     omega = None
     reason = None
     try:
-        omega = poisson_coefficient(f, g, op, bracket=scaled)
+        omega = coefficient_from_tables(ta, tb)
     except NotLogCanonical as e:
         reason = str(e)
     if args.format == "json":

@@ -46,9 +46,12 @@ it over all pairs, forking a pool only for sweeps of at least
 POOL_MIN_PRODUCTS term products.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  RPlusOperator holds R_+ as one diagonal matrix and one
 off-diagonal entry list, read by r_plus and the bracket alike.
-r_plus_oracle contracts the explicit tensor of r against a matrix; the
-two are kept as separate code paths on purpose and checked against
-each other.
+build_r_tensor expands the explicit tensor of r from the operator's c,
+its dual basis s and its wedge flag, not from its diagonal, and
+r_plus_oracle contracts that tensor against a matrix; the two are kept
+as separate code paths on purpose and checked against each other.
+Both read the one c of the operator, so a changed c reaches the
+bracket, the tensor and the Yang-Baxter check alike.
 """
 
 from __future__ import annotations
@@ -106,20 +109,6 @@ def build_r0(
 
 
 @dataclass(frozen=True)
-class DualBasis:
-    """The dual bases of the traceless diagonal matrices.
-
-    s(k, p) is n times the k-th diagonal entry of hhat_p, an integer:
-    n - p for p >= k and -p otherwise.
-    """
-
-    n: int
-
-    def s(self, k: int, p: int) -> int:
-        return self.n - p if p >= k else -p
-
-
-@dataclass(frozen=True)
 class RPlusOperator:
     """R_+ for a given size, pair, and standard/exotic flag.
 
@@ -134,16 +123,20 @@ class RPlusOperator:
     beta: Optional[int]
     standard: bool
     c: Tuple[Tuple[int, ...], ...]
-    dual: DualBasis
 
     @property
     def wedge_active(self) -> bool:
         return self.alpha is not None and not self.standard
 
+    def s(self, k: int, p: int) -> int:
+        """n times the k-th diagonal entry of hhat_p, an integer: n - p
+        for p >= k and -p otherwise."""
+        return self.n - p if p >= k else -p
+
     @cached_property
     def diagonal(self) -> Tuple[Tuple[int, ...], ...]:
         """M with n^2 R_+(mat)_kk = sum_l M_kl mat_ll: M_kl = sum_pq s(k, q) c_pq s(l, p)."""
-        s, c, r, idx = self.dual.s, self.c, range(1, self.n), range(1, self.n + 1)
+        s, c, r, idx = self.s, self.c, range(1, self.n), range(1, self.n + 1)
         return tuple(
             tuple(sum(s(k, q) * c[p - 1][q - 1] * s(l, p) for p in r for q in r) for l in idx) for k in idx
         )
@@ -166,26 +159,16 @@ def r_plus_operator(
     n: Optional[int] = None,
     standard: bool = False,
 ) -> RPlusOperator:
+    """R_+ of the pair's exotic structure, or of its standard companion
+    when standard is set; without a pair, the standard R_+ of size n."""
     if triple is None:
         if n is None:
             raise ValueError("need a pair or an explicit size")
-        return RPlusOperator(
-            n=n,
-            alpha=None,
-            beta=None,
-            standard=True,
-            c=build_r0(n),
-            dual=DualBasis(n),
-        )
-    n = triple.n
-    return RPlusOperator(
-        n=n,
-        alpha=triple.alpha,
-        beta=triple.beta,
-        standard=standard,
-        c=build_r0(n, triple.alpha, triple.beta),
-        dual=DualBasis(n),
-    )
+        alpha = beta = None
+        standard = True
+    else:
+        n, alpha, beta = triple.n, triple.alpha, triple.beta
+    return RPlusOperator(n, alpha, beta, standard, build_r0(n, alpha, beta))
 
 
 def unscale(x, n: int):
@@ -216,39 +199,25 @@ def r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
     return [[unscale(v, n) for v in row] for row in out]
 
 
-def build_r_tensor(
-    n: int,
-    alpha: Optional[int] = None,
-    beta: Optional[int] = None,
-    standard: bool = False,
-) -> Tensor:
-    """The full r tensor as {((i,j),(k,l)): coefficient of e_ij (x) e_kl}."""
-    c = build_r0(n, alpha, beta)
-    dual = DualBasis(n)
+def build_r_tensor(op: RPlusOperator) -> Tensor:
+    """The full r tensor of op as {((i,j),(k,l)): coefficient of e_ij (x) e_kl},
+    expanded from op.c, op.s and the wedge, not from op.diagonal."""
+    n, c, s = op.n, op.c, op.s
+    r, idx = range(1, n), range(1, n + 1)
     out: Tensor = {}
-    m = n - 1
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            v = Fraction(0)
-            for p in range(1, m + 1):
-                sk = dual.s(k, p)
-                if not sk:
-                    continue
-                for q in range(1, m + 1):
-                    if c[p - 1][q - 1]:
-                        v += Fraction(c[p - 1][q - 1] * sk * dual.s(l, q), n * n)
+    for k in idx:
+        for l in idx:
+            v = Fraction(sum(c[p - 1][q - 1] * s(k, p) * s(l, q) for p in r for q in r), n * n)
             if v:
                 out[((k, k), (l, l))] = v
-    for p in range(1, n + 1):
+    for p in idx:
         for q in range(p + 1, n + 1):
-            key = ((q, p), (p, q))
-            out[key] = out.get(key, Fraction(0)) + 1
-    if alpha is not None and not standard:
-        k1 = ((alpha + 1, alpha), (beta, beta + 1))
-        k2 = ((beta, beta + 1), (alpha + 1, alpha))
-        out[k1] = out.get(k1, Fraction(0)) + 1
-        out[k2] = out.get(k2, Fraction(0)) - 1
-    return {k: v for k, v in out.items() if v}
+            out[((q, p), (p, q))] = Fraction(1)
+    if op.wedge_active:
+        a, b = op.alpha, op.beta
+        out[((a + 1, a), (b, b + 1))] = Fraction(1)
+        out[((b, b + 1), (a + 1, a))] = Fraction(-1)
+    return out
 
 
 def r_plus_oracle(rt: Tensor, mat: Sequence[Sequence]) -> List[List]:
@@ -440,8 +409,9 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     over every class pair, so the pair (c, d) carries the weight
     lc w(c, d) - W, and each off-diagonal product of _pairing carries lc
     times its coefficient.  One dict accumulates them all;
-    omega = W / (lc n^2) when every sum is 0.  Otherwise the pair fails
-    with the reason that exact division of the bracket by f g gives.
+    omega = W / (lc n^2) when every sum is 0.  Otherwise exact division
+    of the bracket by f g decides: a constant quotient is omega, and any
+    other quotient or a remainder raises NotLogCanonical with its reason.
     """
     f, g, op = ta.f, tb.f, ta.op
     diagonal, off_diagonal = _pairing(ta, tb)
@@ -463,36 +433,27 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
         f.ring._himask,
     )
     if any(acc.values()):
-        # Not log-canonical: exact division raises with the witness.
-        return poisson_coefficient(f, g, op, bracket=bracket_from_tables(ta, tb))
+        # The quotient is authoritative, so a wrong nonzero sum could cost
+        # only time, never a verdict.
+        br = bracket_from_tables(ta, tb)
+        if not br:
+            return Fraction(0)
+        try:
+            quo = exact_divide(br, f * g)._d
+        except NotDivisible as e:
+            raise NotLogCanonical(f"bracket is not divisible by the product: {e}") from None
+        if len(quo) != 1 or 0 not in quo:
+            raise NotLogCanonical("bracket is a non-constant multiple of the product")
+        return Fraction(quo[0], op.n * op.n)
     return Fraction(W, lc * op.n * op.n)
 
 
-def poisson_coefficient(
-    f: Poly,
-    g: Poly,
-    op: RPlusOperator,
-    bracket: Optional[Poly] = None,
-) -> Fraction:
-    """The scalar omega with {f, g} = omega * f * g.
-
-    Without bracket this is coefficient_from_tables on the tables of f
-    and g.  bracket, when given, is the scaled pairing n^2 {f, g} from
-    bracket_from_tables, and omega is its exact quotient by f g.  Raises
-    NotLogCanonical when the bracket is not a constant multiple of f g,
-    with exact division's remainder as witness.
-    """
-    if bracket is None:
-        return coefficient_from_tables(gradient_tables(f, op), gradient_tables(g, op))
-    if not bracket:
-        return Fraction(0)
-    try:
-        quo = exact_divide(bracket, f * g)._d
-    except NotDivisible as e:
-        raise NotLogCanonical(f"bracket is not divisible by the product: {e}") from None
-    if len(quo) != 1 or 0 not in quo:
-        raise NotLogCanonical("bracket is a non-constant multiple of the product")
-    return Fraction(quo[0], op.n * op.n)
+def poisson_coefficient(f: Poly, g: Poly, op: RPlusOperator) -> Fraction:
+    """The scalar omega with {f, g} = omega * f * g: coefficient_from_tables
+    on the tables of f and g.  Raises NotLogCanonical when the bracket is
+    not a constant multiple of f g, with exact division's remainder as
+    witness."""
+    return coefficient_from_tables(gradient_tables(f, op), gradient_tables(g, op))
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,20 @@ time.  Checks are pure computations in exact rational arithmetic;
 "pass" means the property holds on the nose for the requested size and
 pair.
 
-Two deliberate fault injections are available to demonstrate that the
-checks can fail: dropping a term from the cluster function at label
-(3,1), and zeroing the diagonal part of the r-matrix.
+Two fault injections show that the checks can fail.  drop-phi31-term
+drops the leading term of the cluster function at (3,1); with n <= 5 it
+trips compat and regular, and logcanon and frozen on most pairs.
+zero-r0 zeroes c, the coefficients of r's diagonal part, in
+Workspace.op, so on the exotic structure logcanon, compat, frozen,
+somega and cybe fail, while rplus (both its sides read c) and
+bracketdiff (the wedge alone) pass.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -84,16 +88,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "status": self.status,
-            "witnesses": list(self.witnesses),
-            "seconds": self.seconds,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 class Workspace:
@@ -129,7 +124,7 @@ class Workspace:
         self.processes = processes
         self._cluster: Optional[Cluster] = None
         self._quiver: Optional[Quiver] = None
-        self._op: Optional[RPlusOperator] = None
+        self._ops: dict = {}
         self._omega = None
         self._tables: dict = {}
 
@@ -173,15 +168,20 @@ class Workspace:
                 self._quiver = bd_quiver(self.triple, sl=self.sl)
         return self._quiver
 
-    def op(self) -> RPlusOperator:
-        if self._op is None:
-            op = r_plus_operator(self.triple, self.n, self.standard)
+    def op(self, standard: Optional[bool] = None) -> RPlusOperator:
+        """R_+ of this structure, or, with standard given, the pair's exotic
+        (False) or standard-companion (True) operator.  Every check reads
+        its r-matrix here, so the zero-r0 fault reaches them all."""
+        if standard is None:
+            standard = self.standard
+        if standard not in self._ops:
+            op = r_plus_operator(self.triple, self.n, standard)
             if self.fault is Fault.ZERO_R0:
                 m = self.n - 1
                 zeros = tuple(tuple(0 for _ in range(m)) for _ in range(m))
                 op = replace(op, c=zeros)
-            self._op = op
-        return self._op
+            self._ops[standard] = op
+        return self._ops[standard]
 
     def tables(self, f: Poly, op: RPlusOperator):
         """The gradient tables of f for op, made once per distinct (f, op)."""
@@ -368,7 +368,7 @@ def check_s_omega(ws: Workspace) -> Outcome:
     triple = ws.triple
     n, alpha, beta = triple.n, triple.alpha, triple.beta
     cluster = standard_cluster(n)
-    op = Workspace(triple, standard=True, fault=ws.fault).op()
+    op = ws.op(True)
     tables = {lab: ws.tables(cluster.functions[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
     col_labels = [(alpha, n), (alpha + 1, n), (beta, n), (beta + 1, n)]
@@ -405,10 +405,8 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
     n, a, b = ws.n, ws.alpha, ws.beta
     ring = get_ring(n)
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    exotic_op = r_plus_operator(ws.triple, standard=False)
-    std_op = r_plus_operator(ws.triple, standard=True)
-    exotic = [ws.tables(f, exotic_op) for f in coords]
-    std = [ws.tables(f, std_op) for f in coords]
+    exotic = [ws.tables(f, ws.op(False)) for f in coords]
+    std = [ws.tables(f, ws.op(True)) for f in coords]
     witnesses = []
     for ia in range(len(coords)):
         Ff, Fpf = exotic[ia][:2]
@@ -432,18 +430,16 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
 def check_cybe(ws: Workspace) -> Outcome:
     """The r tensor solves the classical Yang-Baxter equation and
     r + r_21 is the split Casimir."""
-    rt = build_r_tensor(ws.n, ws.alpha, ws.beta, standard=ws.standard)
+    rt = build_r_tensor(ws.op())
     cybe, unitary, witnesses = verify_cybe(rt, ws.n)
-    out = [] if (cybe and unitary) else witnesses
-    return out, {"cybe": cybe, "unitary": unitary, "terms": len(rt)}
+    return witnesses, {"cybe": cybe, "unitary": unitary, "terms": len(rt)}
 
 
 def check_r_plus_consistency(ws: Workspace) -> Outcome:
     """The closed-form half operator agrees with the tensor contraction
     on every matrix unit."""
-    nn = ws.n
-    op = r_plus_operator(ws.triple, nn, ws.standard)
-    rt = build_r_tensor(nn, ws.alpha, ws.beta, standard=ws.standard)
+    nn, op = ws.n, ws.op()
+    rt = build_r_tensor(op)
     witnesses = []
     for k in range(nn):
         for l in range(nn):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from bdcluster import poisson
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
-    DualBasis,
     NotLogCanonical,
     bracket_from_tables,
     build_r0,
@@ -95,14 +94,16 @@ class TestR0:
 
 
 class TestDualBasis:
+    """RPlusOperator.s, the dual basis of the traceless diagonal matrices."""
+
     def test_s_values(self):
-        d = DualBasis(4)
+        d = r_plus_operator(n=4)
         assert [d.s(k, 1) for k in (1, 2, 3, 4)] == [3, -1, -1, -1]
         assert [d.s(k, 3) for k in (1, 2, 3, 4)] == [1, 1, 1, -3]
 
     def test_h_hat_is_traceless(self):
         # hhat_p has diagonal entries s(k, p) / n.
-        d = DualBasis(5)
+        d = r_plus_operator(n=5)
         for p in range(1, 5):
             assert sum(d.s(k, p) for k in range(1, 6)) == 0
 
@@ -110,7 +111,7 @@ class TestDualBasis:
         # <h_p, hhat_q> = delta_pq under the trace form on diagonals, with
         # h_p = e_pp - e_{p+1,p+1}: (s(p, q) - s(p+1, q)) / n.
         for n in (2, 3, 4, 5):
-            d = DualBasis(n)
+            d = r_plus_operator(n=n)
             for p in range(1, n):
                 for q in range(1, n):
                     pair = Fraction(d.s(p, q) - d.s(p + 1, q), n)
@@ -165,10 +166,9 @@ class TestRPlusOperator:
         for n, pair, std in cases:
             if pair is None:
                 op = r_plus_operator(n=n, standard=True)
-                rt = build_r_tensor(n, standard=True)
             else:
                 op = r_plus_operator(BDTriple(n, *pair), standard=std)
-                rt = build_r_tensor(n, *pair, standard=std)
+            rt = build_r_tensor(op)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     m = unit(n, i, j)
@@ -177,14 +177,14 @@ class TestRPlusOperator:
     def test_matches_oracle_on_polynomial_matrix(self):
         ring = get_ring(3)
         op = r_plus_operator(BDTriple(3, 1, 2))
-        rt = build_r_tensor(3, 1, 2)
+        rt = build_r_tensor(op)
         mat = [[ring.x(i, j) + ring.const(i - j) for j in range(1, 4)] for i in range(1, 4)]
         assert r_plus(op, mat) == r_plus_oracle(rt, mat)
 
 
 class TestRTensor:
     def test_standard_n2_entries(self):
-        rt = build_r_tensor(2, standard=True)
+        rt = build_r_tensor(r_plus_operator(n=2))
         assert rt == {
             ((1, 1), (1, 1)): Fraction(1, 4),
             ((1, 1), (2, 2)): Fraction(-1, 4),
@@ -194,15 +194,15 @@ class TestRTensor:
         }
 
     def test_exotic_wedge_entries(self):
-        rt = build_r_tensor(3, 1, 2)
+        rt = build_r_tensor(r_plus_operator(BDTriple(3, 1, 2)))
         assert rt[((2, 1), (2, 3))] == 1
         assert rt[((2, 3), (2, 1))] == -1
-        std = build_r_tensor(3, 1, 2, standard=True)
+        std = build_r_tensor(r_plus_operator(BDTriple(3, 1, 2), standard=True))
         assert ((2, 1), (2, 3)) not in std
 
     def test_unitarity_directly(self):
         for n, pair in [(2, None), (3, None), (3, (1, 2)), (4, (1, 3))]:
-            rt = build_r_tensor(n, *pair) if pair else build_r_tensor(n, standard=True)
+            rt = build_r_tensor(r_plus_operator(BDTriple(n, *pair) if pair else None, n))
             total = tensor_sum(rt, tensor_transpose(rt))
             assert total == casimir_tensor(n)
 
@@ -220,7 +220,7 @@ class TestRTensor:
 class TestCybe:
     def test_holds_for_standard_and_exotic(self):
         for n, pair in [(2, None), (3, None), (3, (1, 2)), (4, (1, 3)), (4, (2, 3))]:
-            rt = build_r_tensor(n, *pair) if pair else build_r_tensor(n, standard=True)
+            rt = build_r_tensor(r_plus_operator(BDTriple(n, *pair) if pair else None, n))
             ok, unitary, witnesses = verify_cybe(rt, n)
             assert ok and unitary, witnesses
             assert witnesses == []
@@ -229,7 +229,7 @@ class TestCybe:
         # Scaling the mixed term breaks both the bracket identity and
         # unitarity.  (Merely deleting it would leave a diagonal tensor,
         # which still satisfies the bracket identity.)
-        rt = dict(build_r_tensor(2, standard=True))
+        rt = build_r_tensor(r_plus_operator(n=2))
         rt[((2, 1), (1, 2))] = Fraction(2)
         ok, unitary, witnesses = verify_cybe(rt, 2)
         assert not ok
@@ -260,10 +260,15 @@ class TestSklyaninBracket:
         assert not sklyanin_bracket(self.x(2, 1), self.x(1, 2), self.op)
 
     def test_diagonal_pair_not_log_canonical(self):
-        br = sklyanin_bracket(self.x(1, 1), self.x(2, 2), self.op)
+        f, g = self.x(1, 1), self.x(2, 2)
+        br = sklyanin_bracket(f, g, self.op)
         assert br == self.x(1, 2) * self.x(2, 1)
-        with pytest.raises(NotLogCanonical):
-            poisson_coefficient(self.x(1, 1), self.x(2, 2), self.op, bracket=br)
+        # The pair test divides the scaled bracket n^2 {f, g}.
+        with pytest.raises(NotDivisible) as want:
+            exact_divide(br * 4, f * g)
+        with pytest.raises(NotLogCanonical) as got:
+            poisson_coefficient(f, g, self.op)
+        assert str(got.value) == f"bracket is not divisible by the product: {want.value}"
 
     def test_bracket_zero_at_the_lead_monomial_is_not_omega_zero(self):
         # {x11, x22} = x12 x21 is 0 at x11 x22, the leading monomial of the
@@ -273,15 +278,15 @@ class TestSklyaninBracket:
         ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
         br = bracket_from_tables(ta, tb)
         assert br and (f * g).leading_monomial() not in br._d
-        with pytest.raises(NotLogCanonical) as want:
-            poisson_coefficient(f, g, self.op, bracket=br)
+        with pytest.raises(NotDivisible) as want:
+            exact_divide(br, f * g)
         for compute in (
             lambda: coefficient_from_tables(ta, tb),
             lambda: poisson_coefficient(f, g, self.op),
         ):
             with pytest.raises(NotLogCanonical) as got:
                 compute()
-            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"bracket is not divisible by the product: {want.value}"
 
     def test_determinant_is_casimir(self):
         det = self.x(1, 1) * self.x(2, 2) - self.x(1, 2) * self.x(2, 1)
@@ -311,10 +316,9 @@ class TestSklyaninBracket:
             ring = get_ring(n)
             if pair is None:
                 op = r_plus_operator(n=n, standard=True)
-                rt = build_r_tensor(n, standard=True)
             else:
                 op = r_plus_operator(BDTriple(n, *pair), standard=std)
-                rt = build_r_tensor(n, *pair, standard=std)
+            rt = build_r_tensor(op)
             for _ in range(3):
                 f, g = _random_poly(rng, ring), _random_poly(rng, ring)
                 ta, tb = gradient_tables(f, op), gradient_tables(g, op)

@@ -10,6 +10,7 @@ import pytest
 
 from bdcluster import verify
 from bdcluster.bdseed import BDTriple
+from bdcluster.poisson import r_plus_operator
 from bdcluster.verify import Fault, Workspace, run_checks
 
 T312 = BDTriple(3, 1, 2)
@@ -147,6 +148,21 @@ class TestFaults:
         rep = one("somega", T312, fault=Fault.ZERO_R0)
         assert not rep.passed
         assert any("sum at" in w for w in rep.witnesses)
+
+    def test_zeroed_diagonal_reaches_every_r_matrix(self):
+        # The workspace zeroes c in the one operator each check reads, so
+        # the tensor sees it too and cybe fails with the bracket checks.
+        # rplus compares two readings of the same c, and bracketdiff
+        # (exotic minus companion is the wedge alone) does not depend on c.
+        t = BDTriple(4, 1, 3)
+        reports = run_checks(["all"], triple=t, fault=Fault.ZERO_R0, processes=1)
+        failed = [r for r in reports if not r.passed]
+        assert [r.check for r in failed] == ["logcanon", "compat", "frozen", "somega", "cybe"]
+        assert all(r.witnesses for r in failed)
+        assert [r.check for r in reports if r.passed] == ["rank", "stable", "regular", "bracketdiff", "rplus"]
+        assert Workspace(t).op(True) == r_plus_operator(t, standard=True)
+        zeroed = Workspace(t, fault=Fault.ZERO_R0).op(True)
+        assert zeroed.standard and not any(v for row in zeroed.c for v in row)
 
     def test_fault_values(self):
         assert Fault("drop-phi31-term") is Fault.DROP_PHI31_TERM
