@@ -46,11 +46,10 @@ def _parse_label(text: str) -> Tuple[int, int]:
         raise CliError(f"label must be two integers, got {text!r}") from None
 
 
-def _add_pair_args(p: argparse.ArgumentParser, pair_optional: bool = False) -> None:
+def _add_pair_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="matrix size")
-    req = not pair_optional
-    p.add_argument("--alpha", type=int, required=req, help="first simple root")
-    p.add_argument("--beta", type=int, required=req, help="second simple root")
+    p.add_argument("--alpha", type=int, help="first simple root")
+    p.add_argument("--beta", type=int, help="second simple root")
     p.add_argument("--sl", action="store_true", help="SL mode: drop the determinant vertex")
     p.add_argument(
         "--standard",
@@ -213,28 +212,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seed", help="print the initial extended cluster")
-    _add_pair_args(p, pair_optional=True)
+    _add_pair_args(p)
     p.set_defaults(func=_cmd_seed)
 
     p = sub.add_parser("quiver", help="print quiver arcs")
-    _add_pair_args(p, pair_optional=True)
+    _add_pair_args(p)
     p.add_argument("--dot", action="store_true", help="GraphViz output")
     p.set_defaults(func=_cmd_quiver)
 
     p = sub.add_parser("bracket", help="bracket of two cluster functions")
-    _add_pair_args(p, pair_optional=True)
+    _add_pair_args(p)
     p.add_argument("--f", required=True, help="label 'i,j' of the first function")
     p.add_argument("--g", required=True, help="label 'i,j' of the second function")
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("mutate", help="one-step exchange at a label")
-    _add_pair_args(p, pair_optional=True)
+    _add_pair_args(p)
     p.add_argument("--at", required=True, help="mutable label 'i,j'")
     p.set_defaults(func=_cmd_mutate)
 
     p = sub.add_parser("check", help="run verification suites")
     p.add_argument("which", choices=[*CHECKS, "all"])
-    _add_pair_args(p, pair_optional=True)
+    _add_pair_args(p)
     p.add_argument(
         "--inject-fault",
         choices=[f.value for f in Fault],
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     # This verb is the check of the same name, run on its own.
     verb = "cybe"
     p = sub.add_parser(verb, help="Yang-Baxter and unitarity check")
-    _add_pair_args(p, pair_optional=True)
+    _add_pair_args(p)
     p.set_defaults(func=_cmd_check, which=verb, inject_fault=None, processes=None)
 
     return parser

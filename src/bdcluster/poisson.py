@@ -61,8 +61,8 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import mul, or_
+from functools import cached_property
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bdseed import BDTriple
@@ -173,11 +173,9 @@ def r_plus_operator(
 
 def unscale(x, n: int):
     """x / n^2 for a scalar or a polynomial, integral coefficients as ints:
-    R_+ from n^2 R_+, or {f, g} from the pairing of bracket_from_tables."""
-    nn = n * n
-    if isinstance(x, Poly):
-        return Poly(x.ring, {m: _normalize_scalar(Fraction(c, nn)) for m, c in x._d.items()})
-    return _normalize_scalar(Fraction(x, nn))
+    R_+ from n^2 R_+, or {f, g} from the pairing of bracket_from_tables.
+    A Poly times a scalar already normalizes its coefficients."""
+    return _normalize_scalar(x * Fraction(1, n * n))
 
 
 def r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
@@ -340,12 +338,9 @@ def _pairing(ta: Tables, tb: Tables):
     (co, s, t) of op.off_diagonal adds co F_s G_t' with t' = t
     transposed, and subtracts co F'_s G'_t'.
     """
-    # A class pair of weight 0 never reaches the accumulator and its
-    # exponent guard, so f g is guarded as a whole: each byte of top is
-    # below 0x80, so an exponent of 128 in the product shows as a set
-    # high bit.
-    if (ta.top + tb.top) & ta.f.ring._himask:
-        raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+    # A class pair of weight 0 never reaches the kernel and its exponent
+    # guard, so f g is guarded as a whole, by its largest exponents.
+    ta.f.ring.check_exponents((ta.top + tb.top,))
     op = ta.op
     M = op.diagonal
     diagonal = []
@@ -363,34 +358,12 @@ def _pairing(ta: Tables, tb: Tables):
     return diagonal, off_diagonal
 
 
-def _accumulate(products, himask: int) -> dict:
-    """sum of weight * a * b over (a, b, weight) in products, skipping
-    weight 0, as one dict of packed monomials; zero sums stay in."""
-    acc: dict = {}
-    get = acc.get
-    for a, b, scale in products:
-        if not scale:
-            continue
-        if len(a) < len(b):
-            a, b = b, a
-        for mb, cb in b.items():
-            cb = scale * cb
-            for ma, ca in a.items():
-                k = ma + mb
-                acc[k] = get(k, 0) + ca * cb
-    # As in Poly.__mul__: operand bytes are below 0x80, so an exponent of
-    # 128 shows as a set high bit, on any key, even one whose sum cancelled.
-    if reduce(or_, acc, 0) & himask:
-        raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
-    return acc
-
-
 def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
     """n^2 {f, g} from the tables of f and g for one operator (_pairing),
-    in one dict of packed monomials."""
+    summed by the ring's product kernel."""
     ring = ta.f.ring
     diagonal, off_diagonal = _pairing(ta, tb)
-    acc = _accumulate(diagonal + off_diagonal, ring._himask)
+    acc = ring.accumulate(diagonal + off_diagonal)
     return Poly(ring, {m: c for m, c in acc.items() if c})
 
 
@@ -428,9 +401,8 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
         # Packed keys add without carry, so a hit at L - m is exactly one
         # factorization of L.
         W += co * sum(a.get(L - mb, 0) * cb for mb, cb in b.items())
-    acc = _accumulate(
-        [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal],
-        f.ring._himask,
+    acc = f.ring.accumulate(
+        [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
     )
     if any(acc.values()):
         # The quotient is authoritative, so a wrong nonzero sum could cost
@@ -491,9 +463,14 @@ def pair_products(ta: Tables, tb: Tables) -> int:
     return total
 
 
-def sweep_workers() -> int:
-    """Worker count for pair sweeps: BD_CLUSTER_THREADS if set, else up
-    to 4, capped by the CPU count."""
+def sweep_workers(processes: Optional[int] = None) -> int:
+    """Worker count for pair sweeps: processes if given, else
+    BD_CLUSTER_THREADS if set, else up to 4, capped by the CPU count.
+    Either must be a positive integer."""
+    if processes is not None:
+        if processes < 1:
+            raise ValueError(f"processes must be a positive integer, got {processes}")
+        return processes
     env = os.environ.get("BD_CLUSTER_THREADS")
     if env:
         try:
@@ -516,12 +493,10 @@ def omega_sweep(
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
     with ia < ib and failures a list of (ia, ib, reason), overflows too.
 
-    processes defaults to sweep_workers(); it must be at least 1.
-    tables, when given, are the functions' gradient tables for op.
+    processes is resolved by sweep_workers.  tables, when given, are the
+    functions' gradient tables for op.
     """
-    nproc = processes if processes is not None else sweep_workers()
-    if nproc < 1:
-        raise ValueError(f"processes must be a positive integer, got {nproc}")
+    nproc = sweep_workers(processes)
     if tables is None:
         tables = [gradient_tables(f, op) for f in functions]
     L = len(functions)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .polyring import ExponentOverflow, Poly, PolyRing
+from .polyring import Poly, PolyRing
 
 Matrix = List[List[Poly]]
 
@@ -212,18 +212,15 @@ def _replacement_tables(f: Poly):
     """
     ring = f.ring
     n = ring.n
-    nn = n * n
-    # unit[(a-1)*n + (b-1)] is the packed key of x[a,b].
-    unit = [1 << ring._shift[k] for k in range(nn)]
+    unit = ring.x_units
     in_row = [unit[a * n : a * n + n] for a in range(n)]
     in_col = [unit[b::n] for b in range(n)]
     F = [[{} for _ in range(n)] for _ in range(n)]
     # Fp_t[a][t] accumulates F'[t][a].
     Fp_t = [[{} for _ in range(n)] for _ in range(n)]
-    y_bits = (ring.nvars - nn) * 8
     classes: dict = {}
     for m, c in f._d.items():
-        exps = (m >> y_bits).to_bytes(nn, "big")
+        exps = ring.x_exponents(m)
         cdeg = tuple(sum(exps[b::n]) for b in range(n))
         rdeg = tuple(sum(exps[a * n : a * n + n]) for a in range(n))
         classes.setdefault((cdeg, rdeg), {})[m] = c
@@ -239,17 +236,13 @@ def _replacement_tables(f: Poly):
             for acc, u in zip(Fp_t[a], in_col[b]):
                 key = base + u
                 acc[key] = acc.get(key, 0) + ce
-    # As in Poly.__mul__: a key byte below 0x80 plus one cannot carry, so
-    # an exponent of 128 shows as a set high bit.
-    himask = ring._himask
+    # Each key is m / x[a,b] plus the key of x[a,t], so the guard applies.
     tables = (F, [list(col) for col in zip(*Fp_t)])
-    if any(key & himask for T in tables for row in T for acc in row for key in acc):
-        raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
-    top = int.from_bytes(bytes(map(max, zip(*(m.to_bytes(ring.nvars, "big") for m in f._d)))), "big")
+    ring.check_exponents(key for T in tables for row in T for acc in row for key in acc)
     return *(
         [[Poly(ring, {k: v for k, v in acc.items() if v}) for acc in row] for row in T]
         for T in tables
-    ), classes, top
+    ), classes, ring.top(f._d)
 
 
 def col_replace(f: Poly, i: int, j: int) -> Poly:

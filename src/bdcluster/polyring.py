@@ -16,14 +16,23 @@ Exponents must stay below 128 per variable: a product that reaches 128
 in any variable raises ExponentOverflow instead of carrying into the
 neighbouring byte.
 
-Coefficients are Python ints whenever the value is integral and
-fractions.Fraction otherwise, so arithmetic stays exact throughout.
+Only this module reads the layout: every product of polynomials runs
+through one kernel, PolyRing.accumulate, every exponent test through one
+guard, PolyRing.check_exponents, and other modules read keys only
+through x_units, x_exponents and top.
+
+Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
+const, scalar products and exact_divide give ints for integral values;
+sums, Poly * Poly products and derivatives may keep an integral
+Fraction, which compares and hashes equal to the int.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -75,11 +84,14 @@ class PolyRing:
             (s, i, j) for s in symbols for i in range(1, n + 1) for j in range(1, n + 1)
         ]
         self._index = {v: k for k, v in enumerate(self._ids)}
-        # High bit of every variable byte; used for the packed divisibility test.
+        # High bit of every variable byte; read by the guard and the divisibility test.
         hi = 0
         for i in range(self.nvars):
             hi |= 0x80 << self._shift[i]
         self._himask = hi
+        # x_units[(a-1)*n + (b-1)] is the key of x[a,b]; x comes first.
+        self.x_units = tuple(1 << self._shift[k] for k in range(n * n))
+        self._x_shift = (self.nvars - n * n) * _BITS
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
 
@@ -115,6 +127,40 @@ class PolyRing:
     def const(self, c: Scalar) -> "Poly":
         c = _normalize_scalar(c)
         return Poly(self, {0: c} if c else {})
+
+    def x_exponents(self, mono: int) -> bytes:
+        """The exponents of x[1,1], x[1,2], ..., x[n,n] in a monomial key."""
+        return (mono >> self._x_shift).to_bytes(self.n * self.n, "big")
+
+    def top(self, monos: Iterable[int]) -> int:
+        """The key of the largest exponent of each variable over monos."""
+        return int.from_bytes(bytes(map(max, zip(*(m.to_bytes(self.nvars, "big") for m in monos)))), "big")
+
+    def check_exponents(self, keys: Iterable[int]) -> None:
+        """Raise ExponentOverflow when one of keys has an exponent of 128 or
+        more.  Each must be a sum of keys with every byte below 0x80, as a
+        product's is: such a sum cannot carry, so 128 shows as a high bit."""
+        if reduce(or_, keys, 0) & self._himask:
+            raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
+
+    def accumulate(self, products) -> Dict[int, Scalar]:
+        """sum of weight * a * b over (a, b, weight) in products, a and b
+        term dicts, skipping weight 0, as one term dict.  Zero sums stay in,
+        and every key made is guarded, even one whose sum cancelled."""
+        acc: Dict[int, Scalar] = {}
+        get = acc.get
+        for a, b, scale in products:
+            if not scale:
+                continue
+            if len(a) < len(b):
+                a, b = b, a
+            for mb, cb in b.items():
+                cb = scale * cb
+                for ma, ca in a.items():
+                    k = ma + mb
+                    acc[k] = get(k, 0) + ca * cb
+        self.check_exponents(acc)
+        return acc
 
     def monomial_exponents(self, mono: int) -> Dict[VarId, int]:
         """Unpack a monomial key into {variable: exponent}, nonzero entries only."""
@@ -221,25 +267,12 @@ class Poly:
             other = _normalize_scalar(other)
             if not other:
                 return self.ring.zero
-            return Poly(self.ring, {m: c * other for m, c in self._d.items()})
+            return Poly(self.ring, {m: _normalize_scalar(c * other) for m, c in self._d.items()})
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self._d, o._d
-        if len(a) < len(b):
-            a, b = b, a
-        out: Dict[int, Scalar] = {}
-        get = out.get
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                k = ma + mb
-                out[k] = get(k, 0) + ca * cb
-        # Operand bytes are below 0x80, so a byte of the sum cannot carry
-        # and an overflow shows as a set high bit.
-        himask = self.ring._himask
-        if any(k & himask for k in out):
-            raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
-        return Poly(self.ring, {m: c for m, c in out.items() if c})
+        acc = self.ring.accumulate([(self._d, o._d, 1)])
+        return Poly(self.ring, {m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -275,26 +308,15 @@ def partial_derivative(p: Poly, v: VarId) -> Poly:
 
 def evaluate(p: Poly, assignment: Mapping[VarId, Scalar]) -> Fraction:
     """Evaluate at rational values; every variable occurring in p needs a value."""
-    ring = p.ring
-    nv = ring.nvars
-    used = [False] * nv
-    for m in p._d:
-        if m:
-            for idx, e in enumerate(m.to_bytes(nv, "big")):
-                if e:
-                    used[idx] = True
-    missing = [ring._ids[idx] for idx in range(nv) if used[idx] and ring._ids[idx] not in assignment]
+    terms = [(c, p.ring.monomial_exponents(m)) for m, c in p._d.items()]
+    missing = {v for _, exps in terms for v in exps if v not in assignment}
     if missing:
         raise MissingAssignment(missing)
-    values = {idx: Fraction(assignment[ring._ids[idx]]) for idx in range(nv) if used[idx]}
     total = Fraction(0)
-    for m, c in p._d.items():
+    for c, exps in terms:
         term = Fraction(c)
-        if m:
-            raw = m.to_bytes(nv, "big")
-            for idx, e in enumerate(raw):
-                if e:
-                    term *= values[idx] ** e
+        for v, e in exps.items():
+            term *= Fraction(assignment[v]) ** e
         total += term
     return total
 

@@ -196,8 +196,15 @@ class Workspace:
             cluster = self.cluster()
             labels = list(cluster.labels)
             funcs = [cluster.functions[lab] for lab in labels]
-            tables = [self.tables(f, self.op()) for f in funcs]
-            omegas, failures = omega_sweep(funcs, self.op(), processes=self.processes, tables=tables)
+            op = self.op()
+            # frozen and bracketdiff table the frozen functions and the
+            # coordinates (one term each) again.  The other tables are freed
+            # when the sweep returns, before regular's exchanges run.
+            tables = [
+                self.tables(f, op) if lab in cluster.frozen or len(f) == 1 else gradient_tables(f, op)
+                for lab, f in zip(labels, funcs)
+            ]
+            omegas, failures = omega_sweep(funcs, op, processes=self.processes, tables=tables)
             self._omega = (labels, omegas, failures)
         return self._omega
 
@@ -495,11 +502,7 @@ def run_checks(
         else:
             expanded.append(name)
     # Checked here so that a bad count fails every check, not only those that sweep.
-    if processes is None:
-        processes = sweep_workers()
-    elif processes < 1:
-        raise ValueError(f"processes must be a positive integer, got {processes}")
-    ws = Workspace(triple, n, sl, standard, fault, processes)
+    ws = Workspace(triple, n, sl, standard, fault, sweep_workers(processes))
     reports = []
     for name in expanded:
         started = time.perf_counter()

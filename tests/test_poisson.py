@@ -566,8 +566,10 @@ class TestSweeps:
         with pytest.raises(ValueError, match="BD_CLUSTER_THREADS"):
             sweep_workers()
         if value.lstrip("-").isdigit():
-            # The same count passed to the sweep directly is refused too.
+            # The same count passed directly is refused too.
             monkeypatch.delenv("BD_CLUSTER_THREADS")
+            with pytest.raises(ValueError, match="processes must be a positive integer"):
+                sweep_workers(int(value))
             ring = get_ring(2)
             op = r_plus_operator(n=2, standard=True)
             with pytest.raises(ValueError, match="processes"):

@@ -69,6 +69,11 @@ class TestBasics:
         p = R2.const(Fraction(6, 2))
         assert p.leading_coefficient() == 3
         assert isinstance(p.leading_coefficient(), int)
+        # So does an integral coefficient of a scalar product, either way round.
+        x = R2.x(1, 1)
+        for q in ((2 * x) * Fraction(1, 2), (x * Fraction(1, 2)) * 2):
+            assert q == x
+            assert type(q.leading_coefficient()) is int
 
     def test_var_roundtrip(self):
         p = R3.x(2, 3)
