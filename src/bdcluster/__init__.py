@@ -12,7 +12,6 @@ from .polyring import (
     PolyRing,
     Poly,
     DivisionByZero,
-    MissingAssignment,
     NotDivisible,
     ExponentOverflow,
 )
@@ -34,8 +33,6 @@ from .bdseed import (
     Cluster,
     standard_cluster,
     initial_cluster,
-    theta,
-    psi,
 )
 from .quiver import (
     Quiver,
@@ -69,7 +66,6 @@ __all__ = [
     "PolyRing",
     "Poly",
     "DivisionByZero",
-    "MissingAssignment",
     "NotDivisible",
     "ExponentOverflow",
     "NotSquare",
@@ -87,8 +83,6 @@ __all__ = [
     "Cluster",
     "standard_cluster",
     "initial_cluster",
-    "theta",
-    "psi",
     "Quiver",
     "ExchangeMatrix",
     "FrozenDirection",

@@ -23,16 +23,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .polyring import Poly, PolyRing
-from .polymat import (
-    build_M,
-    build_Mtilde,
-    build_Mtilde_shift,
-    col_replace,
-    determinant,
-    first_family,
-    row_replace,
-    second_family,
-)
+from .polymat import build_M, build_Mtilde, determinant, first_family, second_family
 
 Label = Tuple[int, int]
 
@@ -67,16 +58,9 @@ class BDTriple:
 
 
 def normalize_triple(n: int, i: int, j: int) -> BDTriple:
-    """Validate a pair of simple-root indices and normalize to alpha < beta."""
-    if not (1 <= i <= n - 1):
-        raise InvalidRoot(f"root {i} outside 1..{n - 1}")
-    if not (1 <= j <= n - 1):
-        raise InvalidRoot(f"root {j} outside 1..{n - 1}")
-    if i == j:
-        raise EqualRoots(f"roots must differ, both are {i}")
-    if i < j:
-        return BDTriple(n, i, j, transposed=False)
-    return BDTriple(n, j, i, transposed=True)
+    """The pair of simple-root indices i, j normalized to alpha < beta;
+    BDTriple validates it."""
+    return BDTriple(n, min(i, j), max(i, j), transposed=i > j)
 
 
 @lru_cache(maxsize=64)
@@ -148,59 +132,3 @@ def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
     }
     return Cluster(ring=ring, n=n, labels=labels, functions=functions, frozen=frozen)
 
-
-def theta(triple: BDTriple, k: int) -> Poly:
-    """Closed form for the first-family function at label (n+k-alpha, k):
-
-        theta_k = f * g - f_right * g_left
-
-    with f the trailing minor at (n+k-alpha, k) (columns k..alpha),
-    g the one at (1, beta+1) (columns beta+1..n), f_right = f with
-    column alpha replaced by alpha+1 and g_left = g with column beta+1
-    replaced by beta.
-
-    When n = 2*beta the label (1, beta+1) heads the second family and
-    carries the glued function psi_1 instead of a plain minor, so g and
-    g_left become the determinants of that block matrix and of its
-    left-stepped variant.
-    """
-    n, alpha, beta = triple.n, triple.alpha, triple.beta
-    if not (1 <= k <= alpha):
-        raise InvalidRoot(f"first-family index {k} outside 1..{alpha}")
-    ring = get_ring(n)
-    f = determinant(build_M(ring, n + k - alpha, k))
-    if n == 2 * beta:
-        g = determinant(build_Mtilde(ring, alpha, beta, 1, beta + 1))
-        g_left = determinant(build_Mtilde_shift(ring, alpha, beta, 1, beta + 1))
-    else:
-        g = determinant(build_M(ring, 1, beta + 1))
-        g_left = col_replace(g, beta + 1, beta)
-    return f * g - col_replace(f, alpha, alpha + 1) * g_left
-
-
-def psi(triple: BDTriple, m: int) -> Poly:
-    """Closed form for the second-family function at label (m, n+m-beta):
-
-        psi_m = f * g - f_down * g_up
-
-    with f the trailing minor at (m, n+m-beta) (rows m..beta), g the one
-    at (alpha+1, 1) (rows alpha+1..n), f_down = f with row beta replaced
-    by beta+1 and g_up = g with row alpha+1 replaced by alpha.
-
-    When n = 2*alpha the label (alpha+1, 1) heads the first family and
-    carries the glued function theta_1 instead of a plain minor, so g
-    and g_up become the determinants of that block matrix and of its
-    up-stepped variant.
-    """
-    n, alpha, beta = triple.n, triple.alpha, triple.beta
-    if not (1 <= m <= beta):
-        raise InvalidRoot(f"second-family index {m} outside 1..{beta}")
-    ring = get_ring(n)
-    f = determinant(build_M(ring, m, n + m - beta))
-    if n == 2 * alpha:
-        g = determinant(build_Mtilde(ring, alpha, beta, alpha + 1, 1))
-        g_up = determinant(build_Mtilde_shift(ring, alpha, beta, alpha + 1, 1))
-    else:
-        g = determinant(build_M(ring, alpha + 1, 1))
-        g_up = row_replace(g, alpha + 1, alpha)
-    return f * g - row_replace(f, beta, beta + 1) * g_up

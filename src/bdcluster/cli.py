@@ -21,14 +21,8 @@ import sys
 from typing import List, Optional, Tuple
 
 from .bdseed import BDTriple, normalize_triple, seed_labels
-from .poisson import (
-    NotLogCanonical,
-    bracket_from_tables,
-    coefficient_from_tables,
-    gradient_tables,
-    unscale,
-)
-from .quiver import FrozenDirection, NotLaurentPolynomial, make_seed, mutate_seed, to_dot
+from .poisson import NotLogCanonical, poisson_coefficient, sklyanin_bracket
+from .quiver import FrozenDirection, NotLaurentPolynomial, mutate_seed, to_dot
 from .verify import CHECKS, Fault, VerificationReport, Workspace, run_checks
 
 
@@ -128,12 +122,11 @@ def _cmd_bracket(args) -> int:
         if lab not in cluster.functions:
             raise CliError(f"({lab[0]},{lab[1]}) is not a label of this cluster")
     f, g = cluster.functions[la], cluster.functions[lb]
-    ta, tb = gradient_tables(f, op), gradient_tables(g, op)
-    br = unscale(bracket_from_tables(ta, tb), op.n)
+    br = sklyanin_bracket(f, g, op)
     omega = None
     reason = None
     try:
-        omega = coefficient_from_tables(ta, tb)
+        omega = poisson_coefficient(f, g, op)
     except NotLogCanonical as e:
         reason = str(e)
     if args.format == "json":
@@ -160,12 +153,9 @@ def _cmd_mutate(args) -> int:
     lab = _parse_label(args.at)
     if lab not in seed_labels(ws.n, ws.triple, ws.sl)[0]:
         raise CliError(f"{lab} is not a vertex")
-    # Exchange on GL, where divisibility holds in the polynomial ring;
-    # on SL the printed GL variable represents the SL one.
-    ws = ws.gl()
-    seed = make_seed(ws.cluster(), ws.quiver())
+    # On SL the printed GL variable represents the SL one.
     try:
-        new_seed = mutate_seed(seed, lab)
+        new_seed = mutate_seed(ws.exchange_seed(), lab)
     except (FrozenDirection, NotLaurentPolynomial) as e:
         raise CliError(str(e)) from None
     new_var = new_seed.cluster.functions[lab]

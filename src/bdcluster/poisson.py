@@ -325,6 +325,14 @@ def gradient_tables(f: Poly, op: RPlusOperator) -> Tables:
     return Tables(F, Fp, f, classes, top, op)
 
 
+def _off_diagonal(ta: Tables, tb: Tables):
+    """(F_s, G_t', co) and (F'_s, G'_t', -co) as term dicts, for each entry
+    (co, s, t) of op.off_diagonal, with t' = t transposed."""
+    for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
+        for co, (si, sj), (ti, tj) in ta.op.off_diagonal:
+            yield R[si][sj]._d, H[tj][ti]._d, sign * co
+
+
 def _pairing(ta: Tables, tb: Tables):
     """The products whose sum is n^2 {f, g} = <n^2 R_+(F), G> - <n^2
     R_+(F'), G'>, as (diagonal, off_diagonal) lists of (terms, terms,
@@ -334,28 +342,21 @@ def _pairing(ta: Tables, tb: Tables):
     (Euler; F'_ll likewise with rows), so with M = op.diagonal the
     diagonal of the pairing is sum_{c,d} w(c, d) f_c g_d over the degree
     classes c of f and d of g, w(c, d) = col(d) M col(c) - row(d) M
-    row(c); every class pair is listed, weight 0 included.  Each entry
-    (co, s, t) of op.off_diagonal adds co F_s G_t' with t' = t
-    transposed, and subtracts co F'_s G'_t'.
+    row(c); every class pair is listed, weight 0 included.  The
+    off-diagonal products are those of _off_diagonal with both factors
+    nonzero.
     """
     # A class pair of weight 0 never reaches the kernel and its exponent
     # guard, so f g is guarded as a whole, by its largest exponents.
     ta.f.ring.check_exponents((ta.top + tb.top,))
-    op = ta.op
-    M = op.diagonal
+    M = ta.op.diagonal
     diagonal = []
     for (cf, rf), part_f in ta.classes.items():
         mc = [sum(mk * e for mk, e in zip(row, cf)) for row in M]
         mr = [sum(mk * e for mk, e in zip(row, rf)) for row in M]
         for (cg, rg), part_g in tb.classes.items():
             diagonal.append((part_f, part_g, sum(map(mul, cg, mc)) - sum(map(mul, rg, mr))))
-    off_diagonal = []
-    for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
-        for co, (si, sj), (ti, tj) in op.off_diagonal:
-            a, b = R[si][sj]._d, H[tj][ti]._d
-            if a and b:
-                off_diagonal.append((a, b, sign * co))
-    return diagonal, off_diagonal
+    return diagonal, [(a, b, co) for a, b, co in _off_diagonal(ta, tb) if a and b]
 
 
 def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
@@ -456,31 +457,29 @@ def _sweep_task(idxs: List[int]):
 def pair_products(ta: Tables, tb: Tables) -> int:
     """An upper bound on the term products of coefficient_from_tables:
     |f| |g| on the diagonal plus |F_s| |G_t'| + |F'_s| |G'_t'| for each
-    off-diagonal entry of the operator."""
-    total = len(ta.f) * len(tb.f)
-    for _, (si, sj), (ti, tj) in ta.op.off_diagonal:
-        total += len(ta.F[si][sj]) * len(tb.F[tj][ti]) + len(ta.Fp[si][sj]) * len(tb.Fp[tj][ti])
-    return total
+    off-diagonal entry of the operator (_off_diagonal)."""
+    return len(ta.f) * len(tb.f) + sum(len(a) * len(b) for a, b, _ in _off_diagonal(ta, tb))
 
 
 def sweep_workers(processes: Optional[int] = None) -> int:
     """Worker count for pair sweeps: processes if given, else
-    BD_CLUSTER_THREADS if set, else up to 4, capped by the CPU count.
-    Either must be a positive integer."""
+    BD_CLUSTER_THREADS if set, else 4; whichever applies is capped by the
+    CPU count, since a forked pool starts all its workers at once.
+    Either setting must be a positive integer."""
+    workers = 4
+    env = os.environ.get("BD_CLUSTER_THREADS")
     if processes is not None:
         if processes < 1:
             raise ValueError(f"processes must be a positive integer, got {processes}")
-        return processes
-    env = os.environ.get("BD_CLUSTER_THREADS")
-    if env:
+        workers = processes
+    elif env:
         try:
             workers = int(env)
         except ValueError:
             workers = 0
         if workers < 1:
             raise ValueError(f"BD_CLUSTER_THREADS must be a positive integer, got {env!r}")
-        return workers
-    return max(1, min(4, os.cpu_count() or 1))
+    return min(workers, os.cpu_count() or 1)
 
 
 def omega_sweep(

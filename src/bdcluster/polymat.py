@@ -1,9 +1,11 @@
-"""Matrices of polynomials: determinants, trailing minors, and shifts.
+"""Matrices of polynomials: determinants, trailing minors, block matrices.
 
 The cluster functions of interest are all determinants of submatrices
 of an n-by-n matrix of indeterminates X (and, for the two special
 families, of 2x2-block matrices glued from two submatrices of X).  This
 module knows how to build those matrices and take their determinants.
+Both kinds are chains of X blocks placed by one routine, _glue: a
+trailing minor is a chain of one block.
 
 It also holds the column and row replacement maps, which replace a
 column or row of a minor by another.  One pass over a polynomial's
@@ -92,9 +94,9 @@ def _trailing(n: int, i: int, j: int) -> Tuple[range, range]:
 
 
 def build_M(ring: PolyRing, i: int, j: int) -> Matrix:
-    """Submatrix of X whose determinant is the cluster function at (i, j)."""
-    rows, cols = _trailing(ring.n, i, j)
-    return [[ring.x(r, c) for c in cols] for r in rows]
+    """Submatrix of X whose determinant is the cluster function at (i, j):
+    the chain of the one block _trailing gives."""
+    return _glue(ring, [_trailing(ring.n, i, j)], True)
 
 
 def first_family(n: int, alpha: int, beta: int) -> List[tuple]:
@@ -124,10 +126,10 @@ def _chain(n: int, alpha: int, beta: int, i: int, j: int):
     _check_label(n, i, j)
     y = (range(1, (beta + 1 if n == 2 * beta else n - beta) + 1), range(beta, n + 1))
     low = (range(alpha, n + 1), range(1, (alpha + 1 if n == 2 * alpha else n - alpha) + 1))
-    if j <= alpha and i == n + j - alpha:
+    if (i, j) in first_family(n, alpha, beta):
         head = (range(i, n + 1), range(j, alpha + 2))
         return [head, y] + ([low] if n == 2 * beta else []), True
-    if i <= beta and j == n + i - beta:
+    if (i, j) in second_family(n, alpha, beta):
         head = (range(i, beta + 2), range(j, n + 1))
         return [head, low] + ([y] if n == 2 * alpha else []), False
     raise IndexNotSpecial(
@@ -170,33 +172,6 @@ def build_Mtilde(
     its last two columns to X rows 1..n-beta, columns beta..n.
     """
     return _glue(ring, *_chain(ring.n, alpha, beta, i, j))
-
-
-def build_Mtilde_shift(
-    ring: PolyRing,
-    alpha: int,
-    beta: int,
-    i: int,
-    j: int,
-) -> Matrix:
-    """The block matrix of build_Mtilde with its leading line stepped out.
-
-    For a first-family label the first grid row (row i of the leading
-    block) is rewritten with row i-1; for a second-family label the
-    first grid column (column j of the leading block) is rewritten
-    with column j-1.  This is the block-matrix form of the one-step
-    row/column replacement maps on minors, and it is what the glued
-    determinants of a coincidence structure (n = 2*alpha or n = 2*beta)
-    expand along.  Special labels always leave room for the step: the
-    first family has i >= 2 and the second family j >= 2.
-    """
-    blocks, share_cols = _chain(ring.n, alpha, beta, i, j)
-    rows, cols = blocks[0]
-    if share_cols:
-        blocks[0] = ([i - 1, *rows[1:]], cols)
-    else:
-        blocks[0] = (rows, [j - 1, *cols[1:]])
-    return _glue(ring, blocks, share_cols)
 
 
 def _replacement_tables(f: Poly):

@@ -33,7 +33,7 @@ import heapq
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 Scalar = Union[int, Fraction]
 VarId = Tuple[str, int, int]  # ("x" | "y", row, col), 1-based
@@ -59,14 +59,6 @@ class NotDivisible(ArithmeticError):
 
 class ExponentOverflow(ArithmeticError):
     """Raised when a product has an exponent of 128 or more in some variable."""
-
-
-class MissingAssignment(LookupError):
-    """Raised when evaluation lacks a value for some variable."""
-
-    def __init__(self, missing: Iterable[VarId]):
-        self.missing = sorted(missing)
-        super().__init__(f"no value assigned to {self.missing}")
 
 
 class PolyRing:
@@ -304,21 +296,6 @@ def partial_derivative(p: Poly, v: VarId) -> Poly:
         if e:
             out[m - (1 << shift)] = c * e
     return Poly(ring, out)
-
-
-def evaluate(p: Poly, assignment: Mapping[VarId, Scalar]) -> Fraction:
-    """Evaluate at rational values; every variable occurring in p needs a value."""
-    terms = [(c, p.ring.monomial_exponents(m)) for m, c in p._d.items()]
-    missing = {v for _, exps in terms for v in exps if v not in assignment}
-    if missing:
-        raise MissingAssignment(missing)
-    total = Fraction(0)
-    for c, exps in terms:
-        term = Fraction(c)
-        for v, e in exps.items():
-            term *= Fraction(assignment[v]) ** e
-        total += term
-    return total
 
 
 def _monomial_divides(divisor: int, mono: int, himask: int) -> bool:

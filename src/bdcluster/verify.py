@@ -50,6 +50,7 @@ from .poisson import (
 )
 from .quiver import (
     Quiver,
+    Seed,
     bd_quiver,
     make_seed,
     matrix_rank,
@@ -111,6 +112,8 @@ class Workspace:
     ):
         if triple is None and n is None:
             raise ValueError("need a pair or an explicit size")
+        if triple is not None and n is not None and n != triple.n:
+            raise ValueError(f"size n = {n} disagrees with the pair's n = {triple.n}")
         if triple is None:
             standard = True
         self.triple = triple
@@ -136,13 +139,15 @@ class Workspace:
     def beta(self) -> Optional[int]:
         return self.triple.beta if self.triple is not None else None
 
-    def gl(self) -> "Workspace":
-        """The same structure on GL.  Exchanges divide in the ambient
-        polynomial ring only there; on SL the divisibility holds modulo
-        det X = 1, and the GL variable represents the SL one."""
-        if not self.sl:
-            return self
-        return Workspace(self.triple, self.n, False, self.standard, self.fault, self.processes)
+    def exchange_seed(self) -> Seed:
+        """The seed that one-step exchanges start from: this structure on
+        GL.  Exchanges divide in the ambient polynomial ring only there; on
+        SL the divisibility holds modulo det X = 1, and the GL variable
+        represents the SL one."""
+        ws = self
+        if self.sl:
+            ws = Workspace(self.triple, self.n, False, self.standard, self.fault, self.processes)
+        return make_seed(ws.cluster(), ws.quiver())
 
     def cluster(self) -> Cluster:
         if self._cluster is None:
@@ -305,10 +310,9 @@ def check_regularity(ws: Workspace) -> Outcome:
     """Every one-step exchange from the initial seed is a polynomial.
 
     Divisibility is checked in the ambient polynomial ring, so this
-    check always runs on the GL cluster (see Workspace.gl).
+    check always runs on the GL cluster (see Workspace.exchange_seed).
     """
-    ws = ws.gl()
-    seed = make_seed(ws.cluster(), ws.quiver())
+    seed = ws.exchange_seed()
     witnesses = []
     mutated = 0
     for lab in seed.matrix.mutable_labels():

@@ -1,0 +1,136 @@
+"""Independent oracles that only the tests call; the package never does.
+
+theta and psi are the paper's closed forms of the block-minor cluster
+functions, built from trailing minors and the replacement maps;
+build_Mtilde_shift is the block matrix with its leading line stepped
+out, along which the coincidence structures (n = 2*alpha or n = 2*beta)
+expand; evaluate substitutes rational values for the variables of a
+polynomial.  Each is a second path to something the package computes
+one way (block determinants, exact identities), so a test can compare
+the two.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+from bdcluster.bdseed import BDTriple, InvalidRoot, get_ring
+from bdcluster.polymat import (
+    Matrix,
+    _chain,
+    _glue,
+    build_M,
+    build_Mtilde,
+    col_replace,
+    determinant,
+    row_replace,
+)
+from bdcluster.polyring import Poly, PolyRing, Scalar, VarId
+
+
+class MissingAssignment(LookupError):
+    """Raised when evaluation lacks a value for some variable."""
+
+    def __init__(self, missing: Iterable[VarId]):
+        self.missing = sorted(missing)
+        super().__init__(f"no value assigned to {self.missing}")
+
+
+def evaluate(p: Poly, assignment: Mapping[VarId, Scalar]) -> Fraction:
+    """Evaluate at rational values; every variable occurring in p needs a value."""
+    terms = [(c, p.ring.monomial_exponents(m)) for m, c in p._d.items()]
+    missing = {v for _, exps in terms for v in exps if v not in assignment}
+    if missing:
+        raise MissingAssignment(missing)
+    total = Fraction(0)
+    for c, exps in terms:
+        term = Fraction(c)
+        for v, e in exps.items():
+            term *= Fraction(assignment[v]) ** e
+        total += term
+    return total
+
+
+def build_Mtilde_shift(
+    ring: PolyRing,
+    alpha: int,
+    beta: int,
+    i: int,
+    j: int,
+) -> Matrix:
+    """The block matrix of build_Mtilde with its leading line stepped out.
+
+    For a first-family label the first grid row (row i of the leading
+    block) is rewritten with row i-1; for a second-family label the
+    first grid column (column j of the leading block) is rewritten
+    with column j-1.  This is the block-matrix form of the one-step
+    row/column replacement maps on minors, and it is what the glued
+    determinants of a coincidence structure (n = 2*alpha or n = 2*beta)
+    expand along.  Special labels always leave room for the step: the
+    first family has i >= 2 and the second family j >= 2.
+    """
+    blocks, share_cols = _chain(ring.n, alpha, beta, i, j)
+    rows, cols = blocks[0]
+    if share_cols:
+        blocks[0] = ([i - 1, *rows[1:]], cols)
+    else:
+        blocks[0] = (rows, [j - 1, *cols[1:]])
+    return _glue(ring, blocks, share_cols)
+
+
+def theta(triple: BDTriple, k: int) -> Poly:
+    """Closed form for the first-family function at label (n+k-alpha, k):
+
+        theta_k = f * g - f_right * g_left
+
+    with f the trailing minor at (n+k-alpha, k) (columns k..alpha),
+    g the one at (1, beta+1) (columns beta+1..n), f_right = f with
+    column alpha replaced by alpha+1 and g_left = g with column beta+1
+    replaced by beta.
+
+    When n = 2*beta the label (1, beta+1) heads the second family and
+    carries the glued function psi_1 instead of a plain minor, so g and
+    g_left become the determinants of that block matrix and of its
+    left-stepped variant.
+    """
+    n, alpha, beta = triple.n, triple.alpha, triple.beta
+    if not (1 <= k <= alpha):
+        raise InvalidRoot(f"first-family index {k} outside 1..{alpha}")
+    ring = get_ring(n)
+    f = determinant(build_M(ring, n + k - alpha, k))
+    if n == 2 * beta:
+        g = determinant(build_Mtilde(ring, alpha, beta, 1, beta + 1))
+        g_left = determinant(build_Mtilde_shift(ring, alpha, beta, 1, beta + 1))
+    else:
+        g = determinant(build_M(ring, 1, beta + 1))
+        g_left = col_replace(g, beta + 1, beta)
+    return f * g - col_replace(f, alpha, alpha + 1) * g_left
+
+
+def psi(triple: BDTriple, m: int) -> Poly:
+    """Closed form for the second-family function at label (m, n+m-beta):
+
+        psi_m = f * g - f_down * g_up
+
+    with f the trailing minor at (m, n+m-beta) (rows m..beta), g the one
+    at (alpha+1, 1) (rows alpha+1..n), f_down = f with row beta replaced
+    by beta+1 and g_up = g with row alpha+1 replaced by alpha.
+
+    When n = 2*alpha the label (alpha+1, 1) heads the first family and
+    carries the glued function theta_1 instead of a plain minor, so g
+    and g_up become the determinants of that block matrix and of its
+    up-stepped variant.
+    """
+    n, alpha, beta = triple.n, triple.alpha, triple.beta
+    if not (1 <= m <= beta):
+        raise InvalidRoot(f"second-family index {m} outside 1..{beta}")
+    ring = get_ring(n)
+    f = determinant(build_M(ring, m, n + m - beta))
+    if n == 2 * alpha:
+        g = determinant(build_Mtilde(ring, alpha, beta, alpha + 1, 1))
+        g_up = determinant(build_Mtilde_shift(ring, alpha, beta, alpha + 1, 1))
+    else:
+        g = determinant(build_M(ring, alpha + 1, 1))
+        g_up = row_replace(g, alpha + 1, alpha)
+    return f * g - row_replace(f, beta, beta + 1) * g_up

@@ -11,19 +11,17 @@ from bdcluster.bdseed import (
     get_ring,
     initial_cluster,
     normalize_triple,
-    psi,
     standard_cluster,
-    theta,
 )
 from bdcluster.polymat import (
     build_M,
     build_Mtilde,
-    build_Mtilde_shift,
     col_replace,
     determinant,
     first_family,
     second_family,
 )
+from oracles import build_Mtilde_shift, psi, theta
 
 
 def all_pairs(n):
@@ -54,6 +52,15 @@ class TestTriple:
     def test_normalize_rejects_equal(self):
         with pytest.raises(EqualRoots):
             normalize_triple(5, 2, 2)
+
+    @pytest.mark.parametrize("n, i, j", [(2, 1, 1), (3, 0, 2), (3, 1, 3), (4, 2, 2)])
+    def test_normalize_validates_as_the_pair_does(self, n, i, j):
+        # normalize_triple leaves validation to BDTriple, so both raise alike.
+        with pytest.raises(ValueError) as direct:
+            BDTriple(n, min(i, j), max(i, j))
+        with pytest.raises(ValueError) as normalized:
+            normalize_triple(n, i, j)
+        assert type(normalized.value) is type(direct.value)
 
 
 class TestStandardCluster:

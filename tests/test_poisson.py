@@ -555,10 +555,22 @@ class TestSweeps:
         assert omegas[(0, 1)] == -32
 
     def test_sweep_workers_env(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("BD_CLUSTER_THREADS", "2")
         assert sweep_workers() == 2
         monkeypatch.delenv("BD_CLUSTER_THREADS")
         assert sweep_workers() >= 1
+
+    def test_sweep_workers_capped_by_cpu_count(self, monkeypatch):
+        # A forked pool starts every worker on its first task, so each
+        # source of the count is capped.  No process is started here.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sweep_workers(10**6) == 2
+        monkeypatch.setenv("BD_CLUSTER_THREADS", "1000000")
+        assert sweep_workers() == 2
+        monkeypatch.delenv("BD_CLUSTER_THREADS")
+        assert sweep_workers() == 2
+        assert sweep_workers(1) == 1
 
     @pytest.mark.parametrize("value", ["four", "2.5", "0", "-3"])
     def test_sweep_workers_rejects_bad_env(self, monkeypatch, value):
@@ -580,12 +592,17 @@ class TestSweeps:
         # (the faulted seed's and the overflowing pair's) come back in
         # pair order, as in-process.
         started = []
+        cpus = 2
 
         class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(args)
-                super().__init__(*args, **kwargs)
+            def __init__(self, max_workers, *args, **kwargs):
+                if max_workers > cpus:
+                    raise AssertionError(f"a pool of {max_workers} workers on {cpus} CPUs")
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
 
+        # Patched so the pool is forced on a 1-CPU host too.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         monkeypatch.setattr(poisson, "POOL_MIN_PRODUCTS", 0)
         ring = get_ring(2)

@@ -15,13 +15,13 @@ from bdcluster.polymat import (
     _trailing,
     build_M,
     build_Mtilde,
-    build_Mtilde_shift,
     col_replace,
     determinant,
     first_family,
     row_replace,
     second_family,
 )
+from oracles import build_Mtilde_shift
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)

@@ -219,6 +219,12 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="unknown check"):
             run_checks(["nonsense"], triple=T312)
 
+    def test_size_must_match_the_pair(self):
+        # The pair fixes n; a different explicit n is refused, not ignored.
+        with pytest.raises(ValueError, match="n = 5 .* n = 4"):
+            run_checks(["rank"], triple=BDTriple(4, 1, 3), n=5)
+        assert one("rank", BDTriple(4, 1, 3), n=4).n == 4
+
     def test_pair_only_checks_refuse_standalone_size(self):
         with pytest.raises(ValueError, match="needs a pair"):
             run_checks(["somega"], n=3)
