@@ -63,6 +63,15 @@ def normalize_triple(n: int, i: int, j: int) -> BDTriple:
     return BDTriple(n, min(i, j), max(i, j), transposed=i > j)
 
 
+def structure_size(triple: Optional[BDTriple], n: Optional[int]) -> int:
+    """The matrix size of a pair, an explicit n, or both when they agree."""
+    if triple is None and n is None:
+        raise ValueError("need a pair or an explicit size")
+    if triple is not None and n not in (None, triple.n):
+        raise ValueError(f"size n = {n} disagrees with the pair's n = {triple.n}")
+    return n if triple is None else triple.n
+
+
 @lru_cache(maxsize=64)
 def get_ring(n: int) -> PolyRing:
     return PolyRing(n)

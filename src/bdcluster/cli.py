@@ -21,7 +21,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .bdseed import BDTriple, normalize_triple, seed_labels
-from .poisson import NotLogCanonical, poisson_coefficient, sklyanin_bracket
+from .poisson import NotLogCanonical, bracket_and_coefficient
 from .quiver import FrozenDirection, NotLaurentPolynomial, mutate_seed, to_dot
 from .verify import CHECKS, Fault, VerificationReport, Workspace, run_checks
 
@@ -122,13 +122,10 @@ def _cmd_bracket(args) -> int:
         if lab not in cluster.functions:
             raise CliError(f"({lab[0]},{lab[1]}) is not a label of this cluster")
     f, g = cluster.functions[la], cluster.functions[lb]
-    br = sklyanin_bracket(f, g, op)
-    omega = None
+    br, omega = bracket_and_coefficient(f, g, op)
     reason = None
-    try:
-        omega = poisson_coefficient(f, g, op)
-    except NotLogCanonical as e:
-        reason = str(e)
+    if isinstance(omega, NotLogCanonical):
+        omega, reason = None, str(omega)
     if args.format == "json":
         payload = {
             "f": f"{la[0]},{la[1]}",

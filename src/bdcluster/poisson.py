@@ -63,9 +63,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bdseed import BDTriple
+from .bdseed import BDTriple, structure_size
 from .polymat import _replacement_tables
 from .polyring import ExponentOverflow, NotDivisible, Poly, _normalize_scalar, exact_divide
 
@@ -160,14 +160,14 @@ def r_plus_operator(
     standard: bool = False,
 ) -> RPlusOperator:
     """R_+ of the pair's exotic structure, or of its standard companion
-    when standard is set; without a pair, the standard R_+ of size n."""
+    when standard is set; without a pair, the standard R_+ of size n.  An
+    n given with a pair must be the pair's."""
+    n = structure_size(triple, n)
     if triple is None:
-        if n is None:
-            raise ValueError("need a pair or an explicit size")
         alpha = beta = None
         standard = True
     else:
-        n, alpha, beta = triple.n, triple.alpha, triple.beta
+        alpha, beta = triple.alpha, triple.beta
     return RPlusOperator(n, alpha, beta, standard, build_r0(n, alpha, beta))
 
 
@@ -419,6 +419,19 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
             raise NotLogCanonical("bracket is a non-constant multiple of the product")
         return Fraction(quo[0], op.n * op.n)
     return Fraction(W, lc * op.n * op.n)
+
+
+def bracket_and_coefficient(
+    f: Poly, g: Poly, op: RPlusOperator
+) -> Tuple[Poly, Union[Fraction, NotLogCanonical]]:
+    """({f, g}, omega) from one tabling of f and g, with the
+    NotLogCanonical that says why in place of omega when there is none."""
+    ta, tb = gradient_tables(f, op), gradient_tables(g, op)
+    try:
+        omega = coefficient_from_tables(ta, tb)
+    except NotLogCanonical as e:
+        omega = e
+    return unscale(bracket_from_tables(ta, tb), op.n), omega
 
 
 def poisson_coefficient(f: Poly, g: Poly, op: RPlusOperator) -> Fraction:

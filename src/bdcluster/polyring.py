@@ -19,7 +19,9 @@ neighbouring byte.
 Only this module reads the layout: every product of polynomials runs
 through one kernel, PolyRing.accumulate, every exponent test through one
 guard, PolyRing.check_exponents, and other modules read keys only
-through x_units, x_exponents and top.
+through x_units, x_exponents and top.  exact_divide_products divides a
+sum of products one slice at a time, a slice being the terms that share
+the exponents of the variables the divisor lacks (key & mask).
 
 Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
 const, scalar products and exact_divide give ints for integral values;
@@ -30,10 +32,11 @@ Fraction, which compares and hashes equal to the int.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 VarId = Tuple[str, int, int]  # ("x" | "y", row, col), 1-based
@@ -354,6 +357,51 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
             else:
                 rem.pop(k, None)
     return Poly(p.ring, quot)
+
+
+def exact_divide_products(sides: Sequence[List[Poly]], q: Poly) -> Poly:
+    """(sum over sides of the product of the side's factors) / q, exactly,
+    without forming the whole numerator P.
+
+    Let V be the variables q lacks and write P = sum_v P_v m_v, m_v a
+    monomial in V alone: q | P exactly when q | P_v for every v, and then
+    P / q = sum_v (P_v / q) m_v.  Each side multiplies all but its
+    largest factor into a head, buckets the head and that factor by their
+    V-part (key & mask: packed keys add without carry), and P_v sums the
+    bucket pairs whose V-parts add up to v.  When a slice does not
+    divide, the whole numerator is divided instead, so the NotDivisible
+    witness is exact_divide's for P.
+    """
+    ring = q.ring
+    # All ones on the bytes of the variables that no term of q contains.
+    used = reduce(or_, q._d, 0).to_bytes(ring.nvars, "big")
+    mask = int.from_bytes(bytes(0 if b else _DIGIT_MASK for b in used), "big")
+    slices = defaultdict(list)
+    for factors in sides:
+        *rest, big = sorted(factors, key=len) or [ring.one]
+        head = ring.one._d
+        for f in rest:
+            head = {m: c for m, c in ring.accumulate([(head, f._d, 1)]).items() if c}
+        buckets = []
+        for terms in (head, big._d):
+            by_v = defaultdict(dict)
+            for m, c in terms.items():
+                by_v[m & mask][m] = c
+            buckets.append(by_v.items())
+        for hv, h in buckets[0]:
+            for bv, b in buckets[1]:
+                slices[hv + bv].append((h, b, 1))
+    quot: Dict[int, Scalar] = {}
+    for products in slices.values():
+        part = {m: c for m, c in ring.accumulate(products).items() if c}
+        if not part:
+            continue
+        try:
+            quot.update(exact_divide(Poly(ring, part), q)._d)
+        except NotDivisible:
+            whole = [reduce(Poly.__mul__, factors, ring.one) for factors in sides]
+            return exact_divide(reduce(Poly.__add__, whole), q)
+    return Poly(ring, quot)
 
 
 def render(p: Poly) -> str:

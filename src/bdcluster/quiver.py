@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from .bdseed import BDTriple, Cluster, Label, seed_labels
-from .polyring import NotDivisible, exact_divide
+from .polyring import NotDivisible, exact_divide_products
 
 
 class FrozenDirection(ValueError):
@@ -129,21 +129,21 @@ def mutate_matrix(em: ExchangeMatrix, label: Label) -> ExchangeMatrix:
         raise FrozenDirection(f"cannot mutate at frozen vertex {label}")
     old = em.entries
     new_rows = []
+    krow = old[k]
     for r in range(em.n_mutable):
         row = old[r]
+        b_rk = row[k]
         if r == k:
             new_rows.append(tuple(-b for b in row))
-            continue
-        b_rk = row[k]
-        krow = old[k]
-        new_rows.append(
-            tuple(
-                -row[c]
-                if c == k
-                else row[c] + (abs(b_rk) * krow[c] + b_rk * abs(krow[c])) // 2
-                for c in range(len(em.labels))
+        elif not b_rk:  # only column k changes, and it stays 0
+            new_rows.append(row)
+        else:
+            new_rows.append(
+                tuple(
+                    -row[c] if c == k else row[c] + (abs(b_rk) * krow[c] + b_rk * abs(krow[c])) // 2
+                    for c in range(len(em.labels))
+                )
             )
-        )
     return replace(em, entries=tuple(new_rows))
 
 
@@ -187,22 +187,17 @@ def make_seed(cluster: Cluster, quiver: Quiver) -> Seed:
 def mutate_seed(seed: Seed, label: Label) -> Seed:
     """One-step mutation: exchange the variable at a mutable label and
     mutate the matrix.  Raises NotLaurentPolynomial if the exchange
-    polynomial is not divisible by the old variable."""
+    polynomial is not divisible by the old variable.  The exchange
+    polynomial is divided one slice at a time (exact_divide_products) and
+    never formed whole unless a slice fails to divide."""
     em = seed.matrix
     new_matrix = mutate_matrix(em, label)
     funcs = seed.cluster.functions
-    ring = seed.cluster.ring
-    pos = ring.one
-    neg = ring.one
-    row = em.entries[em.labels.index(label)]
-    for c, lab in enumerate(em.labels):
-        b = row[c]
-        if b > 0:
-            pos = pos * funcs[lab] ** b
-        elif b < 0:
-            neg = neg * funcs[lab] ** (-b)
+    sides = ([], [])
+    for lab, b in zip(em.labels, em.entries[em.labels.index(label)]):
+        sides[b < 0].extend([funcs[lab]] * abs(b))
     try:
-        new_var = exact_divide(pos + neg, funcs[label])
+        new_var = exact_divide_products(sides, funcs[label])
     except NotDivisible as e:
         raise NotLaurentPolynomial(
             f"exchange at {label} is not polynomial: {e}"

@@ -30,6 +30,7 @@ from .bdseed import (
     get_ring,
     initial_cluster,
     standard_cluster,
+    structure_size,
 )
 from .polymat import first_family, second_family
 from .polyring import Poly
@@ -110,14 +111,10 @@ class Workspace:
         fault: Optional[Fault] = None,
         processes: Optional[int] = None,
     ):
-        if triple is None and n is None:
-            raise ValueError("need a pair or an explicit size")
-        if triple is not None and n is not None and n != triple.n:
-            raise ValueError(f"size n = {n} disagrees with the pair's n = {triple.n}")
+        self.n = structure_size(triple, n)
         if triple is None:
             standard = True
         self.triple = triple
-        self.n = triple.n if triple is not None else n
         # SL drops only (1, 1), so every seed with n >= 3 has the label.
         if fault is Fault.DROP_PHI31_TERM and self.n < 3:
             raise ValueError(f"fault {fault.value} needs label (3, 1), which n = {self.n} lacks")

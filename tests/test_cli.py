@@ -3,7 +3,7 @@
 import json
 from dataclasses import replace
 
-from bdcluster import verify
+from bdcluster import poisson, verify
 from bdcluster.bdseed import get_ring
 from bdcluster.cli import main
 
@@ -101,6 +101,20 @@ class TestBracket:
         assert rc == 0
         payload = json.loads(out)
         assert payload["log_canonical"] is True
+
+    def test_tables_each_function_once(self, capsys, monkeypatch):
+        # The bracket and omega come from one tabling of f and of g.
+        tabled = []
+        real = poisson.gradient_tables
+
+        def counted(f, op):
+            tabled.append(f)
+            return real(f, op)
+
+        monkeypatch.setattr(poisson, "gradient_tables", counted)
+        rc, out, _ = run(capsys, "bracket", "--n", "4", "--alpha", "1", "--beta", "3", "--f", "2,2", "--g", "3,1")
+        assert rc == 0 and "omega = " in out
+        assert len(tabled) == 2
 
     def test_unknown_label(self, capsys):
         rc, _, err = run(capsys, "bracket", "--n", "2", "--f", "9,9", "--g", "2,2")

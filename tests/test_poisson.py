@@ -119,6 +119,12 @@ class TestDualBasis:
 
 
 class TestRPlusOperator:
+    def test_size_must_match_the_pair(self):
+        # The pair fixes n; a different explicit n is refused, not ignored.
+        with pytest.raises(ValueError, match="n = 5 .* n = 4"):
+            r_plus_operator(BDTriple(4, 1, 3), n=5)
+        assert r_plus_operator(BDTriple(4, 1, 3), n=4) == r_plus_operator(BDTriple(4, 1, 3))
+
     def test_upper_part_passes_through(self):
         op = r_plus_operator(n=3, standard=True)
         out = r_plus(op, unit(3, 1, 3))

@@ -1,16 +1,21 @@
 """Quivers, exchange matrices, and seed mutation."""
 
+import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bdcluster import polyring
 from bdcluster.bdseed import BDTriple, initial_cluster, standard_cluster
+from bdcluster.polyring import ExponentOverflow, exact_divide
 from bdcluster.quiver import (
     ExchangeMatrix,
     FrozenDirection,
     NotLaurentPolynomial,
+    Seed,
     bd_quiver,
     make_seed,
     matrix_rank,
@@ -20,6 +25,15 @@ from bdcluster.quiver import (
     to_dot,
     to_exchange_matrix,
 )
+from bdcluster.verify import Fault, Workspace, run_checks
+from test_verify import _structures
+
+# sha256 of the regular check's witnesses under drop-phi31-term, recorded
+# when each exchange was divided as one whole numerator.
+DROPPED_TERM_WITNESSES = {
+    (3, 1, 2): "d7707bfba92043aaf94f73e57568e2097eaccdc7f2c5aaf189dd0177a68d2530",
+    (4, 1, 3): "4a2f9fccebbf05c809252f443a129695900e5c5c89f7d043176960c86c29f0fa",
+}
 
 
 class TestStandardQuiver:
@@ -223,6 +237,66 @@ class TestSeedMutation:
         seed = make_seed(broken, standard_quiver(3))
         with pytest.raises(NotLaurentPolynomial):
             mutate_seed(seed, (2, 3))
+
+
+def whole_exchange(seed, label):
+    """The exchanged variable from the whole numerator: M+ and M- by
+    Poly powers and products, their sum divided at once."""
+    em, funcs, ring = seed.matrix, seed.cluster.functions, seed.cluster.ring
+    pos = neg = ring.one
+    for lab, b in zip(em.labels, em.entries[em.labels.index(label)]):
+        if b > 0:
+            pos = pos * funcs[lab] ** b
+        elif b < 0:
+            neg = neg * funcs[lab] ** -b
+    return exact_divide(pos + neg, funcs[label])
+
+
+class TestSlicedExchange:
+    @pytest.mark.parametrize(
+        "n, pair, standard",
+        list(_structures()),
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_equals_the_whole_division(self, n, pair, standard):
+        # Every structure of test_verify, each on GL.
+        seed = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard).exchange_seed()
+        for lab in seed.matrix.mutable_labels():
+            got = mutate_seed(seed, lab).cluster.functions[lab]
+            assert got._d == whole_exchange(seed, lab)._d, lab
+
+    def test_no_division_sees_the_whole_numerator(self, monkeypatch):
+        # (5,2,4) at (2,2): the numerator has 35,264 terms in 43 slices.
+        sizes = []
+        real = polyring.exact_divide
+
+        def spy(p, q):
+            sizes.append(len(p))
+            return real(p, q)
+
+        monkeypatch.setattr(polyring, "exact_divide", spy)
+        seed = Workspace(BDTriple(5, 2, 4)).exchange_seed()
+        mutate_seed(seed, (2, 2))
+        assert sum(sizes) == 35_264
+        assert max(sizes) <= 2_000
+
+    def test_exponent_overflow_is_raised(self):
+        # x[1,1]^64 * (x[1,1]^64 + x[1,2]) reaches x[1,1]^128.
+        cluster = standard_cluster(2)
+        x = cluster.ring.x
+        funcs = {**cluster.functions, (1, 1): x(1, 1) ** 64, (1, 2): x(1, 1) ** 64 + x(1, 2)}
+        labels = ((2, 2), (1, 1), (1, 2), (2, 1))
+        em = ExchangeMatrix(labels=labels, n_mutable=1, entries=((0, 1, 1, -1),))
+        seed = Seed(cluster=replace(cluster, functions=funcs), matrix=em)
+        with pytest.raises(ExponentOverflow):
+            mutate_seed(seed, (2, 2))
+
+    @pytest.mark.parametrize("pair", sorted(DROPPED_TERM_WITNESSES), ids=lambda p: "-".join(map(str, p)))
+    def test_dropped_term_witnesses_unchanged(self, pair):
+        (rep,) = run_checks(["regular"], triple=BDTriple(*pair), fault=Fault.DROP_PHI31_TERM)
+        text = "\n".join(rep.witnesses)
+        assert not rep.passed
+        assert hashlib.sha256(text.encode()).hexdigest() == DROPPED_TERM_WITNESSES[pair], text
 
 
 def test_dot_export_mentions_every_vertex():
