@@ -56,12 +56,12 @@ bracket, the tensor and the Yang-Baxter check alike.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -279,11 +279,14 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
     the basis of elementary tensors; unitarity is r + r_21 = split
     Casimir.
     """
-    terms = list(rt.items())
-    acc: Dict[Tuple, Fraction] = {}
+    # [[r,r]] is accumulated in integers, over d r with d the common
+    # denominator of r's entries (a factor of n^2 for build_r_tensor).
+    d = lcm(*(v.denominator for v in rt.values()))
+    terms = [(key, int(v * d)) for key, v in rt.items()]
+    acc: Dict[Tuple, int] = {}
 
     def add(key, v):
-        w = acc.get(key, Fraction(0)) + v
+        w = acc.get(key, 0) + v
         if w:
             acc[key] = w
         else:
@@ -300,7 +303,7 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
                 add((a1, a2, u), sgn * co)
     witnesses = []
     for key in sorted(acc)[:5]:
-        witnesses.append(f"[[r,r]] has coefficient {acc[key]} at {key}")
+        witnesses.append(f"[[r,r]] has coefficient {_normalize_scalar(Fraction(acc[key], d * d))} at {key}")
     diff = tensor_sum(tensor_sum(rt, tensor_transpose(rt)), {k: -v for k, v in casimir_tensor(n).items()})
     unitary = not diff
     for key in sorted(diff)[:5]:
@@ -515,8 +518,9 @@ def omega_sweep(
     pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
     cost = [pair_products(tables[ia], tables[ib]) for ia, ib in pairs] if nproc > 1 else []
     if nproc > 1 and sum(cost) >= POOL_MIN_PRODUCTS and hasattr(os, "fork"):
-        # Imported here, as at module level it slows every start-up.  Forked
+        # Imported here, as at module level they slow every start-up.  Forked
         # workers inherit the tables; a dead one raises BrokenProcessPool.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(

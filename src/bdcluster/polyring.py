@@ -19,9 +19,10 @@ neighbouring byte.
 Only this module reads the layout: every product of polynomials runs
 through one kernel, PolyRing.accumulate, every exponent test through one
 guard, PolyRing.check_exponents, and other modules read keys only
-through x_units, x_exponents and top.  exact_divide_products divides a
-sum of products one slice at a time, a slice being the terms that share
-the exponents of the variables the divisor lacks (key & mask).
+through x_units, x_exponents and top.  Every exact division runs
+through one kernel, _reduce.  exact_divide_products divides a sum of
+products one slice at a time, a slice being the terms that share the
+exponents of the variables the divisor lacks (key & mask).
 
 Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
 const, scalar products and exact_divide give ints for integral values;
@@ -307,36 +308,50 @@ def _monomial_divides(divisor: int, mono: int, himask: int) -> bool:
     return ((mono | himask) - divisor) & himask == himask
 
 
-def exact_divide(p: Poly, q: Poly) -> Poly:
-    """Return p / q when q divides p exactly; raise NotDivisible otherwise.
+def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
+    """The quotient of the term dict rem by q, consuming rem; zero
+    entries are allowed, and a rem of zeros alone, such as a slice whose
+    sums all cancel, is not sorted.  Raises NotDivisible at the first
+    remainder term, in decreasing order, that lead(q) does not divide.
 
-    Leading-term reduction: repeatedly cancel the remainder's leading
-    term against the divisor's.  A max-heap of candidate monomials keeps
-    each step cheap; entries whose coefficient has since cancelled are
-    skipped lazily.
+    One decreasing walk over rem's sorted monomials.  A term that has
+    cancelled costs one lookup; a nonzero one is reduced against lead(q),
+    deleted from rem, and q's other terms times the quotient term are
+    subtracted.  A subtraction only reaches monomials below the current
+    one, and one that rem lacked goes on a small max-heap, merged with the
+    walk.  Cancelled sums stay in rem as 0, so membership in rem tells
+    which monomials the walk or the heap will still reach, and each is
+    reached once.
     """
-    if not q._d:
-        raise DivisionByZero("division by the zero polynomial")
-    if p.ring != q.ring:
-        raise ValueError("polynomials belong to different rings")
-    if not p._d:
-        return p.ring.zero
-    himask = p.ring._himask
     qd = q._d
+    if not qd:
+        raise DivisionByZero("division by the zero polynomial")
+    if not any(rem.values()):
+        return {}
+    himask = q.ring._himask
     qlead = max(qd)
     qlc = qd[qlead]
-    rem = dict(p._d)
+    tail = [(m, c) for m, c in qd.items() if m != qlead]
     quot: Dict[int, Scalar] = {}
-    heap = [-m for m in rem]
-    heapq.heapify(heap)
-    while heap:
-        m = -heapq.heappop(heap)
-        c = rem.get(m)
+    heap: List[int] = []
+    walk = iter(sorted(rem, reverse=True))
+    # -1 is below every monomial, so it ends the walk.
+    nxt = next(walk, -1)
+    while True:
+        if heap and -heap[0] > nxt:
+            m = -heapq.heappop(heap)
+        elif nxt < 0:
+            return quot
+        else:
+            m = nxt
+            nxt = next(walk, -1)
+        c = rem[m]
         if not c:
             continue
+        del rem[m]
         if not _monomial_divides(qlead, m, himask):
             raise NotDivisible(
-                f"remainder term of degree profile {p.ring.monomial_exponents(m)} "
+                f"remainder term of degree profile {q.ring.monomial_exponents(m)} "
                 "is not reducible by the divisor's leading term"
             )
         tmono = m - qlead
@@ -347,16 +362,26 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
         else:
             tc = _normalize_scalar(c / qlc)
         quot[tmono] = tc
-        for m2, c2 in qd.items():
+        for m2, c2 in tail:
             k = tmono + m2
-            v = rem.get(k, 0) - tc * c2
-            if v:
-                if k not in rem:
-                    heapq.heappush(heap, -k)
-                rem[k] = v
+            v = rem.get(k)
+            if v is None:
+                heapq.heappush(heap, -k)
+                rem[k] = -tc * c2
             else:
-                rem.pop(k, None)
-    return Poly(p.ring, quot)
+                rem[k] = v - tc * c2
+
+
+def exact_divide(p: Poly, q: Poly) -> Poly:
+    """Return p / q when q divides p exactly; raise NotDivisible otherwise.
+
+    Leading-term reduction in one decreasing pass over p's terms
+    (_reduce); the NotDivisible witness is the largest remainder term
+    that q's leading term does not divide.
+    """
+    if p.ring != q.ring:
+        raise ValueError("polynomials belong to different rings")
+    return Poly(p.ring, _reduce(dict(p._d), q))
 
 
 def exact_divide_products(sides: Sequence[List[Poly]], q: Poly) -> Poly:
@@ -393,11 +418,10 @@ def exact_divide_products(sides: Sequence[List[Poly]], q: Poly) -> Poly:
                 slices[hv + bv].append((h, b, 1))
     quot: Dict[int, Scalar] = {}
     for products in slices.values():
-        part = {m: c for m, c in ring.accumulate(products).items() if c}
-        if not part:
-            continue
         try:
-            quot.update(exact_divide(Poly(ring, part), q)._d)
+            # Only _reduce holds the slice, so it is freed before the next
+            # slice is built.
+            quot.update(_reduce(ring.accumulate(products), q))
         except NotDivisible:
             whole = [reduce(Poly.__mul__, factors, ring.one) for factors in sides]
             return exact_divide(reduce(Poly.__add__, whole), q)

@@ -240,25 +240,23 @@ def check_compatibility(ws: Workspace) -> Outcome:
         return [f"coefficient matrix undefined: pair ({labels[ia]}, {labels[ib]}): {reason}"], {}
     em = to_exchange_matrix(ws.quiver())
     cl_index = {lab: i for i, lab in enumerate(labels)}
-
-    def w(la, lb) -> Fraction:
-        ia, ib = cl_index[la], cl_index[lb]
-        if ia == ib:
-            return Fraction(0)
-        if ia < ib:
-            return omegas[(ia, ib)]
-        return -omegas[(ib, ia)]
-
     L = len(em.labels)
+    # omega in the exchange matrix's label order, antisymmetric.
+    pos = [cl_index[lab] for lab in em.labels]
+    w = [[Fraction(0)] * L for _ in range(L)]
+    for a in range(L):
+        for b in range(a + 1, L):
+            ia, ib = pos[a], pos[b]
+            w[a][b] = omegas[(ia, ib)] if ia < ib else -omegas[(ib, ia)]
+            w[b][a] = -w[a][b]
     witnesses: List[str] = []
     diag: List[Fraction] = []
     for r in range(em.n_mutable):
-        row = em.entries[r]
+        nonzero = [(b, w[m]) for m, b in enumerate(em.entries[r]) if b]
         for c in range(L):
             v = Fraction(0)
-            for m in range(L):
-                if row[m]:
-                    v += row[m] * w(em.labels[m], em.labels[c])
+            for b, wm in nonzero:
+                v += b * wm[c]
             if c == r:
                 diag.append(v)
             elif v:
@@ -451,7 +449,7 @@ def check_r_plus_consistency(ws: Workspace) -> Outcome:
     witnesses = []
     for k in range(nn):
         for l in range(nn):
-            unit = [[Fraction(1) if (i, j) == (k, l) else Fraction(0) for j in range(nn)] for i in range(nn)]
+            unit = [[int((i, j) == (k, l)) for j in range(nn)] for i in range(nn)]
             if r_plus(op, unit) != r_plus_oracle(rt, unit):
                 witnesses.append(f"operator and tensor disagree on unit e[{k + 1},{l + 1}]")
     return witnesses, {}

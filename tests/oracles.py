@@ -5,13 +5,15 @@ functions, built from trailing minors and the replacement maps;
 build_Mtilde_shift is the block matrix with its leading line stepped
 out, along which the coincidence structures (n = 2*alpha or n = 2*beta)
 expand; evaluate substitutes rational values for the variables of a
-polynomial.  Each is a second path to something the package computes
-one way (block determinants, exact identities), so a test can compare
-the two.
+polynomial; heap_exact_divide is exact division by a heap of every
+remainder monomial, the package's earlier algorithm.  Each is a second
+path to something the package computes one way (block determinants,
+exact identities, exact division), so a test can compare the two.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -26,7 +28,7 @@ from bdcluster.polymat import (
     determinant,
     row_replace,
 )
-from bdcluster.polyring import Poly, PolyRing, Scalar, VarId
+from bdcluster.polyring import NotDivisible, Poly, PolyRing, Scalar, VarId
 
 
 class MissingAssignment(LookupError):
@@ -50,6 +52,51 @@ def evaluate(p: Poly, assignment: Mapping[VarId, Scalar]) -> Fraction:
             term *= Fraction(assignment[v]) ** e
         total += term
     return total
+
+
+def heap_exact_divide(p: Poly, q: Poly) -> Poly:
+    """p / q by leading-term reduction with a max-heap holding every
+    remainder monomial; entries that have since cancelled are skipped
+    when popped.  Raises NotDivisible at the first remainder term that
+    lead(q) does not divide, with the package's message."""
+    ring = p.ring
+    qlead = max(q._d)
+    qlc = q._d[qlead]
+    qexps = ring.monomial_exponents(qlead)
+    rem = dict(p._d)
+    quot = {}
+    heap = [-m for m in rem]
+    heapq.heapify(heap)
+    while heap:
+        m = -heapq.heappop(heap)
+        c = rem.get(m)
+        if not c:
+            continue
+        exps = ring.monomial_exponents(m)
+        if any(exps.get(v, 0) < e for v, e in qexps.items()):
+            raise NotDivisible(
+                f"remainder term of degree profile {exps} "
+                "is not reducible by the divisor's leading term"
+            )
+        tmono = m - qlead
+        if isinstance(c, int) and isinstance(qlc, int):
+            tc, r = divmod(c, qlc)
+            if r:
+                tc = Fraction(c, qlc)
+        else:
+            tc = Fraction(c) / qlc
+            tc = int(tc) if tc.denominator == 1 else tc
+        quot[tmono] = tc
+        for m2, c2 in q._d.items():
+            k = tmono + m2
+            v = rem.get(k, 0) - tc * c2
+            if v:
+                if k not in rem:
+                    heapq.heappush(heap, -k)
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return Poly(ring, quot)
 
 
 def build_Mtilde_shift(

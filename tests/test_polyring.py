@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bdcluster import polyring
 from bdcluster.polyring import (
     DivisionByZero,
     ExponentOverflow,
@@ -15,7 +16,7 @@ from bdcluster.polyring import (
     partial_derivative,
     render,
 )
-from oracles import MissingAssignment, evaluate
+from oracles import MissingAssignment, evaluate, heap_exact_divide
 
 R2 = PolyRing(2)
 R3 = PolyRing(3)
@@ -31,12 +32,14 @@ def _vars(ring):
 
 
 # Small random polynomials over PolyRing(2): up to 4 terms, each a
-# product of at most 3 of the 8 variables, small rational coefficients.
-def _poly_strategy(ring):
+# product of at most 3 of the 8 variables, small rational coefficients
+# unless coeff says otherwise.
+def _poly_strategy(ring, coeff=None):
     variables = _vars(ring)
-    coeff = st.fractions(
-        min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
-    ).filter(lambda c: c != 0)
+    if coeff is None:
+        coeff = st.fractions(
+            min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
+        ).filter(lambda c: c != 0)
     term = st.tuples(
         st.lists(st.sampled_from(range(len(variables))), min_size=0, max_size=3),
         coeff,
@@ -55,6 +58,8 @@ def _poly_strategy(ring):
 
 
 polys = _poly_strategy(R2)
+# Integer coefficients as well, so division takes its int path.
+mixed_polys = st.one_of(_poly_strategy(R2, st.integers(-6, 6).filter(bool)), polys)
 
 
 class TestBasics:
@@ -117,14 +122,28 @@ def test_ring_axioms(p, q, r):
     assert p - p == R2.zero
 
 
-@given(p=polys, q=polys)
-@settings(max_examples=120, deadline=None)
+def _typed(p):
+    """p's terms with each coefficient's type, so 2 and Fraction(2) differ."""
+    return {m: (type(c), c) for m, c in p._d.items()}
+
+
+def _divide_or_witness(divide, p, q):
+    try:
+        return _typed(divide(p, q))
+    except NotDivisible as e:
+        return str(e)
+
+
+@given(p=mixed_polys, q=mixed_polys)
+@settings(max_examples=200, deadline=None)
 def test_exact_division_inverts_multiplication(p, q):
     if q.is_zero():
         with pytest.raises(DivisionByZero):
             exact_divide(p, q)
         return
-    assert exact_divide(p * q, q) == p
+    quot = exact_divide(p * q, q)
+    assert quot == p
+    assert _typed(quot) == _typed(heap_exact_divide(p * q, q))
 
 
 def test_division_remainder_detected():
@@ -137,6 +156,50 @@ def test_division_with_fractional_leading_coefficient():
     q = Fraction(3, 7) * R2.x(1, 2) + Fraction(1, 2)
     p = (R2.x(2, 1) - 5) * q
     assert exact_divide(p, q) == R2.x(2, 1) - 5
+
+
+class TestExactDivision:
+    """exact_divide against multiplication and against heap_exact_divide,
+    the earlier algorithm kept in the oracles."""
+
+    def test_non_unit_leading_coefficient(self):
+        x = R3.x
+        q = 6 * x(1, 1) * x(2, 2) - 4 * x(1, 3) + 3
+        s = 5 * x(1, 1) ** 2 - Fraction(7, 2) * x(3, 3) + 1
+        quot = exact_divide(s * q, q)
+        assert quot == s
+        assert _typed(quot) == _typed(heap_exact_divide(s * q, q))
+
+    def test_zero_dividend(self):
+        q = 2 * R2.x(1, 1) + R2.x(2, 2)
+        assert exact_divide(R2.zero, q) == R2.zero
+        with pytest.raises(DivisionByZero):
+            exact_divide(R2.zero, R2.zero)
+
+    def test_created_monomial_that_cancels(self, monkeypatch):
+        # Dividing by q = x[1,1] + x[1,2] + x[1,3] the product q * (x[1,2] -
+        # x[1,3]): the quotient term x[1,2] subtracts x[1,2]*x[1,3], which p
+        # lacks, and the term -x[1,3] then cancels it again.
+        x = R3.x
+        q = x(1, 1) + x(1, 2) + x(1, 3)
+        s = x(1, 2) - x(1, 3)
+        p = s * q
+        created = (x(1, 2) * x(1, 3)).leading_monomial()
+        assert created not in p._d
+        pushed = []
+        real = polyring.heapq.heappush
+        monkeypatch.setattr(polyring.heapq, "heappush", lambda h, k: (pushed.append(-k), real(h, k)))
+        assert exact_divide(p, q) == s
+        assert pushed == [created]
+
+    @given(s=mixed_polys, q=mixed_polys, r=mixed_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_same_witness_as_the_heap_algorithm(self, s, q, r):
+        # s * q + r divides only when q divides r; otherwise both name the
+        # same remainder term.
+        assume(q)
+        p = s * q + r
+        assert _divide_or_witness(exact_divide, p, q) == _divide_or_witness(heap_exact_divide, p, q)
 
 
 class TestExponentOverflow:
