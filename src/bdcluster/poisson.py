@@ -37,11 +37,12 @@ matrices.  bracket_from_tables returns the integer pairing n^2 {f, g}:
 the diagonal of R_+ pairs with G as one bilinear form in the degree
 classes of f and g, and the rest pairs table entries directly, so no
 R_+ of a table is stored.  coefficient_from_tables tests {f, g} =
-omega f g in one integer accumulation of lc n^2 {f, g} - W f g, with W
-the bracket's coefficient at the leading monomial of f g and lc that
+omega f g as the integer sum lc n^2 {f, g} - W f g = 0, with W the
+bracket's coefficient at the leading monomial of f g and lc that
 monomial's coefficient, so a log-canonical pair forms neither the
-bracket nor f g and makes one Fraction, omega = W / (lc n^2); a pair
-that fails goes to exact division for its witness.  omega_sweep runs
+bracket nor f g and makes one Fraction, omega = W / (lc n^2); a heavy
+pair is summed one slice of X's first-row exponents at a time, and a
+pair that fails goes to exact division for its witness.  omega_sweep runs
 it over all pairs, forking a pool only for sweeps of at least
 POOL_MIN_PRODUCTS term products.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  RPlusOperator holds R_+ as one diagonal matrix and one
@@ -385,10 +386,14 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     Both terms expand over the same products: f g is the sum of f_c g_d
     over every class pair, so the pair (c, d) carries the weight
     lc w(c, d) - W, and each off-diagonal product of _pairing carries lc
-    times its coefficient.  One dict accumulates them all;
-    omega = W / (lc n^2) when every sum is 0.  Otherwise exact division
-    of the bracket by f g decides: a constant quotient is omega, and any
-    other quotient or a remainder raises NotLogCanonical with its reason.
+    times its coefficient.  A pair of at least SLICE_PRODUCTS term
+    products (pair_products) is summed one slice at a time, a slice being
+    the monomials that share their exponents in X's first row
+    (PolyRing.slices), and a lighter pair in one dict; either way
+    omega = W / (lc n^2) when every sum is 0.  At the first slice with a
+    nonzero sum, exact division of the bracket by f g decides: a constant
+    quotient is omega, and any other quotient or a remainder raises
+    NotLogCanonical with its reason.
     """
     f, g, op = ta.f, tb.f, ta.op
     diagonal, off_diagonal = _pairing(ta, tb)
@@ -405,10 +410,15 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
         # Packed keys add without carry, so a hit at L - m is exactly one
         # factorization of L.
         W += co * sum(a.get(L - mb, 0) * cb for mb, cb in b.items())
-    acc = f.ring.accumulate(
-        [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
-    )
-    if any(acc.values()):
+    ring = f.ring
+    products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
+    # The listed term products number pair_products(ta, tb).
+    if sum(len(a) * len(b) for a, b, _ in products) < SLICE_PRODUCTS:
+        groups = [products]
+    else:
+        groups = ring.slices(products, ring.first_row_mask).values()
+    # Each slice's sums are freed before the next slice is accumulated.
+    if any(any(ring.accumulate(group).values()) for group in groups):
         # The quotient is authoritative, so a wrong nonzero sum could cost
         # only time, never a verdict.
         br = bracket_from_tables(ta, tb)
@@ -445,17 +455,28 @@ def poisson_coefficient(f: Poly, g: Poly, op: RPlusOperator) -> Fraction:
     return coefficient_from_tables(gradient_tables(f, op), gradient_tables(g, op))
 
 
+# A pair test of this many term products (pair_products) or more sums one
+# first-row slice at a time, so it holds one slice's monomials at once: at
+# most 9,573 for the heaviest (5,1,4) pair, whose whole sum held 175,114.
+# Lighter pairs, such as the few hundred tiny tests of the frozen, somega and
+# bracketdiff checks, are one slice over the tables' own dicts, since
+# splitting every factor would cost more than their sums.
+SLICE_PRODUCTS = 20_000
+
+
 # ----------------------------------------------------------------------
 # Full-cluster sweeps, optionally parallel
 
 _SWEEP: dict = {}
 
 # A sweep forks its pool only when its pairs together take at least this
-# many term products (pair_products).  On a 2-CPU host a two-worker pool
-# costs 10-35 ms to start and drain, while in-process the sweeps run about
-# 3 million products a second: the pool lost on the n = 5 sweeps of
-# 109,000-126,000 products and won on those of 431,000 and more.
-POOL_MIN_PRODUCTS = 250_000
+# many term products (pair_products).  On a 2-vCPU host two CPU-bound
+# processes each run at 55-100% of their solo speed, so with sliced pair
+# tests a two-worker pool lost, in wall and CPU time, on the cold (5,1,3)
+# and (5,2,4) sweeps of 482,000 and 431,000 products (0.36 against 0.27 s,
+# 0.41 against 0.33 s) and won on (5,1,4) at 3.0 million (0.89 against
+# 1.30 s).
+POOL_MIN_PRODUCTS = 1_000_000
 
 
 def _sweep_pair(idx: int):

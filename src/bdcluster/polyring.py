@@ -20,9 +20,12 @@ Only this module reads the layout: every product of polynomials runs
 through one kernel, PolyRing.accumulate, every exponent test through one
 guard, PolyRing.check_exponents, and other modules read keys only
 through x_units, x_exponents and top.  Every exact division runs
-through one kernel, _reduce.  exact_divide_products divides a sum of
-products one slice at a time, a slice being the terms that share the
-exponents of the variables the divisor lacks (key & mask).
+through one kernel, _reduce.  PolyRing.slices splits a sum of products
+into slices, a slice being the terms whose keys agree under a mask, so
+that each slice can be accumulated and freed before the next:
+exact_divide_products divides one slice at a time, the mask being the
+variables the divisor lacks, and the pair test of poisson sums one
+first-row slice (first_row_mask) at a time.
 
 Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
 const, scalar products and exact_divide give ints for integral values;
@@ -87,6 +90,8 @@ class PolyRing:
         self._himask = hi
         # x_units[(a-1)*n + (b-1)] is the key of x[a,b]; x comes first.
         self.x_units = tuple(1 << self._shift[k] for k in range(n * n))
+        # All ones on the bytes of x[1,1], ..., x[1,n]: a key's first-row part.
+        self.first_row_mask = sum(_DIGIT_MASK << self._shift[k] for k in range(n))
         self._x_shift = (self.nvars - n * n) * _BITS
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
@@ -157,6 +162,30 @@ class PolyRing:
                     acc[k] = get(k, 0) + ca * cb
         self.check_exponents(acc)
         return acc
+
+    def slices(self, products, mask: int) -> Dict[int, list]:
+        """The products (a, b, weight) of accumulate, weight 0 dropped,
+        regrouped by target slice: {v: [(a_p, b_q, weight), ...]} over the
+        parts a_p of a and b_q of b whose keys k have k & mask = p and q,
+        with p + q = v.  Packed keys add without carry, so a term of a_p
+        times one of b_q lands in slice p + q, the slices' accumulations
+        are disjoint, and together they are accumulate(products).  Each
+        distinct factor dict is split once, however many products read it."""
+        parts: Dict[int, list] = {}
+        out: Dict[int, list] = defaultdict(list)
+        for a, b, scale in products:
+            if not scale:
+                continue
+            for terms in (a, b):
+                if id(terms) not in parts:
+                    by_v: Dict[int, Dict[int, Scalar]] = defaultdict(dict)
+                    for m, c in terms.items():
+                        by_v[m & mask][m] = c
+                    parts[id(terms)] = list(by_v.items())
+            for p, ap in parts[id(a)]:
+                for q, bq in parts[id(b)]:
+                    out[p + q].append((ap, bq, scale))
+        return out
 
     def monomial_exponents(self, mono: int) -> Dict[VarId, int]:
         """Unpack a monomial key into {variable: exponent}, nonzero entries only."""
@@ -391,9 +420,9 @@ def exact_divide_products(sides: Sequence[List[Poly]], q: Poly) -> Poly:
     Let V be the variables q lacks and write P = sum_v P_v m_v, m_v a
     monomial in V alone: q | P exactly when q | P_v for every v, and then
     P / q = sum_v (P_v / q) m_v.  Each side multiplies all but its
-    largest factor into a head, buckets the head and that factor by their
-    V-part (key & mask: packed keys add without carry), and P_v sums the
-    bucket pairs whose V-parts add up to v.  When a slice does not
+    largest factor into a head, and PolyRing.slices splits the head and
+    that factor by their V-part (key & mask), so P_v sums the part pairs
+    whose V-parts add up to v.  When a slice does not
     divide, the whole numerator is divided instead, so the NotDivisible
     witness is exact_divide's for P.
     """
@@ -401,23 +430,15 @@ def exact_divide_products(sides: Sequence[List[Poly]], q: Poly) -> Poly:
     # All ones on the bytes of the variables that no term of q contains.
     used = reduce(or_, q._d, 0).to_bytes(ring.nvars, "big")
     mask = int.from_bytes(bytes(0 if b else _DIGIT_MASK for b in used), "big")
-    slices = defaultdict(list)
+    heads = []
     for factors in sides:
         *rest, big = sorted(factors, key=len) or [ring.one]
         head = ring.one._d
         for f in rest:
             head = {m: c for m, c in ring.accumulate([(head, f._d, 1)]).items() if c}
-        buckets = []
-        for terms in (head, big._d):
-            by_v = defaultdict(dict)
-            for m, c in terms.items():
-                by_v[m & mask][m] = c
-            buckets.append(by_v.items())
-        for hv, h in buckets[0]:
-            for bv, b in buckets[1]:
-                slices[hv + bv].append((h, b, 1))
+        heads.append((head, big._d, 1))
     quot: Dict[int, Scalar] = {}
-    for products in slices.values():
+    for products in ring.slices(heads, mask).values():
         try:
             # Only _reduce holds the slice, so it is freed before the next
             # slice is built.

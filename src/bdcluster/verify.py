@@ -42,6 +42,7 @@ from .poisson import (
     coefficient_from_tables,
     gradient_tables,
     omega_sweep,
+    pair_products,
     r_plus,
     r_plus_operator,
     r_plus_oracle,
@@ -126,6 +127,8 @@ class Workspace:
         self._quiver: Optional[Quiver] = None
         self._ops: dict = {}
         self._omega = None
+        # Each swept pair's pair_products, in pair order, once omega() ran.
+        self.sweep_products: List[int] = []
         self._tables: dict = {}
 
     @property
@@ -206,6 +209,9 @@ class Workspace:
                 self.tables(f, op) if lab in cluster.frozen or len(f) == 1 else gradient_tables(f, op)
                 for lab, f in zip(labels, funcs)
             ]
+            self.sweep_products = [
+                pair_products(tables[ia], tables[ib]) for ia in range(len(tables)) for ib in range(ia + 1, len(tables))
+            ]
             omegas, failures = omega_sweep(funcs, op, processes=self.processes, tables=tables)
             self._omega = (labels, omegas, failures)
         return self._omega
@@ -221,7 +227,12 @@ def check_log_canonical(ws: Workspace) -> Outcome:
     witnesses = [
         f"pair ({labels[ia]}, {labels[ib]}): {reason}" for ia, ib, reason in failures
     ]
-    details = {"pairs": len(labels) * (len(labels) - 1) // 2, "failures": len(failures)}
+    details = {
+        "pairs": len(labels) * (len(labels) - 1) // 2,
+        "failures": len(failures),
+        "products": sum(ws.sweep_products),
+        "max_pair_products": max(ws.sweep_products, default=0),
+    }
     return witnesses, details
 
 

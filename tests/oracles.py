@@ -6,9 +6,11 @@ build_Mtilde_shift is the block matrix with its leading line stepped
 out, along which the coincidence structures (n = 2*alpha or n = 2*beta)
 expand; evaluate substitutes rational values for the variables of a
 polynomial; heap_exact_divide is exact division by a heap of every
-remainder monomial, the package's earlier algorithm.  Each is a second
-path to something the package computes one way (block determinants,
-exact identities, exact division), so a test can compare the two.
+remainder monomial, the package's earlier algorithm; whole_pair_sums is
+the pair test summed in one dict, as the package did before it summed
+one first-row slice at a time.  Each is a second path to something the
+package computes one way (block determinants, exact identities, exact
+division, the pair test), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from bdcluster.polymat import (
     determinant,
     row_replace,
 )
+from bdcluster.poisson import Tables, _pairing, bracket_from_tables
 from bdcluster.polyring import NotDivisible, Poly, PolyRing, Scalar, VarId
 
 
@@ -97,6 +100,24 @@ def heap_exact_divide(p: Poly, q: Poly) -> Poly:
             else:
                 rem.pop(k, None)
     return Poly(ring, quot)
+
+
+def whole_pair_sums(ta: Tables, tb: Tables):
+    """(omega, sums) for the pair test of f and g, with sums the term dict
+    of lc n^2 {f, g} - W f g accumulated in one dict over the products of
+    _pairing, zero sums and all, and omega = W / (lc n^2) when every sum
+    is 0, else None.  lc is the coefficient of lead f + lead g in f g, and
+    W that of n^2 {f, g}, read off the whole bracket."""
+    f, g = ta.f, tb.f
+    lf, lg = max(f._d), max(g._d)
+    lc = f._d[lf] * g._d[lg]
+    W = bracket_from_tables(ta, tb)._d.get(lf + lg, 0)
+    diagonal, off_diagonal = _pairing(ta, tb)
+    sums = f.ring.accumulate(
+        [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
+    )
+    n = ta.op.n
+    return (None if any(sums.values()) else Fraction(W, lc * n * n)), sums
 
 
 def build_Mtilde_shift(

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcluster import poisson
+from bdcluster import poisson, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
     NotLogCanonical,
@@ -39,8 +39,10 @@ from bdcluster.poisson import (
     tensor_transpose,
     verify_cybe,
 )
-from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, exact_divide, partial_derivative
-from bdcluster.verify import Fault, Workspace
+from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, exact_divide, partial_derivative
+from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
+from oracles import whole_pair_sums
+from test_verify import _structures
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
 # "n alpha beta ia ib omega" per pair of functions (see
@@ -499,6 +501,85 @@ def _seed_tables(triple):
     return funcs, op, [gradient_tables(f, op) for f in funcs]
 
 
+def _spy_accumulate(monkeypatch):
+    """A list that gets every term dict PolyRing.accumulate returns from now on."""
+    made = []
+    real = PolyRing.accumulate
+
+    def spy(self, products):
+        out = real(self, products)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(PolyRing, "accumulate", spy)
+    return made
+
+
+class TestSlicedPairTest:
+    @pytest.mark.parametrize(
+        "n, pair, standard, fault",
+        [(*s, None) for s in _structures()] + [(4, (1, 3), False, Fault.DROP_PHI31_TERM)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_equals_one_whole_sum(self, monkeypatch, n, pair, standard, fault):
+        # Every pair of seed functions: the same omega or the same failure
+        # as one whole accumulation, and on a log-canonical pair the slices'
+        # sums, zero sums included, are disjoint and make up the whole sum.
+        ws = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
+        cluster, op = ws.cluster(), ws.op()
+        tables = [gradient_tables(cluster.functions[lab], op) for lab in cluster.labels]
+        made = _spy_accumulate(monkeypatch)
+        failures = []
+        for ia, ta in enumerate(tables):
+            for ib in range(ia + 1, len(tables)):
+                omega, whole = whole_pair_sums(ta, tables[ib])
+                made.clear()
+                try:
+                    got = coefficient_from_tables(ta, tables[ib])
+                except NotLogCanonical:
+                    got = None
+                assert got == omega, (cluster.labels[ia], cluster.labels[ib])
+                if omega is None:
+                    failures.append((ia, ib))
+                    continue
+                sliced = {}
+                for sums in made:
+                    assert not sliced.keys() & sums.keys()
+                    sliced.update(sums)
+                assert sliced == whole, (cluster.labels[ia], cluster.labels[ib])
+        assert bool(failures) == (fault is not None)
+
+    def test_no_slice_holds_the_whole_sum(self, monkeypatch):
+        # (5,1,4), (1,2) x (2,3): 1,391,532 term products, whose sums held
+        # 175,114 monomials in one dict.
+        ws = Workspace(BDTriple(5, 1, 4))
+        cluster, op = ws.cluster(), ws.op()
+        ta, tb = (gradient_tables(cluster.functions[lab], op) for lab in ((1, 2), (2, 3)))
+        assert poisson.pair_products(ta, tb) == 1_391_532
+        made = _spy_accumulate(monkeypatch)
+        assert coefficient_from_tables(ta, tb) == Fraction(1, 5)
+        assert len(made) > 1
+        assert max(map(len, made)) <= poisson.SLICE_PRODUCTS
+        assert sum(map(len, made)) == 175_114
+
+    def test_light_pair_test_is_one_sum(self, monkeypatch):
+        # The frozen check's tiny pair tests are not split: each is one
+        # accumulation over the tables' own dicts.
+        calls = []
+        made = _spy_accumulate(monkeypatch)
+        real = coefficient_from_tables
+
+        def counted(ta, tb):
+            made.clear()
+            out = real(ta, tb)
+            calls.append(len(made))
+            return out
+
+        monkeypatch.setattr(verify, "coefficient_from_tables", counted)
+        assert check_frozen_log_canonical_with_coordinates(Workspace(BDTriple(4, 1, 3))) == ([], {})
+        assert calls == [1] * (5 * 16)
+
+
 class TestSweeps:
     def test_omega_matrix_standard_n2(self):
         cl = standard_cluster(2)
@@ -627,15 +708,21 @@ class TestSweeps:
         assert failures == [True, False, True]
 
     def test_light_sweep_stays_in_process(self, monkeypatch):
+        # Every n <= 4 sweep, and the n = 5 sweeps of 431,000-482,000
+        # products, which run faster and in less CPU time in process than
+        # with a two-worker pool.
         def refuse(*args, **kwargs):
             raise AssertionError("a pool was started for a sweep below the threshold")
 
+        # Patched so that processes=2 is not capped to 1 on a 1-CPU host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        funcs, op, tables = _seed_tables(BDTriple(4, 1, 3))
-        pairs = [(ia, ib) for ia in range(len(funcs)) for ib in range(ia + 1, len(funcs))]
-        assert sum(poisson.pair_products(tables[ia], tables[ib]) for ia, ib in pairs) < poisson.POOL_MIN_PRODUCTS
-        omegas, failures = omega_sweep(funcs, op, processes=2, tables=tables)
-        assert failures == [] and len(omegas) == len(pairs)
+        for triple in ((4, 1, 3), (5, 1, 3), (5, 2, 4)):
+            funcs, op, tables = _seed_tables(BDTriple(*triple))
+            pairs = [(ia, ib) for ia in range(len(funcs)) for ib in range(ia + 1, len(funcs))]
+            assert sum(poisson.pair_products(tables[ia], tables[ib]) for ia, ib in pairs) < poisson.POOL_MIN_PRODUCTS
+            omegas, failures = omega_sweep(funcs, op, processes=2, tables=tables)
+            assert failures == [] and len(omegas) == len(pairs), triple
 
     def test_sweep_never_multiplies_polynomials(self, monkeypatch):
         # The pair test accumulates n^2 {f, g} and f g together, so no

@@ -69,6 +69,8 @@ class TestIndividualChecks:
         assert (rep.n, rep.alpha, rep.beta) == (3, 1, 2)
         assert rep.details["failures"] == 0
         assert rep.details["pairs"] == 9 * 8 // 2
+        # The sum and the largest of pair_products over the 36 pairs.
+        assert (rep.details["products"], rep.details["max_pair_products"]) == (607, 138)
 
     def test_compatibility_sign(self):
         rep = one("compat", T312)
