@@ -43,8 +43,8 @@ monomial's coefficient, so a log-canonical pair forms neither the
 bracket nor f g and makes one Fraction, omega = W / (lc n^2); a heavy
 pair is summed one slice of X's first-row exponents at a time, and a
 pair that fails goes to exact division for its witness.  omega_sweep runs
-it over all pairs, forking a pool only for sweeps of at least
-POOL_MIN_PRODUCTS term products.  r_plus, sklyanin_bracket and unscale
+it over all pairs; sweeps of POOL_MIN_PRODUCTS term products or more
+fork sweep_workers(processes) workers.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  RPlusOperator holds R_+ as one diagonal matrix and one
 off-diagonal entry list, read by r_plus and the bracket alike.
 build_r_tensor expands the explicit tensor of r from the operator's c,
@@ -479,16 +479,14 @@ _SWEEP: dict = {}
 POOL_MIN_PRODUCTS = 1_000_000
 
 
-def _sweep_pair(idx: int):
-    ia, ib = _SWEEP["pairs"][idx]
-    try:
-        return (idx, True, coefficient_from_tables(_SWEEP["tables"][ia], _SWEEP["tables"][ib]))
-    except (NotLogCanonical, ExponentOverflow) as e:
-        return (idx, False, str(e))
-
-
-def _sweep_task(idxs: List[int]):
-    return [_sweep_pair(idx) for idx in idxs]
+def _sweep_task(pairs: Sequence[Tuple[int, int]]):
+    out = []
+    for ia, ib in pairs:
+        try:
+            out.append((ia, ib, True, coefficient_from_tables(_SWEEP["tables"][ia], _SWEEP["tables"][ib])))
+        except (NotLogCanonical, ExponentOverflow) as e:
+            out.append((ia, ib, False, str(e)))
+    return out
 
 
 def pair_products(ta: Tables, tb: Tables) -> int:
@@ -499,24 +497,14 @@ def pair_products(ta: Tables, tb: Tables) -> int:
 
 
 def sweep_workers(processes: Optional[int] = None) -> int:
-    """Worker count for pair sweeps: processes if given, else
-    BD_CLUSTER_THREADS if set, else 4; whichever applies is capped by the
-    CPU count, since a forked pool starts all its workers at once.
-    Either setting must be a positive integer."""
-    workers = 4
-    env = os.environ.get("BD_CLUSTER_THREADS")
-    if processes is not None:
-        if processes < 1:
-            raise ValueError(f"processes must be a positive integer, got {processes}")
-        workers = processes
-    elif env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"BD_CLUSTER_THREADS must be a positive integer, got {env!r}")
-    return min(workers, os.cpu_count() or 1)
+    """Worker count for pair sweeps: processes, a positive integer, or 4
+    when not given, capped by the CPU count, since a forked pool starts
+    all its workers at once."""
+    if processes is None:
+        processes = 4
+    elif not isinstance(processes, int) or processes < 1:
+        raise ValueError(f"processes must be a positive integer, got {processes!r}")
+    return min(processes, os.cpu_count() or 1)
 
 
 def omega_sweep(
@@ -529,8 +517,8 @@ def omega_sweep(
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
     with ia < ib and failures a list of (ia, ib, reason), overflows too.
 
-    processes is resolved by sweep_workers.  tables, when given, are the
-    functions' gradient tables for op.
+    processes goes through sweep_workers (1 runs in process), and tables,
+    when given, are the functions' gradient tables for op.
     """
     nproc = sweep_workers(processes)
     if tables is None:
@@ -538,40 +526,36 @@ def omega_sweep(
     L = len(functions)
     pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
     cost = [pair_products(tables[ia], tables[ib]) for ia, ib in pairs] if nproc > 1 else []
-    if nproc > 1 and sum(cost) >= POOL_MIN_PRODUCTS and hasattr(os, "fork"):
-        # Imported here, as at module level they slow every start-up.  Forked
-        # workers inherit the tables; a dead one raises BrokenProcessPool.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    _SWEEP["tables"] = tables
+    try:
+        if nproc > 1 and sum(cost) >= POOL_MIN_PRODUCTS and hasattr(os, "fork"):
+            # Imported here, as at module level they slow every start-up.  Forked
+            # workers inherit _SWEEP; a dead one raises BrokenProcessPool.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            nproc,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_SWEEP.update,
-            initargs=({"tables": tables, "pairs": pairs},),
-        ) as pool:
-            # Heaviest first, so the heaviest pair starts at once.  A task
-            # closes once it holds 1/16 of a worker's share of the products:
-            # a heavy pair runs alone, and light pairs share one round trip.
-            share = sum(cost) / (nproc * 16)
-            tasks, load = [[]], 0
-            for idx in sorted(range(len(pairs)), key=cost.__getitem__, reverse=True):
-                if load >= share:
-                    tasks.append([])
-                    load = 0
-                tasks[-1].append(idx)
-                load += cost[idx]
-            results = [r for done in pool.map(_sweep_task, tasks, chunksize=1) for r in done]
-    else:
-        _SWEEP.update(tables=tables, pairs=pairs)
-        results = [_sweep_pair(i) for i in range(len(pairs))]
+            with ProcessPoolExecutor(nproc, mp_context=multiprocessing.get_context("fork")) as pool:
+                # Heaviest first, so the heaviest pair starts at once.  A task
+                # closes once it holds 1/16 of a worker's share of the products:
+                # a heavy pair runs alone, and light pairs share one round trip.
+                share = sum(cost) / (nproc * 16)
+                tasks, load = [[]], 0
+                for idx in sorted(range(len(pairs)), key=cost.__getitem__, reverse=True):
+                    if load >= share:
+                        tasks.append([])
+                        load = 0
+                    tasks[-1].append(pairs[idx])
+                    load += cost[idx]
+                results = [r for done in pool.map(_sweep_task, tasks, chunksize=1) for r in done]
+        else:
+            results = _sweep_task(pairs)
+    finally:
         _SWEEP.clear()
     omegas = {}
     failures = []
-    for idx, ok, payload in sorted(results, key=lambda t: t[0]):
-        pair = pairs[idx]
+    for ia, ib, ok, payload in sorted(results):
         if ok:
-            omegas[pair] = payload
+            omegas[ia, ib] = payload
         else:
-            failures.append((pair[0], pair[1], payload))
+            failures.append((ia, ib, payload))
     return omegas, failures

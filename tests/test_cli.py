@@ -216,16 +216,9 @@ class TestCheck:
         assert rc == 2
         assert "error:" in err
 
-    def test_bad_thread_count_is_an_error(self, capsys, monkeypatch):
+    def test_bad_thread_count_is_an_error(self, capsys):
         # Checks that do not sweep (rank) must refuse a bad count too.
         for check in ("logcanon", "rank"):
-            for value in ("four", "0"):
-                monkeypatch.setenv("BD_CLUSTER_THREADS", value)
-                rc, out, err = run(capsys, "check", check, "--n", "3")
-                assert rc == 2, (check, value)
-                assert out == ""
-                assert "error:" in err and "BD_CLUSTER_THREADS" in err
-            monkeypatch.delenv("BD_CLUSTER_THREADS")
             for count in ("0", "-3"):
                 rc, out, err = run(capsys, "check", check, "--n", "3", "--processes", count)
                 assert rc == 2, (check, count)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcluster import poisson, verify
+from bdcluster import cli, poisson, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
     NotLogCanonical,
@@ -641,38 +641,47 @@ class TestSweeps:
         assert (1, 2, "a product has an exponent of 128 or more in some variable") in failures
         assert omegas[(0, 1)] == -32
 
-    def test_sweep_workers_env(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("BD_CLUSTER_THREADS", "2")
-        assert sweep_workers() == 2
-        monkeypatch.delenv("BD_CLUSTER_THREADS")
-        assert sweep_workers() >= 1
+    def test_sweep_workers_env(self, monkeypatch, capsys):
+        # processes is the only worker setting, so BD_CLUSTER_THREADS, even
+        # with a bad value, neither sets the count nor stops a check.
+        monkeypatch.setenv("BD_CLUSTER_THREADS", "four")
+        assert sweep_workers() == min(4, os.cpu_count() or 1)
+        assert cli.main(["check", "rank", "--n", "3"]) == 0
+        assert "status=pass" in capsys.readouterr().out
 
     def test_sweep_workers_capped_by_cpu_count(self, monkeypatch):
-        # A forked pool starts every worker on its first task, so each
-        # source of the count is capped.  No process is started here.
+        # A forked pool starts every worker on its first task, so the
+        # count is capped, the default of 4 too.  No process is started here.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert sweep_workers(10**6) == 2
-        monkeypatch.setenv("BD_CLUSTER_THREADS", "1000000")
-        assert sweep_workers() == 2
-        monkeypatch.delenv("BD_CLUSTER_THREADS")
         assert sweep_workers() == 2
         assert sweep_workers(1) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert sweep_workers() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep_workers() == 1
 
-    @pytest.mark.parametrize("value", ["four", "2.5", "0", "-3"])
-    def test_sweep_workers_rejects_bad_env(self, monkeypatch, value):
-        monkeypatch.setenv("BD_CLUSTER_THREADS", value)
-        with pytest.raises(ValueError, match="BD_CLUSTER_THREADS"):
-            sweep_workers()
-        if value.lstrip("-").isdigit():
-            # The same count passed directly is refused too.
-            monkeypatch.delenv("BD_CLUSTER_THREADS")
-            with pytest.raises(ValueError, match="processes must be a positive integer"):
-                sweep_workers(int(value))
-            ring = get_ring(2)
-            op = r_plus_operator(n=2, standard=True)
-            with pytest.raises(ValueError, match="processes"):
-                omega_sweep([ring.x(1, 1), ring.x(2, 2)], op, processes=int(value))
+    @pytest.mark.parametrize("value", ["four", 2.5, 0, -3])
+    def test_sweep_workers_rejects_bad_count(self, value):
+        with pytest.raises(ValueError, match="processes must be a positive integer"):
+            sweep_workers(value)
+        ring = get_ring(2)
+        op = r_plus_operator(n=2, standard=True)
+        with pytest.raises(ValueError, match="processes"):
+            omega_sweep([ring.x(1, 1), ring.x(2, 2)], op, processes=value)
+
+    def test_failed_sweep_clears_its_state(self, monkeypatch):
+        # A pair test that raises, as MemoryError does at n = 6, must not
+        # leave the sweep's tables alive in a process that catches it.
+        funcs, op, tables = _seed_tables(BDTriple(4, 1, 3))
+
+        def exhaust(ta, tb):
+            raise MemoryError
+
+        monkeypatch.setattr(poisson, "coefficient_from_tables", exhaust)
+        with pytest.raises(MemoryError):
+            omega_sweep(funcs, op, processes=1, tables=tables)
+        assert poisson._SWEEP == {}
 
     def test_forced_pool_matches_serial(self, monkeypatch):
         # With the threshold at 0 every sweep forks; omegas and failures
@@ -702,7 +711,9 @@ class TestSweeps:
         failures = []
         for funcs, op in cases:
             serial = omega_sweep(funcs, op, processes=1)
+            assert poisson._SWEEP == {}
             assert omega_sweep(funcs, op, processes=2) == serial
+            assert poisson._SWEEP == {}
             failures.append(bool(serial[1]))
         assert len(started) == len(cases)
         assert failures == [True, False, True]
@@ -747,10 +758,10 @@ class TestSweeps:
             import os, sys
             from bdcluster import cli, poisson
 
-            def die(idx):
+            def die(pairs):
                 os._exit(1)
 
-            poisson._sweep_pair = die
+            poisson._sweep_task = die
             poisson.POOL_MIN_PRODUCTS = 0
             sys.exit(cli.main(["check", "logcanon", "--n", "4", "--alpha", "1",
                                "--beta", "3", "--processes", "2"]))
