@@ -36,13 +36,16 @@ of each hhat entry, so n^2 R_+ maps integer matrices to integer
 matrices.  bracket_from_tables returns the integer pairing n^2 {f, g}:
 the diagonal of R_+ pairs with G as one bilinear form in the degree
 classes of f and g, and the rest pairs table entries directly, so no
-R_+ of a table is stored.  coefficient_from_tables tests {f, g} =
-omega f g as the integer sum lc n^2 {f, g} - W f g = 0, with W the
-bracket's coefficient at the leading monomial of f g and lc that
-monomial's coefficient, so a log-canonical pair forms neither the
-bracket nor f g and makes one Fraction, omega = W / (lc n^2); a heavy
-pair is summed one slice of X's first-row exponents at a time, and a
-pair that fails goes to exact division for its witness.  omega_sweep runs
+R_+ of a table is stored.  What a pair test reads of one function, its
+classes' weight vectors and its nonzero off-diagonal factors, is made
+once per function and operator, by gradient_tables, with F and F'.
+coefficient_from_tables tests {f, g} = omega f g as the integer sum
+lc n^2 {f, g} - W f g = 0, with W the bracket's coefficient at the
+leading monomial of f g and lc that monomial's coefficient, so a
+log-canonical pair forms neither the bracket nor f g and makes one
+Fraction, omega = W / (lc n^2); a heavy pair is summed one slice of X's
+first-row exponents at a time, and a pair that fails goes to exact
+division for its witness.  omega_sweep runs
 it over all pairs; sweeps of POOL_MIN_PRODUCTS term products or more
 fork sweep_workers(processes) workers.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  RPlusOperator holds R_+ as one diagonal matrix and one
@@ -316,25 +319,33 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 # Sklyanin bracket
 
 
-Tables = namedtuple("Tables", "F Fp f classes top op")
+Tables = namedtuple("Tables", "F Fp f classes top op parts lead left right")
 
 
 def gradient_tables(f: Poly, op: RPlusOperator) -> Tables:
     """The tables of f for op from one pass over f's terms: F_ij =
     col_replace(f, i, j), F'_ij = row_replace(f, j, i), f, its degree
     classes {(column degrees, row degrees): part of f}, the packed key of
-    its maximum exponents, and op.  All coefficients are ints when f's
-    are."""
+    its maximum exponents, and op; then what each pair test of f reads
+    (_pairing).  parts lists (part, u_c, v_c) for each class c, with
+    u_c = (M col(c), -M row(c)) for M = op.diagonal and v_c = (col(c),
+    row(c)); lead is (index in parts, monomial) of f's leading term, None
+    for f = 0.  Each entry (co, s, t) of op.off_diagonal is a slot on F
+    and one on F' (with -co): left lists (slot, F_s, co) for nonzero F_s,
+    and right holds F_t', t' = t transposed, for every slot.  Entries are
+    term dicts, with int coefficients when f's are."""
     F, Fp, classes, top = _replacement_tables(f)
-    return Tables(F, Fp, f, classes, top, op)
-
-
-def _off_diagonal(ta: Tables, tb: Tables):
-    """(F_s, G_t', co) and (F'_s, G'_t', -co) as term dicts, for each entry
-    (co, s, t) of op.off_diagonal, with t' = t transposed."""
-    for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
-        for co, (si, sj), (ti, tj) in ta.op.off_diagonal:
-            yield R[si][sj]._d, H[tj][ti]._d, sign * co
+    M = op.diagonal
+    parts = [
+        (part, tuple(sum(map(mul, r, cols)) for r in M) + tuple(-sum(map(mul, r, rows)) for r in M), cols + rows)
+        for (cols, rows), part in classes.items()
+    ]
+    lm = max(f._d, default=None)
+    lead = next(((i, lm) for i, (part, _, _) in enumerate(parts) if lm in part), None)
+    slots = [(T[si][sj]._d, T[tj][ti]._d, sign * co) for T, sign in ((F, 1), (Fp, -1))
+             for co, (si, sj), (ti, tj) in op.off_diagonal]
+    left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
+    return Tables(F, Fp, f, classes, top, op, parts, lead, left, [b for _, b, _ in slots])
 
 
 def _pairing(ta: Tables, tb: Tables):
@@ -346,21 +357,15 @@ def _pairing(ta: Tables, tb: Tables):
     (Euler; F'_ll likewise with rows), so with M = op.diagonal the
     diagonal of the pairing is sum_{c,d} w(c, d) f_c g_d over the degree
     classes c of f and d of g, w(c, d) = col(d) M col(c) - row(d) M
-    row(c); every class pair is listed, weight 0 included.  The
-    off-diagonal products are those of _off_diagonal with both factors
-    nonzero.
+    row(c) = u_c . v_d; every class pair is listed, weight 0 included.
+    The off-diagonal products pair each slot's F_s of f with the same
+    slot's G_t' of g, both nonzero.
     """
     # A class pair of weight 0 never reaches the kernel and its exponent
     # guard, so f g is guarded as a whole, by its largest exponents.
     ta.f.ring.check_exponents((ta.top + tb.top,))
-    M = ta.op.diagonal
-    diagonal = []
-    for (cf, rf), part_f in ta.classes.items():
-        mc = [sum(mk * e for mk, e in zip(row, cf)) for row in M]
-        mr = [sum(mk * e for mk, e in zip(row, rf)) for row in M]
-        for (cg, rg), part_g in tb.classes.items():
-            diagonal.append((part_f, part_g, sum(map(mul, cg, mc)) - sum(map(mul, rg, mr))))
-    return diagonal, [(a, b, co) for a, b, co in _off_diagonal(ta, tb) if a and b]
+    diagonal = [(a, b, sum(map(mul, u, v))) for a, u, _ in ta.parts for b, _, v in tb.parts]
+    return diagonal, [(a, b, co) for slot, a, co in ta.left if (b := tb.right[slot])]
 
 
 def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
@@ -397,13 +402,13 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     """
     f, g, op = ta.f, tb.f, ta.op
     diagonal, off_diagonal = _pairing(ta, tb)
-    if not f._d or not g._d:
+    if ta.lead is None or tb.lead is None:
         return Fraction(0)
-    lf, lg = max(f._d), max(g._d)
+    (cf, lf), (cg, lg) = ta.lead, tb.lead
     L, lc = lf + lg, f._d[lf] * g._d[lg]
     # Only lead f times lead g reaches L in f g, so on the diagonal W
     # comes from the class pair of the two leading terms alone.
-    W = lc * next(w for a, b, w in diagonal if lf in a and lg in b)
+    W = lc * sum(map(mul, ta.parts[cf][1], tb.parts[cg][2]))
     for a, b, co in off_diagonal:
         if len(a) < len(b):
             a, b = b, a
@@ -471,11 +476,11 @@ _SWEEP: dict = {}
 
 # A sweep forks its pool only when its pairs together take at least this
 # many term products (pair_products).  On a 2-vCPU host two CPU-bound
-# processes each run at 55-100% of their solo speed, so with sliced pair
-# tests a two-worker pool lost, in wall and CPU time, on the cold (5,1,3)
-# and (5,2,4) sweeps of 482,000 and 431,000 products (0.36 against 0.27 s,
-# 0.41 against 0.33 s) and won on (5,1,4) at 3.0 million (0.89 against
-# 1.30 s).
+# processes each run at 55-100% of their solo speed, so a two-worker pool
+# gained no wall time and took 35-45% more CPU on the cold (5,1,3) and
+# (5,2,4) sweeps of 482,000 and 431,000 products (0.150 against 0.147 s,
+# 0.149 against 0.151 s) and won on (5,1,4) at 3.0 million (0.64 against
+# 0.97 s).
 POOL_MIN_PRODUCTS = 1_000_000
 
 
@@ -491,9 +496,9 @@ def _sweep_task(pairs: Sequence[Tuple[int, int]]):
 
 def pair_products(ta: Tables, tb: Tables) -> int:
     """An upper bound on the term products of coefficient_from_tables:
-    |f| |g| on the diagonal plus |F_s| |G_t'| + |F'_s| |G'_t'| for each
-    off-diagonal entry of the operator (_off_diagonal)."""
-    return len(ta.f) * len(tb.f) + sum(len(a) * len(b) for a, b, _ in _off_diagonal(ta, tb))
+    |f| |g| on the diagonal plus |F_s| |G_t'| for each off-diagonal slot
+    (_pairing)."""
+    return len(ta.f) * len(tb.f) + sum(len(a) * len(tb.right[slot]) for slot, a, _ in ta.left)
 
 
 def sweep_workers(processes: Optional[int] = None) -> int:
@@ -502,7 +507,7 @@ def sweep_workers(processes: Optional[int] = None) -> int:
     all its workers at once."""
     if processes is None:
         processes = 4
-    elif not isinstance(processes, int) or processes < 1:
+    elif isinstance(processes, bool) or not isinstance(processes, int) or processes < 1:
         raise ValueError(f"processes must be a positive integer, got {processes!r}")
     return min(processes, os.cpu_count() or 1)
 
@@ -513,19 +518,23 @@ def omega_sweep(
     processes: Optional[int] = None,
     *,
     tables: Optional[Sequence[Tables]] = None,
+    products: Optional[Sequence[int]] = None,
 ):
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
     with ia < ib and failures a list of (ia, ib, reason), overflows too.
 
-    processes goes through sweep_workers (1 runs in process), and tables,
-    when given, are the functions' gradient tables for op.
+    processes goes through sweep_workers (1 runs in process); tables,
+    when given, are the functions' gradient tables for op, and products
+    each pair's pair_products, in pair order.
     """
     nproc = sweep_workers(processes)
     if tables is None:
         tables = [gradient_tables(f, op) for f in functions]
     L = len(functions)
     pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
-    cost = [pair_products(tables[ia], tables[ib]) for ia, ib in pairs] if nproc > 1 else []
+    cost = products
+    if nproc > 1 and cost is None:
+        cost = [pair_products(tables[ia], tables[ib]) for ia, ib in pairs]
     _SWEEP["tables"] = tables
     try:
         if nproc > 1 and sum(cost) >= POOL_MIN_PRODUCTS and hasattr(os, "fork"):

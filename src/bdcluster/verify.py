@@ -22,6 +22,7 @@ import enum
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .bdseed import (
@@ -212,7 +213,7 @@ class Workspace:
             self.sweep_products = [
                 pair_products(tables[ia], tables[ib]) for ia in range(len(tables)) for ib in range(ia + 1, len(tables))
             ]
-            omegas, failures = omega_sweep(funcs, op, processes=self.processes, tables=tables)
+            omegas, failures = omega_sweep(funcs, op, processes=self.processes, tables=tables, products=self.sweep_products)
             self._omega = (labels, omegas, failures)
         return self._omega
 
@@ -252,37 +253,38 @@ def check_compatibility(ws: Workspace) -> Outcome:
     em = to_exchange_matrix(ws.quiver())
     cl_index = {lab: i for i, lab in enumerate(labels)}
     L = len(em.labels)
-    # omega in the exchange matrix's label order, antisymmetric.
+    # D omega in the exchange matrix's label order, antisymmetric, in ints:
+    # D is the lcm of omega's denominators, so the product is D times B omega.
+    D = lcm(*(v.denominator for v in omegas.values()))
     pos = [cl_index[lab] for lab in em.labels]
-    w = [[Fraction(0)] * L for _ in range(L)]
+    w = [[0] * L for _ in range(L)]
     for a in range(L):
         for b in range(a + 1, L):
             ia, ib = pos[a], pos[b]
-            w[a][b] = omegas[(ia, ib)] if ia < ib else -omegas[(ib, ia)]
+            v = omegas[(ia, ib)] if ia < ib else -omegas[(ib, ia)]
+            w[a][b] = v.numerator * (D // v.denominator)
             w[b][a] = -w[a][b]
     witnesses: List[str] = []
-    diag: List[Fraction] = []
+    diag: List[int] = []
     for r in range(em.n_mutable):
         nonzero = [(b, w[m]) for m, b in enumerate(em.entries[r]) if b]
         for c in range(L):
-            v = Fraction(0)
-            for b, wm in nonzero:
-                v += b * wm[c]
+            v = sum(b * wm[c] for b, wm in nonzero)
             if c == r:
                 diag.append(v)
             elif v:
                 witnesses.append(
-                    f"product entry at row {em.labels[r]}, column {em.labels[c]} is {v}, expected 0"
+                    f"product entry at row {em.labels[r]}, column {em.labels[c]} is {Fraction(v, D)}, expected 0"
                 )
     sign = None
     if diag:
         first = diag[0]
-        if first in (Fraction(1), Fraction(-1)) and all(d == first for d in diag):
-            sign = int(first)
+        if first in (D, -D) and all(d == first for d in diag):
+            sign = first // D
         else:
-            bad = next((d for d in diag if d != first or d not in (Fraction(1), Fraction(-1))), first)
+            bad = next((d for d in diag if d != first or d not in (D, -D)), first)
             witnesses.append(
-                f"diagonal of the product is not a uniform unit: saw {bad} and {first}"
+                f"diagonal of the product is not a uniform unit: saw {Fraction(bad, D)} and {Fraction(first, D)}"
             )
     return witnesses, {"diagonal_sign": sign, "n_mutable": em.n_mutable}
 

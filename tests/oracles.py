@@ -6,11 +6,14 @@ build_Mtilde_shift is the block matrix with its leading line stepped
 out, along which the coincidence structures (n = 2*alpha or n = 2*beta)
 expand; evaluate substitutes rational values for the variables of a
 polynomial; heap_exact_divide is exact division by a heap of every
-remainder monomial, the package's earlier algorithm; whole_pair_sums is
-the pair test summed in one dict, as the package did before it summed
-one first-row slice at a time.  Each is a second path to something the
-package computes one way (block determinants, exact identities, exact
-division, the pair test), so a test can compare the two.
+remainder monomial, the package's earlier algorithm; class_pairing
+derives the bracket's products per pair from the tables' degree classes
+and the operator, as the package did before its tables carried them;
+whole_pair_sums is the pair test on those products summed in one dict,
+as the package did before it summed one first-row slice at a time.
+Each is a second path to something the package computes one way (block
+determinants, exact identities, exact division, the bracket's products,
+the pair test), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from bdcluster.polymat import (
     determinant,
     row_replace,
 )
-from bdcluster.poisson import Tables, _pairing, bracket_from_tables
+from bdcluster.poisson import Tables
 from bdcluster.polyring import NotDivisible, Poly, PolyRing, Scalar, VarId
 
 
@@ -102,22 +105,50 @@ def heap_exact_divide(p: Poly, q: Poly) -> Poly:
     return Poly(ring, quot)
 
 
+def class_pairing(ta: Tables, tb: Tables):
+    """The products whose sum is n^2 {f, g}, as (diagonal, off_diagonal)
+    lists of (terms, terms, weight), derived per pair from the degree
+    classes, op.diagonal and op.off_diagonal, as the package did before its
+    tables carried the weight vectors and off-diagonal factors.
+
+    Class pair (c, d) has weight col(d) M col(c) - row(d) M row(c), M =
+    op.diagonal, weight 0 included; each entry (co, s, t) of
+    op.off_diagonal gives F_s G_t' with co and F'_s G'_t' with -co, t' = t
+    transposed, when both factors are nonzero."""
+    M = ta.op.diagonal
+    diagonal = []
+    for (cf, rf), part_f in ta.classes.items():
+        mc = [sum(mk * e for mk, e in zip(row, cf)) for row in M]
+        mr = [sum(mk * e for mk, e in zip(row, rf)) for row in M]
+        for (cg, rg), part_g in tb.classes.items():
+            w = sum(e * m for e, m in zip(cg, mc)) - sum(e * m for e, m in zip(rg, mr))
+            diagonal.append((part_f, part_g, w))
+    off_diagonal = []
+    for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
+        for co, (si, sj), (ti, tj) in ta.op.off_diagonal:
+            a, b = R[si][sj]._d, H[tj][ti]._d
+            if a and b:
+                off_diagonal.append((a, b, sign * co))
+    return diagonal, off_diagonal
+
+
 def whole_pair_sums(ta: Tables, tb: Tables):
-    """(omega, sums) for the pair test of f and g, with sums the term dict
-    of lc n^2 {f, g} - W f g accumulated in one dict over the products of
-    _pairing, zero sums and all, and omega = W / (lc n^2) when every sum
-    is 0, else None.  lc is the coefficient of lead f + lead g in f g, and
-    W that of n^2 {f, g}, read off the whole bracket."""
+    """(omega, sums, products) for the pair test of f and g, from
+    class_pairing alone: sums is the term dict of lc n^2 {f, g} - W f g
+    accumulated in one dict, zero sums and all, omega = W / (lc n^2) when
+    every sum is 0, else None, and products the number of term products
+    listed.  lc is the coefficient of lead f + lead g in f g, and W that
+    of n^2 {f, g}, read off the whole bracket."""
     f, g = ta.f, tb.f
     lf, lg = max(f._d), max(g._d)
     lc = f._d[lf] * g._d[lg]
-    W = bracket_from_tables(ta, tb)._d.get(lf + lg, 0)
-    diagonal, off_diagonal = _pairing(ta, tb)
-    sums = f.ring.accumulate(
-        [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
-    )
+    diagonal, off_diagonal = class_pairing(ta, tb)
+    W = f.ring.accumulate(diagonal + off_diagonal).get(lf + lg, 0)
+    products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
+    sums = f.ring.accumulate(products)
     n = ta.op.n
-    return (None if any(sums.values()) else Fraction(W, lc * n * n)), sums
+    omega = None if any(sums.values()) else Fraction(W, lc * n * n)
+    return omega, sums, sum(len(a) * len(b) for a, b, _ in products)
 
 
 def build_Mtilde_shift(

@@ -41,7 +41,7 @@ from bdcluster.poisson import (
 )
 from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, exact_divide, partial_derivative
 from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
-from oracles import whole_pair_sums
+from oracles import class_pairing, whole_pair_sums
 from test_verify import _structures
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
@@ -522,32 +522,48 @@ class TestSlicedPairTest:
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_equals_one_whole_sum(self, monkeypatch, n, pair, standard, fault):
-        # Every pair of seed functions: the same omega or the same failure
-        # as one whole accumulation, and on a log-canonical pair the slices'
-        # sums, zero sums included, are disjoint and make up the whole sum.
+        # Every pair of seed functions and coordinates against the oracles,
+        # which derive the bracket's products per pair from the degree
+        # classes and the operator: the same products, weights and
+        # pair_products count, and the same omega or the same failure as
+        # one whole accumulation.  The pair test's sums, zero sums included,
+        # equal the whole sum (its slices disjoint), which also pins W: a
+        # wrong W would leave (W' - W) lc f g in them.
         ws = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
         cluster, op = ws.cluster(), ws.op()
-        tables = [gradient_tables(cluster.functions[lab], op) for lab in cluster.labels]
+        idx = range(1, n + 1)
+        funcs = [(lab, cluster.functions[lab]) for lab in cluster.labels]
+        funcs += [(f"x[{i},{j}]", cluster.ring.x(i, j)) for i in idx for j in idx]
+        tables = [gradient_tables(f, op) for _, f in funcs]
         made = _spy_accumulate(monkeypatch)
         failures = []
         for ia, ta in enumerate(tables):
             for ib in range(ia + 1, len(tables)):
-                omega, whole = whole_pair_sums(ta, tables[ib])
+                where = (funcs[ia][0], funcs[ib][0])
+                tb = tables[ib]
+                assert poisson._pairing(ta, tb) == class_pairing(ta, tb), where
+                omega, whole, products = whole_pair_sums(ta, tb)
+                assert poisson.pair_products(ta, tb) == products, where
                 made.clear()
                 try:
-                    got = coefficient_from_tables(ta, tables[ib])
+                    got = coefficient_from_tables(ta, tb)
                 except NotLogCanonical:
                     got = None
-                assert got == omega, (cluster.labels[ia], cluster.labels[ib])
+                assert got == omega, where
                 if omega is None:
                     failures.append((ia, ib))
+                    # A light pair test is one sum; exact division follows.
+                    assert products < poisson.SLICE_PRODUCTS and made[0] == whole, where
                     continue
                 sliced = {}
                 for sums in made:
                     assert not sliced.keys() & sums.keys()
                     sliced.update(sums)
-                assert sliced == whole, (cluster.labels[ia], cluster.labels[ib])
-        assert bool(failures) == (fault is not None)
+                assert sliced == whole, where
+        # Most coordinate pairs fail, so the failure path is always compared;
+        # only the pairs of seed functions (listed first) tell a faulted seed.
+        seed_failures = [ib for _, ib in failures if ib < len(cluster.labels)]
+        assert bool(seed_failures) == (fault is not None) and failures
 
     def test_no_slice_holds_the_whole_sum(self, monkeypatch):
         # (5,1,4), (1,2) x (2,3): 1,391,532 term products, whose sums held
@@ -661,7 +677,7 @@ class TestSweeps:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sweep_workers() == 1
 
-    @pytest.mark.parametrize("value", ["four", 2.5, 0, -3])
+    @pytest.mark.parametrize("value", ["four", 2.5, 0, -3, True, False])
     def test_sweep_workers_rejects_bad_count(self, value):
         with pytest.raises(ValueError, match="processes must be a positive integer"):
             sweep_workers(value)
@@ -669,6 +685,25 @@ class TestSweeps:
         op = r_plus_operator(n=2, standard=True)
         with pytest.raises(ValueError, match="processes"):
             omega_sweep([ring.x(1, 1), ring.x(2, 2)], op, processes=value)
+
+    def test_pair_products_once_per_sweep(self, monkeypatch):
+        # The workspace hands its pair_products list to the sweep, which
+        # would otherwise count them again to plan its pool.
+        calls = []
+        real = poisson.pair_products
+
+        def counted(ta, tb):
+            calls.append(1)
+            return real(ta, tb)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(poisson, "pair_products", counted)
+        monkeypatch.setattr(verify, "pair_products", counted)
+        ws = Workspace(BDTriple(4, 1, 3), processes=2)
+        labels, omegas, failures = ws.omega()
+        L = len(labels)
+        assert failures == [] and len(omegas) == L * (L - 1) // 2
+        assert len(calls) == len(ws.sweep_products) == L * (L - 1) // 2
 
     def test_failed_sweep_clears_its_state(self, monkeypatch):
         # A pair test that raises, as MemoryError does at n = 6, must not

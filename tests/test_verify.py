@@ -5,6 +5,7 @@ here each check is exercised once on size 3 plus the failure paths.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,45 @@ class TestIndividualChecks:
         ):
             assert rep.passed, rep.witnesses
             assert rep.alpha is None and rep.beta is None
+
+
+# The witnesses of compat on (4,1,3) with omega((2, 2), (2, 3)) raised by
+# each key: both kinds, product entries and the diagonal, which a faulted
+# seed never reaches (its logcanon fails first).  Recorded while compat
+# still summed Fractions.
+PERTURBED_COMPAT_WITNESSES = {
+    Fraction(1, 7): [
+        "product entry at row (2, 1), column (2, 3) is 1/7, expected 0",
+        "product entry at row (2, 4), column (2, 2) is 1/7, expected 0",
+        "product entry at row (3, 2), column (2, 3) is -1/7, expected 0",
+        "product entry at row (3, 3), column (2, 2) is 1/7, expected 0",
+        "product entry at row (3, 3), column (2, 3) is 1/7, expected 0",
+        "product entry at row (3, 4), column (2, 2) is -1/7, expected 0",
+        "diagonal of the product is not a uniform unit: saw -8/7 and -1",
+    ],
+    Fraction(2): [
+        "product entry at row (2, 1), column (2, 3) is 2, expected 0",
+        "product entry at row (2, 4), column (2, 2) is 2, expected 0",
+        "product entry at row (3, 2), column (2, 3) is -2, expected 0",
+        "product entry at row (3, 3), column (2, 2) is 2, expected 0",
+        "product entry at row (3, 3), column (2, 3) is 2, expected 0",
+        "product entry at row (3, 4), column (2, 2) is -2, expected 0",
+        "diagonal of the product is not a uniform unit: saw -3 and -1",
+    ],
+}
+
+
+class TestCompatibilityWitnesses:
+    @pytest.mark.parametrize("delta", sorted(PERTURBED_COMPAT_WITNESSES), ids=str)
+    def test_perturbed_omega_witnesses_unchanged(self, delta):
+        ws = Workspace(BDTriple(4, 1, 3), processes=1)
+        labels, omegas, failures = ws.omega()
+        omegas = dict(omegas)
+        omegas[labels.index((2, 2)), labels.index((2, 3))] += delta
+        ws._omega = (labels, omegas, failures)
+        witnesses, details = verify.check_compatibility(ws)
+        assert witnesses == PERTURBED_COMPAT_WITNESSES[delta]
+        assert details == {"diagonal_sign": None, "n_mutable": 11}
 
 
 class TestFaults:
