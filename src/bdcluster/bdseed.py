@@ -77,6 +77,14 @@ def get_ring(n: int) -> PolyRing:
     return PolyRing(n)
 
 
+@lru_cache(maxsize=None)
+def trailing_minor(n: int, i: int, j: int) -> Poly:
+    """The trailing minor at (i, j), made once per (n, label) per process
+    and shared by every seed that holds it: at most n^2 entries per size,
+    each of at most n! terms, made only when a seed asks for the label."""
+    return determinant(build_M(get_ring(n), i, j))
+
+
 @dataclass(frozen=True)
 class Cluster:
     """An initial extended cluster: labelled functions plus the frozen set."""
@@ -135,9 +143,6 @@ def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
             lab: determinant(build_Mtilde(ring, alpha, beta, *lab))
             for lab in first_family(n, alpha, beta) + second_family(n, alpha, beta)
         }
-    functions = {
-        lab: blocks[lab] if lab in blocks else determinant(build_M(ring, *lab))
-        for lab in labels
-    }
+    functions = {lab: blocks[lab] if lab in blocks else trailing_minor(n, *lab) for lab in labels}
     return Cluster(ring=ring, n=n, labels=labels, functions=functions, frozen=frozen)
 

@@ -29,16 +29,20 @@ and the Sklyanin bracket of two polynomial functions f, g of X is
 with F = (grad f) X, F' = X (grad f) (entrywise F_ij = sum_k df/dx[k,i]
 x[k,j] = col_replace(f, i, j), F'_ij = sum_k df/dx[j,k] x[i,k] =
 row_replace(f, j, i)) and <A, B> = tr(AB) the trace form.  F and F'
-come from one pass over the terms of f (polymat._replacement_tables).
+come from one pass over the terms of f (polymat._replacement_tables),
+as term dicts.
 
 The only denominators in R_+ are the n of each hhat pairing and the n
 of each hhat entry, so n^2 R_+ maps integer matrices to integer
 matrices.  bracket_from_tables returns the integer pairing n^2 {f, g}:
 the diagonal of R_+ pairs with G as one bilinear form in the degree
 classes of f and g, and the rest pairs table entries directly, so no
-R_+ of a table is stored.  What a pair test reads of one function, its
-classes' weight vectors and its nonzero off-diagonal factors, is made
-once per function and operator, by gradient_tables, with F and F'.
+R_+ of a table is stored.  gradient_tables is the one place tables are
+made.  F, F', the degree classes and the largest exponents do not read
+the operator, so tables of f for a second operator are derived from the
+first operator's (its like= keyword) without a pass over f's terms;
+only what a pair test reads of f for that operator, its classes' weight
+vectors and its nonzero off-diagonal factors, is made per operator.
 coefficient_from_tables tests {f, g} = omega f g as the integer sum
 lc n^2 {f, g} - W f g = 0, with W the bracket's coefficient at the
 leading monomial of f g and lc that monomial's coefficient, so a
@@ -322,27 +326,32 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 Tables = namedtuple("Tables", "F Fp f classes top op parts lead left right")
 
 
-def gradient_tables(f: Poly, op: RPlusOperator) -> Tables:
-    """The tables of f for op from one pass over f's terms: F_ij =
-    col_replace(f, i, j), F'_ij = row_replace(f, j, i), f, its degree
-    classes {(column degrees, row degrees): part of f}, the packed key of
-    its maximum exponents, and op; then what each pair test of f reads
-    (_pairing).  parts lists (part, u_c, v_c) for each class c, with
-    u_c = (M col(c), -M row(c)) for M = op.diagonal and v_c = (col(c),
-    row(c)); lead is (index in parts, monomial) of f's leading term, None
-    for f = 0.  Each entry (co, s, t) of op.off_diagonal is a slot on F
-    and one on F' (with -co): left lists (slot, F_s, co) for nonzero F_s,
-    and right holds F_t', t' = t transposed, for every slot.  Entries are
-    term dicts, with int coefficients when f's are."""
-    F, Fp, classes, top = _replacement_tables(f)
+def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None) -> Tables:
+    """The tables of f for op: F_ij, the terms of col_replace(f, i, j),
+    F'_ij, those of row_replace(f, j, i), f, its degree classes
+    {(column degrees, row degrees): part of f} and the packed key of its
+    maximum exponents, from one pass over f's terms, or taken from like,
+    the tables of f for another operator, since none of them reads op;
+    then op and what each pair test of f reads (_pairing).  parts lists
+    (part, u_c, v_c) for each class c, with u_c = (M col(c), -M row(c))
+    for M = op.diagonal and v_c = (col(c), row(c)); lead is (index in
+    parts, monomial) of f's leading term, None for f = 0.  Each entry
+    (co, s, t) of op.off_diagonal is a slot on F and one on F' (with
+    -co): left lists (slot, F_s, co) for nonzero F_s, and right holds
+    F_t', t' = t transposed, for every slot.  Entries are term dicts,
+    with int coefficients when f's are."""
+    if like is None:
+        F, Fp, classes, top = _replacement_tables(f)
+        lm = max(f._d, default=None)
+        lead = next(((i, lm) for i, part in enumerate(classes.values()) if lm in part), None)
+    else:
+        F, Fp, classes, top, lead = like.F, like.Fp, like.classes, like.top, like.lead
     M = op.diagonal
     parts = [
         (part, tuple(sum(map(mul, r, cols)) for r in M) + tuple(-sum(map(mul, r, rows)) for r in M), cols + rows)
         for (cols, rows), part in classes.items()
     ]
-    lm = max(f._d, default=None)
-    lead = next(((i, lm) for i, (part, _, _) in enumerate(parts) if lm in part), None)
-    slots = [(T[si][sj]._d, T[tj][ti]._d, sign * co) for T, sign in ((F, 1), (Fp, -1))
+    slots = [(T[si][sj], T[tj][ti], sign * co) for T, sign in ((F, 1), (Fp, -1))
              for co, (si, sj), (ti, tj) in op.off_diagonal]
     left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
     return Tables(F, Fp, f, classes, top, op, parts, lead, left, [b for _, b, _ in slots])

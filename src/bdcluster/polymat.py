@@ -175,8 +175,9 @@ def build_Mtilde(
 
 
 def _replacement_tables(f: Poly):
-    """F and F' of f from one pass over its terms, with 1-based
-    F[i][j] = col_replace(f, i, j) and F'[i][j] = row_replace(f, j, i);
+    """F and F' of f from one pass over its terms, as term dicts, with
+    1-based F[i][j] the terms of col_replace(f, i, j) and F'[i][j] those
+    of row_replace(f, j, i);
     f's degree classes {(column degrees, row degrees): {monomial:
     coefficient}}; and the packed key of f's maximum exponent in each
     variable.
@@ -215,7 +216,7 @@ def _replacement_tables(f: Poly):
     tables = (F, [list(col) for col in zip(*Fp_t)])
     ring.check_exponents(key for T in tables for row in T for acc in row for key in acc)
     return *(
-        [[Poly(ring, {k: v for k, v in acc.items() if v}) for acc in row] for row in T]
+        [[{k: v for k, v in acc.items() if v} if 0 in acc.values() else acc for acc in row] for row in T]
         for T in tables
     ), classes, ring.top(f._d)
 
@@ -229,7 +230,7 @@ def col_replace(f: Poly, i: int, j: int) -> Poly:
     n = f.ring.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"column index outside 1..{n}")
-    return _replacement_tables(f)[0][i - 1][j - 1]
+    return Poly(f.ring, _replacement_tables(f)[0][i - 1][j - 1])
 
 
 def row_replace(f: Poly, i: int, j: int) -> Poly:
@@ -241,4 +242,4 @@ def row_replace(f: Poly, i: int, j: int) -> Poly:
     n = f.ring.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"row index outside 1..{n}")
-    return _replacement_tables(f)[1][j - 1][i - 1]
+    return Poly(f.ring, _replacement_tables(f)[1][j - 1][i - 1])

@@ -38,8 +38,8 @@ from .polyring import Poly
 from .poisson import (
     NotLogCanonical,
     RPlusOperator,
+    _pairing,
     build_r_tensor,
-    bracket_from_tables,
     coefficient_from_tables,
     gradient_tables,
     omega_sweep,
@@ -130,6 +130,7 @@ class Workspace:
         self._omega = None
         # Each swept pair's pair_products, in pair order, once omega() ran.
         self.sweep_products: List[int] = []
+        # {f's terms: {op: tables of f for op}}
         self._tables: dict = {}
 
     @property
@@ -190,26 +191,24 @@ class Workspace:
         return self._ops[standard]
 
     def tables(self, f: Poly, op: RPlusOperator):
-        """The gradient tables of f for op, made once per distinct (f, op)."""
-        key = (op, frozenset(f._d.items()))
-        if key not in self._tables:
-            self._tables[key] = gradient_tables(f, op)
-        return self._tables[key]
+        """The gradient tables of f for op, made once per distinct (f, op)
+        and kept for the workspace's life.  F, F', the degree classes and
+        top do not read op, so they are made once per distinct f, and
+        every further operator's tables of f are derived from them."""
+        views = self._tables.setdefault(frozenset(f._d.items()), {})
+        if op not in views:
+            views[op] = gradient_tables(f, op, like=next(iter(views.values()), None))
+        return views[op]
 
     def omega(self):
-        """(labels, {(ia, ib): omega}, failures) over the cluster label order."""
+        """(labels, {(ia, ib): omega}, failures) over the cluster label order,
+        from the workspace's tables of the cluster functions."""
         if self._omega is None:
             cluster = self.cluster()
             labels = list(cluster.labels)
             funcs = [cluster.functions[lab] for lab in labels]
             op = self.op()
-            # frozen and bracketdiff table the frozen functions and the
-            # coordinates (one term each) again.  The other tables are freed
-            # when the sweep returns, before regular's exchanges run.
-            tables = [
-                self.tables(f, op) if lab in cluster.frozen or len(f) == 1 else gradient_tables(f, op)
-                for lab, f in zip(labels, funcs)
-            ]
+            tables = [self.tables(f, op) for f in funcs]
             self.sweep_products = [
                 pair_products(tables[ia], tables[ib]) for ia in range(len(tables)) for ib in range(ia + 1, len(tables))
             ]
@@ -419,29 +418,31 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
 
     checked on every pair of coordinate functions.  The replacements are
     entries of the gradient tables: f^(i<-j) = F[i][j] and
-    f_(j<-i) = F'[i][j] (1-based).
+    f_(j<-i) = F'[i][j] (1-based).  Each pair is one accumulation of the
+    exotic pairing, the standard one negated and the four wedge products
+    negated, all scaled by n^2, and passes when every sum is 0.
     """
     n, a, b = ws.n, ws.alpha, ws.beta
+    nn = n * n
     ring = get_ring(n)
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     exotic = [ws.tables(f, ws.op(False)) for f in coords]
     std = [ws.tables(f, ws.op(True)) for f in coords]
     witnesses = []
-    for ia in range(len(coords)):
-        Ff, Fpf = exotic[ia][:2]
+    for ia, (ef, sf) in enumerate(zip(exotic, std)):
         for ib in range(ia + 1, len(coords)):
-            Fg, Fpg = exotic[ib][:2]
-            # Both brackets come scaled by n^2.
-            lhs = bracket_from_tables(exotic[ia], exotic[ib]) - bracket_from_tables(std[ia], std[ib])
-            rhs = (
-                Ff[a - 1][a] * Fg[b][b - 1]
-                - Ff[b][b - 1] * Fg[a - 1][a]
-                - Fpf[a - 1][a] * Fpg[b][b - 1]
-                + Fpf[b][b - 1] * Fpg[a - 1][a]
-            ) * (n * n)
-            if lhs != rhs:
+            eg, sg = exotic[ib], std[ib]
+            (ed, eo), (sd, so) = _pairing(ef, eg), _pairing(sf, sg)
+            products = ed + eo + [(x, y, -w) for x, y, w in sd + so] + [
+                (ef.F[a - 1][a], eg.F[b][b - 1], -nn),
+                (ef.F[b][b - 1], eg.F[a - 1][a], nn),
+                (ef.Fp[a - 1][a], eg.Fp[b][b - 1], nn),
+                (ef.Fp[b][b - 1], eg.Fp[a - 1][a], -nn),
+            ]
+            diff = {m: c for m, c in ring.accumulate(products).items() if c}
+            if diff:
                 witnesses.append(
-                    f"difference mismatch at coordinate pair ({ia}, {ib}): {unscale(lhs - rhs, n)}"
+                    f"difference mismatch at coordinate pair ({ia}, {ib}): {unscale(Poly(ring, diff), n)}"
                 )
     return witnesses, {}
 

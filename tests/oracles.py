@@ -126,7 +126,7 @@ def class_pairing(ta: Tables, tb: Tables):
     off_diagonal = []
     for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
         for co, (si, sj), (ti, tj) in ta.op.off_diagonal:
-            a, b = R[si][sj]._d, H[tj][ti]._d
+            a, b = R[si][sj], H[tj][ti]
             if a and b:
                 off_diagonal.append((a, b, sign * co))
     return diagonal, off_diagonal

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from bdcluster import verify
-from bdcluster.bdseed import BDTriple
+from bdcluster import poisson, verify
+from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import r_plus_operator
 from bdcluster.verify import Fault, Workspace, run_checks
 
@@ -160,6 +160,44 @@ PERTURBED_COMPAT_WITNESSES = {
 }
 
 
+# The bracketdiff witnesses on (4,1,3) when the standard companion is
+# replaced by the exotic operator, so that the two brackets agree and every
+# pair's difference is minus its wedge products: (ia, ib, difference) per
+# coordinate pair, recorded while the check still subtracted two brackets.
+SWAPPED_COMPANION_WITNESSES = [
+    (0, 3, "-x[1,2]*x[1,3]"),
+    (0, 7, "-x[1,2]*x[2,3]"),
+    (0, 11, "-x[1,2]*x[3,3]"),
+    (0, 15, "-x[1,2]*x[4,3]"),
+    (3, 4, "x[1,3]*x[2,2]"),
+    (3, 8, "x[1,3]*x[3,2]"),
+    (3, 12, "x[1,3]*x[4,2]"),
+    (4, 7, "-x[2,2]*x[2,3]"),
+    (4, 8, "x[1,1]*x[4,1]"),
+    (4, 9, "x[1,1]*x[4,2]"),
+    (4, 10, "x[1,1]*x[4,3]"),
+    (4, 11, "x[1,1]*x[4,4] - x[2,2]*x[3,3]"),
+    (4, 15, "-x[2,2]*x[4,3]"),
+    (5, 8, "x[1,2]*x[4,1]"),
+    (5, 9, "x[1,2]*x[4,2]"),
+    (5, 10, "x[1,2]*x[4,3]"),
+    (5, 11, "x[1,2]*x[4,4]"),
+    (6, 8, "x[1,3]*x[4,1]"),
+    (6, 9, "x[1,3]*x[4,2]"),
+    (6, 10, "x[1,3]*x[4,3]"),
+    (6, 11, "x[1,3]*x[4,4]"),
+    (7, 8, "x[1,4]*x[4,1] + x[2,3]*x[3,2]"),
+    (7, 9, "x[1,4]*x[4,2]"),
+    (7, 10, "x[1,4]*x[4,3]"),
+    (7, 11, "x[1,4]*x[4,4]"),
+    (7, 12, "x[2,3]*x[4,2]"),
+    (8, 11, "-x[3,2]*x[3,3]"),
+    (8, 15, "-x[3,2]*x[4,3]"),
+    (11, 12, "x[3,3]*x[4,2]"),
+    (12, 15, "-x[4,2]*x[4,3]"),
+]
+
+
 class TestCompatibilityWitnesses:
     @pytest.mark.parametrize("delta", sorted(PERTURBED_COMPAT_WITNESSES), ids=str)
     def test_perturbed_omega_witnesses_unchanged(self, delta):
@@ -171,6 +209,22 @@ class TestCompatibilityWitnesses:
         witnesses, details = verify.check_compatibility(ws)
         assert witnesses == PERTURBED_COMPAT_WITNESSES[delta]
         assert details == {"diagonal_sign": None, "n_mutable": 11}
+
+
+class TestBracketDifferenceWitnesses:
+    def test_swapped_companion_witnesses_unchanged(self, monkeypatch):
+        real = Workspace.op
+
+        def exotic_for_both(self, standard=None):
+            return real(self, False if standard else standard)
+
+        monkeypatch.setattr(Workspace, "op", exotic_for_both)
+        witnesses, details = verify.check_bracket_difference(Workspace(BDTriple(4, 1, 3), processes=1))
+        assert witnesses == [
+            f"difference mismatch at coordinate pair ({ia}, {ib}): {diff}"
+            for ia, ib, diff in SWAPPED_COMPANION_WITNESSES
+        ]
+        assert details == {}
 
 
 class TestFaults:
@@ -279,14 +333,36 @@ class TestRunChecks:
         made = []
         real = verify.gradient_tables
 
-        def counted(f, op):
+        def counted(f, op, **kwargs):
             made.append((op, frozenset(f._d.items())))
-            return real(f, op)
+            return real(f, op, **kwargs)
 
         monkeypatch.setattr(verify, "gradient_tables", counted)
         reports = run_checks(["all"], triple=BDTriple(4, 1, 3), processes=1)
         assert all(r.passed for r in reports)
         assert len(made) == len(set(made))
+
+    def test_each_function_is_tabled_once(self, monkeypatch):
+        # F, F', the degree classes and top do not read the operator, so
+        # one pass over f's terms serves every operator's tables of f: one
+        # per distinct function of the exotic seed, the standard seed (for
+        # somega) and the coordinates (for frozen and bracketdiff).
+        tabled = []
+        real = poisson._replacement_tables
+
+        def counted(f):
+            tabled.append(frozenset(f._d.items()))
+            return real(f)
+
+        monkeypatch.setattr(poisson, "_replacement_tables", counted)
+        t = BDTriple(4, 1, 3)
+        reports = run_checks(["all"], triple=t, processes=1)
+        assert all(r.passed for r in reports)
+        ring = get_ring(4)
+        funcs = [*initial_cluster(t).functions.values(), *standard_cluster(4).functions.values()]
+        funcs += [ring.x(i, j) for i in range(1, 5) for j in range(1, 5)]
+        assert set(tabled) == {frozenset(f._d.items()) for f in funcs}
+        assert len(tabled) == len(set(tabled)) == 29
 
     def test_fault_propagates(self):
         reports = run_checks(["logcanon"], triple=T312, fault=Fault.DROP_PHI31_TERM)
