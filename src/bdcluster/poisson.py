@@ -47,13 +47,14 @@ coefficient_from_tables tests {f, g} = omega f g as the integer sum
 lc n^2 {f, g} - W f g = 0, with W the bracket's coefficient at the
 leading monomial of f g and lc that monomial's coefficient, so a
 log-canonical pair forms neither the bracket nor f g and makes one
-Fraction, omega = W / (lc n^2); a heavy pair is summed one slice of X's
-first-row exponents at a time, and a pair that fails goes to exact
-division for its witness.  omega_sweep runs
-it over all pairs; sweeps of POOL_MIN_PRODUCTS term products or more
-fork sweep_workers(processes) workers.  r_plus, sklyanin_bracket and unscale
-remove the n^2.  RPlusOperator holds R_+ as one diagonal matrix and one
-off-diagonal entry list, read by r_plus and the bracket alike.
+Fraction, omega = W / (lc n^2); a heavy sum goes one first-row slice
+at a time (polyring's one slicing rule), and a failing pair divides the
+bracket's products by f g for its witness, never forming the bracket.
+omega_sweep runs it over all pairs; sweeps of POOL_MIN_PRODUCTS term
+products or more fork sweep_workers(processes) workers.  r_plus,
+sklyanin_bracket and unscale remove the n^2.  RPlusOperator holds R_+
+as one diagonal matrix and one off-diagonal entry list, read by r_plus
+and the bracket alike.
 build_r_tensor expands the explicit tensor of r from the operator's c,
 its dual basis s and its wedge flag, not from its diagonal, and
 r_plus_oracle contracts that tensor against a matrix; the two are kept
@@ -75,7 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bdseed import BDTriple, structure_size
 from .polymat import _replacement_tables
-from .polyring import ExponentOverflow, NotDivisible, Poly, _normalize_scalar, exact_divide
+from .polyring import ExponentOverflow, NotDivisible, Poly, _divide, _normalize_scalar
 
 TensorKey = Tuple[Tuple[int, int], Tuple[int, int]]
 Tensor = Dict[TensorKey, Fraction]
@@ -101,9 +102,9 @@ def build_r0(
         a[i][i] = 1
         if i > 0:
             a[i][i - 1] = -1
+    if (alpha is None) != (beta is None):
+        raise ValueError("alpha given without beta" if beta is None else "beta given without alpha")
     if alpha is not None:
-        if beta is None:
-            raise ValueError("alpha given without beta")
         if not (1 <= alpha < beta <= m):
             raise ValueError(f"need 1 <= alpha < beta <= {m}")
         if beta > alpha + 1:
@@ -400,14 +401,12 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     Both terms expand over the same products: f g is the sum of f_c g_d
     over every class pair, so the pair (c, d) carries the weight
     lc w(c, d) - W, and each off-diagonal product of _pairing carries lc
-    times its coefficient.  A pair of at least SLICE_PRODUCTS term
-    products (pair_products) is summed one slice at a time, a slice being
-    the monomials that share their exponents in X's first row
-    (PolyRing.slices), and a lighter pair in one dict; either way
-    omega = W / (lc n^2) when every sum is 0.  At the first slice with a
-    nonzero sum, exact division of the bracket by f g decides: a constant
-    quotient is omega, and any other quotient or a remainder raises
-    NotLogCanonical with its reason.
+    times its coefficient.  PolyRing.slices groups these products by the
+    monomials' exponents in X's first row, and omega = W / (lc n^2) when
+    every group's sum is 0.  At the first group with a nonzero sum, the
+    exact division of the bracket's products (_pairing) by f g decides:
+    a constant quotient is omega, and any other quotient or a remainder
+    raises NotLogCanonical with its reason.
     """
     f, g, op = ta.f, tb.f, ta.op
     diagonal, off_diagonal = _pairing(ta, tb)
@@ -426,20 +425,13 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
         W += co * sum(a.get(L - mb, 0) * cb for mb, cb in b.items())
     ring = f.ring
     products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
-    # The listed term products number pair_products(ta, tb).
-    if sum(len(a) * len(b) for a, b, _ in products) < SLICE_PRODUCTS:
-        groups = [products]
-    else:
-        groups = ring.slices(products, ring.first_row_mask).values()
     # Each slice's sums are freed before the next slice is accumulated.
-    if any(any(ring.accumulate(group).values()) for group in groups):
+    if any(any(ring.accumulate(group).values()) for group in ring.slices(products, ring.first_row_mask)):
         # The quotient is authoritative, so a wrong nonzero sum could cost
-        # only time, never a verdict.
-        br = bracket_from_tables(ta, tb)
-        if not br:
-            return Fraction(0)
+        # only time, never a verdict.  A zero bracket has W = 0 and zero
+        # sums, so it never gets here.
         try:
-            quo = exact_divide(br, f * g)._d
+            quo = _divide(diagonal + off_diagonal, f * g)
         except NotDivisible as e:
             raise NotLogCanonical(f"bracket is not divisible by the product: {e}") from None
         if len(quo) != 1 or 0 not in quo:
@@ -467,15 +459,6 @@ def poisson_coefficient(f: Poly, g: Poly, op: RPlusOperator) -> Fraction:
     not a constant multiple of f g, with exact division's remainder as
     witness."""
     return coefficient_from_tables(gradient_tables(f, op), gradient_tables(g, op))
-
-
-# A pair test of this many term products (pair_products) or more sums one
-# first-row slice at a time, so it holds one slice's monomials at once: at
-# most 9,573 for the heaviest (5,1,4) pair, whose whole sum held 175,114.
-# Lighter pairs, such as the few hundred tiny tests of the frozen, somega and
-# bracketdiff checks, are one slice over the tables' own dicts, since
-# splitting every factor would cost more than their sums.
-SLICE_PRODUCTS = 20_000
 
 
 # ----------------------------------------------------------------------

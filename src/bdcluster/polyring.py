@@ -19,13 +19,13 @@ neighbouring byte.
 Only this module reads the layout: every product of polynomials runs
 through one kernel, PolyRing.accumulate, every exponent test through one
 guard, PolyRing.check_exponents, and other modules read keys only
-through x_units, x_exponents and top.  Every exact division runs
-through one kernel, _reduce.  PolyRing.slices splits a sum of products
-into slices, a slice being the terms whose keys agree under a mask, so
-that each slice can be accumulated and freed before the next:
-exact_divide_products divides one slice at a time, the mask being the
-variables the divisor lacks, and the pair test of poisson sums one
-first-row slice (first_row_mask) at a time.
+through x_units, x_exponents and top.  Once a sum of products reaches
+SLICE_PRODUCTS term products, PolyRing.slices splits it into slices, a
+slice being the terms whose keys agree under a mask, so that each slice
+is accumulated and freed before the next.  Every exact division, the
+pair test's of poisson included, is _divide: it slices its dividend by
+the variables the divisor lacks and hands each slice to the kernel
+_reduce.  The pair test itself sums one first-row slice at a time.
 
 Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
 const, scalar products and exact_divide give ints for integral values;
@@ -47,6 +47,14 @@ VarId = Tuple[str, int, int]  # ("x" | "y", row, col), 1-based
 
 _BITS = 8
 _DIGIT_MASK = (1 << _BITS) - 1
+
+# A sum of this many term products or more is split into slices
+# (PolyRing.slices), so it holds one slice's monomials at once: at most
+# 9,573 for the heaviest (5,1,4) pair test, whose whole sum held 175,114.
+# Lighter sums, such as the few hundred tiny pair tests of the frozen,
+# somega and bracketdiff checks, are one slice over their own dicts, since
+# splitting every factor would cost more than their sums.
+SLICE_PRODUCTS = 20_000
 
 
 def _normalize_scalar(c: Scalar) -> Scalar:
@@ -163,14 +171,17 @@ class PolyRing:
         self.check_exponents(acc)
         return acc
 
-    def slices(self, products, mask: int) -> Dict[int, list]:
-        """The products (a, b, weight) of accumulate, weight 0 dropped,
-        regrouped by target slice: {v: [(a_p, b_q, weight), ...]} over the
-        parts a_p of a and b_q of b whose keys k have k & mask = p and q,
-        with p + q = v.  Packed keys add without carry, so a term of a_p
-        times one of b_q lands in slice p + q, the slices' accumulations
-        are disjoint, and together they are accumulate(products).  Each
-        distinct factor dict is split once, however many products read it."""
+    def slices(self, products, mask: int) -> Iterable[list]:
+        """The products (a, b, weight) of accumulate in groups whose sums
+        are disjoint and add up to accumulate(products): below
+        SLICE_PRODUCTS term products, products itself; otherwise, per
+        target slice v, [(a_p, b_q, weight), ...] over the parts a_p of a
+        and b_q of b whose keys k have k & mask = p and q, p + q = v,
+        weight 0 dropped.  Packed keys add without carry, so a term of a_p
+        times one of b_q lands in slice p + q.  Each distinct factor dict
+        is split once, however many products read it."""
+        if sum(len(a) * len(b) for a, b, _ in products) < SLICE_PRODUCTS:
+            return [products]
         parts: Dict[int, list] = {}
         out: Dict[int, list] = defaultdict(list)
         for a, b, scale in products:
@@ -185,7 +196,7 @@ class PolyRing:
             for p, ap in parts[id(a)]:
                 for q, bq in parts[id(b)]:
                     out[p + q].append((ap, bq, scale))
-        return out
+        return out.values()
 
     def monomial_exponents(self, mono: int) -> Dict[VarId, int]:
         """Unpack a monomial key into {variable: exponent}, nonzero entries only."""
@@ -340,8 +351,8 @@ def _monomial_divides(divisor: int, mono: int, himask: int) -> bool:
 def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
     """The quotient of the term dict rem by q, consuming rem; zero
     entries are allowed, and a rem of zeros alone, such as a slice whose
-    sums all cancel, is not sorted.  Raises NotDivisible at the first
-    remainder term, in decreasing order, that lead(q) does not divide.
+    sums all cancel, is not sorted.  Raises NotDivisible(m) at the first
+    remainder term m, in decreasing order, that lead(q) does not divide.
 
     One decreasing walk over rem's sorted monomials.  A term that has
     cancelled costs one lookup; a nonzero one is reduced against lead(q),
@@ -352,11 +363,9 @@ def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
     which monomials the walk or the heap will still reach, and each is
     reached once.
     """
-    qd = q._d
-    if not qd:
-        raise DivisionByZero("division by the zero polynomial")
     if not any(rem.values()):
         return {}
+    qd = q._d
     himask = q.ring._himask
     qlead = max(qd)
     qlc = qd[qlead]
@@ -379,10 +388,7 @@ def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
             continue
         del rem[m]
         if not _monomial_divides(qlead, m, himask):
-            raise NotDivisible(
-                f"remainder term of degree profile {q.ring.monomial_exponents(m)} "
-                "is not reducible by the divisor's leading term"
-            )
+            raise NotDivisible(m)
         tmono = m - qlead
         if isinstance(c, int) and isinstance(qlc, int):
             tc, r = divmod(c, qlc)
@@ -401,52 +407,63 @@ def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
                 rem[k] = v - tc * c2
 
 
-def exact_divide(p: Poly, q: Poly) -> Poly:
-    """Return p / q when q divides p exactly; raise NotDivisible otherwise.
+def _divide(products, q: Poly) -> Dict[int, Scalar]:
+    """The quotient by q of P, the sum of products (a, b, weight) as
+    accumulate takes them, or NotDivisible naming the largest remainder
+    term that lead(q) does not divide.
 
-    Leading-term reduction in one decreasing pass over p's terms
-    (_reduce); the NotDivisible witness is the largest remainder term
-    that q's leading term does not divide.
+    With V the variables q lacks, write P = sum_v P_v m_v, m_v a monomial
+    in V alone, and take the P_v from PolyRing.slices with V's bytes as
+    mask, one at a time.  q holds no variable of V, so every reduction
+    stays inside its own slice: q | P exactly when q | P_v for every v,
+    P / q = sum_v (P_v / q) m_v, and one decreasing walk over P is the
+    slices' walks interleaved.  The first irreducible term of that walk
+    is therefore the largest of the slices' first ones, so every slice is
+    tried and the dividend is never formed whole.
     """
+    ring = q.ring
+    if not q._d:
+        raise DivisionByZero("division by the zero polynomial")
+    # All ones on the bytes of the variables that no term of q contains.
+    used = reduce(or_, q._d, 0).to_bytes(ring.nvars, "big")
+    mask = int.from_bytes(bytes(0 if b else _DIGIT_MASK for b in used), "big")
+    quot: Dict[int, Scalar] = {}
+    witness = -1
+    for group in ring.slices(products, mask):
+        try:
+            # Only _reduce holds the slice, so it is freed before the next
+            # slice is built.
+            quot.update(_reduce(ring.accumulate(group), q))
+        except NotDivisible as e:
+            witness = max(witness, e.args[0])
+    if witness >= 0:
+        raise NotDivisible(
+            f"remainder term of degree profile {ring.monomial_exponents(witness)} "
+            "is not reducible by the divisor's leading term"
+        )
+    return quot
+
+
+def exact_divide(p: Poly, q: Poly) -> Poly:
+    """Return p / q when q divides p exactly; raise NotDivisible otherwise,
+    naming the largest remainder term that q's leading term does not
+    divide (_divide of p alone)."""
     if p.ring != q.ring:
         raise ValueError("polynomials belong to different rings")
-    return Poly(p.ring, _reduce(dict(p._d), q))
+    return Poly(p.ring, _divide([(p._d, p.ring.one._d, 1)], q))
 
 
 def exact_divide_products(sides: Sequence[List[Poly]], q: Poly) -> Poly:
     """(sum over sides of the product of the side's factors) / q, exactly,
-    without forming the whole numerator P.
-
-    Let V be the variables q lacks and write P = sum_v P_v m_v, m_v a
-    monomial in V alone: q | P exactly when q | P_v for every v, and then
-    P / q = sum_v (P_v / q) m_v.  Each side multiplies all but its
-    largest factor into a head, and PolyRing.slices splits the head and
-    that factor by their V-part (key & mask), so P_v sums the part pairs
-    whose V-parts add up to v.  When a slice does not
-    divide, the whole numerator is divided instead, so the NotDivisible
-    witness is exact_divide's for P.
-    """
+    without forming the whole numerator: each side multiplies all but its
+    largest factor into a head, and _divide sums the head times that
+    factor one slice at a time."""
     ring = q.ring
-    # All ones on the bytes of the variables that no term of q contains.
-    used = reduce(or_, q._d, 0).to_bytes(ring.nvars, "big")
-    mask = int.from_bytes(bytes(0 if b else _DIGIT_MASK for b in used), "big")
     heads = []
     for factors in sides:
         *rest, big = sorted(factors, key=len) or [ring.one]
-        head = ring.one._d
-        for f in rest:
-            head = {m: c for m, c in ring.accumulate([(head, f._d, 1)]).items() if c}
-        heads.append((head, big._d, 1))
-    quot: Dict[int, Scalar] = {}
-    for products in ring.slices(heads, mask).values():
-        try:
-            # Only _reduce holds the slice, so it is freed before the next
-            # slice is built.
-            quot.update(_reduce(ring.accumulate(products), q))
-        except NotDivisible:
-            whole = [reduce(Poly.__mul__, factors, ring.one) for factors in sides]
-            return exact_divide(reduce(Poly.__add__, whole), q)
-    return Poly(ring, quot)
+        heads.append((reduce(Poly.__mul__, rest, ring.one)._d, big._d, 1))
+    return Poly(ring, _divide(heads, q))
 
 
 def render(p: Poly) -> str:

@@ -189,7 +189,7 @@ def mutate_seed(seed: Seed, label: Label) -> Seed:
     mutate the matrix.  Raises NotLaurentPolynomial if the exchange
     polynomial is not divisible by the old variable.  The exchange
     polynomial is divided one slice at a time (exact_divide_products) and
-    never formed whole unless a slice fails to divide."""
+    never formed whole, not even when a slice fails to divide."""
     em = seed.matrix
     new_matrix = mutate_matrix(em, label)
     funcs = seed.cluster.functions

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcluster import cli, poisson, verify
+from bdcluster import cli, poisson, polyring, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
     NotLogCanonical,
@@ -39,9 +39,9 @@ from bdcluster.poisson import (
     tensor_transpose,
     verify_cybe,
 )
-from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, exact_divide, partial_derivative
+from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, partial_derivative
 from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
-from oracles import class_pairing, whole_pair_sums
+from oracles import class_pairing, heap_exact_divide, whole_pair_sums
 from test_verify import _structures
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
@@ -93,6 +93,13 @@ class TestR0:
             build_r0(4, 3, 1)
         with pytest.raises(ValueError):
             build_r0(4, 2, 4)
+
+    def test_beta_without_alpha_is_refused(self):
+        # A beta alone used to be dropped silently, giving A.
+        with pytest.raises(ValueError, match="beta given without alpha"):
+            build_r0(4, None, 3)
+        with pytest.raises(ValueError, match="alpha given without beta"):
+            build_r0(4, 1, None)
 
 
 class TestDualBasis:
@@ -273,7 +280,7 @@ class TestSklyaninBracket:
         assert br == self.x(1, 2) * self.x(2, 1)
         # The pair test divides the scaled bracket n^2 {f, g}.
         with pytest.raises(NotDivisible) as want:
-            exact_divide(br * 4, f * g)
+            heap_exact_divide(br * 4, f * g)
         with pytest.raises(NotLogCanonical) as got:
             poisson_coefficient(f, g, self.op)
         assert str(got.value) == f"bracket is not divisible by the product: {want.value}"
@@ -287,7 +294,7 @@ class TestSklyaninBracket:
         br = bracket_from_tables(ta, tb)
         assert br and (f * g).leading_monomial() not in br._d
         with pytest.raises(NotDivisible) as want:
-            exact_divide(br, f * g)
+            heap_exact_divide(br, f * g)
         for compute in (
             lambda: coefficient_from_tables(ta, tb),
             lambda: poisson_coefficient(f, g, self.op),
@@ -592,7 +599,7 @@ class TestSlicedPairTest:
                 if omega is None:
                     failures.append((ia, ib))
                     # A light pair test is one sum; exact division follows.
-                    assert products < poisson.SLICE_PRODUCTS and made[0] == whole, where
+                    assert products < polyring.SLICE_PRODUCTS and made[0] == whole, where
                     continue
                 sliced = {}
                 for sums in made:
@@ -614,7 +621,7 @@ class TestSlicedPairTest:
         made = _spy_accumulate(monkeypatch)
         assert coefficient_from_tables(ta, tb) == Fraction(1, 5)
         assert len(made) > 1
-        assert max(map(len, made)) <= poisson.SLICE_PRODUCTS
+        assert max(map(len, made)) <= polyring.SLICE_PRODUCTS
         assert sum(map(len, made)) == 175_114
 
     def test_light_pair_test_is_one_sum(self, monkeypatch):
@@ -671,10 +678,10 @@ class TestSweeps:
     def test_omega_is_read_without_division(self, monkeypatch):
         # Log-canonical pairs never reach exact division: omega is read at
         # the product's leading monomial and checked by comparison.
-        def refuse(p, q):
-            raise AssertionError("exact_divide called on a log-canonical pair")
+        def refuse(products, q):
+            raise AssertionError("a log-canonical pair reached exact division")
 
-        monkeypatch.setattr(poisson, "exact_divide", refuse)
+        monkeypatch.setattr(poisson, "_divide", refuse)
         _, omegas, failures = Workspace(BDTriple(4, 1, 3), processes=1).omega()
         assert failures == [] and len(omegas) == 16 * 15 // 2
 
@@ -941,13 +948,13 @@ def test_bracket_antisymmetric_exotic(f, g):
 
 def _division_oracle(f, g, op):
     """omega, or the NotLogCanonical text, from the unscaled bracket and
-    exact division by f g."""
+    exact division by f g (the heap oracle)."""
     nn = op.n * op.n
     br = sklyanin_bracket(f, g, op) * nn
     if not br:
         return Fraction(0)
     try:
-        quo = exact_divide(br, f * g)._d
+        quo = heap_exact_divide(br, f * g)._d
     except NotDivisible as e:
         return f"bracket is not divisible by the product: {e}"
     if len(quo) != 1 or 0 not in quo:
@@ -955,12 +962,17 @@ def _division_oracle(f, g, op):
     return Fraction(quo[0], nn)
 
 
+@pytest.mark.parametrize("slice_products", [20_000, 0])
 @settings(max_examples=80, deadline=None)
 @given(small_poly(R3, max_terms=2), small_poly(R3, max_terms=2))
-def test_coefficient_matches_division_oracle(f, g):
+def test_coefficient_matches_division_oracle(slice_products, f, g):
+    # With SLICE_PRODUCTS 0 the pair test's sums and its division are
+    # both split into slices.
     want = _division_oracle(f, g, OP3)
-    try:
-        got = poisson_coefficient(f, g, OP3)
-    except NotLogCanonical as e:
-        got = str(e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "SLICE_PRODUCTS", slice_products)
+        try:
+            got = poisson_coefficient(f, g, OP3)
+        except NotLogCanonical as e:
+            got = str(e)
     assert got == want

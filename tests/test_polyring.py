@@ -192,14 +192,20 @@ class TestExactDivision:
         assert exact_divide(p, q) == s
         assert pushed == [created]
 
+    @pytest.mark.parametrize("slice_products", [20_000, 0])
     @given(s=mixed_polys, q=mixed_polys, r=mixed_polys)
     @settings(max_examples=200, deadline=None)
-    def test_same_witness_as_the_heap_algorithm(self, s, q, r):
+    def test_same_witness_as_the_heap_algorithm(self, slice_products, s, q, r):
         # s * q + r divides only when q divides r; otherwise both name the
-        # same remainder term.
+        # same remainder term.  With SLICE_PRODUCTS 0 every dividend is
+        # split by the variables q lacks, and the witness must be the
+        # largest of the failing slices' first ones.
         assume(q)
         p = s * q + r
-        assert _divide_or_witness(exact_divide, p, q) == _divide_or_witness(heap_exact_divide, p, q)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "SLICE_PRODUCTS", slice_products)
+            got = _divide_or_witness(exact_divide, p, q)
+        assert got == _divide_or_witness(heap_exact_divide, p, q)
 
 
 class TestExponentOverflow:
