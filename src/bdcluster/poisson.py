@@ -30,19 +30,31 @@ with F = (grad f) X, F' = X (grad f) (entrywise F_ij = sum_k df/dx[k,i]
 x[k,j] = col_replace(f, i, j), F'_ij = sum_k df/dx[j,k] x[i,k] =
 row_replace(f, j, i)) and <A, B> = tr(AB) the trace form.  F and F'
 come from one pass over the terms of f (polymat._replacement_tables),
-as term dicts.
+as term dicts, off the diagonal only: F_ii and F'_ii are f with each
+term times its degree in column or row i (Euler), which f's degree
+classes give.
+
+Since <F, G> = tr(grad f X grad g X) = <F', G'>, the same bracket is
+<R_-(F), G> - <R_-(F'), G'> for R_- = R_+ - id, which takes minus the
+strict lower part of eta where R_+ takes its strict upper part, and
+keeps the diagonal map less the identity and the wedge
+(RPlusOperator.halves).  The two halves pair opposite triangles of F
+with G, so each pair of functions is paired in the half that lists
+fewer term products, read off the sizes of the tables' entries
+(_half); both halves give every coefficient of n^2 {f, g}.
 
 The only denominators in R_+ are the n of each hhat pairing and the n
-of each hhat entry, so n^2 R_+ maps integer matrices to integer
-matrices.  bracket_from_tables returns the integer pairing n^2 {f, g}:
-the diagonal of R_+ pairs with G as one bilinear form in the degree
-classes of f and g, and the rest pairs table entries directly, so no
-R_+ of a table is stored.  gradient_tables is the one place tables are
-made.  F, F', the degree classes and the largest exponents do not read
-the operator, so tables of f for a second operator are derived from the
-first operator's (its like= keyword) without a pass over f's terms;
-only what a pair test reads of f for that operator, its classes' weight
-vectors and its nonzero off-diagonal factors, is made per operator.
+of each hhat entry, so n^2 R_+ and n^2 R_- map integer matrices to
+integer matrices.  bracket_from_tables returns the integer pairing
+n^2 {f, g}: the diagonal of the half pairs with G as one bilinear form
+in the degree classes of f and g, and the rest pairs table entries
+directly, so no R_+ of a table is stored.  gradient_tables is the one
+place tables are made.  F, F', the degree classes and the largest
+exponents do not read the operator, so tables of f for a second
+operator are derived from the first operator's (its like= keyword)
+without a pass over f's terms; only what a pair test reads of f for
+each half of that operator, its classes' weight vectors and its nonzero
+off-diagonal factors, is made per operator.
 coefficient_from_tables tests {f, g} = omega f g as the integer sum
 lc n^2 {f, g} - W f g = 0, with W the bracket's coefficient at the
 leading monomial of f g and lc that monomial's coefficient, so a
@@ -51,10 +63,11 @@ Fraction, omega = W / (lc n^2); a heavy sum goes one first-row slice
 at a time (polyring's one slicing rule), and a failing pair divides the
 bracket's products by f g for its witness, never forming the bracket.
 omega_sweep runs it over all pairs; sweeps of POOL_MIN_PRODUCTS term
-products or more fork sweep_workers(processes) workers.  r_plus,
-sklyanin_bracket and unscale remove the n^2.  RPlusOperator holds R_+
-as one diagonal matrix and one off-diagonal entry list, read by r_plus
-and the bracket alike.
+products or more (pair_products, in each pair's half) fork
+sweep_workers(processes) workers.  r_plus, sklyanin_bracket and unscale
+remove the n^2.  RPlusOperator holds each half as one diagonal matrix
+and one off-diagonal entry list; r_plus reads R_+, and the bracket
+either half.
 build_r_tensor expands the explicit tensor of r from the operator's c,
 its dual basis s and its wedge flag, not from its diagonal, and
 r_plus_oracle contracts that tensor against a matrix; the two are kept
@@ -66,7 +79,7 @@ bracket, the tensor and the Yang-Baxter check alike.
 from __future__ import annotations
 
 import os
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -155,8 +168,22 @@ class RPlusOperator:
         """(coefficient, source, target) with n^2 R_+(mat)[target] +=
         coefficient * mat[source], 0-based: the strict upper part times
         n^2, then the wedge."""
+        return self._off_diagonal(1)
+
+    @cached_property
+    def halves(self):
+        """(diagonal, off_diagonal) of n^2 R_+ and of n^2 R_-, R_- = R_+ - id:
+        R_- has the diagonal matrix M - n^2 I, -n^2 on the strict lower part
+        where R_+ has n^2 on the strict upper part, and the same wedge."""
+        nn = self.n * self.n
+        minus = tuple(tuple(v - nn * (k == l) for l, v in enumerate(row)) for k, row in enumerate(self.diagonal))
+        return (self.diagonal, self.off_diagonal), (minus, self._off_diagonal(-1))
+
+    def _off_diagonal(self, sign: int):
+        """The strict upper (sign 1) or lower (sign -1) part times sign n^2,
+        then the wedge."""
         n, nn = self.n, self.n * self.n
-        out = [(nn, (i, j), (i, j)) for i in range(n) for j in range(i + 1, n)]
+        out = [(sign * nn, (i, j), (i, j)) for i in range(n) for j in range(n) if sign * (j - i) > 0]
         if self.wedge_active:
             a, b = self.alpha, self.beta
             out += [(nn, (a - 1, a), (b - 1, b)), (-nn, (b, b - 1), (a, a - 1))]
@@ -183,8 +210,18 @@ def r_plus_operator(
 def unscale(x, n: int):
     """x / n^2 for a scalar or a polynomial, integral coefficients as ints:
     R_+ from n^2 R_+, or {f, g} from the pairing of bracket_from_tables.
-    A Poly times a scalar already normalizes its coefficients."""
-    return _normalize_scalar(x * Fraction(1, n * n))
+    An int is divided with divmod, and only a remainder makes a Fraction."""
+    nn = n * n
+
+    def divide(c):
+        if isinstance(c, int):
+            q, r = divmod(c, nn)
+            return Fraction(c, nn) if r else q
+        return _normalize_scalar(c / nn)
+
+    if isinstance(x, Poly):
+        return Poly(x.ring, {m: divide(c) for m, c in x._d.items()})
+    return divide(x)
 
 
 def r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
@@ -270,16 +307,6 @@ def tensor_sum(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _commutator(a: Tuple[int, int], b: Tuple[int, int]):
-    """[e_a, e_b] as a list of (unit, sign)."""
-    out = []
-    if a[1] == b[0]:
-        out.append(((a[0], b[1]), 1))
-    if b[1] == a[0]:
-        out.append(((b[0], a[1]), -1))
-    return out
-
-
 def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
     """Check the classical Yang-Baxter equation and unitarity.
 
@@ -287,95 +314,130 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
     [[r,r]] = [r_12, r_13] + [r_12, r_23] + [r_13, r_23], expanded over
     the basis of elementary tensors; unitarity is r + r_21 = split
     Casimir.
+
+    With r = sum c a (x) b, [[r,r]] sums c1 c2 ([a1, a2] (x) b1 (x) b2 +
+    a1 (x) [b1, a2] (x) b2 + a1 (x) a2 (x) [b1, b2]) over pairs of terms,
+    and [e_ij, e_kl] = d_jk e_il - d_li e_kj, so only term pairs whose
+    indices match contribute: each term's partners are looked up by the
+    row or column of their first or second leg.
     """
     # [[r,r]] is accumulated in integers, over d r with d the common
     # denominator of r's entries (a factor of n^2 for build_r_tensor).
     d = lcm(*(v.denominator for v in rt.values()))
-    terms = [(key, int(v * d)) for key, v in rt.items()]
-    acc: Dict[Tuple, int] = {}
-
-    def add(key, v):
-        w = acc.get(key, 0) + v
-        if w:
-            acc[key] = w
-        else:
-            acc.pop(key, None)
-
-    for (a1, b1), c1 in terms:
-        for (a2, b2), c2 in terms:
-            co = c1 * c2
-            for u, sgn in _commutator(a1, a2):
-                add((u, b1, b2), sgn * co)
-            for u, sgn in _commutator(b1, a2):
-                add((a1, u, b2), sgn * co)
-            for u, sgn in _commutator(b1, b2):
-                add((a1, a2, u), sgn * co)
-    witnesses = []
-    for key in sorted(acc)[:5]:
-        witnesses.append(f"[[r,r]] has coefficient {_normalize_scalar(Fraction(acc[key], d * d))} at {key}")
+    terms = [(a, b, int(v * d)) for (a, b), v in rt.items()]
+    # by[leg][side][index]: the terms whose first (leg 0) or second (leg 1)
+    # factor has that row (side 0) or column (side 1).
+    by = [[defaultdict(list), defaultdict(list)] for _ in range(2)]
+    for t in terms:
+        for leg in (0, 1):
+            for side in (0, 1):
+                by[leg][side][t[leg][side]].append(t)
+    acc: Dict[Tuple, int] = defaultdict(int)
+    for a1, b1, c1 in terms:
+        (i1, j1), (k1, l1) = a1, b1
+        for a2, b2, c2 in by[0][0][j1]:
+            acc[(i1, a2[1]), b1, b2] += c1 * c2
+        for a2, b2, c2 in by[0][1][i1]:
+            acc[(a2[0], j1), b1, b2] -= c1 * c2
+        for a2, b2, c2 in by[0][0][l1]:
+            acc[a1, (k1, a2[1]), b2] += c1 * c2
+        for a2, b2, c2 in by[0][1][k1]:
+            acc[a1, (a2[0], l1), b2] -= c1 * c2
+        for a2, b2, c2 in by[1][0][l1]:
+            acc[a1, a2, (k1, b2[1])] += c1 * c2
+        for a2, b2, c2 in by[1][1][k1]:
+            acc[a1, a2, (b2[0], l1)] -= c1 * c2
+    nonzero = sorted(key for key, v in acc.items() if v)
+    witnesses = [
+        f"[[r,r]] has coefficient {_normalize_scalar(Fraction(acc[key], d * d))} at {key}" for key in nonzero[:5]
+    ]
     diff = tensor_sum(tensor_sum(rt, tensor_transpose(rt)), {k: -v for k, v in casimir_tensor(n).items()})
     unitary = not diff
     for key in sorted(diff)[:5]:
         witnesses.append(f"r + r_21 - casimir has coefficient {diff[key]} at {key}")
-    return (not acc, unitary, witnesses)
+    return (not nonzero, unitary, witnesses)
 
 
 # ----------------------------------------------------------------------
 # Sklyanin bracket
 
 
-Tables = namedtuple("Tables", "F Fp f classes top op parts lead left right")
+Tables = namedtuple("Tables", "F Fp f classes top op lead halves")
+
+# What the pair tests of f read for one half of the operator, R_+ or R_-.
+Half = namedtuple("Half", "parts left right lsizes rsizes")
 
 
 def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None) -> Tables:
     """The tables of f for op: F_ij, the terms of col_replace(f, i, j),
-    F'_ij, those of row_replace(f, j, i), f, its degree classes
-    {(column degrees, row degrees): part of f} and the packed key of its
-    maximum exponents, from one pass over f's terms, or taken from like,
-    the tables of f for another operator, since none of them reads op;
-    then op and what each pair test of f reads (_pairing).  parts lists
-    (part, u_c, v_c) for each class c, with u_c = (M col(c), -M row(c))
-    for M = op.diagonal and v_c = (col(c), row(c)); lead is (index in
-    parts, monomial) of f's leading term, None for f = 0.  Each entry
-    (co, s, t) of op.off_diagonal is a slot on F and one on F' (with
-    -co): left lists (slot, F_s, co) for nonzero F_s, and right holds
-    F_t', t' = t transposed, for every slot.  Entries are term dicts,
-    with int coefficients when f's are."""
+    F'_ij, those of row_replace(f, j, i), for i != j (the diagonal entries
+    are None), f, its degree classes {(column degrees, row degrees): part
+    of f} and the packed key of its maximum exponents, from one pass over
+    f's terms, or taken from like, the tables of f for another operator,
+    since none of them reads op; lead, (index of its class, monomial) of
+    f's leading term, None for f = 0; then op and, for each of its halves
+    R_+ and R_- (RPlusOperator.halves), what each pair test of f reads
+    there (_pairing).  A half's parts lists (part, u_c, v_c) for each class
+    c, with u_c = (M col(c), -M row(c)) for the half's diagonal matrix M
+    and v_c = (col(c), row(c)).  Each entry (co, s, t) of the half's
+    off-diagonal list is a slot on F and one on F' (with -co): left lists
+    (slot, F_s, co) for nonzero F_s, right holds F_t', t' = t transposed,
+    for every slot, and lsizes and rsizes the sizes of F_s and F_t' per
+    slot.  Entries are term dicts, with int coefficients when f's are."""
     if like is None:
         F, Fp, classes, top = _replacement_tables(f)
         lm = max(f._d, default=None)
         lead = next(((i, lm) for i, part in enumerate(classes.values()) if lm in part), None)
     else:
         F, Fp, classes, top, lead = like.F, like.Fp, like.classes, like.top, like.lead
-    M = op.diagonal
-    parts = [
-        (part, tuple(sum(map(mul, r, cols)) for r in M) + tuple(-sum(map(mul, r, rows)) for r in M), cols + rows)
-        for (cols, rows), part in classes.items()
-    ]
-    slots = [(T[si][sj], T[tj][ti], sign * co) for T, sign in ((F, 1), (Fp, -1))
-             for co, (si, sj), (ti, tj) in op.off_diagonal]
-    left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
-    return Tables(F, Fp, f, classes, top, op, parts, lead, left, [b for _, b, _ in slots])
+    halves = []
+    for M, off_diagonal in op.halves:
+        parts = [
+            (part, tuple(sum(map(mul, r, cols)) for r in M) + tuple(-sum(map(mul, r, rows)) for r in M), cols + rows)
+            for (cols, rows), part in classes.items()
+        ]
+        slots = [(T[si][sj], T[tj][ti], sign * co) for T, sign in ((F, 1), (Fp, -1))
+                 for co, (si, sj), (ti, tj) in off_diagonal]
+        left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
+        right = [b for _, b, _ in slots]
+        halves.append(Half(parts, left, right, tuple(len(a) for a, _, _ in slots), tuple(map(len, right))))
+    return Tables(F, Fp, f, classes, top, op, lead, tuple(halves))
+
+
+def _half(ta: Tables, tb: Tables) -> Tuple[int, int]:
+    """(products, h) for the half h of the operator, R_+ (0) or R_- (1),
+    whose pair test of f and g lists fewer term products, R_+ on a tie:
+    |f| |g| on the diagonal plus |F_s| |G_t'| for each off-diagonal slot
+    of the half (_pairing)."""
+    diagonal = len(ta.f) * len(tb.f)
+    return min(
+        (diagonal + sum(map(mul, ha.lsizes, hb.rsizes)), h) for h, (ha, hb) in enumerate(zip(ta.halves, tb.halves))
+    )
 
 
 def _pairing(ta: Tables, tb: Tables):
-    """The products whose sum is n^2 {f, g} = <n^2 R_+(F), G> - <n^2
-    R_+(F'), G'>, as (diagonal, off_diagonal) lists of (terms, terms,
-    weight).
+    """The products whose sum is n^2 {f, g}, as (diagonal, off_diagonal)
+    lists of (terms, terms, weight), over the half R of the operator that
+    _half picks: n^2 {f, g} = <n^2 R(F), G> - <n^2 R(F'), G'> for R = R_+
+    and for R = R_- alike, since R_+ - R_- = id and <F, G> = tr(grad f X
+    grad g X) = <F', G'>.
 
     F_ll is the sum of f's terms, each times its degree in column l
-    (Euler; F'_ll likewise with rows), so with M = op.diagonal the
-    diagonal of the pairing is sum_{c,d} w(c, d) f_c g_d over the degree
-    classes c of f and d of g, w(c, d) = col(d) M col(c) - row(d) M
-    row(c) = u_c . v_d; every class pair is listed, weight 0 included.
-    The off-diagonal products pair each slot's F_s of f with the same
-    slot's G_t' of g, both nonzero.
+    (Euler; F'_ll likewise with rows), so with M the half's diagonal
+    matrix the diagonal of the pairing is sum_{c,d} w(c, d) f_c g_d over
+    the degree classes c of f and d of g, w(c, d) = col(d) M col(c) -
+    row(d) M row(c) = u_c . v_d; every class pair is listed, in the order
+    of f's classes then g's, weight 0 included.  The off-diagonal
+    products pair each slot's F_s of f with the same slot's G_t' of g,
+    both nonzero.
     """
     # A class pair of weight 0 never reaches the kernel and its exponent
     # guard, so f g is guarded as a whole, by its largest exponents.
     ta.f.ring.check_exponents((ta.top + tb.top,))
-    diagonal = [(a, b, sum(map(mul, u, v))) for a, u, _ in ta.parts for b, _, v in tb.parts]
-    return diagonal, [(a, b, co) for slot, a, co in ta.left if (b := tb.right[slot])]
+    h = _half(ta, tb)[1]
+    ha, hb = ta.halves[h], tb.halves[h]
+    diagonal = [(a, b, sum(map(mul, u, v))) for a, u, _ in ha.parts for b, _, v in hb.parts]
+    return diagonal, [(a, b, co) for slot, a, co in ha.left if (b := hb.right[slot])]
 
 
 def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
@@ -416,7 +478,7 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     L, lc = lf + lg, f._d[lf] * g._d[lg]
     # Only lead f times lead g reaches L in f g, so on the diagonal W
     # comes from the class pair of the two leading terms alone.
-    W = lc * sum(map(mul, ta.parts[cf][1], tb.parts[cg][2]))
+    W = lc * diagonal[cf * len(tb.classes) + cg][2]
     for a, b, co in off_diagonal:
         if len(a) < len(b):
             a, b = b, a
@@ -487,10 +549,9 @@ def _sweep_task(pairs: Sequence[Tuple[int, int]]):
 
 
 def pair_products(ta: Tables, tb: Tables) -> int:
-    """An upper bound on the term products of coefficient_from_tables:
-    |f| |g| on the diagonal plus |F_s| |G_t'| for each off-diagonal slot
-    (_pairing)."""
-    return len(ta.f) * len(tb.f) + sum(len(a) * len(tb.right[slot]) for slot, a, _ in ta.left)
+    """An upper bound on the term products of coefficient_from_tables, in
+    the half of the operator it uses (_half)."""
+    return _half(ta, tb)[0]
 
 
 def sweep_workers(processes: Optional[int] = None) -> int:

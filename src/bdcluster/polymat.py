@@ -11,7 +11,13 @@ It also holds the column and row replacement maps, which replace a
 column or row of a minor by another.  One pass over a polynomial's
 terms gives all of them at once, as the tables F = (grad f) X and
 F' = X (grad f) that the Sklyanin bracket is built from;
-col_replace and row_replace each read one entry of those tables.
+col_replace and row_replace each read one entry of those tables.  The
+pass makes no diagonal entry: by Euler's identity F[i][i] (F'[i][i])
+is f with each term times its degree in column (row) i, so the maps
+read those from f's degree classes, as the bracket does.
+
+Each minor of a determinant is one PolyRing.accumulate over its first
+row's (entry, subminor) products, memoized on its column set.
 """
 
 from __future__ import annotations
@@ -38,8 +44,10 @@ class IndexNotSpecial(ValueError):
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant by Laplace expansion, memoized on the active column set.
 
-    Memoization keys on (depth, frozen bitmask of surviving columns), so
-    shared subminors across expansion branches are computed once.
+    Memoization keys on the bitmask of surviving columns, which fixes the
+    depth, so shared subminors across expansion branches are computed
+    once.  Each minor is one PolyRing.accumulate over the (entry,
+    subminor, +-1) products of its first row, with no running sum.
     """
     k = len(rows)
     for r in rows:
@@ -48,34 +56,29 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     if k == 0:
         raise NotSquare("empty matrix has no determinant")
     ring = rows[0][0].ring
-    all_cols = (1 << k) - 1
+    # Term dicts of the minors on the surviving columns; no column left is 1.
+    memo = {0: ring.one._d}
 
-    memo = {}
-
-    def expand(depth: int, colmask: int) -> Poly:
-        if depth == k:
-            return ring.one
-        key = colmask
-        cached = memo.get(key)
+    def expand(depth: int, colmask: int):
+        cached = memo.get(colmask)
         if cached is not None:
             return cached
         row = rows[depth]
-        total = ring.zero
+        products = []
         sign = 1
         mask = colmask
         while mask:
             low = mask & -mask
-            c = low.bit_length() - 1
-            entry = row[c]
+            entry = row[low.bit_length() - 1]
             if entry:
-                sub = expand(depth + 1, colmask ^ low)
-                total = total + entry * sub if sign > 0 else total - entry * sub
+                products.append((entry._d, expand(depth + 1, colmask ^ low), sign))
             sign = -sign
             mask ^= low
-        memo[key] = total
-        return total
+        acc = ring.accumulate(products)
+        memo[colmask] = acc if 0 not in acc.values() else {m: c for m, c in acc.items() if c}
+        return memo[colmask]
 
-    return expand(0, all_cols)
+    return Poly(ring, expand(0, (1 << k) - 1))
 
 
 def _check_label(n: int, i: int, j: int) -> None:
@@ -175,25 +178,33 @@ def build_Mtilde(
 
 
 def _replacement_tables(f: Poly):
-    """F and F' of f from one pass over its terms, as term dicts, with
-    1-based F[i][j] the terms of col_replace(f, i, j) and F'[i][j] those
-    of row_replace(f, j, i);
-    f's degree classes {(column degrees, row degrees): {monomial:
+    """F and F' of f off the diagonal from one pass over its terms, as
+    term dicts, with 1-based F[i][j] the terms of col_replace(f, i, j) and
+    F'[i][j] those of row_replace(f, j, i) for i != j, and None on the
+    diagonal; f's degree classes {(column degrees, row degrees): {monomial:
     coefficient}}; and the packed key of f's maximum exponent in each
     variable.
 
     A term c*m holding x[a,b]^e differentiates to c*e*m/x[a,b], so it
     adds c*e*m*x[a,t]/x[a,b] to F[b][t] and c*e*m*x[t,b]/x[a,b] to
-    F'[t][a] for every t; each is one shift of the packed key.
+    F'[t][a] for every t; each is one shift of the packed key.  The
+    diagonal entries F[b][b] and F'[a][a] are f with each term times its
+    degree in column b or row a (Euler's identity), which the degree
+    classes hold, so the pass skips t = b and t = a.
     """
     ring = f.ring
     n = ring.n
     unit = ring.x_units
-    in_row = [unit[a * n : a * n + n] for a in range(n)]
-    in_col = [unit[b::n] for b in range(n)]
     F = [[{} for _ in range(n)] for _ in range(n)]
     # Fp_t[a][t] accumulates F'[t][a].
     Fp_t = [[{} for _ in range(n)] for _ in range(n)]
+    # For x[a,b]: (entry, key of x[a,t] or x[t,b]) for every t off the diagonal.
+    targets = [
+        [(F[b][t], unit[a * n + t]) for t in range(n) if t != b]
+        + [(Fp_t[a][t], unit[t * n + b]) for t in range(n) if t != a]
+        for a in range(n)
+        for b in range(n)
+    ]
     classes: dict = {}
     for m, c in f._d.items():
         exps = ring.x_exponents(m)
@@ -203,22 +214,37 @@ def _replacement_tables(f: Poly):
         for k, e in enumerate(exps):
             if not e:
                 continue
-            a, b = divmod(k, n)
             base = m - unit[k]
             ce = c * e
-            for acc, u in zip(F[b], in_row[a]):
-                key = base + u
-                acc[key] = acc.get(key, 0) + ce
-            for acc, u in zip(Fp_t[a], in_col[b]):
+            for acc, u in targets[k]:
                 key = base + u
                 acc[key] = acc.get(key, 0) + ce
     # Each key is m / x[a,b] plus the key of x[a,t], so the guard applies.
     tables = (F, [list(col) for col in zip(*Fp_t)])
     ring.check_exponents(key for T in tables for row in T for acc in row for key in acc)
     return *(
-        [[{k: v for k, v in acc.items() if v} if 0 in acc.values() else acc for acc in row] for row in T]
+        [
+            [None if i == j else {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
+             for j, acc in enumerate(row)]
+            for i, row in enumerate(T)
+        ]
         for T in tables
     ), classes, ring.top(f._d)
+
+
+def _replacement(f: Poly, i: int, j: int, rows: bool) -> Poly:
+    """F[i][j] of f, or F'[j][i] when rows is set, 1-based.  On the
+    diagonal that is f with each term times its degree in column i (row i
+    when rows is set), read from the degree classes."""
+    n = f.ring.n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexOutOfRange(f"{'row' if rows else 'column'} index outside 1..{n}")
+    F, Fp, classes, _ = _replacement_tables(f)
+    if i != j:
+        return Poly(f.ring, Fp[j - 1][i - 1] if rows else F[i - 1][j - 1])
+    side = 1 if rows else 0
+    return Poly(f.ring, {m: c * degs[side][i - 1] for degs, part in classes.items() if degs[side][i - 1]
+                         for m, c in part.items()})
 
 
 def col_replace(f: Poly, i: int, j: int) -> Poly:
@@ -227,10 +253,7 @@ def col_replace(f: Poly, i: int, j: int) -> Poly:
     When f is the determinant of a submatrix of X using column i exactly
     once, this is the same determinant with column i replaced by column j.
     """
-    n = f.ring.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRange(f"column index outside 1..{n}")
-    return Poly(f.ring, _replacement_tables(f)[0][i - 1][j - 1])
+    return _replacement(f, i, j, False)
 
 
 def row_replace(f: Poly, i: int, j: int) -> Poly:
@@ -239,7 +262,4 @@ def row_replace(f: Poly, i: int, j: int) -> Poly:
     Replaces row i of a determinant by row j, in the same sense as
     col_replace.
     """
-    n = f.ring.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRange(f"row index outside 1..{n}")
-    return Poly(f.ring, _replacement_tables(f)[1][j - 1][i - 1])
+    return _replacement(f, i, j, True)

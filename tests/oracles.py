@@ -8,18 +8,23 @@ expand; evaluate substitutes rational values for the variables of a
 polynomial; heap_exact_divide is exact division by a heap of every
 remainder monomial, the package's earlier algorithm; class_pairing
 derives the bracket's products per pair from the tables' degree classes
-and the operator, as the package did before its tables carried them;
-whole_pair_sums is the pair test on those products summed in one dict,
-as the package did before it summed one first-row slice at a time.
-Each is a second path to something the package computes one way (block
-determinants, exact identities, exact division, the bracket's products,
-the pair test), so a test can compare the two.
+and the operator, in either half R_+ or R_- = R_+ - id, as the package
+did before its tables carried them; tensor_pairing reads the same
+bracket's products off the r tensor; whole_pair_sums is the pair test on
+class_pairing's products summed in one dict, as the package did before
+it summed one first-row slice at a time; cybe_all_pairs expands the
+Yang-Baxter bracket [[r,r]] over every pair of r's terms, as the package
+did before it paired index-matching terms only.  Each is a second path
+to something the package computes one way (block determinants, exact
+identities, exact division, the bracket's products, the pair test, the
+Yang-Baxter check), so a test can compare the two.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from bdcluster.bdseed import BDTriple, InvalidRoot, get_ring
@@ -33,8 +38,8 @@ from bdcluster.polymat import (
     determinant,
     row_replace,
 )
-from bdcluster.poisson import Tables
-from bdcluster.polyring import NotDivisible, Poly, PolyRing, Scalar, VarId
+from bdcluster.poisson import Tables, casimir_tensor, tensor_sum, tensor_transpose
+from bdcluster.polyring import NotDivisible, Poly, PolyRing, Scalar, VarId, _normalize_scalar
 
 
 class MissingAssignment(LookupError):
@@ -105,17 +110,33 @@ def heap_exact_divide(p: Poly, q: Poly) -> Poly:
     return Poly(ring, quot)
 
 
-def class_pairing(ta: Tables, tb: Tables):
+def _half_lists(op, half: int):
+    """(M, off-diagonal entries) of n^2 R_+ (half 0) or of n^2 R_- = n^2
+    (R_+ - id) (half 1), derived from op.diagonal and op.off_diagonal: R_-
+    subtracts n^2 from the diagonal of M and replaces each strict upper
+    entry (n^2, s, s) by the strict lower entries (-n^2, s, s), row by
+    row, before the wedge."""
+    n, nn = op.n, op.n * op.n
+    if not half:
+        return op.diagonal, op.off_diagonal
+    M = tuple(tuple(v - nn * (k == l) for l, v in enumerate(row)) for k, row in enumerate(op.diagonal))
+    wedge = [e for e in op.off_diagonal if not (e[1] == e[2] and e[1][0] < e[1][1])]
+    lower = [(-nn, (i, j), (i, j)) for i in range(n) for j in range(i)]
+    return M, tuple(lower + wedge)
+
+
+def class_pairing(ta: Tables, tb: Tables, half: int = 0):
     """The products whose sum is n^2 {f, g}, as (diagonal, off_diagonal)
     lists of (terms, terms, weight), derived per pair from the degree
-    classes, op.diagonal and op.off_diagonal, as the package did before its
-    tables carried the weight vectors and off-diagonal factors.
+    classes and the operator's R_+ (half 0) or R_- (half 1, _half_lists),
+    as the package did before its tables carried the weight vectors and
+    off-diagonal factors.
 
-    Class pair (c, d) has weight col(d) M col(c) - row(d) M row(c), M =
-    op.diagonal, weight 0 included; each entry (co, s, t) of
-    op.off_diagonal gives F_s G_t' with co and F'_s G'_t' with -co, t' = t
+    Class pair (c, d) has weight col(d) M col(c) - row(d) M row(c), M the
+    half's diagonal matrix, weight 0 included; each off-diagonal entry (co,
+    s, t) gives F_s G_t' with co and F'_s G'_t' with -co, t' = t
     transposed, when both factors are nonzero."""
-    M = ta.op.diagonal
+    M, entries = _half_lists(ta.op, half)
     diagonal = []
     for (cf, rf), part_f in ta.classes.items():
         mc = [sum(mk * e for mk, e in zip(row, cf)) for row in M]
@@ -125,30 +146,105 @@ def class_pairing(ta: Tables, tb: Tables):
             diagonal.append((part_f, part_g, w))
     off_diagonal = []
     for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
-        for co, (si, sj), (ti, tj) in ta.op.off_diagonal:
+        for co, (si, sj), (ti, tj) in entries:
             a, b = R[si][sj], H[tj][ti]
             if a and b:
                 off_diagonal.append((a, b, sign * co))
     return diagonal, off_diagonal
 
 
-def whole_pair_sums(ta: Tables, tb: Tables):
-    """(omega, sums, products) for the pair test of f and g, from
-    class_pairing alone: sums is the term dict of lc n^2 {f, g} - W f g
-    accumulated in one dict, zero sums and all, omega = W / (lc n^2) when
-    every sum is 0, else None, and products the number of term products
-    listed.  lc is the coefficient of lead f + lead g in f g, and W that
-    of n^2 {f, g}, read off the whole bracket."""
+def tensor_pairing(ta: Tables, tb: Tables, rt):
+    """The products whose sum is n^2 {f, g}, read off the r tensor rt
+    (build_r_tensor) instead of the operator: <R_+(F), G> = sum over rt's
+    entries r[(i,j),(k,l)] of r F_ji G_lk, and likewise for F', G' with
+    the opposite sign.  An entry on the diagonal, ((k,k),(l,l)), pairs
+    F_kk G_ll, and F_kk is the sum of f's classes f_c times col_k(c)
+    (rows for F'), so it adds n^2 r (col_k(c) col_l(d) - row_k(c) row_l(d))
+    to the weight of class pair (c, d)."""
+    n = ta.op.n
+    nn = n * n
+    diag = {(a[0], b[0]): v for (a, b), v in rt.items() if a[0] == a[1] and b[0] == b[1]}
+    diagonal = []
+    for (cf, rf), part_f in ta.classes.items():
+        for (cg, rg), part_g in tb.classes.items():
+            w = sum(v * (cf[k - 1] * cg[l - 1] - rf[k - 1] * rg[l - 1]) for (k, l), v in diag.items()) * nn
+            assert w.denominator == 1
+            diagonal.append((part_f, part_g, int(w)))
+    off_diagonal = []
+    for ((i, j), (k, l)), v in rt.items():
+        if i == j and k == l:
+            continue
+        assert i != j and k != l, "an entry mixes a diagonal and an off-diagonal leg"
+        co = v * nn
+        assert co.denominator == 1
+        for R, H, sign in ((ta.F, tb.F, 1), (ta.Fp, tb.Fp, -1)):
+            a, b = R[j - 1][i - 1], H[l - 1][k - 1]
+            if a and b:
+                off_diagonal.append((a, b, sign * int(co)))
+    return diagonal, off_diagonal
+
+
+def whole_pair_sums(ta: Tables, tb: Tables, half: int = 0):
+    """(omega, sums, products) for the pair test of f and g in one half of
+    the operator, from class_pairing alone: sums is the term dict of lc n^2
+    {f, g} - W f g accumulated in one dict, zero sums and all, omega = W /
+    (lc n^2) when every sum is 0, else None, and products the number of
+    term products listed.  lc is the coefficient of lead f + lead g in f g,
+    and W that of n^2 {f, g}, read off the whole bracket."""
     f, g = ta.f, tb.f
     lf, lg = max(f._d), max(g._d)
     lc = f._d[lf] * g._d[lg]
-    diagonal, off_diagonal = class_pairing(ta, tb)
+    diagonal, off_diagonal = class_pairing(ta, tb, half)
     W = f.ring.accumulate(diagonal + off_diagonal).get(lf + lg, 0)
     products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
     sums = f.ring.accumulate(products)
     n = ta.op.n
     omega = None if any(sums.values()) else Fraction(W, lc * n * n)
     return omega, sums, sum(len(a) * len(b) for a, b, _ in products)
+
+
+def _commutator(a, b):
+    """[e_a, e_b] as a list of (unit, sign)."""
+    out = []
+    if a[1] == b[0]:
+        out.append(((a[0], b[1]), 1))
+    if b[1] == a[0]:
+        out.append(((b[0], a[1]), -1))
+    return out
+
+
+def cybe_all_pairs(rt, n: int):
+    """(cybe_holds, unitary, witnesses) as verify_cybe returns them, with
+    [[r,r]] expanded over every pair of r's terms, three commutators each,
+    as the package did before it looked up index-matching pairs only."""
+    d = lcm(*(v.denominator for v in rt.values()))
+    terms = [(key, int(v * d)) for key, v in rt.items()]
+    acc = {}
+
+    def add(key, v):
+        w = acc.get(key, 0) + v
+        if w:
+            acc[key] = w
+        else:
+            acc.pop(key, None)
+
+    for (a1, b1), c1 in terms:
+        for (a2, b2), c2 in terms:
+            co = c1 * c2
+            for u, sgn in _commutator(a1, a2):
+                add((u, b1, b2), sgn * co)
+            for u, sgn in _commutator(b1, a2):
+                add((a1, u, b2), sgn * co)
+            for u, sgn in _commutator(b1, b2):
+                add((a1, a2, u), sgn * co)
+    witnesses = []
+    for key in sorted(acc)[:5]:
+        witnesses.append(f"[[r,r]] has coefficient {_normalize_scalar(Fraction(acc[key], d * d))} at {key}")
+    diff = tensor_sum(tensor_sum(rt, tensor_transpose(rt)), {k: -v for k, v in casimir_tensor(n).items()})
+    unitary = not diff
+    for key in sorted(diff)[:5]:
+        witnesses.append(f"r + r_21 - casimir has coefficient {diff[key]} at {key}")
+    return (not acc, unitary, witnesses)
 
 
 def build_Mtilde_shift(

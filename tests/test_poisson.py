@@ -37,11 +37,13 @@ from bdcluster.poisson import (
     sweep_workers,
     tensor_sum,
     tensor_transpose,
+    unscale,
     verify_cybe,
 )
+from bdcluster.polymat import col_replace, row_replace
 from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, partial_derivative
 from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
-from oracles import class_pairing, heap_exact_divide, whole_pair_sums
+from oracles import class_pairing, cybe_all_pairs, heap_exact_divide, tensor_pairing, whole_pair_sums
 from test_verify import _structures
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
@@ -57,12 +59,52 @@ OMEGA_DIGEST = "0b5461997949400db92c52066ebb6722186e9412ad385765eb7bcbee7bd9d687
 BRACKET_DIGEST = "abcb7b2c2bb850b2e6883c4128fdfe2a4b430ca3f3a2fed447e76c9c3e4878a1"
 
 
+def _in_half(half, fn, *args):
+    """fn(*args) with every pair test and bracket forced into one half of
+    the operator, R_+ (0) or R_- (1), whatever their sizes; a
+    NotLogCanonical is returned as its text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson, "_half", lambda ta, tb: (0, half))
+        try:
+            return fn(*args)
+        except NotLogCanonical as e:
+            return str(e)
+
+
 def unit(n, i, j):
     """The elementary matrix e_ij over Fractions."""
     return [
         [Fraction(1) if (r, c) == (i - 1, j - 1) else Fraction(0) for c in range(n)]
         for r in range(n)
     ]
+
+
+def _ops(n, pair, standard):
+    """The operator of a structure of _structures() and its zero-r0 version."""
+    triple = BDTriple(n, *pair) if pair else None
+    return [Workspace(triple, n, standard=standard, fault=fault).op() for fault in (None, Fault.ZERO_R0)]
+
+
+def _apply_half(half, mat):
+    """The image of mat under a half of an operator, R_+ or R_-, given as
+    its (diagonal matrix, off-diagonal entries) of RPlusOperator.halves,
+    which are n^2 times the half."""
+    M, off_diagonal = half
+    n = len(mat)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for k, row in enumerate(M):
+        out[k][k] = sum(mkl * mat[l][l] for l, mkl in enumerate(row))
+    for co, (si, sj), (ti, tj) in off_diagonal:
+        out[ti][tj] += co * mat[si][sj]
+    return [[v / (n * n) for v in row] for row in out]
+
+
+# One test per structure of _structures(), with ids like 5-1-4-False.
+by_structure = pytest.mark.parametrize(
+    "n, pair, standard",
+    list(_structures()),
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
 
 
 class TestR0:
@@ -189,12 +231,43 @@ class TestRPlusOperator:
                     m = unit(n, i, j)
                     assert r_plus(op, m) == r_plus_oracle(rt, m), (n, pair, std, i, j)
 
+    @by_structure
+    def test_r_minus_is_r_plus_minus_identity(self, n, pair, standard):
+        # The operator's halves are R_+ (its diagonal and off_diagonal) and
+        # R_- with R_-(e_kl) = R_+(e_kl) - e_kl on every matrix unit, by the
+        # operator and by the tensor, for the structure's operator and its
+        # zero-r0 version.
+        for op in _ops(n, pair, standard):
+            assert op.halves[0] == (op.diagonal, op.off_diagonal)
+            rt = build_r_tensor(op)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    e = unit(n, i, j)
+                    got = _apply_half(op.halves[1], e)
+                    for plus in (r_plus(op, e), r_plus_oracle(rt, e)):
+                        assert got == [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(plus, e)], (op, i, j)
+
     def test_matches_oracle_on_polynomial_matrix(self):
         ring = get_ring(3)
         op = r_plus_operator(BDTriple(3, 1, 2))
         rt = build_r_tensor(op)
         mat = [[ring.x(i, j) + ring.const(i - j) for j in range(1, 4)] for i in range(1, 4)]
         assert r_plus(op, mat) == r_plus_oracle(rt, mat)
+
+
+class TestUnscale:
+    def test_exact_division_by_n_squared(self):
+        # Integral quotients come back as ints, the rest as reduced
+        # Fractions, for ints, Fractions and Poly coefficients alike.
+        ring = get_ring(3)
+        for x, want in [(18, 2), (-27, -3), (0, 0), (12, Fraction(4, 3)), (-5, Fraction(-5, 9)),
+                        (Fraction(9, 2), Fraction(1, 2)), (Fraction(18, 1), 2)]:
+            got = unscale(x, 3)
+            assert got == want and type(got) is type(want), (x, got)
+        p = 18 * ring.x(1, 2) + 12 * ring.x(2, 1) + Fraction(9, 4) * ring.x(3, 3)
+        got = unscale(p, 3)
+        assert got == 2 * ring.x(1, 2) + Fraction(4, 3) * ring.x(2, 1) + Fraction(1, 4) * ring.x(3, 3)
+        assert [type(c) for c in got._d.values()] == [int, Fraction, Fraction]
 
 
 class TestRTensor:
@@ -239,6 +312,17 @@ class TestCybe:
             ok, unitary, witnesses = verify_cybe(rt, n)
             assert ok and unitary, witnesses
             assert witnesses == []
+
+    @by_structure
+    def test_matches_all_pairs_oracle(self, n, pair, standard):
+        # Index-matching term pairs give the verdicts and witnesses of the
+        # expansion over all pairs, on every operator with n <= 5 and on
+        # its zero-r0 version, which fails CYBE.
+        for op, fails in zip(_ops(n, pair, standard), (False, True)):
+            rt = build_r_tensor(op)
+            got = verify_cybe(rt, n)
+            assert got == cybe_all_pairs(rt, n)
+            assert got[0] != fails and bool(got[2]) == fails, got
 
     def test_detects_broken_tensor(self):
         # Scaling the mixed term breaks both the bracket identity and
@@ -315,12 +399,14 @@ class TestSklyaninBracket:
 
     def test_tables_route_agrees(self):
         """The tables' F and F' equal the ones built from partial
-        derivatives entry by entry, bracket_from_tables equals
-        n^2 (<R_+(F), G> - <R_+(F'), G'>) with R_+ contracted from the r
-        tensor, and sklyanin_bracket equals the unscaled pairing, on
-        random polynomials for n <= 4: every minimal pair with its exotic
-        operator and its standard companion, and the standard operator of
-        each size."""
+        derivatives entry by entry off the diagonal and hold None on it,
+        where col_replace and row_replace equal the derivatives' entries;
+        bracket_from_tables equals n^2 (<R_+(F), G> - <R_+(F'), G'>) with
+        R_+ contracted from the r tensor in either half of the operator;
+        and sklyanin_bracket equals the unscaled pairing, on random
+        polynomials for n <= 4: every minimal pair with its exotic operator
+        and its standard companion, and the standard operator of each
+        size."""
         rng = random.Random(1412)
         cases = [(n, None, True) for n in (2, 3, 4)]
         for n in (3, 4):
@@ -338,11 +424,18 @@ class TestSklyaninBracket:
                 f, g = _random_poly(rng, ring), _random_poly(rng, ring)
                 ta, tb = gradient_tables(f, op), gradient_tables(g, op)
                 for p, t in ((f, ta), (g, tb)):
-                    want_grads = [[[e._d for e in row] for row in T] for T in _oracle_grads(p, n)]
+                    grads = _oracle_grads(p, n)
+                    want_grads = [
+                        [[None if i == j else e._d for j, e in enumerate(row)] for i, row in enumerate(T)] for T in grads
+                    ]
                     assert list(t[:2]) == want_grads, (n, pair, std, str(p))
+                    for i in range(1, n + 1):
+                        assert col_replace(p, i, i) == grads[0][i - 1][i - 1], (n, i, str(p))
+                        assert row_replace(p, i, i) == grads[1][i - 1][i - 1], (n, i, str(p))
                 want = _oracle_bracket(f, g, rt, n)
-                got = bracket_from_tables(ta, tb)
-                assert got == n * n * want, (n, pair, std, str(f), str(g))
+                for half in (0, 1):
+                    got = _in_half(half, bracket_from_tables, ta, tb)
+                    assert got == n * n * want, (n, pair, std, half, str(f), str(g))
                 assert sklyanin_bracket(f, g, op) == want, (n, pair, std, str(f), str(g))
 
     def test_kernel_stays_integral(self):
@@ -357,8 +450,9 @@ class TestSklyaninBracket:
             tables = [gradient_tables(f, op) for f in funcs]
             for table in tables:
                 for mat in (table.F, table.Fp):
-                    for row in mat:
-                        for entry in row:
+                    for i, row in enumerate(mat):
+                        assert row[i] is None
+                        for entry in row[:i] + row[i + 1 :]:
                             assert all(isinstance(c, int) for c in entry.values()), entry
                 for part in table.classes.values():
                     assert all(isinstance(c, int) for c in part.values()), part
@@ -488,6 +582,33 @@ def _oracle_bracket(f, g, rt, n):
     return total
 
 
+class TestBracketHalves:
+    @by_structure
+    def test_r_minus_bracket_equals_r_plus_and_tensor(self, n, pair, standard):
+        # n^2 {f, g} from the tables in R_- equals it in R_+ and the
+        # bracket read off the r tensor, on every pair of seed functions
+        # and coordinates, for the structure's operator and its zero-r0
+        # version.
+        triple = BDTriple(n, *pair) if pair else None
+        cluster = Workspace(triple, n, standard=standard).cluster()
+        ring, idx = cluster.ring, range(1, n + 1)
+        funcs = [cluster.functions[lab] for lab in cluster.labels]
+        funcs += [ring.x(i, j) for i in idx for j in idx]
+        for op in _ops(n, pair, standard):
+            rt = build_r_tensor(op)
+            tables = [gradient_tables(f, op) for f in funcs]
+            for ia, ta in enumerate(tables):
+                for tb in tables[ia + 1 :]:
+                    diagonal, off_diagonal = tensor_pairing(ta, tb, rt)
+                    tensor = {m: c for m, c in ring.accumulate(diagonal + off_diagonal).items() if c}
+                    plus = _in_half(0, bracket_from_tables, ta, tb)
+                    assert _in_half(1, bracket_from_tables, ta, tb) == plus == Poly(ring, tensor), (
+                        op,
+                        str(ta.f),
+                        str(tb.f),
+                    )
+
+
 class TestExoticCoefficients:
     def test_hand_values_for_first_column(self):
         # Standard twin of the pair (1,2) in size 3; brackets against
@@ -524,11 +645,7 @@ def _spy_accumulate(monkeypatch):
 
 
 class TestDerivedTables:
-    @pytest.mark.parametrize(
-        "n, pair, standard",
-        list(_structures()),
-        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
-    )
+    @by_structure
     def test_derived_tables_equal_fresh_ones(self, monkeypatch, n, pair, standard):
         # Tables derived from another operator's tables of the same f equal
         # fresh ones field by field, for the structure's operators (a pair's
@@ -559,6 +676,15 @@ class TestDerivedTables:
                     got = gradient_tables(f, op, like=like)
                     for field in poisson.Tables._fields:
                         assert getattr(got, field) == getattr(want, field), (field, str(f), like.op, op)
+                    # Both halves, R_+ and R_-, each with a slot per entry
+                    # of its off-diagonal list on F and on F'.
+                    assert [len(h.right) for h in got.halves] == [2 * len(off) for _, off in op.halves]
+                    for h, (M, _) in zip(got.halves, op.halves):
+                        for (cols, rows), (_, u, v) in zip(got.classes, h.parts):
+                            assert v == cols + rows
+                            assert u == tuple(sum(m * c for m, c in zip(r, cols)) for r in M) + tuple(
+                                -sum(m * c for m, c in zip(r, rows)) for r in M
+                            )
 
 
 class TestSlicedPairTest:
@@ -570,11 +696,14 @@ class TestSlicedPairTest:
     def test_equals_one_whole_sum(self, monkeypatch, n, pair, standard, fault):
         # Every pair of seed functions and coordinates against the oracles,
         # which derive the bracket's products per pair from the degree
-        # classes and the operator: the same products, weights and
-        # pair_products count, and the same omega or the same failure as
-        # one whole accumulation.  The pair test's sums, zero sums included,
-        # equal the whole sum (its slices disjoint), which also pins W: a
-        # wrong W would leave (W' - W) lc f g in them.
+        # classes and the operator, in R_+ and in R_- = R_+ - id: the pair
+        # test lists the products of the half with fewer (R_+ on a tie),
+        # with their weights and pair_products count, and gives the same
+        # omega or the same failure as one whole accumulation in either
+        # half; forced into either half, it gives the same omega or the
+        # same NotLogCanonical text.  The pair test's sums, zero sums
+        # included, equal the whole sum (its slices disjoint), which also
+        # pins W: a wrong W would leave (W' - W) lc f g in them.
         ws = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
         cluster, op = ws.cluster(), ws.op()
         idx = range(1, n + 1)
@@ -587,13 +716,19 @@ class TestSlicedPairTest:
             for ib in range(ia + 1, len(tables)):
                 where = (funcs[ia][0], funcs[ib][0])
                 tb = tables[ib]
-                assert poisson._pairing(ta, tb) == class_pairing(ta, tb), where
-                omega, whole, products = whole_pair_sums(ta, tb)
-                assert poisson.pair_products(ta, tb) == products, where
+                halves = [whole_pair_sums(ta, tb, half) for half in (0, 1)]
+                half = min((0, 1), key=lambda h: (halves[h][2], h))
+                omega, whole, products = halves[half]
+                assert halves[1 - half][0] == omega, where
+                assert poisson.pair_products(ta, tb) == products <= halves[1 - half][2], where
+                assert poisson._pairing(ta, tb) == class_pairing(ta, tb, half), where
+                forced = {_in_half(h, coefficient_from_tables, ta, tb) for h in (0, 1)}
+                assert len(forced) == 1, (where, forced)
                 made.clear()
                 try:
                     got = coefficient_from_tables(ta, tb)
-                except NotLogCanonical:
+                except NotLogCanonical as e:
+                    assert forced == {str(e)}, where
                     got = None
                 assert got == omega, where
                 if omega is None:
@@ -601,6 +736,7 @@ class TestSlicedPairTest:
                     # A light pair test is one sum; exact division follows.
                     assert products < polyring.SLICE_PRODUCTS and made[0] == whole, where
                     continue
+                assert forced == {omega}, where
                 sliced = {}
                 for sums in made:
                     assert not sliced.keys() & sums.keys()
@@ -734,22 +870,41 @@ class TestSweeps:
 
     def test_pair_products_once_per_sweep(self, monkeypatch):
         # The workspace hands its pair_products list to the sweep, which
-        # would otherwise count them again to plan its pool.
+        # would otherwise count them again to plan its pool.  Each count is
+        # that of the half, R_+ or R_-, with fewer products (class_pairing
+        # lists them), and the same list plans the pool and gives the
+        # logcanon details.
         calls = []
         real = poisson.pair_products
+        real_sweep = poisson.omega_sweep
+        planned = []
 
         def counted(ta, tb):
-            calls.append(1)
+            calls.append((ta, tb))
             return real(ta, tb)
+
+        def sweep(*args, products=None, **kwargs):
+            planned.append(products)
+            return real_sweep(*args, products=products, **kwargs)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(poisson, "pair_products", counted)
         monkeypatch.setattr(verify, "pair_products", counted)
+        monkeypatch.setattr(verify, "omega_sweep", sweep)
         ws = Workspace(BDTriple(4, 1, 3), processes=2)
         labels, omegas, failures = ws.omega()
         L = len(labels)
         assert failures == [] and len(omegas) == L * (L - 1) // 2
         assert len(calls) == len(ws.sweep_products) == L * (L - 1) // 2
+        assert planned == [ws.sweep_products] and planned[0] is ws.sweep_products
+        cheaper_minus = 0
+        for (ta, tb), got in zip(calls, ws.sweep_products):
+            counts = [sum(len(a) * len(b) for a, b, _ in sum(class_pairing(ta, tb, h), [])) for h in (0, 1)]
+            assert got == min(counts)
+            cheaper_minus += counts[1] < counts[0]
+        assert cheaper_minus
+        details = verify.check_log_canonical(ws)[1]
+        assert (details["products"], details["max_pair_products"]) == (sum(ws.sweep_products), max(ws.sweep_products))
 
     def test_failed_sweep_clears_its_state(self, monkeypatch):
         # A pair test that raises, as MemoryError does at n = 6, must not

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdcluster.polyring import ExponentOverflow, PolyRing
+from bdcluster.polyring import ExponentOverflow, Poly, PolyRing, partial_derivative
 from bdcluster.polymat import (
     IndexNotSpecial,
     IndexOutOfRange,
     NotSquare,
+    _replacement_tables,
     _trailing,
     build_M,
     build_Mtilde,
@@ -88,6 +89,47 @@ class TestDeterminant:
     def test_symbolic_full_matrix_against_oracle(self):
         rows = [[R3.x(i, j) for j in range(1, 4)] for i in range(1, 4)]
         assert determinant(rows) == cofactor_det(rows)
+
+    def test_polynomial_entries_against_oracle(self):
+        # General Poly entries, with Fraction coefficients and products that
+        # cancel, as well as zero entries.
+        rng = random.Random(4471)
+        for size in (2, 3, 4):
+            for _ in range(6):
+                rows = [
+                    [
+                        sum(
+                            (Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * R3.x(rng.randint(1, 3), rng.randint(1, 3))
+                             for _ in range(rng.randint(0, 2))),
+                            R3.const(rng.randint(-1, 1)),
+                        )
+                        for _ in range(size)
+                    ]
+                    for _ in range(size)
+                ]
+                assert determinant(rows) == cofactor_det(rows)
+
+    def test_one_accumulation_per_minor(self, monkeypatch):
+        # Each memoized minor of a full 4x4 matrix, one per nonempty column
+        # set, is one PolyRing.accumulate, and no running sum is built by
+        # adding Polys.
+        rows = [[R4.x(i, j) for j in range(1, 5)] for i in range(1, 5)]
+        want = cofactor_det(rows)
+        calls = []
+        real = PolyRing.accumulate
+
+        def counted(self, products):
+            calls.append(len(products))
+            return real(self, products)
+
+        def refuse(self, other):
+            raise AssertionError("determinant added two Polys")
+
+        monkeypatch.setattr(PolyRing, "accumulate", counted)
+        monkeypatch.setattr(Poly, "__add__", refuse)
+        monkeypatch.setattr(Poly, "__sub__", refuse)
+        assert determinant(rows)._d == want._d
+        assert sorted(calls) == [1] * 4 + [2] * 6 + [3] * 4 + [4]
 
     def test_random_rational_matrices_against_oracle(self):
         rng = random.Random(20250819)
@@ -304,6 +346,37 @@ class TestReplacements:
         assert col_replace(f, 2, 3) == determinant([[x(2, 1), x(2, 3)], [x(3, 1), x(3, 3)]])
         g = determinant(build_M(R3, 1, 2))
         assert row_replace(g, 2, 3) == determinant([[x(1, 2), x(1, 3)], [x(3, 2), x(3, 3)]])
+
+    def test_diagonal_is_the_degree_weighted_function(self):
+        # Euler's identity: col_replace(f, i, i) is f with each term times
+        # its degree in column i, and row_replace(f, i, i) with its degree
+        # in row i, which is also sum_k x[k,i] df/dx[k,i] (x[i,k] df/dx[i,k]
+        # for rows); the tables hold no diagonal entry.
+        rng = random.Random(31)
+        funcs = [determinant(build_M(R4, i, j)) for i in range(1, 5) for j in range(1, 5)]
+        funcs.append(determinant(build_Mtilde(R4, 1, 3, 4, 1)))
+        for _ in range(20):
+            p = R4.zero
+            for _ in range(rng.randint(1, 4)):
+                mono = R4.const(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 4)):
+                    mono = mono * R4.x(rng.randint(1, 4), rng.randint(1, 4))
+                p = p + mono
+            funcs.append(p)
+        idx = range(1, 5)
+        for f in funcs:
+            F, Fp, _, _ = _replacement_tables(f)
+            for i in idx:
+                assert F[i - 1][i - 1] is None and Fp[i - 1][i - 1] is None
+                for rows, got in ((False, col_replace(f, i, i)), (True, row_replace(f, i, i))):
+                    var = [("x", i, k) if rows else ("x", k, i) for k in idx]
+                    weighted = {}
+                    for m, c in f._d.items():
+                        deg = sum(R4.monomial_exponents(m).get(v, 0) for v in var)
+                        if deg:
+                            weighted[m] = c * deg
+                    euler = sum((R4.x(*v[1:]) * partial_derivative(f, v) for v in var), R4.zero)
+                    assert got == Poly(R4, weighted) == euler, (str(f), i, rows)
 
     def test_overflow_guard(self):
         # d/dx[1,1] of x[1,1] x[1,2]^127, times x[1,2], reaches x[1,2]^128.

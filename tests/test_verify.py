@@ -70,8 +70,10 @@ class TestIndividualChecks:
         assert (rep.n, rep.alpha, rep.beta) == (3, 1, 2)
         assert rep.details["failures"] == 0
         assert rep.details["pairs"] == 9 * 8 // 2
-        # The sum and the largest of pair_products over the 36 pairs.
-        assert (rep.details["products"], rep.details["max_pair_products"]) == (607, 138)
+        # The sum and the largest of pair_products over the 36 pairs, each
+        # pair in the half of the operator, R_+ or R_-, with fewer products
+        # (607 and 138 in R_+ alone).
+        assert (rep.details["products"], rep.details["max_pair_products"]) == (517, 138)
 
     def test_compatibility_sign(self):
         rep = one("compat", T312)
@@ -237,6 +239,16 @@ class TestFaults:
     @pytest.mark.parametrize("pair", sorted(DROPPED_TERM_WITNESSES), ids=lambda p: "-".join(map(str, p)))
     def test_dropped_term_witnesses_unchanged(self, pair):
         rep = one("logcanon", BDTriple(*pair), fault=Fault.DROP_PHI31_TERM)
+        text = "\n".join(rep.witnesses)
+        assert hashlib.sha256(text.encode()).hexdigest() == DROPPED_TERM_WITNESSES[pair], text
+
+    @pytest.mark.parametrize("half", [0, 1])
+    @pytest.mark.parametrize("pair", sorted(DROPPED_TERM_WITNESSES), ids=lambda p: "-".join(map(str, p)))
+    def test_dropped_term_witnesses_in_either_half(self, monkeypatch, pair, half):
+        # Every pair test forced into R_+ (0) or R_- (1) names the same
+        # witnesses.
+        monkeypatch.setattr(poisson, "_half", lambda ta, tb: (0, half))
+        rep = one("logcanon", BDTriple(*pair), fault=Fault.DROP_PHI31_TERM, processes=1)
         text = "\n".join(rep.witnesses)
         assert hashlib.sha256(text.encode()).hexdigest() == DROPPED_TERM_WITNESSES[pair], text
 
