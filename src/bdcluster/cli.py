@@ -21,7 +21,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .bdseed import BDTriple, normalize_triple, seed_labels
-from .poisson import NotLogCanonical, bracket_and_coefficient
+from .poisson import bracket_from_tables, pair_test, unscale
 from .quiver import FrozenDirection, NotLaurentPolynomial, mutate_seed, to_dot
 from .verify import CHECKS, Fault, VerificationReport, Workspace, run_checks
 
@@ -121,27 +121,24 @@ def _cmd_bracket(args) -> int:
     for lab in (la, lb):
         if lab not in cluster.functions:
             raise CliError(f"({lab[0]},{lab[1]}) is not a label of this cluster")
-    f, g = cluster.functions[la], cluster.functions[lb]
-    br, omega = bracket_and_coefficient(f, g, op)
-    reason = None
-    if isinstance(omega, NotLogCanonical):
-        omega, reason = None, str(omega)
+    ta, tb = ws.tables(cluster.functions[la], op), ws.tables(cluster.functions[lb], op)
+    # A reason in place of omega is a failed pair; a bracket that overflows exits 2.
+    omega = pair_test(ta, tb)
+    br = unscale(bracket_from_tables(ta, tb), op.n)
+    log_canonical = not isinstance(omega, str)
     if args.format == "json":
         payload = {
             "f": f"{la[0]},{la[1]}",
             "g": f"{lb[0]},{lb[1]}",
             "bracket": str(br),
-            "omega": str(omega) if omega is not None else None,
-            "log_canonical": omega is not None,
-            "reason": reason,
+            "omega": str(omega) if log_canonical else None,
+            "log_canonical": log_canonical,
+            "reason": None if log_canonical else omega,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"{{f,g}} = {br}")
-        if omega is not None:
-            print(f"omega = {omega}")
-        else:
-            print(f"not log-canonical: {reason}")
+        print(f"omega = {omega}" if log_canonical else f"not log-canonical: {omega}")
     return 0
 
 

@@ -65,11 +65,13 @@ bracket's products by f g for its witness, never forming the bracket.
 omega_sweep runs it over all pairs; sweeps of POOL_MIN_PRODUCTS term
 products or more (pair_products, in each pair's half) fork
 sweep_workers(processes) workers.  r_plus, sklyanin_bracket and unscale
-remove the n^2.  RPlusOperator holds each half as one diagonal matrix
-and one off-diagonal entry list; r_plus reads R_+, and the bracket
+remove the n^2.  pair_test is the one pair step of every check that
+tests pairs: omega, or the reason there is none, an overflow included.
+RPlusOperator.halves is the operator's one form, each half as one
+diagonal matrix and one entry list; r_plus reads R_+, and the bracket
 either half.
 build_r_tensor expands the explicit tensor of r from the operator's c,
-its dual basis s and its wedge flag, not from its diagonal, and
+its dual basis s and its wedge flag, not from its halves, and
 r_plus_oracle contracts that tensor against a matrix; the two are kept
 as separate code paths on purpose and checked against each other.
 Both read the one c of the operator, so a changed c reaches the
@@ -156,38 +158,27 @@ class RPlusOperator:
         return self.n - p if p >= k else -p
 
     @cached_property
-    def diagonal(self) -> Tuple[Tuple[int, ...], ...]:
-        """M with n^2 R_+(mat)_kk = sum_l M_kl mat_ll: M_kl = sum_pq s(k, q) c_pq s(l, p)."""
-        s, c, r, idx = self.s, self.c, range(1, self.n), range(1, self.n + 1)
-        return tuple(
-            tuple(sum(s(k, q) * c[p - 1][q - 1] * s(l, p) for p in r for q in r) for l in idx) for k in idx
-        )
-
-    @cached_property
-    def off_diagonal(self) -> Tuple[Tuple[int, Tuple[int, int], Tuple[int, int]], ...]:
-        """(coefficient, source, target) with n^2 R_+(mat)[target] +=
-        coefficient * mat[source], 0-based: the strict upper part times
-        n^2, then the wedge."""
-        return self._off_diagonal(1)
-
-    @cached_property
     def halves(self):
-        """(diagonal, off_diagonal) of n^2 R_+ and of n^2 R_-, R_- = R_+ - id:
-        R_- has the diagonal matrix M - n^2 I, -n^2 on the strict lower part
-        where R_+ has n^2 on the strict upper part, and the same wedge."""
-        nn = self.n * self.n
-        minus = tuple(tuple(v - nn * (k == l) for l, v in enumerate(row)) for k, row in enumerate(self.diagonal))
-        return (self.diagonal, self.off_diagonal), (minus, self._off_diagonal(-1))
-
-    def _off_diagonal(self, sign: int):
-        """The strict upper (sign 1) or lower (sign -1) part times sign n^2,
-        then the wedge."""
-        n, nn = self.n, self.n * self.n
-        out = [(sign * nn, (i, j), (i, j)) for i in range(n) for j in range(n) if sign * (j - i) > 0]
+        """(M, entries) of n^2 R_+ and of n^2 R_-, R_- = R_+ - id, the
+        operator's one form.  n^2 R(mat) has diagonal sum_l M_kl mat_ll, and
+        each entry (coefficient, source, target), 0-based, adds coefficient
+        * mat[source] at target.  R_+ has M_kl = sum_pq s(k, q) c_pq s(l, p)
+        and n^2 on the strict upper part; R_- has M - n^2 I and -n^2 on the
+        strict lower part; both then have the wedge."""
+        n, nn, s, c = self.n, self.n * self.n, self.s, self.c
+        r, idx = range(1, n), range(1, n + 1)
+        M = [[sum(s(k, q) * c[p - 1][q - 1] * s(l, p) for p in r for q in r) for l in idx] for k in idx]
+        wedge = []
         if self.wedge_active:
             a, b = self.alpha, self.beta
-            out += [(nn, (a - 1, a), (b - 1, b)), (-nn, (b, b - 1), (a, a - 1))]
-        return tuple(out)
+            wedge = [(nn, (a - 1, a), (b - 1, b)), (-nn, (b, b - 1), (a, a - 1))]
+
+        def half(sign, shift):
+            diagonal = tuple(tuple(v - shift * (k == l) for l, v in enumerate(row)) for k, row in enumerate(M))
+            triangle = [(sign * nn, (i, j), (i, j)) for i in range(n) for j in range(n) if sign * (j - i) > 0]
+            return diagonal, tuple(triangle + wedge)
+
+        return half(1, 0), half(-1, nn)
 
 
 def r_plus_operator(
@@ -229,23 +220,24 @@ def r_plus(op: RPlusOperator, mat: Sequence[Sequence]) -> List[List]:
 
     <hhat_p, mat> is sum_k s(k, p) mat_kk / n and the entries of hhat_q
     are s(k, q) / n, so n^2 R_+(mat) has diagonal sum_l M_kl mat_ll with
-    M = op.diagonal, and op.off_diagonal holds the rest.
+    M the matrix of op.halves[0], whose entries hold the rest.
     """
     n = op.n
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError(f"matrix must be {n}x{n}")
     zero = mat[0][0] * 0
     out = [[zero for _ in range(n)] for _ in range(n)]
-    for k, row in enumerate(op.diagonal):
+    M, entries = op.halves[0]
+    for k, row in enumerate(M):
         out[k][k] = sum((mat[l][l] * mkl for l, mkl in enumerate(row) if mkl), zero)
-    for co, (si, sj), (ti, tj) in op.off_diagonal:
+    for co, (si, sj), (ti, tj) in entries:
         out[ti][tj] = out[ti][tj] + mat[si][sj] * co
     return [[unscale(v, n) for v in row] for row in out]
 
 
 def build_r_tensor(op: RPlusOperator) -> Tensor:
     """The full r tensor of op as {((i,j),(k,l)): coefficient of e_ij (x) e_kl},
-    expanded from op.c, op.s and the wedge, not from op.diagonal."""
+    expanded from op.c, op.s and the wedge, not from op.halves."""
     n, c, s = op.n, op.c, op.s
     r, idx = range(1, n), range(1, n + 1)
     out: Tensor = {}
@@ -380,7 +372,7 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
     there (_pairing).  A half's parts lists (part, u_c, v_c) for each class
     c, with u_c = (M col(c), -M row(c)) for the half's diagonal matrix M
     and v_c = (col(c), row(c)).  Each entry (co, s, t) of the half's
-    off-diagonal list is a slot on F and one on F' (with -co): left lists
+    entry list is a slot on F and one on F' (with -co): left lists
     (slot, F_s, co) for nonzero F_s, right holds F_t', t' = t transposed,
     for every slot, and lsizes and rsizes the sizes of F_s and F_t' per
     slot.  Entries are term dicts, with int coefficients when f's are."""
@@ -391,13 +383,13 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
     else:
         F, Fp, classes, top, lead = like.F, like.Fp, like.classes, like.top, like.lead
     halves = []
-    for M, off_diagonal in op.halves:
+    for M, entries in op.halves:
         parts = [
             (part, tuple(sum(map(mul, r, cols)) for r in M) + tuple(-sum(map(mul, r, rows)) for r in M), cols + rows)
             for (cols, rows), part in classes.items()
         ]
         slots = [(T[si][sj], T[tj][ti], sign * co) for T, sign in ((F, 1), (Fp, -1))
-                 for co, (si, sj), (ti, tj) in off_diagonal]
+                 for co, (si, sj), (ti, tj) in entries]
         left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
         right = [b for _, b, _ in slots]
         halves.append(Half(parts, left, right, tuple(len(a) for a, _, _ in slots), tuple(map(len, right))))
@@ -502,17 +494,16 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     return Fraction(W, lc * op.n * op.n)
 
 
-def bracket_and_coefficient(
-    f: Poly, g: Poly, op: RPlusOperator
-) -> Tuple[Poly, Union[Fraction, NotLogCanonical]]:
-    """({f, g}, omega) from one tabling of f and g, with the
-    NotLogCanonical that says why in place of omega when there is none."""
-    ta, tb = gradient_tables(f, op), gradient_tables(g, op)
+def pair_test(ta: Tables, tb: Tables) -> Union[Fraction, str]:
+    """omega of f and g from their tables (coefficient_from_tables), or,
+    when there is none, the reason: the message of its NotLogCanonical,
+    or of the ExponentOverflow of a product with an exponent of 128 or
+    more.  Every check that tests pairs calls this, so a pair that
+    overflows fails that pair alone."""
     try:
-        omega = coefficient_from_tables(ta, tb)
-    except NotLogCanonical as e:
-        omega = e
-    return unscale(bracket_from_tables(ta, tb), op.n), omega
+        return coefficient_from_tables(ta, tb)
+    except (NotLogCanonical, ExponentOverflow) as e:
+        return str(e)
 
 
 def poisson_coefficient(f: Poly, g: Poly, op: RPlusOperator) -> Fraction:
@@ -539,13 +530,8 @@ POOL_MIN_PRODUCTS = 1_000_000
 
 
 def _sweep_task(pairs: Sequence[Tuple[int, int]]):
-    out = []
-    for ia, ib in pairs:
-        try:
-            out.append((ia, ib, True, coefficient_from_tables(_SWEEP["tables"][ia], _SWEEP["tables"][ib])))
-        except (NotLogCanonical, ExponentOverflow) as e:
-            out.append((ia, ib, False, str(e)))
-    return out
+    tables = _SWEEP["tables"]
+    return [(ia, ib, pair_test(tables[ia], tables[ib])) for ia, ib in pairs]
 
 
 def pair_products(ta: Tables, tb: Tables) -> int:
@@ -615,9 +601,9 @@ def omega_sweep(
         _SWEEP.clear()
     omegas = {}
     failures = []
-    for ia, ib, ok, payload in sorted(results):
-        if ok:
-            omegas[ia, ib] = payload
+    for ia, ib, omega in sorted(results):
+        if isinstance(omega, str):
+            failures.append((ia, ib, omega))
         else:
-            failures.append((ia, ib, payload))
+            omegas[ia, ib] = omega
     return omegas, failures

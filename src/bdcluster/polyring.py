@@ -282,15 +282,7 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self._d)
-        get = out.get
-        for m, c in o._d.items():
-            v = get(m, 0) - c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return Poly(self.ring, out)
+        return self + -o
 
     def __rsub__(self, other) -> "Poly":
         o = self._coerce(other)

@@ -36,14 +36,13 @@ from .bdseed import (
 from .polymat import first_family, second_family
 from .polyring import Poly
 from .poisson import (
-    NotLogCanonical,
     RPlusOperator,
     _pairing,
     build_r_tensor,
-    coefficient_from_tables,
     gradient_tables,
     omega_sweep,
     pair_products,
+    pair_test,
     r_plus,
     r_plus_operator,
     r_plus_oracle,
@@ -341,10 +340,9 @@ def check_frozen_log_canonical_with_coordinates(ws: Workspace) -> Outcome:
     for lab in sorted(cluster.frozen):
         ft = ws.tables(cluster.functions[lab], op)
         for (i, j), gt in coords:
-            try:
-                coefficient_from_tables(ft, gt)
-            except NotLogCanonical as e:
-                witnesses.append(f"frozen {lab} with x[{i},{j}]: {e}")
+            omega = pair_test(ft, gt)
+            if isinstance(omega, str):
+                witnesses.append(f"frozen {lab} with x[{i},{j}]: {omega}")
     return witnesses, {}
 
 
@@ -398,15 +396,16 @@ def check_s_omega(ws: Workspace) -> Outcome:
             ("column", col_labels, _expected_s_omega_prime(triple, lab)),
         ):
             s = 0
-            try:
-                for sgn, c in zip(signs, corners):
-                    a, b = (c, lab) if kind == "row" else (lab, c)
-                    s += sgn * coefficient_from_tables(tables[a], tables[b])
-            except NotLogCanonical as e:
-                witnesses.append(f"{kind} sum at {lab}: {e}")
-                continue
-            if s != expected:
-                witnesses.append(f"{kind} sum at {lab}: got {s}, expected {expected}")
+            for sgn, c in zip(signs, corners):
+                a, b = (c, lab) if kind == "row" else (lab, c)
+                omega = pair_test(tables[a], tables[b])
+                if isinstance(omega, str):
+                    witnesses.append(f"{kind} sum at {lab}: {omega}")
+                    break
+                s += sgn * omega
+            else:
+                if s != expected:
+                    witnesses.append(f"{kind} sum at {lab}: got {s}, expected {expected}")
     return witnesses, {}
 
 

@@ -112,15 +112,16 @@ def heap_exact_divide(p: Poly, q: Poly) -> Poly:
 
 def _half_lists(op, half: int):
     """(M, off-diagonal entries) of n^2 R_+ (half 0) or of n^2 R_- = n^2
-    (R_+ - id) (half 1), derived from op.diagonal and op.off_diagonal: R_-
-    subtracts n^2 from the diagonal of M and replaces each strict upper
-    entry (n^2, s, s) by the strict lower entries (-n^2, s, s), row by
-    row, before the wedge."""
+    (R_+ - id) (half 1), derived from R_+ alone (op.halves[0]), never read
+    from op.halves[1]: R_- subtracts n^2 from the diagonal of M and
+    replaces each strict upper entry (n^2, s, s) by the strict lower
+    entries (-n^2, s, s), row by row, before the wedge."""
     n, nn = op.n, op.n * op.n
+    plus, entries = op.halves[0]
     if not half:
-        return op.diagonal, op.off_diagonal
-    M = tuple(tuple(v - nn * (k == l) for l, v in enumerate(row)) for k, row in enumerate(op.diagonal))
-    wedge = [e for e in op.off_diagonal if not (e[1] == e[2] and e[1][0] < e[1][1])]
+        return plus, entries
+    M = tuple(tuple(v - nn * (k == l) for l, v in enumerate(row)) for k, row in enumerate(plus))
+    wedge = [e for e in entries if not (e[1] == e[2] and e[1][0] < e[1][1])]
     lower = [(-nn, (i, j), (i, j)) for i in range(n) for j in range(i)]
     return M, tuple(lower + wedge)
 

@@ -103,21 +103,21 @@ class TestBracket:
         assert payload["log_canonical"] is True
 
     def test_tables_each_function_once(self, capsys, monkeypatch):
-        # The bracket and omega come from one tabling of f and of g, one
-        # pass over each function's terms, and each tabling holds both
-        # halves of the operator, R_+ and R_-.
+        # The bracket and omega come from one tabling of f and of g, made
+        # through the workspace, one pass over each function's terms, and
+        # each tabling holds both halves of the operator, R_+ and R_-.
         tabled, passes = [], []
-        real, real_pass = poisson.gradient_tables, poisson._replacement_tables
+        real, real_pass = verify.gradient_tables, poisson._replacement_tables
 
-        def counted(f, op):
-            tabled.append(real(f, op))
+        def counted(f, op, *, like=None):
+            tabled.append(real(f, op, like=like))
             return tabled[-1]
 
         def counted_pass(f):
             passes.append(f)
             return real_pass(f)
 
-        monkeypatch.setattr(poisson, "gradient_tables", counted)
+        monkeypatch.setattr(verify, "gradient_tables", counted)
         monkeypatch.setattr(poisson, "_replacement_tables", counted_pass)
         rc, out, _ = run(capsys, "bracket", "--n", "4", "--alpha", "1", "--beta", "3", "--f", "2,2", "--g", "3,1")
         assert rc == 0 and "omega = " in out

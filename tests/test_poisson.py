@@ -233,18 +233,18 @@ class TestRPlusOperator:
 
     @by_structure
     def test_r_minus_is_r_plus_minus_identity(self, n, pair, standard):
-        # The operator's halves are R_+ (its diagonal and off_diagonal) and
-        # R_- with R_-(e_kl) = R_+(e_kl) - e_kl on every matrix unit, by the
-        # operator and by the tensor, for the structure's operator and its
-        # zero-r0 version.
+        # The operator's halves are R_+, as r_plus and the tensor give it,
+        # and R_- with R_-(e_kl) = R_+(e_kl) - e_kl on every matrix unit, by
+        # the operator and by the tensor, for the structure's operator and
+        # its zero-r0 version.
         for op in _ops(n, pair, standard):
-            assert op.halves[0] == (op.diagonal, op.off_diagonal)
             rt = build_r_tensor(op)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     e = unit(n, i, j)
                     got = _apply_half(op.halves[1], e)
                     for plus in (r_plus(op, e), r_plus_oracle(rt, e)):
+                        assert _apply_half(op.halves[0], e) == plus, (op, i, j)
                         assert got == [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(plus, e)], (op, i, j)
 
     def test_matches_oracle_on_polynomial_matrix(self):
@@ -762,7 +762,8 @@ class TestSlicedPairTest:
 
     def test_light_pair_test_is_one_sum(self, monkeypatch):
         # The frozen check's tiny pair tests are not split: each is one
-        # accumulation over the tables' own dicts.
+        # accumulation over the tables' own dicts.  The check reaches
+        # coefficient_from_tables through pair_test.
         calls = []
         made = _spy_accumulate(monkeypatch)
         real = coefficient_from_tables
@@ -773,7 +774,7 @@ class TestSlicedPairTest:
             calls.append(len(made))
             return out
 
-        monkeypatch.setattr(verify, "coefficient_from_tables", counted)
+        monkeypatch.setattr(poisson, "coefficient_from_tables", counted)
         assert check_frozen_log_canonical_with_coordinates(Workspace(BDTriple(4, 1, 3))) == ([], {})
         assert calls == [1] * (5 * 16)
 

@@ -4,12 +4,17 @@ The heavy sweeps over all pairs and sizes live in the acceptance tests;
 here each check is exercised once on size 3 plus the failure paths.
 """
 
+import ast
 import hashlib
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bdcluster import poisson, verify
+import bdcluster
+from bdcluster import bdseed, cli, poisson, polymat, polyring, quiver, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import r_plus_operator
 from bdcluster.verify import Fault, Workspace, run_checks
@@ -379,3 +384,68 @@ class TestRunChecks:
     def test_fault_propagates(self):
         reports = run_checks(["logcanon"], triple=T312, fault=Fault.DROP_PHI31_TERM)
         assert not reports[0].passed
+
+
+class TestPairTest:
+    OVERFLOW = "a product has an exponent of 128 or more in some variable"
+
+    def test_overflow_fails_one_pair_with_one_reason(self, monkeypatch):
+        # x[1,1]^64 against x[1,1]^64 + x[1,2] reaches x[1,1]^128 in f g.
+        # The sweep, frozen and somega each fail that pair, with the same
+        # reason as its witness, instead of stopping the check.  frozen
+        # pairs frozen functions with coordinates, so there x[1,1] reads
+        # as x[1,1]^64 + x[1,2].
+        ring = get_ring(3)
+        big = ring.x(1, 1) ** 64
+        standard = verify.standard_cluster
+
+        class Coordinates:
+            def x(self, i, j):
+                return big + ring.x(1, 2) if (i, j) == (1, 1) else ring.x(i, j)
+
+        def cluster(n, sl=False):
+            c = standard(n, sl=sl)
+            functions = {**c.functions, (3, 1): big, (1, 2): big + ring.x(1, 2)}
+            return replace(c, ring=Coordinates(), functions=functions)
+
+        monkeypatch.setattr(verify, "standard_cluster", cluster)
+        ws = Workspace(T312, standard=True, processes=1)
+        expected = {
+            verify.check_log_canonical: f"pair ((1, 2), (3, 1)): {self.OVERFLOW}",
+            verify.check_frozen_log_canonical_with_coordinates: f"frozen (3, 1) with x[1,1]: {self.OVERFLOW}",
+            verify.check_s_omega: f"row sum at (1, 2): {self.OVERFLOW}",
+        }
+        for check, witness in expected.items():
+            assert witness in check(ws)[0], check.__name__
+
+    def test_only_pair_test_and_poisson_coefficient_call_the_coefficient(self, monkeypatch):
+        # Every check that tests pairs, and the bracket verb, reach
+        # coefficient_from_tables through pair_test alone: at run time, over
+        # every check with and without each fault, and in the source.
+        real = poisson.coefficient_from_tables
+        callers = set()
+
+        def spy(ta, tb):
+            callers.add(sys._getframe(1).f_code.co_name)
+            return real(ta, tb)
+
+        modules = [bdcluster, bdseed, cli, poisson, polymat, polyring, quiver, verify]
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, spy)
+        for fault in (None, *Fault):
+            run_checks(["all"], triple=BDTriple(4, 1, 3), fault=fault, processes=1)
+        assert cli.main(["bracket", "--n", "3", "--alpha", "1", "--beta", "2", "--f", "3,2", "--g", "3,3"]) == 0
+        x = get_ring(2).x(1, 2)
+        assert poisson.poisson_coefficient(x, x, r_plus_operator(n=2)) == 0
+        assert callers == {"pair_test", "poisson_coefficient"}
+
+        calling = set()
+        for module in modules:
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(n, ast.Name) and n.id == "coefficient_from_tables" for n in ast.walk(node)
+                ):
+                    calling.add(node.name)
+        assert calling == {"pair_test", "poisson_coefficient"}
