@@ -141,7 +141,7 @@ def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
         alpha, beta = triple.alpha, triple.beta
         blocks = {
             lab: determinant(build_Mtilde(ring, alpha, beta, *lab))
-            for lab in first_family(n, alpha, beta) + second_family(n, alpha, beta)
+            for lab in first_family(n, alpha) + second_family(n, beta)
         }
     functions = {lab: blocks[lab] if lab in blocks else trailing_minor(n, *lab) for lab in labels}
     return Cluster(ring=ring, n=n, labels=labels, functions=functions, frozen=frozen)

@@ -71,7 +71,7 @@ RPlusOperator.halves is the operator's one form, each half as one
 diagonal matrix and one entry list; r_plus reads R_+, and the bracket
 either half.
 build_r_tensor expands the explicit tensor of r from the operator's c,
-its dual basis s and its wedge flag, not from its halves, and
+its dual basis s and its wedge, not from its halves, and
 r_plus_oracle contracts that tensor against a matrix; the two are kept
 as separate code paths on purpose and checked against each other.
 Both read the one c of the operator, so a changed c reaches the
@@ -134,23 +134,25 @@ def build_r0(
 
 @dataclass(frozen=True)
 class RPlusOperator:
-    """R_+ for a given size, pair, and standard/exotic flag.
+    """R_+ for a size n, a diagonal coefficient matrix c and a wedge.
 
-    c is the diagonal coefficient matrix; the wedge part acts only when
-    the operator is exotic (standard=False with a pair present).  The
-    standard companion of a pair keeps the pair's c and only switches
-    the wedge off.
+    The wedge is the ordered root pair (alpha, beta) of the term
+    e_{alpha+1,alpha} (x) e_{beta,beta+1} - e_{beta,beta+1} (x)
+    e_{alpha+1,alpha} of r, or None for the standard operator and for a
+    pair's standard companion, which keeps the pair's c.
     """
 
     n: int
-    alpha: Optional[int]
-    beta: Optional[int]
-    standard: bool
     c: Tuple[Tuple[int, ...], ...]
+    wedge: Optional[Tuple[int, int]] = None
 
-    @property
-    def wedge_active(self) -> bool:
-        return self.alpha is not None and not self.standard
+    def __post_init__(self):
+        m = self.n - 1
+        if len(self.c) != m or any(len(row) != m for row in self.c):
+            raise ValueError(f"c must be {m}x{m} for n = {self.n}")
+        w = self.wedge
+        if w is not None and not (len(w) == 2 and w[0] != w[1] and all(type(r) is int and 1 <= r <= m for r in w)):
+            raise ValueError(f"wedge must be two distinct roots in 1..{m}, got {w!r}")
 
     def s(self, k: int, p: int) -> int:
         """n times the k-th diagonal entry of hhat_p, an integer: n - p
@@ -169,8 +171,8 @@ class RPlusOperator:
         r, idx = range(1, n), range(1, n + 1)
         M = [[sum(s(k, q) * c[p - 1][q - 1] * s(l, p) for p in r for q in r) for l in idx] for k in idx]
         wedge = []
-        if self.wedge_active:
-            a, b = self.alpha, self.beta
+        if self.wedge is not None:
+            a, b = self.wedge
             wedge = [(nn, (a - 1, a), (b - 1, b)), (-nn, (b, b - 1), (a, a - 1))]
 
         def half(sign, shift):
@@ -191,11 +193,9 @@ def r_plus_operator(
     n given with a pair must be the pair's."""
     n = structure_size(triple, n)
     if triple is None:
-        alpha = beta = None
-        standard = True
-    else:
-        alpha, beta = triple.alpha, triple.beta
-    return RPlusOperator(n, alpha, beta, standard, build_r0(n, alpha, beta))
+        return RPlusOperator(n, build_r0(n))
+    pair = (triple.alpha, triple.beta)
+    return RPlusOperator(n, build_r0(n, *pair), None if standard else pair)
 
 
 def unscale(x, n: int):
@@ -249,8 +249,8 @@ def build_r_tensor(op: RPlusOperator) -> Tensor:
     for p in idx:
         for q in range(p + 1, n + 1):
             out[((q, p), (p, q))] = Fraction(1)
-    if op.wedge_active:
-        a, b = op.alpha, op.beta
+    if op.wedge is not None:
+        a, b = op.wedge
         out[((a + 1, a), (b, b + 1))] = Fraction(1)
         out[((b, b + 1), (a + 1, a))] = Fraction(-1)
     return out

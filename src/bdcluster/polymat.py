@@ -102,14 +102,15 @@ def build_M(ring: PolyRing, i: int, j: int) -> Matrix:
     return _glue(ring, [_trailing(ring.n, i, j)], True)
 
 
-def first_family(n: int, alpha: int, beta: int) -> List[tuple]:
+def first_family(n: int, alpha: int) -> List[tuple]:
     """Labels (n+k-alpha, k) for k = 1..alpha."""
     return [(n + k - alpha, k) for k in range(1, alpha + 1)]
 
 
-def second_family(n: int, alpha: int, beta: int) -> List[tuple]:
-    """Labels (m, n+m-beta) for m = 1..beta."""
-    return [(m, n + m - beta) for m in range(1, beta + 1)]
+def second_family(n: int, beta: int) -> List[tuple]:
+    """Labels (m, n+m-beta) for m = 1..beta: first_family(n, beta)
+    transposed."""
+    return [(j, i) for i, j in first_family(n, beta)]
 
 
 def _chain(n: int, alpha: int, beta: int, i: int, j: int):
@@ -129,10 +130,10 @@ def _chain(n: int, alpha: int, beta: int, i: int, j: int):
     _check_label(n, i, j)
     y = (range(1, (beta + 1 if n == 2 * beta else n - beta) + 1), range(beta, n + 1))
     low = (range(alpha, n + 1), range(1, (alpha + 1 if n == 2 * alpha else n - alpha) + 1))
-    if (i, j) in first_family(n, alpha, beta):
+    if (i, j) in first_family(n, alpha):
         head = (range(i, n + 1), range(j, alpha + 2))
         return [head, y] + ([low] if n == 2 * beta else []), True
-    if (i, j) in second_family(n, alpha, beta):
+    if (i, j) in second_family(n, beta):
         head = (range(i, beta + 2), range(j, n + 1))
         return [head, low] + ([y] if n == 2 * alpha else []), False
     raise IndexNotSpecial(

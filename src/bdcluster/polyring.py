@@ -79,16 +79,17 @@ class ExponentOverflow(ArithmeticError):
 class PolyRing:
     """The ring Q[x[i,j], y[i,j] : 1 <= i, j <= n] with a fixed monomial order."""
 
-    def __init__(self, n: int, symbols: Tuple[str, ...] = ("x", "y")):
+    symbols = ("x", "y")
+
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"matrix size must be positive, got {n}")
         self.n = n
-        self.symbols = symbols
-        self.nvars = len(symbols) * n * n
+        self.nvars = len(self.symbols) * n * n
         # Variable 0 (= x[1,1]) occupies the most significant byte.
         self._shift = {i: (self.nvars - 1 - i) * _BITS for i in range(self.nvars)}
         self._ids: List[VarId] = [
-            (s, i, j) for s in symbols for i in range(1, n + 1) for j in range(1, n + 1)
+            (s, i, j) for s in self.symbols for i in range(1, n + 1) for j in range(1, n + 1)
         ]
         self._index = {v: k for k, v in enumerate(self._ids)}
         # High bit of every variable byte; read by the guard and the divisibility test.
@@ -105,17 +106,13 @@ class PolyRing:
         self.one = Poly(self, {0: 1})
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyRing)
-            and other.n == self.n
-            and other.symbols == self.symbols
-        )
+        return isinstance(other, PolyRing) and other.n == self.n
 
     def __hash__(self):
-        return hash((self.n, self.symbols))
+        return hash(self.n)
 
     def __repr__(self):
-        return f"PolyRing(n={self.n}, symbols={self.symbols})"
+        return f"PolyRing(n={self.n})"
 
     def var_index(self, v: VarId) -> int:
         try:

@@ -33,7 +33,7 @@ from .bdseed import (
     standard_cluster,
     structure_size,
 )
-from .polymat import first_family, second_family
+from .polymat import first_family
 from .polyring import Poly
 from .poisson import (
     RPlusOperator,
@@ -346,22 +346,10 @@ def check_frozen_log_canonical_with_coordinates(ws: Workspace) -> Outcome:
     return witnesses, {}
 
 
-def _expected_s_omega(triple: BDTriple, label) -> int:
-    v = 0
-    if label in first_family(triple.n, triple.alpha, triple.beta):
-        v += 1
-    if label[1] == triple.beta + 1:
-        v -= 1
-    return v
-
-
-def _expected_s_omega_prime(triple: BDTriple, label) -> int:
-    v = 0
-    if label in second_family(triple.n, triple.alpha, triple.beta):
-        v += 1
-    if label[0] == triple.alpha + 1:
-        v -= 1
-    return v
+def _expected_s_omega(n: int, alpha: int, beta: int, label) -> int:
+    """The row sum s at label: 1 on first_family(n, alpha), -1 on column
+    beta+1, their sum where both hold."""
+    return (label in first_family(n, alpha)) - (label[1] == beta + 1)
 
 
 def check_s_omega(ws: Workspace) -> Outcome:
@@ -372,8 +360,10 @@ def check_s_omega(ws: Workspace) -> Outcome:
     With s(g) = w(f[n,a], g) - w(f[n,a+1], g) - w(f[n,b], g) + w(f[n,b+1], g)
     (w = log-canonical coefficient for the pair's standard companion
     bracket), s(g) is 1 on the first special family, -1 on column b+1,
-    and 0 elsewhere; the transposed sum s' behaves symmetrically except
-    that its two cases can meet at one label, where they add to 0.
+    and 0 elsewhere.  The column sum s' takes the row corners
+    transposed, and its rule is the row rule for (b, a) read at the
+    transposed label: 1 on the second special family, -1 on row a+1,
+    and 0 where the two meet.
 
     The right-column combination is taken with the sweep function in the
     first slot, s'(g) = w(g, f[a,n]) - w(g, f[a+1,n]) - ..., matching
@@ -381,19 +371,18 @@ def check_s_omega(ws: Workspace) -> Outcome:
     exchange computations.  Since w is antisymmetric the two orders
     differ only by a global sign.
     """
-    triple = ws.triple
-    n, alpha, beta = triple.n, triple.alpha, triple.beta
+    n, alpha, beta = ws.n, ws.alpha, ws.beta
     cluster = standard_cluster(n)
     op = ws.op(True)
     tables = {lab: ws.tables(cluster.functions[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
-    col_labels = [(alpha, n), (alpha + 1, n), (beta, n), (beta + 1, n)]
+    col_labels = [c[::-1] for c in row_labels]
     signs = (1, -1, -1, 1)
     witnesses = []
     for lab in cluster.labels:
         for kind, corners, expected in (
-            ("row", row_labels, _expected_s_omega(triple, lab)),
-            ("column", col_labels, _expected_s_omega_prime(triple, lab)),
+            ("row", row_labels, _expected_s_omega(n, alpha, beta, lab)),
+            ("column", col_labels, _expected_s_omega(n, beta, alpha, lab[::-1])),
         ):
             s = 0
             for sgn, c in zip(signs, corners):
@@ -410,7 +399,8 @@ def check_s_omega(ws: Workspace) -> Outcome:
 
 
 def check_bracket_difference(ws: Workspace) -> Outcome:
-    """The exotic and standard-companion brackets differ by the wedge:
+    """The exotic and standard-companion brackets differ by the wedge
+    (a, b) of the exotic operator:
 
         {f,g}_ab - {f,g}_std = f^(a<-a+1) g^(b+1<-b) - f^(b+1<-b) g^(a<-a+1)
                                - f_(a+1<-a) g_(b<-b+1) + f_(b<-b+1) g_(a+1<-a)
@@ -421,7 +411,7 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
     exotic pairing, the standard one negated and the four wedge products
     negated, all scaled by n^2, and passes when every sum is 0.
     """
-    n, a, b = ws.n, ws.alpha, ws.beta
+    n, (a, b) = ws.n, ws.op(False).wedge
     nn = n * n
     ring = get_ring(n)
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]

@@ -22,6 +22,7 @@ from bdcluster import cli, poisson, polyring, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
     NotLogCanonical,
+    RPlusOperator,
     bracket_from_tables,
     build_r0,
     build_r_tensor,
@@ -204,13 +205,45 @@ class TestRPlusOperator:
         t = BDTriple(4, 1, 3)
         twin = r_plus_operator(t, standard=True)
         assert twin.c == build_r0(4, 1, 3)
-        assert not twin.wedge_active
+        assert twin.wedge is None
         out = r_plus(twin, unit(4, 4, 3))
         assert all(v == 0 for row in out for v in row)
 
     def test_needs_size_or_pair(self):
         with pytest.raises(ValueError):
             r_plus_operator()
+
+    def test_bad_operator_is_refused(self):
+        # A wedge root of 0 would make slot indices of -1, which r_plus
+        # wraps to the other end of the matrix; a c of the wrong size
+        # would be read out of range or in part.
+        c = build_r0(4)
+        for wedge in [(0, 2), (2, 2), (1, 4)]:
+            with pytest.raises(ValueError, match="wedge"):
+                RPlusOperator(4, c, wedge)
+        with pytest.raises(ValueError, match="3x3"):
+            RPlusOperator(4, build_r0(3), (1, 3))
+        # Every structure's operator and its zero-r0 version still build.
+        for n, pair, standard in _structures():
+            for op in _ops(n, pair, standard):
+                assert op.wedge == (None if standard else pair)
+
+    @pytest.mark.parametrize("n, pair", [(n, p) for n, p, std in _structures() if p and not std])
+    def test_reversed_wedge_needs_transposed_c(self, n, pair):
+        # The ordered wedge: beta -> alpha is the wedge (beta, alpha) with
+        # c transposed, a solution of CYBE whose r_plus is its tensor's
+        # contraction.  Keeping the alpha -> beta c breaks CYBE, not
+        # unitarity.
+        a, b = pair
+        c = build_r0(n, a, b)
+        op = RPlusOperator(n, tuple(zip(*c)), (b, a))
+        rt = build_r_tensor(op)
+        assert verify_cybe(rt, n) == (True, True, [])
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert r_plus(op, unit(n, i, j)) == r_plus_oracle(rt, unit(n, i, j)), (i, j)
+        cybe, unitary, _ = verify_cybe(build_r_tensor(RPlusOperator(n, c, (b, a))), n)
+        assert (cybe, unitary) == (False, True)
 
     def test_matches_oracle_on_all_units(self):
         """Operator form == tensor contraction, every e_ij, n <= 4."""

@@ -228,10 +228,10 @@ class TestSubmatrixFamilies:
 
 class TestSpecialFamilies:
     def test_family_labels(self):
-        assert list(first_family(3, 1, 2)) == [(3, 1)]
-        assert list(second_family(3, 1, 2)) == [(1, 2), (2, 3)]
-        assert list(first_family(5, 2, 3)) == [(4, 1), (5, 2)]
-        assert list(second_family(5, 2, 3)) == [(1, 3), (2, 4), (3, 5)]
+        assert list(first_family(3, 1)) == [(3, 1)]
+        assert list(second_family(3, 2)) == [(1, 2), (2, 3)]
+        assert list(first_family(5, 2)) == [(4, 1), (5, 2)]
+        assert list(second_family(5, 3)) == [(1, 3), (2, 4), (3, 5)]
 
     def test_first_family_example(self):
         m = build_Mtilde(R3, 1, 2, 3, 1)
@@ -258,7 +258,7 @@ class TestSpecialFamilies:
     def test_block_shapes_are_square(self):
         for (n, a, b) in [(4, 1, 3), (5, 2, 4), (5, 1, 2)]:
             ring = PolyRing(n)
-            for lab in first_family(n, a, b) + second_family(n, a, b):
+            for lab in first_family(n, a) + second_family(n, b):
                 m = build_Mtilde(ring, a, b, *lab)
                 assert len(m) == len(m[0])
 

@@ -275,7 +275,7 @@ class TestFaults:
         assert [r.check for r in reports if r.passed] == ["rank", "stable", "regular", "bracketdiff", "rplus"]
         assert Workspace(t).op(True) == r_plus_operator(t, standard=True)
         zeroed = Workspace(t, fault=Fault.ZERO_R0).op(True)
-        assert zeroed.standard and not any(v for row in zeroed.c for v in row)
+        assert zeroed.wedge is None and not any(v for row in zeroed.c for v in row)
 
     def test_fault_values(self):
         assert Fault("drop-phi31-term") is Fault.DROP_PHI31_TERM
