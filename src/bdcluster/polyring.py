@@ -25,7 +25,13 @@ slice being the terms whose keys agree under a mask, so that each slice
 is accumulated and freed before the next.  Every exact division, the
 pair test's of poisson included, is _divide: it slices its dividend by
 the variables the divisor lacks and hands each slice to the kernel
-_reduce.  The pair test itself sums one first-row slice at a time.
+_reduce, which walks only the terms that the divisor's leading term
+divides.  _divide also cuts its keys to the bytes in use, shifting out
+the low bytes that no operand key uses, so the kernel of a division in
+x alone never carries the y bytes.  Outside _divide keys keep every
+byte, y's included, since stored digests hash raw keys; once the ring
+holds x alone, the cut is usually empty.  The pair test itself sums one
+first-row slice at a time.
 
 Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
 const, scalar products and exact_divide give ints for integral values;
@@ -73,7 +79,8 @@ class NotDivisible(ArithmeticError):
 
 
 class ExponentOverflow(ArithmeticError):
-    """Raised when a product has an exponent of 128 or more in some variable."""
+    """Raised when a product, or a term that an exact division creates, has
+    an exponent of 128 or more in some variable."""
 
 
 class PolyRing:
@@ -331,44 +338,45 @@ def partial_derivative(p: Poly, v: VarId) -> Poly:
     return Poly(ring, out)
 
 
-def _monomial_divides(divisor: int, mono: int, himask: int) -> bool:
-    # Bytewise divisor <= mono, checked with one borrow-free subtraction.
-    # Valid because every exponent byte stays below 0x80.
-    return ((mono | himask) - divisor) & himask == himask
-
-
-def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
-    """The quotient of the term dict rem by q, consuming rem; zero
+def _reduce(rem: Dict[int, Scalar], qd: Dict[int, Scalar], himask: int) -> Dict[int, Scalar]:
+    """The quotient of the term dict rem by the term dict qd, consuming
+    rem; himask holds the high bit of every byte the keys use.  Zero
     entries are allowed, and a rem of zeros alone, such as a slice whose
-    sums all cancel, is not sorted.  Raises NotDivisible(m) at the first
-    remainder term m, in decreasing order, that lead(q) does not divide.
+    sums all cancel, is not sorted.  Raises NotDivisible(m) for the
+    largest nonzero remainder term m, which lead(q) does not divide, and
+    ExponentOverflow when a reduction makes an exponent of 128 or more.
 
-    One decreasing walk over rem's sorted monomials.  A term that has
-    cancelled costs one lookup; a nonzero one is reduced against lead(q),
-    deleted from rem, and q's other terms times the quotient term are
-    subtracted.  A subtraction only reaches monomials below the current
-    one, and one that rem lacked goes on a small max-heap, merged with the
-    walk.  Cancelled sums stay in rem as 0, so membership in rem tells
-    which monomials the walk or the heap will still reach, and each is
-    reached once.
+    One decreasing walk over the monomials of rem that lead(q) divides,
+    the only ones a quotient term can come from; the others are never
+    sorted.  A term that has cancelled costs one lookup; a nonzero one is
+    reduced against lead(q), deleted from rem, and q's other terms times
+    the quotient term are subtracted.  A subtraction only reaches
+    monomials below the current one; one that rem lacked and lead(q)
+    divides goes on a small max-heap, merged with the walk, and any other
+    is merely entered in rem.  Cancelled sums stay in rem as 0, so
+    membership in rem tells which monomials the walk or the heap will
+    still reach, and each is reached once.  What the walk leaves in rem
+    is the remainder.  Its largest nonzero term is the one a walk over
+    every monomial would have stopped at, since a quotient term changes
+    only monomials below its own.
     """
     if not any(rem.values()):
         return {}
-    qd = q._d
-    himask = q.ring._himask
     qlead = max(qd)
     qlc = qd[qlead]
     tail = [(m, c) for m, c in qd.items() if m != qlead]
     quot: Dict[int, Scalar] = {}
     heap: List[int] = []
-    walk = iter(sorted(rem, reverse=True))
+    # lead(q) divides m when no byte of m is below qlead's, that is when
+    # (m | himask) - qlead borrows no high bit: every byte is below 0x80.
+    walk = iter(sorted([m for m in rem if (m | himask) - qlead & himask == himask], reverse=True))
     # -1 is below every monomial, so it ends the walk.
     nxt = next(walk, -1)
     while True:
         if heap and -heap[0] > nxt:
             m = -heapq.heappop(heap)
         elif nxt < 0:
-            return quot
+            break
         else:
             m = nxt
             nxt = next(walk, -1)
@@ -376,8 +384,6 @@ def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
         if not c:
             continue
         del rem[m]
-        if not _monomial_divides(qlead, m, himask):
-            raise NotDivisible(m)
         tmono = m - qlead
         if isinstance(c, int) and isinstance(qlc, int):
             tc, r = divmod(c, qlc)
@@ -390,10 +396,18 @@ def _reduce(rem: Dict[int, Scalar], q: Poly) -> Dict[int, Scalar]:
             k = tmono + m2
             v = rem.get(k)
             if v is None:
-                heapq.heappush(heap, -k)
+                # tmono and m2 have every byte below 0x80, so k carries
+                # nothing and an exponent of 128 shows as a high bit.
+                if k & himask:
+                    raise ExponentOverflow("a division reaches an exponent of 128 or more in some variable")
+                if (k | himask) - qlead & himask == himask:
+                    heapq.heappush(heap, -k)
                 rem[k] = -tc * c2
             else:
                 rem[k] = v - tc * c2
+    if any(rem.values()):
+        raise NotDivisible(max(m for m, c in rem.items() if c))
+    return quot
 
 
 def _divide(products, q: Poly) -> Dict[int, Scalar]:
@@ -405,32 +419,48 @@ def _divide(products, q: Poly) -> Dict[int, Scalar]:
     in V alone, and take the P_v from PolyRing.slices with V's bytes as
     mask, one at a time.  q holds no variable of V, so every reduction
     stays inside its own slice: q | P exactly when q | P_v for every v,
-    P / q = sum_v (P_v / q) m_v, and one decreasing walk over P is the
-    slices' walks interleaved.  The first irreducible term of that walk
-    is therefore the largest of the slices' first ones, so every slice is
-    tried and the dividend is never formed whole.
+    P / q = sum_v (P_v / q) m_v, and the remainder of P is the sum of the
+    slices' remainders.  Its largest term is therefore the largest of the
+    slices' witnesses, so every slice is tried and the dividend is never
+    formed whole.
+
+    The keys are cut to the bytes in use first: the low bytes that no key
+    of q or of a factor uses, the y bytes of every polynomial in x alone,
+    are shifted out of every key and of the slice mask and high-bit mask,
+    and shifted back into the quotient and the witness.  Sums and
+    comparisons of keys are unchanged by the cut, and each costs less on
+    the shorter integers.
     """
     ring = q.ring
     if not q._d:
         raise DivisionByZero("division by the zero polynomial")
+    factors = {id(t): t for a, b, _ in products for t in (a, b)}
+    used = reduce(or_, q._d, 0)
+    # The low bytes that no key uses: the trailing zero bytes of all keys or'ed.
+    every = reduce(or_, (reduce(or_, t, 0) for t in factors.values()), used).to_bytes(ring.nvars, "big")
+    shift = _BITS * (ring.nvars - len(every.rstrip(b"\0")))
     # All ones on the bytes of the variables that no term of q contains.
-    used = reduce(or_, q._d, 0).to_bytes(ring.nvars, "big")
-    mask = int.from_bytes(bytes(0 if b else _DIGIT_MASK for b in used), "big")
+    mask = int.from_bytes(bytes(0 if b else _DIGIT_MASK for b in used.to_bytes(ring.nvars, "big")), "big")
+    cut = {i: {m >> shift: c for m, c in t.items()} for i, t in factors.items()}
+    qd = {m >> shift: c for m, c in q._d.items()}
+    # accumulate's guard reads the cut keys' high bits with the ring's whole
+    # high-bit mask, as the cut keys sit on the ring's lowest bytes.
+    himask = ring._himask >> shift
     quot: Dict[int, Scalar] = {}
     witness = -1
-    for group in ring.slices(products, mask):
+    for group in ring.slices([(cut[id(a)], cut[id(b)], w) for a, b, w in products], mask >> shift):
         try:
             # Only _reduce holds the slice, so it is freed before the next
             # slice is built.
-            quot.update(_reduce(ring.accumulate(group), q))
+            quot.update(_reduce(ring.accumulate(group), qd, himask))
         except NotDivisible as e:
             witness = max(witness, e.args[0])
     if witness >= 0:
         raise NotDivisible(
-            f"remainder term of degree profile {ring.monomial_exponents(witness)} "
+            f"remainder term of degree profile {ring.monomial_exponents(witness << shift)} "
             "is not reducible by the divisor's leading term"
         )
-    return quot
+    return {m << shift: c for m, c in quot.items()}
 
 
 def exact_divide(p: Poly, q: Poly) -> Poly:

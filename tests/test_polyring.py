@@ -32,10 +32,10 @@ def _vars(ring):
 
 
 # Small random polynomials over PolyRing(2): up to 4 terms, each a
-# product of at most 3 of the 8 variables, small rational coefficients
-# unless coeff says otherwise.
-def _poly_strategy(ring, coeff=None):
-    variables = _vars(ring)
+# product of at most 3 of the 8 variables (or of the given ones), small
+# rational coefficients unless coeff says otherwise.
+def _poly_strategy(ring, coeff=None, variables=None):
+    variables = variables or _vars(ring)
     if coeff is None:
         coeff = st.fractions(
             min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
@@ -60,6 +60,8 @@ def _poly_strategy(ring, coeff=None):
 polys = _poly_strategy(R2)
 # Integer coefficients as well, so division takes its int path.
 mixed_polys = st.one_of(_poly_strategy(R2, st.integers(-6, 6).filter(bool)), polys)
+_X2 = [R2.x(i, j) for i in (1, 2) for j in (1, 2)]
+x_polys = st.one_of(_poly_strategy(R2, st.integers(-6, 6).filter(bool), _X2), _poly_strategy(R2, None, _X2))
 
 
 class TestBasics:
@@ -179,18 +181,31 @@ class TestExactDivision:
     def test_created_monomial_that_cancels(self, monkeypatch):
         # Dividing by q = x[1,1] + x[1,2] + x[1,3] the product q * (x[1,2] -
         # x[1,3]): the quotient term x[1,2] subtracts x[1,2]*x[1,3], which p
-        # lacks, and the term -x[1,3] then cancels it again.
+        # lacks, and the term -x[1,3] then cancels it again.  lead(q) =
+        # x[1,1] does not divide x[1,2]*x[1,3], so it is entered in the
+        # remainder, never pushed on the heap, and must end there as 0.
         x = R3.x
         q = x(1, 1) + x(1, 2) + x(1, 3)
         s = x(1, 2) - x(1, 3)
         p = s * q
         created = (x(1, 2) * x(1, 3)).leading_monomial()
         assert created not in p._d
-        pushed = []
-        real = polyring.heapq.heappush
-        monkeypatch.setattr(polyring.heapq, "heappush", lambda h, k: (pushed.append(-k), real(h, k)))
+        pushed, made = [], []
+        real_push, real_reduce = polyring.heapq.heappush, polyring._reduce
+        monkeypatch.setattr(polyring.heapq, "heappush", lambda h, k: (pushed.append(-k), real_push(h, k)))
+
+        def spy(rem, qd, himask):
+            before = set(rem)
+            quot = real_reduce(rem, qd, himask)
+            # The kernel sees keys with their unused low bytes cut off.
+            shift = max(q._d).bit_length() - max(qd).bit_length()
+            made.append({m << shift: c for m, c in rem.items() if m not in before})
+            return quot
+
+        monkeypatch.setattr(polyring, "_reduce", spy)
         assert exact_divide(p, q) == s
-        assert pushed == [created]
+        assert made == [{created: 0}]
+        assert pushed == []
 
     @pytest.mark.parametrize("slice_products", [20_000, 0])
     @given(s=mixed_polys, q=mixed_polys, r=mixed_polys)
@@ -206,6 +221,31 @@ class TestExactDivision:
             mp.setattr(polyring, "SLICE_PRODUCTS", slice_products)
             got = _divide_or_witness(exact_divide, p, q)
         assert got == _divide_or_witness(heap_exact_divide, p, q)
+
+    @pytest.mark.parametrize("y", ["1", "y[2,2]"])
+    @given(s=x_polys, q=x_polys, r=x_polys)
+    @settings(max_examples=100, deadline=None)
+    def test_same_witness_on_cut_and_whole_keys(self, y, s, q, r):
+        # Over x alone every key loses at least the four y bytes in the
+        # kernel; a factor y[2,2] on s * q keeps the last byte, so no key
+        # is cut.  Either way the quotient and witness are the heap's.
+        assume(q)
+        p = s * q * (R2.y(2, 2) if y == "y[2,2]" else 1) + r
+        shifts = []
+        real = polyring._reduce
+
+        def spy(rem, qd, himask):
+            shifts.append(R2._himask.bit_length() - himask.bit_length())
+            return real(rem, qd, himask)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "_reduce", spy)
+            got = _divide_or_witness(exact_divide, p, q)
+        assert got == _divide_or_witness(heap_exact_divide, p, q)
+        if y == "1":
+            assert all(shift >= 32 for shift in shifts)
+        elif s * q:
+            assert shifts == [0]
 
 
 class TestExponentOverflow:
@@ -229,6 +269,16 @@ class TestExponentOverflow:
         with pytest.raises(ExponentOverflow):
             (x ** 100 + 1) * (x ** 28 - R2.y(1, 1))
         assert isinstance(ExponentOverflow(), ArithmeticError)
+
+    def test_division_overflow_raises(self):
+        # The quotient term x[1,2]^127 times the tail x[1,2]^2 would leave
+        # the remainder term -x[1,2]^129, which no key can hold.
+        x = R2.x
+        with pytest.raises(ExponentOverflow):
+            exact_divide(x(1, 1) * x(1, 2) ** 127, x(1, 1) + x(1, 2) ** 2)
+        # Two lower, the remainder term -x[1,2]^127 fits and is the witness.
+        with pytest.raises(NotDivisible, match=r"\{\('x', 1, 2\): 127\}"):
+            exact_divide(x(1, 1) * x(1, 2) ** 125, x(1, 1) + x(1, 2) ** 2)
 
 
 class TestCalculusAndEvaluation:

@@ -273,15 +273,47 @@ class TestSlicedExchange:
         sizes = []
         real = polyring._reduce
 
-        def spy(rem, q):
+        def spy(rem, qd, himask):
             sizes.append(sum(1 for c in rem.values() if c))
-            return real(rem, q)
+            return real(rem, qd, himask)
 
         monkeypatch.setattr(polyring, "_reduce", spy)
         seed = Workspace(BDTriple(5, 2, 4)).exchange_seed()
         mutate_seed(seed, (2, 2))
         assert sum(sizes) == 35_264
         assert max(sizes) <= 2_000
+
+    def test_only_keys_that_lead_q_divides_are_sorted(self, monkeypatch):
+        # (5,2,4) at (2,2): each slice's walk is the keys of the slice that
+        # lead(q) divides, in decreasing order, and no other key is sorted.
+        walks, expected = [], []
+        real = polyring._reduce
+
+        def divides(a, b, width=50):
+            return all(x <= y for x, y in zip(a.to_bytes(width, "big"), b.to_bytes(width, "big")))
+
+        def spy(rem, qd, himask):
+            if any(rem.values()):
+                lead = max(qd)
+                expected.append(sorted((m for m in rem if divides(lead, m)), reverse=True))
+            return real(rem, qd, himask)
+
+        def spy_sorted(items, **kw):
+            out = sorted(items, **kw)
+            # exact_divide_products also sorts each side's factors by size.
+            if "key" not in kw:
+                walks.append(out)
+            return out
+
+        monkeypatch.setattr(polyring, "_reduce", spy)
+        monkeypatch.setattr(polyring, "sorted", spy_sorted, raising=False)
+        seed = Workspace(BDTriple(5, 2, 4)).exchange_seed()
+        got = mutate_seed(seed, (2, 2)).cluster.functions[(2, 2)]
+        monkeypatch.undo()
+        assert walks == expected
+        # 3,752 of the 43,107 keys the slices hold, cancelled sums included.
+        assert sum(map(len, walks)) == 3_752
+        assert got._d == whole_exchange(seed, (2, 2))._d
 
     def test_exponent_overflow_is_raised(self):
         # x[1,1]^64 * (x[1,1]^64 + x[1,2]) reaches x[1,1]^128.
