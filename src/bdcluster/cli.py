@@ -188,34 +188,31 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bdcluster",
-        description="Exact cluster seeds and Sklyanin brackets for minimal Belavin-Drinfeld pairs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("seed", help="print the initial extended cluster")
+def _seed_args(p: argparse.ArgumentParser) -> None:
     _add_pair_args(p)
     p.set_defaults(func=_cmd_seed)
 
-    p = sub.add_parser("quiver", help="print quiver arcs")
+
+def _quiver_args(p: argparse.ArgumentParser) -> None:
     _add_pair_args(p)
     p.add_argument("--dot", action="store_true", help="GraphViz output")
     p.set_defaults(func=_cmd_quiver)
 
-    p = sub.add_parser("bracket", help="bracket of two cluster functions")
+
+def _bracket_args(p: argparse.ArgumentParser) -> None:
     _add_pair_args(p)
     p.add_argument("--f", required=True, help="label 'i,j' of the first function")
     p.add_argument("--g", required=True, help="label 'i,j' of the second function")
     p.set_defaults(func=_cmd_bracket)
 
-    p = sub.add_parser("mutate", help="one-step exchange at a label")
+
+def _mutate_args(p: argparse.ArgumentParser) -> None:
     _add_pair_args(p)
     p.add_argument("--at", required=True, help="mutable label 'i,j'")
     p.set_defaults(func=_cmd_mutate)
 
-    p = sub.add_parser("check", help="run verification suites")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("which", choices=[*CHECKS, "all"])
     _add_pair_args(p)
     p.add_argument(
@@ -227,17 +224,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--processes", type=int, default=None, help="worker processes for sweeps")
     p.set_defaults(func=_cmd_check)
 
-    # This verb is the check of the same name, run on its own.
-    verb = "cybe"
-    p = sub.add_parser(verb, help="Yang-Baxter and unitarity check")
-    _add_pair_args(p)
-    p.set_defaults(func=_cmd_check, which=verb, inject_fault=None, processes=None)
 
+def _cybe_args(p: argparse.ArgumentParser) -> None:
+    # This verb is the check of the same name, run on its own.
+    _add_pair_args(p)
+    p.set_defaults(func=_cmd_check, which="cybe", inject_fault=None, processes=None)
+
+
+# Each verb: its help line and what adds its arguments to its subparser.
+VERBS = {
+    "seed": ("print the initial extended cluster", _seed_args),
+    "quiver": ("print quiver arcs", _quiver_args),
+    "bracket": ("bracket of two cluster functions", _bracket_args),
+    "mutate": ("one-step exchange at a label", _mutate_args),
+    "check": ("run verification suites", _check_args),
+    "cybe": ("Yang-Baxter and unitarity check", _cybe_args),
+}
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or, with verb given, one that lists every
+    verb but gives arguments to verb's subparser alone: the same parser
+    for that verb's command lines, its usage and errors included, for
+    less start-up work."""
+    parser = argparse.ArgumentParser(
+        prog="bdcluster",
+        description="Exact cluster seeds and Sklyanin brackets for minimal Belavin-Drinfeld pairs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_args) in VERBS.items():
+        if verb in (None, name):
+            add_args(sub.add_parser(name, help=summary))
+        else:
+            # Listed for the usage line, the help and the error for an
+            # unknown verb, and never parsed, so it needs no -h either.
+            sub.add_parser(name, help=summary, add_help=False)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Without a known verb first (--help, a typo, nothing), every verb's parser is built.
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -29,8 +29,9 @@ and the Sklyanin bracket of two polynomial functions f, g of X is
 with F = (grad f) X, F' = X (grad f) (entrywise F_ij = sum_k df/dx[k,i]
 x[k,j] = col_replace(f, i, j), F'_ij = sum_k df/dx[j,k] x[i,k] =
 row_replace(f, j, i)) and <A, B> = tr(AB) the trace form.  F and F'
-come from one pass over the terms of f (polymat._replacement_tables),
-as term dicts, off the diagonal only: F_ii and F'_ii are f with each
+come from one pass over the terms of f (polymat._replacement_tables,
+which reads a template made once per size n), as term dicts, off the
+diagonal only: F_ii and F'_ii are f with each
 term times its degree in column or row i (Euler), which f's degree
 classes give.
 
@@ -54,7 +55,8 @@ exponents do not read the operator, so tables of f for a second
 operator are derived from the first operator's (its like= keyword)
 without a pass over f's terms; only what a pair test reads of f for
 each half of that operator, its classes' weight vectors and its nonzero
-off-diagonal factors, is made per operator.
+off-diagonal factors, is made per operator, and the weight vectors are
+taken over too when the half's diagonal matrix is the same.
 coefficient_from_tables tests {f, g} = omega f g as the integer sum
 lc n^2 {f, g} - W f g = 0, with W the bracket's coefficient at the
 leading monomial of f g and lc that monomial's coefficient, so a
@@ -62,9 +64,11 @@ log-canonical pair forms neither the bracket nor f g and makes one
 Fraction, omega = W / (lc n^2); a heavy sum goes one first-row slice
 at a time (polyring's one slicing rule), and a failing pair divides the
 bracket's products by f g for its witness, never forming the bracket.
-omega_sweep runs it over all pairs; sweeps of POOL_MIN_PRODUCTS term
-products or more (pair_products, in each pair's half) fork
-sweep_workers(processes) workers.  r_plus, sklyanin_bracket and unscale
+omega_sweep runs it over all pairs by a per-pair plan (sweep_plan), each
+pair's (products, half) decided once by _half, the one place the half
+is chosen: the half goes to the pair's test, and sweeps of
+POOL_MIN_PRODUCTS term products or more fork sweep_workers(processes)
+workers.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  pair_test is the one pair step of every check that
 tests pairs: omega, or the reason there is none, an overflow included.
 RPlusOperator.halves is the operator's one form, each half as one
@@ -85,6 +89,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -375,7 +380,9 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
     entry list is a slot on F and one on F' (with -co): left lists
     (slot, F_s, co) for nonzero F_s, right holds F_t', t' = t transposed,
     for every slot, and lsizes and rsizes the sizes of F_s and F_t' per
-    slot.  Entries are term dicts, with int coefficients when f's are."""
+    slot.  Tables derived from like also take each half's parts from
+    like's when that half has the same M, as a pair's standard companion
+    has.  Entries are term dicts, with int coefficients when f's are."""
     if like is None:
         F, Fp, classes, top = _replacement_tables(f)
         lm = max(f._d, default=None)
@@ -383,11 +390,15 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
     else:
         F, Fp, classes, top, lead = like.F, like.Fp, like.classes, like.top, like.lead
     halves = []
-    for M, entries in op.halves:
-        parts = [
-            (part, tuple(sum(map(mul, r, cols)) for r in M) + tuple(-sum(map(mul, r, rows)) for r in M), cols + rows)
-            for (cols, rows), part in classes.items()
-        ]
+    for h, (M, entries) in enumerate(op.halves):
+        if like is not None and like.op.halves[h][0] == M:
+            # A pair's standard companion keeps the pair's c, and so M.
+            parts = like.halves[h].parts
+        else:
+            parts = [
+                (part, tuple(sum(map(mul, r, cols)) for r in M) + tuple(-sum(map(mul, r, rows)) for r in M), cols + rows)
+                for (cols, rows), part in classes.items()
+            ]
         slots = [(T[si][sj], T[tj][ti], sign * co) for T, sign in ((F, 1), (Fp, -1))
                  for co, (si, sj), (ti, tj) in entries]
         left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
@@ -401,18 +412,19 @@ def _half(ta: Tables, tb: Tables) -> Tuple[int, int]:
     whose pair test of f and g lists fewer term products, R_+ on a tie:
     |f| |g| on the diagonal plus |F_s| |G_t'| for each off-diagonal slot
     of the half (_pairing)."""
+    (plus_f, minus_f), (plus_g, minus_g) = ta.halves, tb.halves
+    plus = sum(map(mul, plus_f.lsizes, plus_g.rsizes))
+    minus = sum(map(mul, minus_f.lsizes, minus_g.rsizes))
     diagonal = len(ta.f) * len(tb.f)
-    return min(
-        (diagonal + sum(map(mul, ha.lsizes, hb.rsizes)), h) for h, (ha, hb) in enumerate(zip(ta.halves, tb.halves))
-    )
+    return (diagonal + plus, 0) if plus <= minus else (diagonal + minus, 1)
 
 
-def _pairing(ta: Tables, tb: Tables):
+def _pairing(ta: Tables, tb: Tables, half: Optional[int] = None):
     """The products whose sum is n^2 {f, g}, as (diagonal, off_diagonal)
-    lists of (terms, terms, weight), over the half R of the operator that
-    _half picks: n^2 {f, g} = <n^2 R(F), G> - <n^2 R(F'), G'> for R = R_+
-    and for R = R_- alike, since R_+ - R_- = id and <F, G> = tr(grad f X
-    grad g X) = <F', G'>.
+    lists of (terms, terms, weight), over the half R of the operator
+    given, R_+ (0) or R_- (1), or else the one _half picks: n^2 {f, g} =
+    <n^2 R(F), G> - <n^2 R(F'), G'> for R = R_+ and for R = R_- alike,
+    since R_+ - R_- = id and <F, G> = tr(grad f X grad g X) = <F', G'>.
 
     F_ll is the sum of f's terms, each times its degree in column l
     (Euler; F'_ll likewise with rows), so with M the half's diagonal
@@ -426,8 +438,9 @@ def _pairing(ta: Tables, tb: Tables):
     # A class pair of weight 0 never reaches the kernel and its exponent
     # guard, so f g is guarded as a whole, by its largest exponents.
     ta.f.ring.check_exponents((ta.top + tb.top,))
-    h = _half(ta, tb)[1]
-    ha, hb = ta.halves[h], tb.halves[h]
+    if half is None:
+        half = _half(ta, tb)[1]
+    ha, hb = ta.halves[half], tb.halves[half]
     diagonal = [(a, b, sum(map(mul, u, v))) for a, u, _ in ha.parts for b, _, v in hb.parts]
     return diagonal, [(a, b, co) for slot, a, co in ha.left if (b := hb.right[slot])]
 
@@ -446,9 +459,10 @@ def sklyanin_bracket(f: Poly, g: Poly, op: RPlusOperator) -> Poly:
     return unscale(bracket_from_tables(gradient_tables(f, op), gradient_tables(g, op)), op.n)
 
 
-def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
+def coefficient_from_tables(ta: Tables, tb: Tables, half: Optional[int] = None) -> Fraction:
     """The scalar omega with {f, g} = omega * f * g, from the tables of f
-    and g for one operator, without forming the bracket or f g.
+    and g for one operator, without forming the bracket or f g, summed in
+    the given half of the operator or the one _half picks (_pairing).
 
     With L = lead f + lead g and lc = lc(f) lc(g), W is the coefficient
     of n^2 {f, g} at L, so log-canonicity is lc n^2 {f, g} - W f g = 0.
@@ -463,7 +477,7 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     raises NotLogCanonical with its reason.
     """
     f, g, op = ta.f, tb.f, ta.op
-    diagonal, off_diagonal = _pairing(ta, tb)
+    diagonal, off_diagonal = _pairing(ta, tb, half)
     if ta.lead is None or tb.lead is None:
         return Fraction(0)
     (cf, lf), (cg, lg) = ta.lead, tb.lead
@@ -494,14 +508,14 @@ def coefficient_from_tables(ta: Tables, tb: Tables) -> Fraction:
     return Fraction(W, lc * op.n * op.n)
 
 
-def pair_test(ta: Tables, tb: Tables) -> Union[Fraction, str]:
-    """omega of f and g from their tables (coefficient_from_tables), or,
-    when there is none, the reason: the message of its NotLogCanonical,
-    or of the ExponentOverflow of a product with an exponent of 128 or
-    more.  Every check that tests pairs calls this, so a pair that
-    overflows fails that pair alone."""
+def pair_test(ta: Tables, tb: Tables, half: Optional[int] = None) -> Union[Fraction, str]:
+    """omega of f and g from their tables (coefficient_from_tables, in the
+    half given or the one _half picks), or, when there is none, the
+    reason: the message of its NotLogCanonical, or of the ExponentOverflow
+    of a product with an exponent of 128 or more.  Every check that tests
+    pairs calls this, so a pair that overflows fails that pair alone."""
     try:
-        return coefficient_from_tables(ta, tb)
+        return coefficient_from_tables(ta, tb, half)
     except (NotLogCanonical, ExponentOverflow) as e:
         return str(e)
 
@@ -520,7 +534,7 @@ def poisson_coefficient(f: Poly, g: Poly, op: RPlusOperator) -> Fraction:
 _SWEEP: dict = {}
 
 # A sweep forks its pool only when its pairs together take at least this
-# many term products (pair_products).  On a 2-vCPU host two CPU-bound
+# many term products (sweep_plan).  On a 2-vCPU host two CPU-bound
 # processes each run at 55-100% of their solo speed, so a two-worker pool
 # gained no wall time and took 35-45% more CPU on the cold (5,1,3) and
 # (5,2,4) sweeps of 482,000 and 431,000 products (0.150 against 0.147 s,
@@ -529,15 +543,16 @@ _SWEEP: dict = {}
 POOL_MIN_PRODUCTS = 1_000_000
 
 
-def _sweep_task(pairs: Sequence[Tuple[int, int]]):
+def _sweep_task(pairs: Sequence[Tuple[int, int, int]]):
     tables = _SWEEP["tables"]
-    return [(ia, ib, pair_test(tables[ia], tables[ib])) for ia, ib in pairs]
+    return [(ia, ib, pair_test(tables[ia], tables[ib], half)) for ia, ib, half in pairs]
 
 
-def pair_products(ta: Tables, tb: Tables) -> int:
-    """An upper bound on the term products of coefficient_from_tables, in
-    the half of the operator it uses (_half)."""
-    return _half(ta, tb)[0]
+def sweep_plan(tables: Sequence[Tables]) -> List[Tuple[int, int]]:
+    """(products, half) of _half for each pair ia < ib of tables, in pair
+    order: the half of the operator each pair test sums in, and an upper
+    bound on its term products there."""
+    return [_half(ta, tb) for ta, tb in combinations(tables, 2)]
 
 
 def sweep_workers(processes: Optional[int] = None) -> int:
@@ -557,23 +572,24 @@ def omega_sweep(
     processes: Optional[int] = None,
     *,
     tables: Optional[Sequence[Tables]] = None,
-    products: Optional[Sequence[int]] = None,
+    plan: Optional[Sequence[Tuple[int, int]]] = None,
 ):
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
     with ia < ib and failures a list of (ia, ib, reason), overflows too.
 
     processes goes through sweep_workers (1 runs in process); tables,
-    when given, are the functions' gradient tables for op, and products
-    each pair's pair_products, in pair order.
+    when given, are the functions' gradient tables for op, and plan
+    their sweep_plan, each pair's (products, half), made here when not
+    given.  Each pair's half is thus chosen once per sweep: the products
+    plan the pool, and the half goes to the pair's pair_test.
     """
     nproc = sweep_workers(processes)
     if tables is None:
         tables = [gradient_tables(f, op) for f in functions]
-    L = len(functions)
-    pairs = [(ia, ib) for ia in range(L) for ib in range(ia + 1, L)]
-    cost = products
-    if nproc > 1 and cost is None:
-        cost = [pair_products(tables[ia], tables[ib]) for ia, ib in pairs]
+    if plan is None:
+        plan = sweep_plan(tables)
+    pairs = [(ia, ib, half) for (ia, ib), (_, half) in zip(combinations(range(len(functions)), 2), plan)]
+    cost = [products for products, _ in plan]
     _SWEEP["tables"] = tables
     try:
         if nproc > 1 and sum(cost) >= POOL_MIN_PRODUCTS and hasattr(os, "fork"):

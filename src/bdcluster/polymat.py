@@ -12,9 +12,13 @@ column or row of a minor by another.  One pass over a polynomial's
 terms gives all of them at once, as the tables F = (grad f) X and
 F' = X (grad f) that the Sklyanin bracket is built from;
 col_replace and row_replace each read one entry of those tables.  The
-pass makes no diagonal entry: by Euler's identity F[i][i] (F'[i][i])
-is f with each term times its degree in column (row) i, so the maps
-read those from f's degree classes, as the bracket does.
+pass reads a template made once per size n (_template), which lists for
+each variable every off-diagonal entry it reaches with its key delta,
+and visits only the variables a term holds, so a pass costs per term,
+not per entry of the size.  The pass makes no diagonal entry: by
+Euler's identity F[i][i] (F'[i][i]) is f with each term times its
+degree in column (row) i, so the maps read those from f's degree
+classes, as the bracket does.
 
 Each minor of a determinant is one PolyRing.accumulate over its first
 row's (entry, subminor) products, memoized on its column set.
@@ -22,6 +26,9 @@ row's (entry, subminor) products, memoized on its column set.
 
 from __future__ import annotations
 
+from functools import cache, reduce
+from itertools import compress
+from operator import or_
 from typing import List, Sequence, Tuple
 
 from .polyring import Poly, PolyRing
@@ -178,6 +185,23 @@ def build_Mtilde(
     return _glue(ring, *_chain(ring.n, alpha, beta, i, j))
 
 
+@cache
+def _template(ring: PolyRing):
+    """The table pass's template for the ring's size n, made once per n:
+    for each variable x[a,b] in x_units order, (b, a, targets), targets
+    listing (slot, delta) for every off-diagonal entry of F and F' that
+    x[a,b] reaches, slot b*n + t for F[b][t] and n*n + t*n + a for
+    F'[t][a], and delta the key of x[a,t] (x[t,b] for F') less that of
+    x[a,b]."""
+    n, unit = ring.n, ring.x_units
+    return tuple(
+        (b, a, tuple([(b * n + t, unit[a * n + t] - unit[a * n + b]) for t in range(n) if t != b]
+                     + [(n * n + t * n + a, unit[t * n + b] - unit[a * n + b]) for t in range(n) if t != a]))
+        for a in range(n)
+        for b in range(n)
+    )
+
+
 def _replacement_tables(f: Poly):
     """F and F' of f off the diagonal from one pass over its terms, as
     term dicts, with 1-based F[i][j] the terms of col_replace(f, i, j) and
@@ -188,49 +212,47 @@ def _replacement_tables(f: Poly):
 
     A term c*m holding x[a,b]^e differentiates to c*e*m/x[a,b], so it
     adds c*e*m*x[a,t]/x[a,b] to F[b][t] and c*e*m*x[t,b]/x[a,b] to
-    F'[t][a] for every t; each is one shift of the packed key.  The
-    diagonal entries F[b][b] and F'[a][a] are f with each term times its
-    degree in column b or row a (Euler's identity), which the degree
-    classes hold, so the pass skips t = b and t = a.
+    F'[t][a] for every t; each is m plus one delta of the size's
+    template (_template), and the pass visits only the variables a term
+    holds, summing its column and row degrees on the way.  The diagonal
+    entries F[b][b] and F'[a][a] are f with each term times its degree in
+    column b or row a (Euler's identity), which the degree classes hold,
+    so the pass skips t = b and t = a.
     """
     ring = f.ring
     n = ring.n
-    unit = ring.x_units
-    F = [[{} for _ in range(n)] for _ in range(n)]
-    # Fp_t[a][t] accumulates F'[t][a].
-    Fp_t = [[{} for _ in range(n)] for _ in range(n)]
-    # For x[a,b]: (entry, key of x[a,t] or x[t,b]) for every t off the diagonal.
-    targets = [
-        [(F[b][t], unit[a * n + t]) for t in range(n) if t != b]
-        + [(Fp_t[a][t], unit[t * n + b]) for t in range(n) if t != a]
-        for a in range(n)
-        for b in range(n)
-    ]
+    template = _template(ring)
+    # F[i][j] accumulates in entries[i*n + j] and F'[i][j] in entries[n*n + i*n + j].
+    entries = [{} for _ in range(2 * n * n)]
     classes: dict = {}
+    variables = range(n * n)
     for m, c in f._d.items():
+        cdeg, rdeg = [0] * n, [0] * n
         exps = ring.x_exponents(m)
-        cdeg = tuple(sum(exps[b::n]) for b in range(n))
-        rdeg = tuple(sum(exps[a * n : a * n + n]) for a in range(n))
-        classes.setdefault((cdeg, rdeg), {})[m] = c
-        for k, e in enumerate(exps):
-            if not e:
-                continue
-            base = m - unit[k]
+        for k in compress(variables, exps):
+            e = exps[k]
+            b, a, targets = template[k]
+            cdeg[b] += e
+            rdeg[a] += e
             ce = c * e
-            for acc, u in targets[k]:
-                key = base + u
+            for slot, delta in targets:
+                acc = entries[slot]
+                key = m + delta
                 acc[key] = acc.get(key, 0) + ce
-    # Each key is m / x[a,b] plus the key of x[a,t], so the guard applies.
-    tables = (F, [list(col) for col in zip(*Fp_t)])
-    ring.check_exponents(key for T in tables for row in T for acc in row for key in acc)
-    return *(
-        [
-            [None if i == j else {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
-             for j, acc in enumerate(row)]
-            for i, row in enumerate(T)
-        ]
-        for T in tables
-    ), classes, ring.top(f._d)
+        classes.setdefault((tuple(cdeg), tuple(rdeg)), {})[m] = c
+    # Each key is m / x[a,b] times x[a,t] or x[t,b], a sum of keys, so the
+    # guard applies to the union of each entry's keys, cancelled ones too.
+    seen = 0
+    for s, acc in enumerate(entries):
+        if acc:
+            seen |= reduce(or_, acc)
+            if 0 in acc.values():
+                entries[s] = {k: v for k, v in acc.items() if v}
+    ring.check_exponents((seen,))
+    rows = [entries[i : i + n] for i in range(0, 2 * n * n, n)]
+    for i in range(n):
+        rows[i][i] = rows[n + i][i] = None
+    return rows[:n], rows[n:], classes, ring.top(f._d)
 
 
 def _replacement(f: Poly, i: int, j: int, rows: bool) -> Poly:

@@ -146,8 +146,17 @@ class PolyRing:
         return (mono >> self._x_shift).to_bytes(self.n * self.n, "big")
 
     def top(self, monos: Iterable[int]) -> int:
-        """The key of the largest exponent of each variable over monos."""
-        return int.from_bytes(bytes(map(max, zip(*(m.to_bytes(self.nvars, "big") for m in monos)))), "big")
+        """The key of the largest exponent of each variable over monos, 0
+        for none: a byte-wise max of keys whose bytes are all below 0x80, as
+        every stored key's are, in a few integer operations per key."""
+        hi = self._himask
+        top = 0
+        for m in monos:
+            # 0x80 in each byte where m's exponent is at least top's: m + 128
+            # - top stays within its byte, so no byte borrows from the next.
+            ge = ((m | hi) - top) & hi
+            top ^= (m ^ top) & (ge - (ge >> 7))
+        return top
 
     def check_exponents(self, keys: Iterable[int]) -> None:
         """Raise ExponentOverflow when one of keys has an exponent of 128 or

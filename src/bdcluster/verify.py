@@ -41,11 +41,11 @@ from .poisson import (
     build_r_tensor,
     gradient_tables,
     omega_sweep,
-    pair_products,
     pair_test,
     r_plus,
     r_plus_operator,
     r_plus_oracle,
+    sweep_plan,
     sweep_workers,
     unscale,
     verify_cybe,
@@ -127,8 +127,8 @@ class Workspace:
         self._quiver: Optional[Quiver] = None
         self._ops: dict = {}
         self._omega = None
-        # Each swept pair's pair_products, in pair order, once omega() ran.
-        self.sweep_products: List[int] = []
+        # Each swept pair's (products, half), in pair order, once omega() ran.
+        self.sweep_plan: List[Tuple[int, int]] = []
         # {f's terms: {op: tables of f for op}}
         self._tables: dict = {}
 
@@ -208,10 +208,8 @@ class Workspace:
             funcs = [cluster.functions[lab] for lab in labels]
             op = self.op()
             tables = [self.tables(f, op) for f in funcs]
-            self.sweep_products = [
-                pair_products(tables[ia], tables[ib]) for ia in range(len(tables)) for ib in range(ia + 1, len(tables))
-            ]
-            omegas, failures = omega_sweep(funcs, op, processes=self.processes, tables=tables, products=self.sweep_products)
+            self.sweep_plan = sweep_plan(tables)
+            omegas, failures = omega_sweep(funcs, op, processes=self.processes, tables=tables, plan=self.sweep_plan)
             self._omega = (labels, omegas, failures)
         return self._omega
 
@@ -223,14 +221,15 @@ class Workspace:
 def check_log_canonical(ws: Workspace) -> Outcome:
     """Every pair of cluster functions has {f, g} = omega f g."""
     labels, _, failures = ws.omega()
+    products = [p for p, _ in ws.sweep_plan]
     witnesses = [
         f"pair ({labels[ia]}, {labels[ib]}): {reason}" for ia, ib, reason in failures
     ]
     details = {
         "pairs": len(labels) * (len(labels) - 1) // 2,
         "failures": len(failures),
-        "products": sum(ws.sweep_products),
-        "max_pair_products": max(ws.sweep_products, default=0),
+        "products": sum(products),
+        "max_pair_products": max(products, default=0),
     }
     return witnesses, details
 

@@ -6,7 +6,9 @@ build_Mtilde_shift is the block matrix with its leading line stepped
 out, along which the coincidence structures (n = 2*alpha or n = 2*beta)
 expand; evaluate substitutes rational values for the variables of a
 polynomial; heap_exact_divide is exact division by a heap of every
-remainder monomial, the package's earlier algorithm; class_pairing
+remainder monomial, the package's earlier algorithm; derivative_tables
+builds a function's gradient tables, degree classes and largest
+exponents from partial_derivative, variable by variable; class_pairing
 derives the bracket's products per pair from the tables' degree classes
 and the operator, in either half R_+ or R_- = R_+ - id, as the package
 did before its tables carried them; tensor_pairing reads the same
@@ -16,8 +18,8 @@ it summed one first-row slice at a time; cybe_all_pairs expands the
 Yang-Baxter bracket [[r,r]] over every pair of r's terms, as the package
 did before it paired index-matching terms only.  Each is a second path
 to something the package computes one way (block determinants, exact
-identities, exact division, the bracket's products, the pair test, the
-Yang-Baxter check), so a test can compare the two.
+identities, exact division, the table pass, the bracket's products, the
+pair test, the Yang-Baxter check), so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from bdcluster.polymat import (
     row_replace,
 )
 from bdcluster.poisson import Tables, casimir_tensor, tensor_sum, tensor_transpose
-from bdcluster.polyring import NotDivisible, Poly, PolyRing, Scalar, VarId, _normalize_scalar
+from bdcluster.polyring import NotDivisible, Poly, PolyRing, Scalar, VarId, _normalize_scalar, partial_derivative
 
 
 class MissingAssignment(LookupError):
@@ -108,6 +110,38 @@ def heap_exact_divide(p: Poly, q: Poly) -> Poly:
             else:
                 rem.pop(k, None)
     return Poly(ring, quot)
+
+
+def derivative_tables(f: Poly):
+    """(F, F', classes, top) of f as polymat._replacement_tables gives
+    them, from partial_derivative and Poly arithmetic alone, 0-based:
+    F[b][t] = sum_a x[a,t] df/dx[a,b] and F'[t][a] = sum_b x[t,b]
+    df/dx[a,b] as term dicts, None on the diagonal; classes groups f's
+    terms by their (column degrees, row degrees) in x, read from
+    monomial_exponents; top is the key of the product of every variable
+    to its largest exponent in f."""
+    ring = f.ring
+    idx = range(ring.n)
+
+    def x(a, b):
+        return ring.x(a + 1, b + 1)
+
+    d = {(a, b): partial_derivative(f, ("x", a + 1, b + 1)) for a in idx for b in idx}
+    F = [[None if b == t else sum((x(a, t) * d[a, b] for a in idx), ring.zero)._d for t in idx] for b in idx]
+    Fp = [[None if t == a else sum((x(t, b) * d[a, b] for b in idx), ring.zero)._d for a in idx] for t in idx]
+    classes: dict = {}
+    largest: dict = {}
+    for m, c in f._d.items():
+        exps = ring.monomial_exponents(m)
+        cols = tuple(sum(exps.get(("x", a + 1, b + 1), 0) for a in idx) for b in idx)
+        rows = tuple(sum(exps.get(("x", a + 1, b + 1), 0) for b in idx) for a in idx)
+        classes.setdefault((cols, rows), {})[m] = c
+        for v, e in exps.items():
+            largest[v] = max(largest.get(v, 0), e)
+    top = ring.one
+    for v, e in largest.items():
+        top = top * ring.var(*v) ** e
+    return F, Fp, classes, max(top._d)
 
 
 def _half_lists(op, half: int):

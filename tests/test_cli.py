@@ -3,7 +3,7 @@
 import json
 from dataclasses import replace
 
-from bdcluster import poisson, verify
+from bdcluster import cli, poisson, verify
 from bdcluster.bdseed import get_ring
 from bdcluster.cli import main
 
@@ -290,3 +290,26 @@ class TestCybeVerb:
         rc, out, _ = run(capsys, "cybe", "--n", "4", "--alpha", "1", "--beta", "3", "--format", "json")
         assert rc == 0
         assert json.loads(out)[0]["status"] == "pass"
+
+
+class TestParser:
+    def test_one_verb_parser_reads_as_every_verb_parser(self, capsys):
+        # main gives arguments to the named verb's subparser alone.  Help,
+        # usage and errors must read byte for byte as with every verb's
+        # parser, cli.build_parser(), and exit with the same code.
+        def outcome(parse, argv):
+            try:
+                parse(argv)
+                code = None
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            return captured.out, captured.err, code
+
+        argvs = [["--help"], [], ["pancake"], ["seed"], ["seed", "--n", "3", "extra"], ["check", "pancake", "--n", "3"]]
+        argvs += [[verb, "--help"] for verb in cli.VERBS]
+        for argv in argvs:
+            got = outcome(main, argv)
+            assert got == outcome(lambda a: cli.build_parser().parse_args(a), argv), argv
+            assert got[2] in (0, 2) and (got[0] or got[1]), argv
+        assert set(cli.VERBS) == {"seed", "quiver", "bracket", "mutate", "check", "cybe"}

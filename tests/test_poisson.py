@@ -684,7 +684,9 @@ class TestDerivedTables:
         # fresh ones field by field, for the structure's operators (a pair's
         # exotic one and its standard companion) and their zero-r0
         # versions, on the seed functions and the coordinates; the
-        # derivation makes no pass over f's terms.
+        # derivation makes no pass over f's terms, and a half whose
+        # diagonal matrix M equals like's (exotic and companion share c)
+        # takes like's parts as they are.
         triple = BDTriple(n, *pair) if pair else None
         modes = (False, True) if pair else (True,)
         ops = [
@@ -709,6 +711,9 @@ class TestDerivedTables:
                     got = gradient_tables(f, op, like=like)
                     for field in poisson.Tables._fields:
                         assert getattr(got, field) == getattr(want, field), (field, str(f), like.op, op)
+                    for h, (M, _) in enumerate(op.halves):
+                        if M == like.op.halves[h][0]:
+                            assert got.halves[h].parts is like.halves[h].parts
                     # Both halves, R_+ and R_-, each with a slot per entry
                     # of its off-diagonal list on F and on F'.
                     assert [len(h.right) for h in got.halves] == [2 * len(off) for _, off in op.halves]
@@ -731,7 +736,7 @@ class TestSlicedPairTest:
         # which derive the bracket's products per pair from the degree
         # classes and the operator, in R_+ and in R_- = R_+ - id: the pair
         # test lists the products of the half with fewer (R_+ on a tie),
-        # with their weights and pair_products count, and gives the same
+        # with their weights and _half's product count, and gives the same
         # omega or the same failure as one whole accumulation in either
         # half; forced into either half, it gives the same omega or the
         # same NotLogCanonical text.  The pair test's sums, zero sums
@@ -753,7 +758,7 @@ class TestSlicedPairTest:
                 half = min((0, 1), key=lambda h: (halves[h][2], h))
                 omega, whole, products = halves[half]
                 assert halves[1 - half][0] == omega, where
-                assert poisson.pair_products(ta, tb) == products <= halves[1 - half][2], where
+                assert poisson._half(ta, tb) == (products, half) and products <= halves[1 - half][2], where
                 assert poisson._pairing(ta, tb) == class_pairing(ta, tb, half), where
                 forced = {_in_half(h, coefficient_from_tables, ta, tb) for h in (0, 1)}
                 assert len(forced) == 1, (where, forced)
@@ -786,7 +791,7 @@ class TestSlicedPairTest:
         ws = Workspace(BDTriple(5, 1, 4))
         cluster, op = ws.cluster(), ws.op()
         ta, tb = (gradient_tables(cluster.functions[lab], op) for lab in ((1, 2), (2, 3)))
-        assert poisson.pair_products(ta, tb) == 1_391_532
+        assert poisson._half(ta, tb)[0] == 1_391_532
         made = _spy_accumulate(monkeypatch)
         assert coefficient_from_tables(ta, tb) == Fraction(1, 5)
         assert len(made) > 1
@@ -801,9 +806,9 @@ class TestSlicedPairTest:
         made = _spy_accumulate(monkeypatch)
         real = coefficient_from_tables
 
-        def counted(ta, tb):
+        def counted(ta, tb, half=None):
             made.clear()
-            out = real(ta, tb)
+            out = real(ta, tb, half)
             calls.append(len(made))
             return out
 
@@ -903,13 +908,13 @@ class TestSweeps:
             omega_sweep([ring.x(1, 1), ring.x(2, 2)], op, processes=value)
 
     def test_pair_products_once_per_sweep(self, monkeypatch):
-        # The workspace hands its pair_products list to the sweep, which
-        # would otherwise count them again to plan its pool.  Each count is
-        # that of the half, R_+ or R_-, with fewer products (class_pairing
-        # lists them), and the same list plans the pool and gives the
-        # logcanon details.
+        # The workspace hands its sweep plan to the sweep, which would
+        # otherwise count the products again to plan its pool.  Each pair's
+        # count is that of the half, R_+ or R_-, with fewer products
+        # (class_pairing lists them), and the same plan plans the pool and
+        # gives the logcanon details.
         calls = []
-        real = poisson.pair_products
+        real = poisson._half
         real_sweep = poisson.omega_sweep
         planned = []
 
@@ -917,35 +922,54 @@ class TestSweeps:
             calls.append((ta, tb))
             return real(ta, tb)
 
-        def sweep(*args, products=None, **kwargs):
-            planned.append(products)
-            return real_sweep(*args, products=products, **kwargs)
+        def sweep(*args, plan=None, **kwargs):
+            planned.append(plan)
+            return real_sweep(*args, plan=plan, **kwargs)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(poisson, "pair_products", counted)
-        monkeypatch.setattr(verify, "pair_products", counted)
+        monkeypatch.setattr(poisson, "_half", counted)
         monkeypatch.setattr(verify, "omega_sweep", sweep)
         ws = Workspace(BDTriple(4, 1, 3), processes=2)
         labels, omegas, failures = ws.omega()
         L = len(labels)
         assert failures == [] and len(omegas) == L * (L - 1) // 2
-        assert len(calls) == len(ws.sweep_products) == L * (L - 1) // 2
-        assert planned == [ws.sweep_products] and planned[0] is ws.sweep_products
+        assert len(calls) == len(ws.sweep_plan) == L * (L - 1) // 2
+        assert planned == [ws.sweep_plan] and planned[0] is ws.sweep_plan
+        products = [p for p, _ in ws.sweep_plan]
         cheaper_minus = 0
-        for (ta, tb), got in zip(calls, ws.sweep_products):
+        for (ta, tb), (got, half) in zip(calls, ws.sweep_plan):
             counts = [sum(len(a) * len(b) for a, b, _ in sum(class_pairing(ta, tb, h), [])) for h in (0, 1)]
-            assert got == min(counts)
+            assert got == min(counts) == counts[half]
+            assert half == (counts[1] < counts[0])
             cheaper_minus += counts[1] < counts[0]
         assert cheaper_minus
         details = verify.check_log_canonical(ws)[1]
-        assert (details["products"], details["max_pair_products"]) == (sum(ws.sweep_products), max(ws.sweep_products))
+        assert (details["products"], details["max_pair_products"]) == (sum(products), max(products))
+
+    def test_half_once_per_swept_pair(self, monkeypatch):
+        # A serial (4,1,3) sweep decides each of its 120 pairs' half once,
+        # in the sweep plan, and each pair test sums in that half: 120 calls
+        # of _half, where choosing again in every pair test made 240.  The
+        # logcanon details read the same plan.
+        calls = []
+        real = poisson._half
+
+        def counted(ta, tb):
+            calls.append((ta, tb))
+            return real(ta, tb)
+
+        monkeypatch.setattr(poisson, "_half", counted)
+        rep = verify.run_checks(["logcanon"], triple=BDTriple(4, 1, 3), processes=1)[0]
+        assert rep.passed and rep.details["pairs"] == 120
+        assert len(calls) == 120
+        assert (rep.details["products"], rep.details["max_pair_products"]) == (22_449, 8_074)
 
     def test_failed_sweep_clears_its_state(self, monkeypatch):
         # A pair test that raises, as MemoryError does at n = 6, must not
         # leave the sweep's tables alive in a process that catches it.
         funcs, op, tables = _seed_tables(BDTriple(4, 1, 3))
 
-        def exhaust(ta, tb):
+        def exhaust(ta, tb, half=None):
             raise MemoryError
 
         monkeypatch.setattr(poisson, "coefficient_from_tables", exhaust)
@@ -1001,7 +1025,7 @@ class TestSweeps:
         for triple in ((4, 1, 3), (5, 1, 3), (5, 2, 4)):
             funcs, op, tables = _seed_tables(BDTriple(*triple))
             pairs = [(ia, ib) for ia in range(len(funcs)) for ib in range(ia + 1, len(funcs))]
-            assert sum(poisson.pair_products(tables[ia], tables[ib]) for ia, ib in pairs) < poisson.POOL_MIN_PRODUCTS
+            assert sum(products for products, _ in poisson.sweep_plan(tables)) < poisson.POOL_MIN_PRODUCTS
             omegas, failures = omega_sweep(funcs, op, processes=2, tables=tables)
             assert failures == [] and len(omegas) == len(pairs), triple
 

@@ -22,7 +22,8 @@ from bdcluster.polymat import (
     row_replace,
     second_family,
 )
-from oracles import build_Mtilde_shift
+from bdcluster.bdseed import BDTriple, initial_cluster, standard_cluster
+from oracles import build_Mtilde_shift, derivative_tables
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -387,6 +388,41 @@ class TestReplacements:
         with pytest.raises(ExponentOverflow):
             row_replace(f, 1, 1)
 
+    def test_tables_match_derivative_oracle_on_seeds(self):
+        # The templated pass against partial_derivative, entry by entry,
+        # with the degree classes and the largest exponents: every function
+        # of every exotic, standard and SL seed with n <= 5, and every
+        # coordinate.
+        funcs = {}
+        for n in range(2, 6):
+            ring = PolyRing(n)
+            seeds = [standard_cluster(n, sl=sl) for sl in (False, True)]
+            seeds += [initial_cluster(BDTriple(n, a, b), sl=sl)
+                      for a in range(1, n) for b in range(a + 1, n) for sl in (False, True)]
+            coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            for f in [*coords, *(f for seed in seeds for f in seed.functions.values())]:
+                funcs.setdefault(frozenset(f._d.items()), f)
+        assert len(funcs) > 100
+        for f in funcs.values():
+            _assert_tables_match_oracle(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_tables_match_derivative_oracle_on_random_polynomials(self, data):
+        # Random polynomials in x and y with exponents up to 3, and the zero
+        # polynomial (no terms).
+        n = data.draw(st.integers(2, 4))
+        ring = PolyRing(n)
+        variables = [(s, i, j) for s in ring.symbols for i in range(1, n + 1) for j in range(1, n + 1)]
+        f = ring.zero
+        for _ in range(data.draw(st.integers(0, 6))):
+            term = ring.const(data.draw(st.fractions(-3, 3, max_denominator=3)))
+            for v, e in data.draw(st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=4)).items():
+                term = term * ring.var(*v) ** e
+            f = f + term
+        _assert_tables_match_oracle(f)
+        _assert_tables_match_oracle(ring.zero)
+
     def test_shift_variant_first_family(self):
         m = build_Mtilde_shift(R4, 2, 3, 3, 1)
         plain = build_Mtilde(R4, 2, 3, 3, 1)
@@ -404,6 +440,18 @@ class TestReplacements:
     def test_shift_variant_rejects_ordinary_labels(self):
         with pytest.raises(IndexNotSpecial):
             build_Mtilde_shift(R4, 2, 3, 2, 1)
+
+
+def _assert_tables_match_oracle(f):
+    got, want = _replacement_tables(f), derivative_tables(f)
+    for T, U in zip(got[:2], want[:2]):
+        assert len(T) == len(U) == f.ring.n
+        for i, (row, wrow) in enumerate(zip(T, U)):
+            assert len(row) == len(wrow) == f.ring.n
+            for j, (entry, wentry) in enumerate(zip(row, wrow)):
+                assert entry == wentry, (str(f), i, j)
+    assert got[2] == want[2], str(f)
+    assert got[3] == want[3], str(f)
 
 
 def _layout_lines(n):

@@ -75,9 +75,9 @@ class TestIndividualChecks:
         assert (rep.n, rep.alpha, rep.beta) == (3, 1, 2)
         assert rep.details["failures"] == 0
         assert rep.details["pairs"] == 9 * 8 // 2
-        # The sum and the largest of pair_products over the 36 pairs, each
-        # pair in the half of the operator, R_+ or R_-, with fewer products
-        # (607 and 138 in R_+ alone).
+        # The sum and the largest of the planned products over the 36
+        # pairs, each pair in the half of the operator, R_+ or R_-, with
+        # fewer products (607 and 138 in R_+ alone).
         assert (rep.details["products"], rep.details["max_pair_products"]) == (517, 138)
 
     def test_compatibility_sign(self):
@@ -425,9 +425,9 @@ class TestPairTest:
         real = poisson.coefficient_from_tables
         callers = set()
 
-        def spy(ta, tb):
+        def spy(ta, tb, half=None):
             callers.add(sys._getframe(1).f_code.co_name)
-            return real(ta, tb)
+            return real(ta, tb, half)
 
         modules = [bdcluster, bdseed, cli, poisson, polymat, polyring, quiver, verify]
         for module in modules:
