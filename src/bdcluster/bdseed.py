@@ -2,8 +2,13 @@
 
 A Belavin-Drinfeld pair here is a single pair of simple roots
 (alpha, beta) with alpha != beta; the map sends alpha to beta.  Pairs
-with alpha > beta are normalized by transposition to alpha < beta, and
-the flag remembering this is carried along.
+with alpha > beta are normalized to alpha < beta, and BDTriple.transposed
+records that, but no builder reads it.  So a reversed pair builds and
+checks the alpha -> beta structure, not the beta -> alpha one: `check all
+--n 3 --alpha 2 --beta 1` checks the 1 -> 2 structure and reports
+alpha=1 beta=2.  Building beta -> alpha is item 2 of ROADMAP.md; it waits
+for a re-record of the benchmark, whose check-all-4-3-1 digest pins the
+present behaviour.
 
 The standard seed consists of the trailing minors f_ij = det of the
 largest contiguous submatrix of X with upper-left corner (i, j) hugging
@@ -38,7 +43,12 @@ class EqualRoots(ValueError):
 
 @dataclass(frozen=True)
 class BDTriple:
-    """A normalized minimal Belavin-Drinfeld pair alpha < beta on sl(n)."""
+    """A normalized minimal Belavin-Drinfeld pair alpha < beta on sl(n).
+
+    transposed says the pair was given as beta, alpha.  Only the seed
+    verb's JSON output reads it: every structure, reversed or not, is the
+    alpha -> beta one (see the module docstring).
+    """
 
     n: int
     alpha: int

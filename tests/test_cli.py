@@ -134,6 +134,11 @@ class TestBracket:
         assert rc == 2
         assert "label" in err
 
+    def test_non_integer_label(self, capsys):
+        rc, out, err = run(capsys, "bracket", "--n", "2", "--f", "1,x", "--g", "2,2")
+        assert (rc, out) == (2, "")
+        assert err == "error: label must be two integers, got '1,x'\n"
+
 
 class TestMutate:
     def test_standard_exchange(self, capsys):
@@ -173,6 +178,11 @@ class TestMutate:
         rc, _, err = run(capsys, "mutate", "--n", "3", "--at", "1,1")
         assert rc == 2
         assert "error:" in err
+
+    def test_unknown_vertex_errors(self, capsys):
+        rc, out, err = run(capsys, "mutate", "--n", "3", "--at", "9,9")
+        assert (rc, out) == (2, "")
+        assert err == "error: (9, 9) is not a vertex\n"
 
 
 class TestCheck:

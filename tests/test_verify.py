@@ -282,6 +282,59 @@ class TestFaults:
         assert Fault("zero-r0") is Fault.ZERO_R0
 
 
+class TestPlantedDefects:
+    """Neither fault reaches rank, stable or rplus, so each is shown to
+    fail, with its witness, on a defect planted in the workspace."""
+
+    def test_rank_deficient_exchange_matrix(self, monkeypatch):
+        # Without its arcs, the mutable vertex (2, 2) has a zero row.
+        real = Workspace.quiver
+
+        def cut(self):
+            q = real(self)
+            return replace(q, arcs={arc: w for arc, w in q.arcs.items() if (2, 2) not in arc})
+
+        monkeypatch.setattr(Workspace, "quiver", cut)
+        [rep] = run_checks(["rank"], triple=T312)
+        assert rep.status == "fail"
+        assert rep.witnesses == ["rank is 5, expected 6"]
+
+    def test_extra_frozen_label(self, monkeypatch):
+        real = Workspace.cluster
+
+        def frozen_22(self):
+            c = real(self)
+            return replace(c, frozen=c.frozen | {(2, 2)})
+
+        monkeypatch.setattr(Workspace, "cluster", frozen_22)
+        [rep] = run_checks(["stable"], triple=T312)
+        assert rep.status == "fail"
+        assert rep.witnesses == ["4 frozen variables, expected 3"]
+
+    def test_halves_without_the_tensors_wedge(self, monkeypatch):
+        # The tensor reads op.wedge and the closed form reads op.halves, so
+        # they disagree on the wedge's two source units, e[alpha, alpha+1]
+        # and e[beta+1, beta].
+        class WedgeDropped(poisson.RPlusOperator):
+            @property
+            def halves(self):
+                return poisson.RPlusOperator(self.n, self.c).halves
+
+        real = Workspace.op
+
+        def wedge_dropped(self, standard=None):
+            op = real(self, standard)
+            return WedgeDropped(op.n, op.c, op.wedge)
+
+        monkeypatch.setattr(Workspace, "op", wedge_dropped)
+        [rep] = run_checks(["rplus"], triple=BDTriple(4, 1, 3))
+        assert rep.status == "fail"
+        assert rep.witnesses == [
+            "operator and tensor disagree on unit e[1,2]",
+            "operator and tensor disagree on unit e[4,3]",
+        ]
+
+
 class TestReports:
     def test_report_dict_shape(self):
         rep = one("rank", T312)
