@@ -33,7 +33,13 @@ come from one pass over the terms of f (polymat._replacement_tables,
 which reads a template made once per size n), as term dicts, off the
 diagonal only: F_ii and F'_ii are f with each
 term times its degree in column or row i (Euler), which f's degree
-classes give.
+classes give.  The tables of a function that fits polyring's 4-bit
+table keys (every seed function and coordinate) are keyed by them, so
+every product of a pair test adds and hashes a key a quarter of a ring
+key's size; a pair whose tables differ in layout runs in ring keys
+(_one_layout), and keys go back to ring keys only where a user sees
+them: bracket_from_tables' bracket, a failing pair's division and
+bracketdiff's witness (_ring_sum, _ring_keys).
 
 Since <F, G> = tr(grad f X grad g X) = <F', G'>, the same bracket is
 <R_-(F), G> - <R_-(F'), G'> for R_- = R_+ - id, which takes minus the
@@ -63,7 +69,8 @@ leading monomial of f g and lc that monomial's coefficient, so a
 log-canonical pair forms neither the bracket nor f g and makes one
 Fraction, omega = W / (lc n^2); a heavy sum goes one first-row slice
 at a time (polyring's one slicing rule), and a failing pair divides the
-bracket's products by f g for its witness, never forming the bracket.
+bracket's products, in ring keys, by f g for its witness, never forming
+the bracket.
 omega_sweep runs it over all pairs by a per-pair plan (sweep_plan), each
 pair's (products, half) decided once by _half, the one place the half
 is chosen: the half goes to the pair's test, and sweeps of
@@ -359,7 +366,7 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 # Sklyanin bracket
 
 
-Tables = namedtuple("Tables", "F Fp f classes top op lead halves")
+Tables = namedtuple("Tables", "F Fp f classes top op lead halves nibbles")
 
 # What the pair tests of f read for one half of the operator, R_+ or R_-.
 Half = namedtuple("Half", "parts left right lsizes rsizes")
@@ -369,10 +376,13 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
     """The tables of f for op: F_ij, the terms of col_replace(f, i, j),
     F'_ij, those of row_replace(f, j, i), for i != j (the diagonal entries
     are None), f, its degree classes {(column degrees, row degrees): part
-    of f} and the packed key of its maximum exponents, from one pass over
-    f's terms, or taken from like, the tables of f for another operator,
-    since none of them reads op; lead, (index of its class, monomial) of
-    f's leading term, None for f = 0; then op and, for each of its halves
+    of f} and the packed ring key of its maximum exponents (top), from one
+    pass over f's terms, or taken from like, the tables of f for another
+    operator, since none of them reads op; nibbles, whether the entries
+    and parts are keyed by table keys, as they are when f fits them
+    (PolyRing.fits_nibbles), or else by ring keys; lead, (key, index of
+    its class, coefficient) of f's leading term, None for f = 0, in the
+    same keys; then op and, for each of its halves
     R_+ and R_- (RPlusOperator.halves), what each pair test of f reads
     there (_pairing).  A half's parts lists (part, u_c, v_c) for each class
     c, with u_c = (M col(c), -M row(c)) for the half's diagonal matrix M
@@ -384,11 +394,10 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
     like's when that half has the same M, as a pair's standard companion
     has.  Entries are term dicts, with int coefficients when f's are."""
     if like is None:
-        F, Fp, classes, top = _replacement_tables(f)
-        lm = max(f._d, default=None)
-        lead = next(((i, lm) for i, part in enumerate(classes.values()) if lm in part), None)
+        F, Fp, classes, top, nibbles = _replacement_tables(f)
+        lead = _lead(classes)
     else:
-        F, Fp, classes, top, lead = like.F, like.Fp, like.classes, like.top, like.lead
+        F, Fp, classes, top, lead, nibbles = like.F, like.Fp, like.classes, like.top, like.lead, like.nibbles
     halves = []
     for h, (M, entries) in enumerate(op.halves):
         if like is not None and like.op.halves[h][0] == M:
@@ -404,7 +413,58 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
         left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
         right = [b for _, b, _ in slots]
         halves.append(Half(parts, left, right, tuple(len(a) for a, _, _ in slots), tuple(map(len, right))))
-    return Tables(F, Fp, f, classes, top, op, lead, tuple(halves))
+    return Tables(F, Fp, f, classes, top, op, lead, tuple(halves), nibbles)
+
+
+def _lead(classes) -> Optional[Tuple[int, int, int]]:
+    """(key, index of its class, coefficient) of the leading term of the
+    degree classes' parts, None when there is no term."""
+    if not classes:
+        return None
+    parts = list(classes.values())
+    m, i = max((max(part), i) for i, part in enumerate(parts))
+    return m, i, parts[i][m]
+
+
+def _ring_keys(ring):
+    """A map of term dicts from table keys to ring keys
+    (PolyRing.from_nibbles) that maps each distinct dict once."""
+    done: dict = {}
+
+    def back(terms):
+        if id(terms) not in done:
+            done[id(terms)] = ring.from_nibbles(terms)
+        return done[id(terms)]
+
+    return back
+
+
+def _one_layout(ta: Tables, tb: Tables) -> Tuple[Tables, Tables]:
+    """ta and tb with their keys in one layout: as they are, or, when one
+    is in table keys and the other is not, with the first one's every
+    term dict mapped back to ring keys, so the pair runs in ring keys."""
+    if ta.nibbles == tb.nibbles:
+        return ta, tb
+    t = ta if ta.nibbles else tb
+    back = _ring_keys(t.f.ring)
+    F, Fp = ([[e if e is None else back(e) for e in row] for row in T] for T in (t.F, t.Fp))
+    classes = {degs: back(part) for degs, part in t.classes.items()}
+    halves = tuple(
+        h._replace(parts=[(back(p), u, v) for p, u, v in h.parts], left=[(s, back(a), co) for s, a, co in h.left],
+                   right=[back(b) for b in h.right])
+        for h in t.halves
+    )
+    t = t._replace(F=F, Fp=Fp, classes=classes, lead=_lead(classes), halves=halves, nibbles=False)
+    return (t, tb) if ta.nibbles else (ta, t)
+
+
+def _ring_sum(t: Tables, products) -> dict:
+    """The nonzero sums of products (PolyRing.accumulate) over term dicts
+    in the key layout of t, keyed by ring keys."""
+    ring = t.f.ring
+    acc = ring.accumulate(products, guard=not t.nibbles)
+    acc = {m: c for m, c in acc.items() if c}
+    return ring.from_nibbles(acc) if t.nibbles else acc
 
 
 def _half(ta: Tables, tb: Tables) -> Tuple[int, int]:
@@ -433,10 +493,12 @@ def _pairing(ta: Tables, tb: Tables, half: Optional[int] = None):
     row(d) M row(c) = u_c . v_d; every class pair is listed, in the order
     of f's classes then g's, weight 0 included.  The off-diagonal
     products pair each slot's F_s of f with the same slot's G_t' of g,
-    both nonzero.
+    both nonzero.  The factors are the tables' own term dicts, so ta and
+    tb must share one key layout (_one_layout).
     """
     # A class pair of weight 0 never reaches the kernel and its exponent
-    # guard, so f g is guarded as a whole, by its largest exponents.
+    # guard, so f g is guarded as a whole, by its largest exponents, in
+    # ring keys whatever the tables' layout.
     ta.f.ring.check_exponents((ta.top + tb.top,))
     if half is None:
         half = _half(ta, tb)[1]
@@ -448,10 +510,9 @@ def _pairing(ta: Tables, tb: Tables, half: Optional[int] = None):
 def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
     """n^2 {f, g} from the tables of f and g for one operator (_pairing),
     summed by the ring's product kernel."""
-    ring = ta.f.ring
+    ta, tb = _one_layout(ta, tb)
     diagonal, off_diagonal = _pairing(ta, tb)
-    acc = ring.accumulate(diagonal + off_diagonal)
-    return Poly(ring, {m: c for m, c in acc.items() if c})
+    return Poly(ta.f.ring, _ring_sum(ta, diagonal + off_diagonal))
 
 
 def sklyanin_bracket(f: Poly, g: Poly, op: RPlusOperator) -> Poly:
@@ -470,18 +531,20 @@ def coefficient_from_tables(ta: Tables, tb: Tables, half: Optional[int] = None) 
     over every class pair, so the pair (c, d) carries the weight
     lc w(c, d) - W, and each off-diagonal product of _pairing carries lc
     times its coefficient.  PolyRing.slices groups these products by the
-    monomials' exponents in X's first row, and omega = W / (lc n^2) when
+    monomials' exponents in X's first row (nibble_row_mask on table keys,
+    first_row_mask on ring keys), and omega = W / (lc n^2) when
     every group's sum is 0.  At the first group with a nonzero sum, the
     exact division of the bracket's products (_pairing) by f g decides:
     a constant quotient is omega, and any other quotient or a remainder
     raises NotLogCanonical with its reason.
     """
+    ta, tb = _one_layout(ta, tb)
     f, g, op = ta.f, tb.f, ta.op
     diagonal, off_diagonal = _pairing(ta, tb, half)
     if ta.lead is None or tb.lead is None:
         return Fraction(0)
-    (cf, lf), (cg, lg) = ta.lead, tb.lead
-    L, lc = lf + lg, f._d[lf] * g._d[lg]
+    (lf, cf, af), (lg, cg, ag) = ta.lead, tb.lead
+    L, lc = lf + lg, af * ag
     # Only lead f times lead g reaches L in f g, so on the diagonal W
     # comes from the class pair of the two leading terms alone.
     W = lc * diagonal[cf * len(tb.classes) + cg][2]
@@ -491,15 +554,20 @@ def coefficient_from_tables(ta: Tables, tb: Tables, half: Optional[int] = None) 
         # Packed keys add without carry, so a hit at L - m is exactly one
         # factorization of L.
         W += co * sum(a.get(L - mb, 0) * cb for mb, cb in b.items())
-    ring = f.ring
+    ring, nibbles = f.ring, ta.nibbles
     products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
+    mask = ring.nibble_row_mask if nibbles else ring.first_row_mask
     # Each slice's sums are freed before the next slice is accumulated.
-    if any(any(ring.accumulate(group).values()) for group in ring.slices(products, ring.first_row_mask)):
+    if any(any(ring.accumulate(group, guard=not nibbles).values()) for group in ring.slices(products, mask)):
         # The quotient is authoritative, so a wrong nonzero sum could cost
         # only time, never a verdict.  A zero bracket has W = 0 and zero
-        # sums, so it never gets here.
+        # sums, so it never gets here.  The division runs in ring keys.
+        dividend = diagonal + off_diagonal
+        if nibbles:
+            back = _ring_keys(ring)
+            dividend = [(back(a), back(b), w) for a, b, w in dividend]
         try:
-            quo = _divide(diagonal + off_diagonal, f * g)
+            quo = _divide(dividend, f * g)
         except NotDivisible as e:
             raise NotLogCanonical(f"bracket is not divisible by the product: {e}") from None
         if len(quo) != 1 or 0 not in quo:
@@ -535,11 +603,11 @@ _SWEEP: dict = {}
 
 # A sweep forks its pool only when its pairs together take at least this
 # many term products (sweep_plan).  On a 2-vCPU host two CPU-bound
-# processes each run at 55-100% of their solo speed, so a two-worker pool
-# gained no wall time and took 35-45% more CPU on the cold (5,1,3) and
-# (5,2,4) sweeps of 482,000 and 431,000 products (0.150 against 0.147 s,
-# 0.149 against 0.151 s) and won on (5,1,4) at 3.0 million (0.64 against
-# 0.97 s).
+# processes each run at 55-100% of their solo speed.  On table keys, cold
+# and median of 8 alternated runs, a two-worker pool lost wall time and
+# took 60-65% more CPU on the (5,1,3) and (5,2,4) sweeps of 450,000 and
+# 353,000 products (0.096 against 0.087 s, 0.086 against 0.078 s), and
+# won on (5,1,4) at 2.8 million (0.38 against 0.52 s).
 POOL_MIN_PRODUCTS = 1_000_000
 
 

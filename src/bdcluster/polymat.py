@@ -186,14 +186,15 @@ def build_Mtilde(
 
 
 @cache
-def _template(ring: PolyRing):
-    """The table pass's template for the ring's size n, made once per n:
-    for each variable x[a,b] in x_units order, (b, a, targets), targets
+def _template(ring: PolyRing, nibbles: bool):
+    """The table pass's template for the ring's size n and key layout,
+    table keys (nibbles) or ring keys, made once per n and layout: for
+    each variable x[a,b] in x_units order, (b, a, targets), targets
     listing (slot, delta) for every off-diagonal entry of F and F' that
     x[a,b] reaches, slot b*n + t for F[b][t] and n*n + t*n + a for
     F'[t][a], and delta the key of x[a,t] (x[t,b] for F') less that of
     x[a,b]."""
-    n, unit = ring.n, ring.x_units
+    n, unit = ring.n, ring.nibble_units if nibbles else ring.x_units
     return tuple(
         (b, a, tuple([(b * n + t, unit[a * n + t] - unit[a * n + b]) for t in range(n) if t != b]
                      + [(n * n + t * n + a, unit[t * n + b] - unit[a * n + b]) for t in range(n) if t != a]))
@@ -207,8 +208,12 @@ def _replacement_tables(f: Poly):
     term dicts, with 1-based F[i][j] the terms of col_replace(f, i, j) and
     F'[i][j] those of row_replace(f, j, i) for i != j, and None on the
     diagonal; f's degree classes {(column degrees, row degrees): {monomial:
-    coefficient}}; and the packed key of f's maximum exponent in each
-    variable.
+    coefficient}}; the packed key of f's maximum exponent in each
+    variable; and whether the entries and classes are keyed by table keys
+    (PolyRing.nibble_key), as they are when that key fits them
+    (PolyRing.fits_nibbles), or else by ring keys.  Each term's key is
+    made once, and every entry key is it plus a template delta of the
+    same layout.
 
     A term c*m holding x[a,b]^e differentiates to c*e*m/x[a,b], so it
     adds c*e*m*x[a,t]/x[a,b] to F[b][t] and c*e*m*x[t,b]/x[a,b] to
@@ -221,7 +226,9 @@ def _replacement_tables(f: Poly):
     """
     ring = f.ring
     n = ring.n
-    template = _template(ring)
+    top = ring.top(f._d)
+    nibbles = ring.fits_nibbles(top)
+    template = _template(ring, nibbles)
     # F[i][j] accumulates in entries[i*n + j] and F'[i][j] in entries[n*n + i*n + j].
     entries = [{} for _ in range(2 * n * n)]
     classes: dict = {}
@@ -229,6 +236,7 @@ def _replacement_tables(f: Poly):
     for m, c in f._d.items():
         cdeg, rdeg = [0] * n, [0] * n
         exps = ring.x_exponents(m)
+        key = ring.nibble_key(exps) if nibbles else m
         for k in compress(variables, exps):
             e = exps[k]
             b, a, targets = template[k]
@@ -237,22 +245,24 @@ def _replacement_tables(f: Poly):
             ce = c * e
             for slot, delta in targets:
                 acc = entries[slot]
-                key = m + delta
-                acc[key] = acc.get(key, 0) + ce
-        classes.setdefault((tuple(cdeg), tuple(rdeg)), {})[m] = c
-    # Each key is m / x[a,b] times x[a,t] or x[t,b], a sum of keys, so the
-    # guard applies to the union of each entry's keys, cancelled ones too.
+                made = key + delta
+                acc[made] = acc.get(made, 0) + ce
+        classes.setdefault((tuple(cdeg), tuple(rdeg)), {})[key] = c
+    # Each ring key is m / x[a,b] times x[a,t] or x[t,b], a sum of keys, so
+    # the guard applies to the union of each entry's keys, cancelled ones
+    # too.  Table keys need none: every exponent stays at most 7.
     seen = 0
     for s, acc in enumerate(entries):
         if acc:
-            seen |= reduce(or_, acc)
+            if not nibbles:
+                seen |= reduce(or_, acc)
             if 0 in acc.values():
                 entries[s] = {k: v for k, v in acc.items() if v}
     ring.check_exponents((seen,))
     rows = [entries[i : i + n] for i in range(0, 2 * n * n, n)]
     for i in range(n):
         rows[i][i] = rows[n + i][i] = None
-    return rows[:n], rows[n:], classes, ring.top(f._d)
+    return rows[:n], rows[n:], classes, top, nibbles
 
 
 def _replacement(f: Poly, i: int, j: int, rows: bool) -> Poly:
@@ -262,12 +272,14 @@ def _replacement(f: Poly, i: int, j: int, rows: bool) -> Poly:
     n = f.ring.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"{'row' if rows else 'column'} index outside 1..{n}")
-    F, Fp, classes, _ = _replacement_tables(f)
+    F, Fp, classes, _, nibbles = _replacement_tables(f)
     if i != j:
-        return Poly(f.ring, Fp[j - 1][i - 1] if rows else F[i - 1][j - 1])
-    side = 1 if rows else 0
-    return Poly(f.ring, {m: c * degs[side][i - 1] for degs, part in classes.items() if degs[side][i - 1]
-                         for m, c in part.items()})
+        terms = Fp[j - 1][i - 1] if rows else F[i - 1][j - 1]
+    else:
+        side = 1 if rows else 0
+        terms = {m: c * degs[side][i - 1] for degs, part in classes.items() if degs[side][i - 1]
+                 for m, c in part.items()}
+    return Poly(f.ring, f.ring.from_nibbles(terms) if nibbles else terms)
 
 
 def col_replace(f: Poly, i: int, j: int) -> Poly:

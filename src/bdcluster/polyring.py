@@ -19,19 +19,33 @@ neighbouring byte.
 Only this module reads the layout: every product of polynomials runs
 through one kernel, PolyRing.accumulate, every exponent test through one
 guard, PolyRing.check_exponents, and other modules read keys only
-through x_units, x_exponents and top.  Once a sum of products reaches
-SLICE_PRODUCTS term products, PolyRing.slices splits it into slices, a
-slice being the terms whose keys agree under a mask, so that each slice
-is accumulated and freed before the next.  Every exact division, the
-pair test's of poisson included, is _divide: it slices its dividend by
-the variables the divisor lacks and hands each slice to the kernel
-_reduce, which walks only the terms that the divisor's leading term
-divides.  _divide also cuts its keys to the bytes in use, shifting out
-the low bytes that no operand key uses, so the kernel of a division in
-x alone never carries the y bytes.  Outside _divide keys keep every
-byte, y's included, since stored digests hash raw keys; once the ring
-holds x alone, the cut is usually empty.  The pair test itself sums one
-first-row slice at a time.
+through x_units, x_exponents and top, and table keys (below) only
+through the nibble_ and fits_nibbles helpers.  Once a sum of products
+reaches SLICE_PRODUCTS term products, PolyRing.slices splits it into
+slices, a slice being the terms whose keys agree under a mask, so that
+each slice is accumulated and freed before the next.  Every exact
+division, the pair test's of poisson included, is _divide: it slices its
+dividend by the variables the divisor lacks and hands each slice to the
+kernel _reduce, which walks only the terms that the divisor's leading
+term divides.  _divide also cuts its keys to the bytes in use, shifting
+out the low bytes that no operand key uses, so the kernel of a division
+in x alone never carries the y bytes.  Poly keys keep every byte, y's
+included, since stored digests hash raw keys; once the ring holds x
+alone, the cut is usually empty.
+
+The gradient tables of poisson carry table keys instead when the
+function fits them (fits_nibbles: no y, and no exponent above 6): x
+alone, 4 bits per variable, x[1,1] on top, so a table key is a quarter
+of a ring key and still orders as it does.  A table entry raises one
+exponent by 1, so its fields are at most 7, and the sum of two table
+keys is at most 14 in every field: a pair test's sum never carries into
+a neighbouring field, and accumulate skips its guard there (guard off),
+the ring guard on the two functions' largest exponents covering the
+pair.  The table pass makes each term's table key once (nibble_key) and
+adds template deltas built from nibble_units; the pair test slices by
+nibble_row_mask, X's first row; from_nibbles maps table keys back to
+ring keys where a user sees them.  A function that does not fit keeps
+ring keys.  The pair test itself sums one first-row slice at a time.
 
 Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
 const, scalar products and exact_divide give ints for integral values;
@@ -53,6 +67,11 @@ VarId = Tuple[str, int, int]  # ("x" | "y", row, col), 1-based
 
 _BITS = 8
 _DIGIT_MASK = (1 << _BITS) - 1
+
+# Table keys give each x variable one hex digit; a function fits them when
+# no exponent exceeds _NIBBLE_TOP, so that sums of entries stay below 16.
+_NIBBLE_BITS = 4
+_NIBBLE_TOP = 6
 
 # A sum of this many term products or more is split into slices
 # (PolyRing.slices), so it holds one slice's monomials at once: at most
@@ -109,6 +128,12 @@ class PolyRing:
         # All ones on the bytes of x[1,1], ..., x[1,n]: a key's first-row part.
         self.first_row_mask = sum(_DIGIT_MASK << self._shift[k] for k in range(n))
         self._x_shift = (self.nvars - n * n) * _BITS
+        # nibble_units[k] is x_units[k] as a table key: x alone, x[1,1] in
+        # the top nibble, so table keys compare as the ring's do.
+        self.nibble_units = tuple(1 << (n * n - 1 - k) * _NIBBLE_BITS for k in range(n * n))
+        # All ones on the nibbles of X's first row: a table key's slice.
+        self.nibble_row_mask = ((1 << n * _NIBBLE_BITS) - 1) << (n * n - n) * _NIBBLE_BITS
+        self._nibble_hex = f"0{n * n}x"
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
 
@@ -145,6 +170,22 @@ class PolyRing:
         """The exponents of x[1,1], x[1,2], ..., x[n,n] in a monomial key."""
         return (mono >> self._x_shift).to_bytes(self.n * self.n, "big")
 
+    def fits_nibbles(self, top: int) -> bool:
+        """Whether a function whose largest exponents have the key top is
+        tabled in table keys: it holds no y, and no exponent above 6."""
+        return not top & ((1 << self._x_shift) - 1) and max(self.x_exponents(top)) <= _NIBBLE_TOP
+
+    def nibble_key(self, exps: bytes) -> int:
+        """The table key of the x exponents exps, as x_exponents gives
+        them, every one below 16: each byte's low hex digit."""
+        return int(exps.hex()[1::2], 16)
+
+    def from_nibbles(self, terms: Dict[int, Scalar]) -> Dict[int, Scalar]:
+        """The term dict terms, keyed by table keys, keyed by ring keys:
+        each hex digit of a table key becomes a byte."""
+        spec, shift = self._nibble_hex, self._x_shift
+        return {int("0" + "0".join(format(k, spec)), 16) << shift: c for k, c in terms.items()}
+
     def top(self, monos: Iterable[int]) -> int:
         """The key of the largest exponent of each variable over monos, 0
         for none: a byte-wise max of keys whose bytes are all below 0x80, as
@@ -165,10 +206,11 @@ class PolyRing:
         if reduce(or_, keys, 0) & self._himask:
             raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
 
-    def accumulate(self, products) -> Dict[int, Scalar]:
+    def accumulate(self, products, guard: bool = True) -> Dict[int, Scalar]:
         """sum of weight * a * b over (a, b, weight) in products, a and b
         term dicts, skipping weight 0, as one term dict.  Zero sums stay in,
-        and every key made is guarded, even one whose sum cancelled."""
+        and unless guard is off, as it is for table keys, which cannot
+        carry, every key made is guarded, even one whose sum cancelled."""
         acc: Dict[int, Scalar] = {}
         get = acc.get
         for a, b, scale in products:
@@ -181,7 +223,8 @@ class PolyRing:
                 for ma, ca in a.items():
                     k = ma + mb
                     acc[k] = get(k, 0) + ca * cb
-        self.check_exponents(acc)
+        if guard:
+            self.check_exponents(acc)
         return acc
 
     def slices(self, products, mask: int) -> Iterable[list]:

@@ -38,6 +38,7 @@ from .polyring import Poly
 from .poisson import (
     RPlusOperator,
     _pairing,
+    _ring_sum,
     build_r_tensor,
     gradient_tables,
     omega_sweep,
@@ -427,10 +428,12 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
                 (ef.Fp[a - 1][a], eg.Fp[b][b - 1], nn),
                 (ef.Fp[b][b - 1], eg.Fp[a - 1][a], -nn),
             ]
-            diff = {m: c for m, c in ring.accumulate(products).items() if c}
+            # Every coordinate's tables share one key layout.
+            diff = _ring_sum(ef, products)
             if diff:
                 witnesses.append(
-                    f"difference mismatch at coordinate pair ({ia}, {ib}): {unscale(Poly(ring, diff), n)}"
+                    f"difference mismatch at coordinate pair ({coords[ia]}, {coords[ib]}): "
+                    f"{unscale(Poly(ring, diff), n)}"
                 )
     return witnesses, {}
 

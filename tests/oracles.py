@@ -12,19 +12,23 @@ exponents from partial_derivative, variable by variable; class_pairing
 derives the bracket's products per pair from the tables' degree classes
 and the operator, in either half R_+ or R_- = R_+ - id, as the package
 did before its tables carried them; tensor_pairing reads the same
-bracket's products off the r tensor; whole_pair_sums is the pair test on
-class_pairing's products summed in one dict, as the package did before
-it summed one first-row slice at a time; cybe_all_pairs expands the
-Yang-Baxter bracket [[r,r]] over every pair of r's terms, as the package
-did before it paired index-matching terms only.  Each is a second path
-to something the package computes one way (block determinants, exact
-identities, exact division, the table pass, the bracket's products, the
-pair test, the Yang-Baxter check), so a test can compare the two.
+bracket's products off the r tensor; unpack maps the 4-bit table keys of
+the package's gradient tables back to ring keys byte by byte from
+x_units, and ring_keyed does so for a product list; whole_pair_sums is
+the pair test on class_pairing's products summed in one dict, in ring
+keys, as the package did before it summed one first-row slice at a time;
+cybe_all_pairs expands the Yang-Baxter bracket [[r,r]] over every pair
+of r's terms, as the package did before it paired index-matching terms
+only.  Each is a second path to something the package computes one way
+(block determinants, exact identities, exact division, the table pass,
+the bracket's products, the table keys, the pair test, the Yang-Baxter
+check), so a test can compare the two.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cache
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -219,17 +223,51 @@ def tensor_pairing(ta: Tables, tb: Tables, rt):
     return diagonal, off_diagonal
 
 
+@cache
+def _byte_units(ring):
+    """For each byte of a table key (4 bits per x variable, x[1,1] on
+    top), the ring key of each of its 256 values: the high nibble's
+    exponent times its variable's x_units key plus the low one's."""
+    nn = ring.n * ring.n
+    width = (nn + 1) // 2
+    # An odd count of variables leaves the top nibble of the first byte empty.
+    units = (0,) * (2 * width - nn) + ring.x_units
+    return width, [[units[2 * j] * (b >> 4) + units[2 * j + 1] * (b & 0xF) for b in range(256)] for j in range(width)]
+
+
+def unpack(terms, ring):
+    """The term dict terms, keyed by table keys, keyed by ring keys, built
+    byte by byte from x_units (_byte_units)."""
+    width, tables = _byte_units(ring)
+    return {sum(map(list.__getitem__, tables, k.to_bytes(width, "big"))): c for k, c in terms.items()}
+
+
+def ring_keyed(products, ring):
+    """products (a, b, weight) with each factor unpacked, each distinct
+    factor once."""
+    done = {}
+    for a, b, _ in products:
+        for t in (a, b):
+            if id(t) not in done:
+                done[id(t)] = unpack(t, ring)
+    return [(done[id(a)], done[id(b)], w) for a, b, w in products]
+
+
 def whole_pair_sums(ta: Tables, tb: Tables, half: int = 0):
     """(omega, sums, products) for the pair test of f and g in one half of
     the operator, from class_pairing alone: sums is the term dict of lc n^2
-    {f, g} - W f g accumulated in one dict, zero sums and all, omega = W /
-    (lc n^2) when every sum is 0, else None, and products the number of
-    term products listed.  lc is the coefficient of lead f + lead g in f g,
-    and W that of n^2 {f, g}, read off the whole bracket."""
+    {f, g} - W f g accumulated in one dict in ring keys, the products of
+    tables in table keys mapped back first (ring_keyed), zero sums and all,
+    omega = W / (lc n^2) when every sum is 0, else None, and products the
+    number of term products listed.  lc is the coefficient of lead f +
+    lead g in f g, and W that of n^2 {f, g}, read off the whole bracket."""
     f, g = ta.f, tb.f
     lf, lg = max(f._d), max(g._d)
     lc = f._d[lf] * g._d[lg]
     diagonal, off_diagonal = class_pairing(ta, tb, half)
+    if ta.nibbles:
+        keyed = ring_keyed(diagonal + off_diagonal, f.ring)
+        diagonal, off_diagonal = keyed[: len(diagonal)], keyed[len(diagonal) :]
     W = f.ring.accumulate(diagonal + off_diagonal).get(lf + lg, 0)
     products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
     sums = f.ring.accumulate(products)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from bdcluster.poisson import (
     coefficient_from_tables,
     gradient_tables,
     omega_sweep,
+    pair_test,
     poisson_coefficient,
     r_plus,
     r_plus_operator,
@@ -44,7 +46,7 @@ from bdcluster.poisson import (
 from bdcluster.polymat import col_replace, row_replace
 from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, partial_derivative
 from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
-from oracles import class_pairing, cybe_all_pairs, heap_exact_divide, tensor_pairing, whole_pair_sums
+from oracles import class_pairing, cybe_all_pairs, heap_exact_divide, tensor_pairing, unpack, whole_pair_sums
 from test_verify import _structures
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
@@ -70,6 +72,12 @@ def _in_half(half, fn, *args):
             return fn(*args)
         except NotLogCanonical as e:
             return str(e)
+
+
+def _ring_terms(t, terms):
+    """terms, a term dict in the key layout of the tables t, keyed by ring
+    keys (oracles.unpack when t is in table keys)."""
+    return unpack(terms, t.f.ring) if t.nibbles else terms
 
 
 def unit(n, i, j):
@@ -461,7 +469,8 @@ class TestSklyaninBracket:
                     want_grads = [
                         [[None if i == j else e._d for j, e in enumerate(row)] for i, row in enumerate(T)] for T in grads
                     ]
-                    assert list(t[:2]) == want_grads, (n, pair, std, str(p))
+                    got_grads = [[[e if e is None else _ring_terms(t, e) for e in row] for row in T] for T in t[:2]]
+                    assert got_grads == want_grads, (n, pair, std, str(p))
                     for i in range(1, n + 1):
                         assert col_replace(p, i, i) == grads[0][i - 1][i - 1], (n, i, str(p))
                         assert row_replace(p, i, i) == grads[1][i - 1][i - 1], (n, i, str(p))
@@ -489,7 +498,7 @@ class TestSklyaninBracket:
                             assert all(isinstance(c, int) for c in entry.values()), entry
                 for part in table.classes.values():
                     assert all(isinstance(c, int) for c in part.values()), part
-                parts = [m for part in table.classes.values() for m in part]
+                parts = [m for part in table.classes.values() for m in _ring_terms(table, part)]
                 assert sorted(parts) == sorted(table.f._d), str(table.f)
             for ia, ib in [(0, 1), (2, 5), (3, 7), (4, len(funcs) - 1)]:
                 br = bracket_from_tables(tables[ia], tables[ib])
@@ -632,8 +641,8 @@ class TestBracketHalves:
             tables = [gradient_tables(f, op) for f in funcs]
             for ia, ta in enumerate(tables):
                 for tb in tables[ia + 1 :]:
-                    diagonal, off_diagonal = tensor_pairing(ta, tb, rt)
-                    tensor = {m: c for m, c in ring.accumulate(diagonal + off_diagonal).items() if c}
+                    sums = ring.accumulate(sum(tensor_pairing(ta, tb, rt), []), guard=not ta.nibbles)
+                    tensor = _ring_terms(ta, {m: c for m, c in sums.items() if c})
                     plus = _in_half(0, bracket_from_tables, ta, tb)
                     assert _in_half(1, bracket_from_tables, ta, tb) == plus == Poly(ring, tensor), (
                         op,
@@ -668,8 +677,8 @@ def _spy_accumulate(monkeypatch):
     made = []
     real = PolyRing.accumulate
 
-    def spy(self, products):
-        out = real(self, products)
+    def spy(self, products, guard=True):
+        out = real(self, products, guard)
         made.append(out)
         return out
 
@@ -772,14 +781,14 @@ class TestSlicedPairTest:
                 if omega is None:
                     failures.append((ia, ib))
                     # A light pair test is one sum; exact division follows.
-                    assert products < polyring.SLICE_PRODUCTS and made[0] == whole, where
+                    assert products < polyring.SLICE_PRODUCTS and _ring_terms(ta, made[0]) == whole, where
                     continue
                 assert forced == {omega}, where
                 sliced = {}
                 for sums in made:
                     assert not sliced.keys() & sums.keys()
                     sliced.update(sums)
-                assert sliced == whole, where
+                assert _ring_terms(ta, sliced) == whole, where
         # Most coordinate pairs fail, so the failure path is always compared;
         # only the pairs of seed functions (listed first) tell a faulted seed.
         seed_failures = [ib for _, ib in failures if ib < len(cluster.labels)]
@@ -815,6 +824,166 @@ class TestSlicedPairTest:
         monkeypatch.setattr(poisson, "coefficient_from_tables", counted)
         assert check_frozen_log_canonical_with_coordinates(Workspace(BDTriple(4, 1, 3))) == ([], {})
         assert calls == [1] * (5 * 16)
+
+
+def _in_ring_keys(fn, *args):
+    """fn(*args) with every table made in ring keys, as PolyRing.fits_nibbles
+    refuses every function."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PolyRing, "fits_nibbles", lambda self, top: False)
+        return fn(*args)
+
+
+def _seed_and_coordinate_functions(n_max=5):
+    """Every distinct function of every exotic, standard and SL seed with
+    n <= n_max, and every coordinate, with the operator of its seed
+    (the standard one for coordinates)."""
+    funcs = {}
+    for n in range(2, n_max + 1):
+        ring = get_ring(n)
+        for sl in (False, True):
+            seeds = [(standard_cluster(n, sl=sl), r_plus_operator(n=n, standard=True))]
+            for a in range(1, n):
+                for b in range(a + 1, n):
+                    t = BDTriple(n, a, b)
+                    seeds.append((initial_cluster(t, sl=sl), r_plus_operator(t)))
+            for seed, op in seeds:
+                for f in seed.functions.values():
+                    funcs.setdefault((n, frozenset(f._d.items())), (f, op))
+        op = r_plus_operator(n=n, standard=True)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                funcs.setdefault((n, frozenset(ring.x(i, j)._d.items())), (ring.x(i, j), op))
+    return list(funcs.values())
+
+
+def _poly_up_to(data, n, top):
+    """A random polynomial of x alone in size n with one term holding
+    x[1,1]^top, whose coefficient 100 the at most three other terms (of
+    coefficients at most 3) cannot cancel, and every other exponent at
+    most top."""
+    ring = get_ring(n)
+    variables = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    f = 100 * ring.x(1, 1) ** top * ring.x(*data.draw(st.sampled_from(variables[1:])))
+    for _ in range(data.draw(st.integers(0, 3))):
+        term = ring.const(data.draw(st.sampled_from([-2, -1, 1, 3])))
+        for v, e in data.draw(st.dictionaries(st.sampled_from(variables), st.integers(1, top), max_size=3)).items():
+            term = term * ring.x(*v) ** e
+        f = f + term
+    return f
+
+
+class TestTableKeys:
+    """Table keys against the ring-key tables that the same pass makes when
+    no function fits them, and against the derivative and tensor oracles."""
+
+    OVERFLOW = "a product has an exponent of 128 or more in some variable"
+
+    def test_tables_unpack_to_the_ring_key_tables(self):
+        # Every entry, class part, lead and half of the tables of every seed
+        # function and coordinate with n <= 5, unpacked, equals the ring-key
+        # tables' own; top and the sizes are the same.
+        funcs = _seed_and_coordinate_functions()
+        assert len(funcs) > 100
+        for f, op in funcs:
+            ring = f.ring
+            got, want = gradient_tables(f, op), _in_ring_keys(gradient_tables, f, op)
+            assert got.nibbles and not want.nibbles, str(f)
+
+            def back(terms):
+                return unpack(terms, ring)
+
+            for T, U in ((got.F, want.F), (got.Fp, want.Fp)):
+                assert [[e if e is None else back(e) for e in row] for row in T] == U, str(f)
+            assert {degs: back(part) for degs, part in got.classes.items()} == want.classes, str(f)
+            key, i, c = got.lead
+            assert (*back({key: c}).items(),) == ((want.lead[0], want.lead[2]),) and i == want.lead[1], str(f)
+            assert got.top == want.top and got.f is want.f, str(f)
+            for h, w in zip(got.halves, want.halves):
+                assert [(back(p), u, v) for p, u, v in h.parts] == w.parts, str(f)
+                assert [(s, back(a), co) for s, a, co in h.left] == w.left, str(f)
+                assert [back(b) for b in h.right] == w.right, str(f)
+                assert (h.lsizes, h.rsizes) == (w.lsizes, w.rsizes), str(f)
+
+    @pytest.mark.parametrize(
+        "n, pair, standard, fault",
+        [(*s, None) for s in _structures() if s[0] > 2]
+        + [(n, pair, False, fault) for n, pair, std in _structures() if pair and not std and n in (3, 4) for fault in Fault],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_pair_tests_agree_in_both_layouts(self, n, pair, standard, fault):
+        # Every pair of seed functions and coordinates gives the same omega,
+        # or the same reason, from table keys and from ring keys, each pair
+        # in the half that _half picks, which both layouts pick alike.
+        ws = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
+        cluster, op = ws.cluster(), ws.op()
+        idx = range(1, n + 1)
+        funcs = [cluster.functions[lab] for lab in cluster.labels]
+        funcs += [cluster.ring.x(i, j) for i in idx for j in idx]
+        packed = [gradient_tables(f, op) for f in funcs]
+        ring_keyed = [_in_ring_keys(gradient_tables, f, op) for f in funcs]
+        assert all(t.nibbles for t in packed) and not any(t.nibbles for t in ring_keyed)
+        got, want = [], []
+        for ia in range(len(funcs)):
+            for ib in range(ia + 1, len(funcs)):
+                assert poisson._half(packed[ia], packed[ib]) == poisson._half(ring_keyed[ia], ring_keyed[ib])
+                got.append(pair_test(packed[ia], packed[ib]))
+                want.append(pair_test(ring_keyed[ia], ring_keyed[ib]))
+        assert got == want
+        # Only the faulted seeds fail among the seed functions' pairs.
+        seeds = len(cluster.labels)
+        seed_pairs = [w for (ia, ib), w in zip(combinations(range(len(funcs)), 2), got) if ib < seeds]
+        assert any(isinstance(w, str) for w in seed_pairs) == (fault is not None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_rule_boundary(self, data):
+        # Polynomials whose largest exponent is 6, 7 or 8 are tabled in
+        # table keys exactly at 6; every pair, the mixed ones included,
+        # gives the same bracket and pair test as in ring keys, and the
+        # bracket equals the tensor oracle's.
+        n = data.draw(st.integers(2, 3))
+        tops = [data.draw(st.sampled_from([6, 7, 8])) for _ in range(2)]
+        f, g = (_poly_up_to(data, n, top) for top in tops)
+        op = r_plus_operator(n=n, standard=True) if n == 2 else r_plus_operator(BDTriple(3, 1, 2))
+        ta, tb = gradient_tables(f, op), gradient_tables(g, op)
+        assert [ta.nibbles, tb.nibbles] == [top == 6 for top in tops]
+        ra, rb = _in_ring_keys(gradient_tables, f, op), _in_ring_keys(gradient_tables, g, op)
+        for x, y, rx, ry in ((ta, tb, ra, rb), (tb, ta, rb, ra), (ta, ta, ra, ra)):
+            br = bracket_from_tables(x, y)
+            assert br == bracket_from_tables(rx, ry), (str(x.f), str(y.f))
+            assert br == n * n * _oracle_bracket(x.f, y.f, build_r_tensor(op), n), (str(x.f), str(y.f))
+            assert pair_test(x, y) == pair_test(rx, ry), (str(x.f), str(y.f))
+
+    def test_boundary_exponents_do_not_carry(self):
+        # x[1,1]^e x[1,2] against x[1,1]^e x[2,1] + x[1,1] x[2,2]^e: F
+        # entries raise x[1,1] to e + 1, so at e = 7 two of them would fill
+        # a 4-bit field; e = 6 fits, e = 7 keeps ring keys, and both
+        # brackets equal the oracle's.
+        ring = get_ring(2)
+        op = r_plus_operator(n=2, standard=True)
+        x = ring.x
+        for e, fits in ((6, True), (7, False)):
+            f, g = x(1, 1) ** e * x(1, 2), x(1, 1) ** e * x(2, 1) + x(1, 1) * x(2, 2) ** e
+            ta, tb = gradient_tables(f, op), gradient_tables(g, op)
+            assert ta.nibbles == tb.nibbles == fits
+            want = 4 * _oracle_bracket(f, g, build_r_tensor(op), 2)
+            assert bracket_from_tables(ta, tb) == want == bracket_from_tables(tb, ta) * -1, e
+            assert bracket_from_tables(ta, ta) == 0 == bracket_from_tables(tb, tb), e
+
+    def test_the_overflow_text_is_kept(self):
+        # x[1,1]^64 against x[1,1]^64 + x[1,2], both in ring keys, fails with
+        # the overflow text; against x[1,2] in table keys, x[1,1]^64 pairs in
+        # ring keys: {x[1,1]^64, x[1,2]} = 32 x[1,1]^64 x[1,2].
+        ring = get_ring(2)
+        op = r_plus_operator(n=2, standard=True)
+        big, x12 = ring.x(1, 1) ** 64, ring.x(1, 2)
+        ta, tb = gradient_tables(big, op), gradient_tables(big + x12, op)
+        small = gradient_tables(x12, op)
+        assert not ta.nibbles and not tb.nibbles and small.nibbles
+        assert pair_test(ta, tb) == pair_test(tb, ta) == self.OVERFLOW
+        assert pair_test(ta, small) == 32 == -pair_test(small, ta)
+        assert bracket_from_tables(ta, small) == 4 * _oracle_bracket(big, x12, build_r_tensor(op), 2) == 128 * big * x12
 
 
 class TestSweeps:

@@ -16,7 +16,7 @@ from bdcluster.polyring import (
     partial_derivative,
     render,
 )
-from oracles import MissingAssignment, evaluate, heap_exact_divide
+from oracles import MissingAssignment, evaluate, heap_exact_divide, unpack
 
 R2 = PolyRing(2)
 R3 = PolyRing(3)
@@ -279,6 +279,47 @@ class TestExponentOverflow:
         # Two lower, the remainder term -x[1,2]^127 fits and is the witness.
         with pytest.raises(NotDivisible, match=r"\{\('x', 1, 2\): 127\}"):
             exact_divide(x(1, 1) * x(1, 2) ** 125, x(1, 1) + x(1, 2) ** 2)
+
+
+class TestTableKeys:
+    """The 4-bit table keys of x alone against ring keys and oracles.unpack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_table_keys_mirror_ring_keys(self, n, data):
+        # For exponent vectors of x with every exponent below 16: the table
+        # key unpacks to the ring key, both ways; table keys order as ring
+        # keys do; they add field by field while no field passes 15; the
+        # units are the keys of the variables; and the row mask keeps X's
+        # first row exactly.
+        ring = PolyRing(n)
+        nn = n * n
+        vectors = st.lists(st.integers(0, 15), min_size=nn, max_size=nn).map(bytes)
+        a, b = data.draw(vectors), data.draw(vectors)
+        ka, kb = ring.nibble_key(a), ring.nibble_key(b)
+        ma, mb = (sum(e * u for e, u in zip(v, ring.x_units)) for v in (a, b))
+        assert ring.from_nibbles({ka: 1, kb: 2}) == unpack({ka: 1, kb: 2}, ring) == {ma: 1, mb: 2} or a == b
+        assert (ka < kb) == (ma < mb) and ring.x_exponents(ma) == a
+        if all(x + y <= 15 for x, y in zip(a, b)):
+            assert ring.from_nibbles({ka + kb: 1}) == {ma + mb: 1}
+        assert ring.nibble_units == tuple(ring.nibble_key(bytes(k == i for k in range(nn))) for i in range(nn))
+        first_row = bytes(a[:n]) + bytes(nn - n)
+        assert ka & ring.nibble_row_mask == ring.nibble_key(first_row)
+
+    def test_which_functions_fit(self):
+        # x alone with every exponent at most 6; y, or an exponent of 7,
+        # keeps ring keys.
+        x, y = R3.x, R3.y
+        fits = [
+            (x(1, 1) ** 6 * x(3, 3) ** 6, True),
+            (x(1, 1) ** 7, False),
+            (x(3, 3) ** 7 + x(1, 1), False),
+            (x(2, 2) * y(1, 1), False),
+            (R3.one, True),
+            (R3.zero, True),
+        ]
+        for f, want in fits:
+            assert R3.fits_nibbles(R3.top(f._d)) is want, str(f)
 
 
 class TestCalculusAndEvaluation:

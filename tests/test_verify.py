@@ -170,7 +170,9 @@ PERTURBED_COMPAT_WITNESSES = {
 # The bracketdiff witnesses on (4,1,3) when the standard companion is
 # replaced by the exotic operator, so that the two brackets agree and every
 # pair's difference is minus its wedge products: (ia, ib, difference) per
-# coordinate pair, recorded while the check still subtracted two brackets.
+# coordinate pair, ia and ib the coordinates' row-major indices, recorded
+# while the check still subtracted two brackets.  The witnesses name the
+# coordinates themselves, x[1,1] for 0.
 SWAPPED_COMPANION_WITNESSES = [
     (0, 3, "-x[1,2]*x[1,3]"),
     (0, 7, "-x[1,2]*x[2,3]"),
@@ -227,8 +229,9 @@ class TestBracketDifferenceWitnesses:
 
         monkeypatch.setattr(Workspace, "op", exotic_for_both)
         witnesses, details = verify.check_bracket_difference(Workspace(BDTriple(4, 1, 3), processes=1))
+        assert len(witnesses) == len(SWAPPED_COMPANION_WITNESSES) == 30
         assert witnesses == [
-            f"difference mismatch at coordinate pair ({ia}, {ib}): {diff}"
+            f"difference mismatch at coordinate pair (x[{ia // 4 + 1},{ia % 4 + 1}], x[{ib // 4 + 1},{ib % 4 + 1}]): {diff}"
             for ia, ib, diff in SWAPPED_COMPANION_WITNESSES
         ]
         assert details == {}
