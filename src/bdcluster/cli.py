@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 from .bdseed import BDTriple, normalize_triple, seed_labels
 from .poisson import bracket_from_tables, pair_test, unscale
 from .quiver import FrozenDirection, NotLaurentPolynomial, mutate_seed, to_dot
+from .tasks import WorkerDied
 from .verify import CHECKS, Fault, VerificationReport, Workspace, run_checks
 
 
@@ -221,7 +222,7 @@ def _check_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="negative control: plant a defect and watch the checks fail",
     )
-    p.add_argument("--processes", type=int, default=None, help="worker processes for sweeps")
+    p.add_argument("--processes", type=int, default=None, help="worker processes for sweeps and exchanges")
     p.set_defaults(func=_cmd_check)
 
 
@@ -270,12 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as e:
-        # Imported only here: a dead sweep worker is the one way to get it.
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not isinstance(e, (CliError, ValueError, ArithmeticError, BrokenProcessPool)):
-            raise
+    except (CliError, ValueError, ArithmeticError, WorkerDied) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -73,8 +73,9 @@ bracket's products, in ring keys, by f g for its witness, never forming
 the bracket.
 omega_sweep runs it over all pairs by a per-pair plan (sweep_plan), each
 pair's (products, half) decided once by _half, the one place the half
-is chosen: the half goes to the pair's test, and sweeps of
-POOL_MIN_PRODUCTS term products or more fork sweep_workers(processes)
+is chosen: the half goes to the pair's test, and the pair tests are the
+tasks of tasks.run_tasks, each costing its products, so a sweep of
+POOL_MIN_PRODUCTS term products or more forks sweep_workers(processes)
 workers.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  pair_test is the one pair step of every check that
 tests pairs: omega, or the reason there is none, an overflow included.
@@ -104,6 +105,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .bdseed import BDTriple, structure_size
 from .polymat import _replacement_tables
 from .polyring import ExponentOverflow, NotDivisible, Poly, _divide, _normalize_scalar
+from .tasks import run_tasks
 
 TensorKey = Tuple[Tuple[int, int], Tuple[int, int]]
 Tensor = Dict[TensorKey, Fraction]
@@ -599,22 +601,6 @@ def poisson_coefficient(f: Poly, g: Poly, op: RPlusOperator) -> Fraction:
 # ----------------------------------------------------------------------
 # Full-cluster sweeps, optionally parallel
 
-_SWEEP: dict = {}
-
-# A sweep forks its pool only when its pairs together take at least this
-# many term products (sweep_plan).  On a 2-vCPU host two CPU-bound
-# processes each run at 55-100% of their solo speed.  On table keys, cold
-# and median of 8 alternated runs, a two-worker pool lost wall time and
-# took 60-65% more CPU on the (5,1,3) and (5,2,4) sweeps of 450,000 and
-# 353,000 products (0.096 against 0.087 s, 0.086 against 0.078 s), and
-# won on (5,1,4) at 2.8 million (0.38 against 0.52 s).
-POOL_MIN_PRODUCTS = 1_000_000
-
-
-def _sweep_task(pairs: Sequence[Tuple[int, int, int]]):
-    tables = _SWEEP["tables"]
-    return [(ia, ib, pair_test(tables[ia], tables[ib], half)) for ia, ib, half in pairs]
-
 
 def sweep_plan(tables: Sequence[Tables]) -> List[Tuple[int, int]]:
     """(products, half) of _half for each pair ia < ib of tables, in pair
@@ -624,9 +610,9 @@ def sweep_plan(tables: Sequence[Tables]) -> List[Tuple[int, int]]:
 
 
 def sweep_workers(processes: Optional[int] = None) -> int:
-    """Worker count for pair sweeps: processes, a positive integer, or 4
-    when not given, capped by the CPU count, since a forked pool starts
-    all its workers at once."""
+    """Worker count for sweeps and exchange divisions: processes, a
+    positive integer, or 4 when not given, capped by the CPU count, since
+    a forked run (tasks.run_tasks) starts all its workers at once."""
     if processes is None:
         processes = 4
     elif isinstance(processes, bool) or not isinstance(processes, int) or processes < 1:
@@ -648,8 +634,9 @@ def omega_sweep(
     processes goes through sweep_workers (1 runs in process); tables,
     when given, are the functions' gradient tables for op, and plan
     their sweep_plan, each pair's (products, half), made here when not
-    given.  Each pair's half is thus chosen once per sweep: the products
-    plan the pool, and the half goes to the pair's pair_test.
+    given.  Each pair's half is thus chosen once per sweep: the pair
+    tests are tasks.run_tasks' tasks, each costing its products, and the
+    half goes to the pair's pair_test.
     """
     nproc = sweep_workers(processes)
     if tables is None:
@@ -657,35 +644,11 @@ def omega_sweep(
     if plan is None:
         plan = sweep_plan(tables)
     pairs = [(ia, ib, half) for (ia, ib), (_, half) in zip(combinations(range(len(functions)), 2), plan)]
-    cost = [products for products, _ in plan]
-    _SWEEP["tables"] = tables
-    try:
-        if nproc > 1 and sum(cost) >= POOL_MIN_PRODUCTS and hasattr(os, "fork"):
-            # Imported here, as at module level they slow every start-up.  Forked
-            # workers inherit _SWEEP; a dead one raises BrokenProcessPool.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(nproc, mp_context=multiprocessing.get_context("fork")) as pool:
-                # Heaviest first, so the heaviest pair starts at once.  A task
-                # closes once it holds 1/16 of a worker's share of the products:
-                # a heavy pair runs alone, and light pairs share one round trip.
-                share = sum(cost) / (nproc * 16)
-                tasks, load = [[]], 0
-                for idx in sorted(range(len(pairs)), key=cost.__getitem__, reverse=True):
-                    if load >= share:
-                        tasks.append([])
-                        load = 0
-                    tasks[-1].append(pairs[idx])
-                    load += cost[idx]
-                results = [r for done in pool.map(_sweep_task, tasks, chunksize=1) for r in done]
-        else:
-            results = _sweep_task(pairs)
-    finally:
-        _SWEEP.clear()
+    results = run_tasks(lambda pair: pair_test(tables[pair[0]], tables[pair[1]], pair[2]), pairs,
+                        [products for products, _ in plan], nproc)
     omegas = {}
     failures = []
-    for ia, ib, omega in sorted(results):
+    for (ia, ib, _), omega in zip(pairs, results):
         if isinstance(omega, str):
             failures.append((ia, ib, omega))
         else:

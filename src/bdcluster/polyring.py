@@ -27,11 +27,12 @@ each slice is accumulated and freed before the next.  Every exact
 division, the pair test's of poisson included, is _divide: it slices its
 dividend by the variables the divisor lacks and hands each slice to the
 kernel _reduce, which walks only the terms that the divisor's leading
-term divides.  _divide also cuts its keys to the bytes in use, shifting
-out the low bytes that no operand key uses, so the kernel of a division
-in x alone never carries the y bytes.  Poly keys keep every byte, y's
-included, since stored digests hash raw keys; once the ring holds x
-alone, the cut is usually empty.
+term divides; the slices are tasks of tasks.run_tasks, so those of a
+heavy division are split over forked workers.  _divide also cuts its
+keys to the bytes in use, shifting out the low bytes that no operand
+key uses, so the kernel of a division in x alone never carries the y
+bytes.  Poly keys keep every byte, y's included, since stored digests
+hash raw keys; once the ring holds x alone, the cut is usually empty.
 
 The gradient tables of poisson carry table keys instead when the
 function fits them (fits_nibbles: no y, and no exponent above 6): x
@@ -61,6 +62,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
+
+from .tasks import run_tasks
 
 Scalar = Union[int, Fraction]
 VarId = Tuple[str, int, int]  # ("x" | "y", row, col), 1-based
@@ -474,7 +477,11 @@ def _divide(products, q: Poly) -> Dict[int, Scalar]:
     P / q = sum_v (P_v / q) m_v, and the remainder of P is the sum of the
     slices' remainders.  Its largest term is therefore the largest of the
     slices' witnesses, so every slice is tried and the dividend is never
-    formed whole.
+    formed whole.  The slices are the tasks of tasks.run_tasks, each
+    costing twice its term products, since it is summed and then reduced:
+    a slice returns its quotient's term dict or its largest remainder
+    term, and a heavy division splits its slices over the workers that
+    run_checks sets (tasks.worker_count).
 
     The keys are cut to the bytes in use first: the low bytes that no key
     of q or of a factor uses, the y bytes of every polynomial in x alone,
@@ -498,21 +505,24 @@ def _divide(products, q: Poly) -> Dict[int, Scalar]:
     # accumulate's guard reads the cut keys' high bits with the ring's whole
     # high-bit mask, as the cut keys sit on the ring's lowest bytes.
     himask = ring._himask >> shift
-    quot: Dict[int, Scalar] = {}
-    witness = -1
-    for group in ring.slices([(cut[id(a)], cut[id(b)], w) for a, b, w in products], mask >> shift):
+    groups = list(ring.slices([(cut[id(a)], cut[id(b)], w) for a, b, w in products], mask >> shift))
+
+    def divide_slice(group):
+        # Only _reduce holds the slice, so it is freed before the next slice
+        # is summed.
         try:
-            # Only _reduce holds the slice, so it is freed before the next
-            # slice is built.
-            quot.update(_reduce(ring.accumulate(group), qd, himask))
+            return _reduce(ring.accumulate(group), qd, himask)
         except NotDivisible as e:
-            witness = max(witness, e.args[0])
-    if witness >= 0:
+            return e.args[0]
+
+    parts = run_tasks(divide_slice, groups, [2 * sum(len(a) * len(b) for a, b, _ in g) for g in groups])
+    witnesses = [part for part in parts if isinstance(part, int)]
+    if witnesses:
         raise NotDivisible(
-            f"remainder term of degree profile {ring.monomial_exponents(witness << shift)} "
+            f"remainder term of degree profile {ring.monomial_exponents(max(witnesses) << shift)} "
             "is not reducible by the divisor's leading term"
         )
-    return {m << shift: c for m, c in quot.items()}
+    return {m << shift: c for part in parts for m, c in part.items()}
 
 
 def exact_divide(p: Poly, q: Poly) -> Poly:

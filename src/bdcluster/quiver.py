@@ -189,7 +189,9 @@ def mutate_seed(seed: Seed, label: Label) -> Seed:
     mutate the matrix.  Raises NotLaurentPolynomial if the exchange
     polynomial is not divisible by the old variable.  The exchange
     polynomial is divided one slice at a time (exact_divide_products) and
-    never formed whole, not even when a slice fails to divide."""
+    never formed whole, not even when a slice fails to divide; the slices
+    of a heavy exchange are split over the workers of tasks.worker_count,
+    which run_checks sets, and come out the same as in process."""
     em = seed.matrix
     new_matrix = mutate_matrix(em, label)
     funcs = seed.cluster.functions

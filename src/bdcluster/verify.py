@@ -62,6 +62,7 @@ from .quiver import (
     to_exchange_matrix,
     NotLaurentPolynomial,
 )
+from .tasks import worker_count
 
 MAX_WITNESSES = 10
 
@@ -508,19 +509,21 @@ def run_checks(
     # Checked here so that a bad count fails every check, not only those that sweep.
     ws = Workspace(triple, n, sl, standard, fault, sweep_workers(processes))
     reports = []
-    for name in expanded:
-        started = time.perf_counter()
-        witnesses, details = globals()[CHECKS[name][0]](ws)
-        reports.append(
-            VerificationReport(
-                check=name,
-                n=ws.n,
-                alpha=ws.alpha,
-                beta=ws.beta,
-                status="pass" if not witnesses else "fail",
-                witnesses=witnesses[:MAX_WITNESSES],
-                seconds=round(time.perf_counter() - started, 6),
-                details=details,
+    # The exchanges' divisions take the sweep's worker count from here.
+    with worker_count(ws.processes):
+        for name in expanded:
+            started = time.perf_counter()
+            witnesses, details = globals()[CHECKS[name][0]](ws)
+            reports.append(
+                VerificationReport(
+                    check=name,
+                    n=ws.n,
+                    alpha=ws.alpha,
+                    beta=ws.beta,
+                    status="pass" if not witnesses else "fail",
+                    witnesses=witnesses[:MAX_WITNESSES],
+                    seconds=round(time.perf_counter() - started, 6),
+                    details=details,
+                )
             )
-        )
     return reports

@@ -4,7 +4,6 @@ Every numeric expectation in this file was worked out by hand (or with
 the independent tensor-contraction oracle) before being frozen here.
 """
 
-import concurrent.futures
 import hashlib
 import os
 import random
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcluster import cli, poisson, polyring, verify
+from bdcluster import cli, poisson, polyring, tasks, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import (
     NotLogCanonical,
@@ -1135,7 +1134,9 @@ class TestSweeps:
 
     def test_failed_sweep_clears_its_state(self, monkeypatch):
         # A pair test that raises, as MemoryError does at n = 6, must not
-        # leave the sweep's tables alive in a process that catches it.
+        # leave the sweep's tables alive in a process that catches it: no
+        # module state of the sweep or of its task runner holds them, and a
+        # forked sweep raises the same error and leaves no worker behind.
         funcs, op, tables = _seed_tables(BDTriple(4, 1, 3))
 
         def exhaust(ta, tb, half=None):
@@ -1144,7 +1145,14 @@ class TestSweeps:
         monkeypatch.setattr(poisson, "coefficient_from_tables", exhaust)
         with pytest.raises(MemoryError):
             omega_sweep(funcs, op, processes=1, tables=tables)
-        assert poisson._SWEEP == {}
+        assert not _module_state_holds(tables, poisson, tasks)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 0)
+        with pytest.raises(MemoryError):
+            omega_sweep(funcs, op, processes=2, tables=tables)
+        assert not _module_state_holds(tables, poisson, tasks)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_forced_pool_matches_serial(self, monkeypatch):
         # With the threshold at 0 every sweep forks; omegas and failures
@@ -1152,18 +1160,18 @@ class TestSweeps:
         # pair order, as in-process.
         started = []
         cpus = 2
+        fork = os.fork
 
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, *args, **kwargs):
-                if max_workers > cpus:
-                    raise AssertionError(f"a pool of {max_workers} workers on {cpus} CPUs")
-                started.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+        def counted():
+            pid = fork()
+            if pid:
+                started.append(pid)
+            return pid
 
         # Patched so the pool is forced on a 1-CPU host too.
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        monkeypatch.setattr(poisson, "POOL_MIN_PRODUCTS", 0)
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 0)
         ring = get_ring(2)
         big = ring.x(1, 1) ** 64
         cases = [([ring.x(1, 2), big, big + ring.x(1, 2)], r_plus_operator(n=2, standard=True))]
@@ -1174,27 +1182,32 @@ class TestSweeps:
         failures = []
         for funcs, op in cases:
             serial = omega_sweep(funcs, op, processes=1)
-            assert poisson._SWEEP == {}
+            assert not started
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
             assert omega_sweep(funcs, op, processes=2) == serial
-            assert poisson._SWEEP == {}
+            # The calling process runs one share, so two workers fork one child.
+            assert len(started) == cpus - 1
+            started.clear()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
             failures.append(bool(serial[1]))
-        assert len(started) == len(cases)
         assert failures == [True, False, True]
 
     def test_light_sweep_stays_in_process(self, monkeypatch):
         # Every n <= 4 sweep, and the n = 5 sweeps of 431,000-482,000
         # products, which run faster and in less CPU time in process than
-        # with a two-worker pool.
+        # with two workers.
         def refuse(*args, **kwargs):
-            raise AssertionError("a pool was started for a sweep below the threshold")
+            raise AssertionError("a worker was forked for a sweep below the threshold")
 
         # Patched so that processes=2 is not capped to 1 on a 1-CPU host.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         for triple in ((4, 1, 3), (5, 1, 3), (5, 2, 4)):
             funcs, op, tables = _seed_tables(BDTriple(*triple))
             pairs = [(ia, ib) for ia in range(len(funcs)) for ib in range(ia + 1, len(funcs))]
-            assert sum(products for products, _ in poisson.sweep_plan(tables)) < poisson.POOL_MIN_PRODUCTS
+            assert sum(products for products, _ in poisson.sweep_plan(tables)) < tasks.POOL_MIN_PRODUCTS
             omegas, failures = omega_sweep(funcs, op, processes=2, tables=tables)
             assert failures == [] and len(omegas) == len(pairs), triple
 
@@ -1211,23 +1224,34 @@ class TestSweeps:
         assert failures == [] and len(omegas) == 16 * 15 // 2
 
     def test_dead_worker_fails_the_sweep(self):
-        # A pool worker that dies mid-sweep must make the sweep raise (and
-        # the CLI exit 2), not leave it waiting for results forever.  Run
-        # in a subprocess so a hang fails this test instead of the suite.
-        # The (4,1,3) sweep is below the pool threshold, so the threshold
-        # is lowered to 0 to make it fork.
+        # A worker that dies mid-sweep must make the sweep raise (and the
+        # CLI exit 2), not leave it waiting for results forever, and it
+        # leaves no child behind.  Run in a subprocess so a hang fails this
+        # test instead of the suite.  The (4,1,3) sweep is below the pool
+        # threshold, so the threshold is lowered to 0 to make it fork; the
+        # calling process runs a share too, so only a forked worker dies.
         script = textwrap.dedent(
             """
             import os, sys
-            from bdcluster import cli, poisson
+            from bdcluster import cli, poisson, tasks
 
-            def die(pairs):
-                os._exit(1)
+            parent = os.getpid()
+            test = poisson.pair_test
 
-            poisson._sweep_task = die
-            poisson.POOL_MIN_PRODUCTS = 0
-            sys.exit(cli.main(["check", "logcanon", "--n", "4", "--alpha", "1",
-                               "--beta", "3", "--processes", "2"]))
+            def die(*args):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return test(*args)
+
+            poisson.pair_test = die
+            tasks.POOL_MIN_PRODUCTS = 0
+            code = cli.main(["check", "logcanon", "--n", "4", "--alpha", "1",
+                             "--beta", "3", "--processes", "2"])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                sys.exit(3)
+            except ChildProcessError:
+                sys.exit(code)
             """
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1242,6 +1266,17 @@ class TestSweeps:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "error:" in proc.stderr and "terminated abruptly" in proc.stderr
+
+
+def _module_state_holds(obj, *modules) -> bool:
+    """Whether a global of one of modules, or an item of a dict, list or
+    tuple that one holds, is obj."""
+    for module in modules:
+        for value in vars(module).values():
+            items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
+            if value is obj or any(item is obj for item in items):
+                return True
+    return False
 
 
 # ----------------------------------------------------------------------
