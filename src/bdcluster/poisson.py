@@ -75,8 +75,8 @@ omega_sweep runs it over all pairs by a per-pair plan (sweep_plan), each
 pair's (products, half) decided once by _half, the one place the half
 is chosen: the half goes to the pair's test, and the pair tests are the
 tasks of tasks.run_tasks, each costing its products, so a sweep of
-POOL_MIN_PRODUCTS term products or more forks sweep_workers(processes)
-workers.  r_plus, sklyanin_bracket and unscale
+POOL_MIN_PRODUCTS term products or more forks the workers that
+tasks.worker_count sets.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  pair_test is the one pair step of every check that
 tests pairs: omega, or the reason there is none, an overflow included.
 RPlusOperator.halves is the operator's one form, each half as one
@@ -610,9 +610,9 @@ def sweep_plan(tables: Sequence[Tables]) -> List[Tuple[int, int]]:
 
 
 def sweep_workers(processes: Optional[int] = None) -> int:
-    """Worker count for sweeps and exchange divisions: processes, a
-    positive integer, or 4 when not given, capped by the CPU count, since
-    a forked run (tasks.run_tasks) starts all its workers at once."""
+    """The worker count that run_checks sets (tasks.worker_count): processes,
+    a positive integer, or 4 when not given, capped by the CPU count,
+    since a forked run (tasks.run_tasks) starts all its workers at once."""
     if processes is None:
         processes = 4
     elif isinstance(processes, bool) or not isinstance(processes, int) or processes < 1:
@@ -623,7 +623,6 @@ def sweep_workers(processes: Optional[int] = None) -> int:
 def omega_sweep(
     functions: Sequence[Poly],
     op: RPlusOperator,
-    processes: Optional[int] = None,
     *,
     tables: Optional[Sequence[Tables]] = None,
     plan: Optional[Sequence[Tuple[int, int]]] = None,
@@ -631,21 +630,20 @@ def omega_sweep(
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
     with ia < ib and failures a list of (ia, ib, reason), overflows too.
 
-    processes goes through sweep_workers (1 runs in process); tables,
-    when given, are the functions' gradient tables for op, and plan
-    their sweep_plan, each pair's (products, half), made here when not
-    given.  Each pair's half is thus chosen once per sweep: the pair
-    tests are tasks.run_tasks' tasks, each costing its products, and the
-    half goes to the pair's pair_test.
+    tables, when given, are the functions' gradient tables for op, and
+    plan their sweep_plan, each pair's (products, half), made here when
+    not given.  Each pair's half is thus chosen once per sweep: the pair
+    tests are tasks.run_tasks' tasks, each costing its products, so they
+    fork only within a tasks.worker_count block, and the half goes to
+    the pair's pair_test.
     """
-    nproc = sweep_workers(processes)
     if tables is None:
         tables = [gradient_tables(f, op) for f in functions]
     if plan is None:
         plan = sweep_plan(tables)
     pairs = [(ia, ib, half) for (ia, ib), (_, half) in zip(combinations(range(len(functions)), 2), plan)]
     results = run_tasks(lambda pair: pair_test(tables[pair[0]], tables[pair[1]], pair[2]), pairs,
-                        [products for products, _ in plan], nproc)
+                        [products for products, _ in plan])
     omegas = {}
     failures = []
     for (ia, ib, _), omega in zip(pairs, results):

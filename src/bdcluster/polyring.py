@@ -19,16 +19,17 @@ neighbouring byte.
 Only this module reads the layout: every product of polynomials runs
 through one kernel, PolyRing.accumulate, every exponent test through one
 guard, PolyRing.check_exponents, and other modules read keys only
-through x_units, x_exponents and top, and table keys (below) only
-through the nibble_ and fits_nibbles helpers.  Once a sum of products
+through x_units, x_exponents, top and first_row_mask (by which poisson
+slices a pair test on ring keys), and table keys (below) only through
+the nibble_ and fits_nibbles helpers.  Once a sum of products
 reaches SLICE_PRODUCTS term products, PolyRing.slices splits it into
 slices, a slice being the terms whose keys agree under a mask, so that
 each slice is accumulated and freed before the next.  Every exact
 division, the pair test's of poisson included, is _divide: it slices its
 dividend by the variables the divisor lacks and hands each slice to the
 kernel _reduce, which walks only the terms that the divisor's leading
-term divides; the slices are tasks of tasks.run_tasks, so those of a
-heavy division are split over forked workers.  _divide also cuts its
+term divides; the slices are tasks of tasks.run_tasks, so a heavy
+division forks within a tasks.worker_count block.  _divide also cuts its
 keys to the bytes in use, shifting out the low bytes that no operand
 key uses, so the kernel of a division in x alone never carries the y
 bytes.  Poly keys keep every byte, y's included, since stored digests
@@ -480,8 +481,8 @@ def _divide(products, q: Poly) -> Dict[int, Scalar]:
     formed whole.  The slices are the tasks of tasks.run_tasks, each
     costing twice its term products, since it is summed and then reduced:
     a slice returns its quotient's term dict or its largest remainder
-    term, and a heavy division splits its slices over the workers that
-    run_checks sets (tasks.worker_count).
+    term, and a heavy division splits its slices over the workers of
+    tasks.worker_count, in process outside a worker_count block.
 
     The keys are cut to the bytes in use first: the low bytes that no key
     of q or of a factor uses, the y bytes of every polynomial in x alone,

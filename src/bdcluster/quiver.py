@@ -191,7 +191,7 @@ def mutate_seed(seed: Seed, label: Label) -> Seed:
     polynomial is divided one slice at a time (exact_divide_products) and
     never formed whole, not even when a slice fails to divide; the slices
     of a heavy exchange are split over the workers of tasks.worker_count,
-    which run_checks sets, and come out the same as in process."""
+    1 outside a worker_count block, and come out the same as in process."""
     em = seed.matrix
     new_matrix = mutate_matrix(em, label)
     funcs = seed.cluster.functions

@@ -1,6 +1,6 @@
 """One task runner for the pair sweeps and the exact divisions.
 
-run_tasks(fn, tasks, costs, workers) returns [fn(t) for t in tasks].  It
+run_tasks(fn, tasks, costs) returns [fn(t) for t in tasks].  It
 calls them in this process, in order, unless the run forks (forks): two
 or more workers, two or more tasks, and costs that reach
 POOL_MIN_PRODUCTS together.  Then it deals the tasks heaviest first to
@@ -16,17 +16,17 @@ back its results raises WorkerDied.  A forked run forks no further: the
 runs that its tasks start stay in process, in the workers and in the
 calling process alike.
 
-The worker count of a run that gives none is 1, or what worker_count
-sets for a block; run_checks sets it for its checks, so the exact
-divisions of an exchange, which are called without one, split their
-slices over the same workers as the sweep.
+The worker count is the one that worker_count sets for a block, and 1
+outside every block, so a sweep or a division called outside one runs
+in process.  run_checks sets it for its checks, so the sweeps and the
+exchanges' divisions split their tasks over the same workers.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 # A run forks only when its tasks together cost at least this much.  A
 # pair test costs its planned term products (sweep_plan); a division slice
@@ -46,16 +46,16 @@ class WorkerDied(RuntimeError):
     """Raised when a forked worker ends without handing back its results."""
 
 
-# The worker count of runs that give none (worker_count), and whether a
-# forked run is under way: in its workers, and in the calling process while
-# it runs its own share, a nested run stays in process.
+# The worker count of every run (worker_count), and whether a forked run
+# is under way: in its workers, and in the calling process while it runs
+# its own share, a nested run stays in process.
 _workers = 1
 _forking = False
 
 
 @contextmanager
 def worker_count(count: int):
-    """Within the block, runs that give no worker count use count."""
+    """Within the block, runs split their tasks over count workers."""
     global _workers
     saved, _workers = _workers, count
     try:
@@ -64,21 +64,19 @@ def worker_count(count: int):
         _workers = saved
 
 
-def forks(costs: Sequence[int], workers: int) -> bool:
-    """Whether run_tasks forks for tasks of these costs and this worker count."""
-    return (workers > 1 and len(costs) > 1 and sum(costs) >= POOL_MIN_PRODUCTS
+def forks(costs: Sequence[int]) -> bool:
+    """Whether run_tasks forks for tasks of these costs."""
+    return (_workers > 1 and len(costs) > 1 and sum(costs) >= POOL_MIN_PRODUCTS
             and not _forking and hasattr(os, "fork"))
 
 
-def run_tasks(fn: Callable, tasks: Sequence, costs: Sequence[int], workers: Optional[int] = None) -> List:
+def run_tasks(fn: Callable, tasks: Sequence, costs: Sequence[int]) -> List:
     """[fn(t) for t in tasks], in process or split over forked workers."""
-    if workers is None:
-        workers = _workers
-    if not forks(costs, workers):
+    if not forks(costs):
         return [fn(t) for t in tasks]
     # Heaviest first, each to the least-loaded share (the shortest of equal
     # loads); each share runs in task order.
-    shares: List[List[int]] = [[] for _ in range(min(workers, len(tasks)))]
+    shares: List[List[int]] = [[] for _ in range(min(_workers, len(tasks)))]
     loads = [0] * len(shares)
     for i in sorted(range(len(tasks)), key=costs.__getitem__, reverse=True):
         k = min(range(len(shares)), key=lambda k: (loads[k], len(shares[k])))

@@ -112,7 +112,6 @@ class Workspace:
         sl: bool = False,
         standard: bool = False,
         fault: Optional[Fault] = None,
-        processes: Optional[int] = None,
     ):
         self.n = structure_size(triple, n)
         if triple is None:
@@ -124,7 +123,6 @@ class Workspace:
         self.sl = sl
         self.standard = standard
         self.fault = fault
-        self.processes = processes
         self._cluster: Optional[Cluster] = None
         self._quiver: Optional[Quiver] = None
         self._ops: dict = {}
@@ -149,7 +147,7 @@ class Workspace:
         represents the SL one."""
         ws = self
         if self.sl:
-            ws = Workspace(self.triple, self.n, False, self.standard, self.fault, self.processes)
+            ws = Workspace(self.triple, self.n, False, self.standard, self.fault)
         return make_seed(ws.cluster(), ws.quiver())
 
     def cluster(self) -> Cluster:
@@ -211,7 +209,7 @@ class Workspace:
             op = self.op()
             tables = [self.tables(f, op) for f in funcs]
             self.sweep_plan = sweep_plan(tables)
-            omegas, failures = omega_sweep(funcs, op, processes=self.processes, tables=tables, plan=self.sweep_plan)
+            omegas, failures = omega_sweep(funcs, op, tables=tables, plan=self.sweep_plan)
             self._omega = (labels, omegas, failures)
         return self._omega
 
@@ -506,11 +504,11 @@ def run_checks(
             raise ValueError(f"{name} needs a pair")
         else:
             expanded.append(name)
-    # Checked here so that a bad count fails every check, not only those that sweep.
-    ws = Workspace(triple, n, sl, standard, fault, sweep_workers(processes))
-    reports = []
-    # The exchanges' divisions take the sweep's worker count from here.
-    with worker_count(ws.processes):
+    # The one worker count of the sweeps and the exchanges' divisions,
+    # checked before the workspace is made, so a bad count fails every check.
+    with worker_count(sweep_workers(processes)):
+        ws = Workspace(triple, n, sl, standard, fault)
+        reports = []
         for name in expanded:
             started = time.perf_counter()
             witnesses, details = globals()[CHECKS[name][0]](ws)

@@ -44,6 +44,7 @@ from bdcluster.poisson import (
 )
 from bdcluster.polymat import col_replace, row_replace
 from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, partial_derivative
+from bdcluster.tasks import worker_count
 from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
 from oracles import class_pairing, cybe_all_pairs, heap_exact_divide, tensor_pairing, unpack, whole_pair_sums
 from test_verify import _structures
@@ -1025,7 +1026,7 @@ class TestSweeps:
             raise AssertionError("a log-canonical pair reached exact division")
 
         monkeypatch.setattr(poisson, "_divide", refuse)
-        _, omegas, failures = Workspace(BDTriple(4, 1, 3), processes=1).omega()
+        _, omegas, failures = Workspace(BDTriple(4, 1, 3)).omega()
         assert failures == [] and len(omegas) == 16 * 15 // 2
 
     def test_omega_sweep_reports_failures(self):
@@ -1070,10 +1071,9 @@ class TestSweeps:
     def test_sweep_workers_rejects_bad_count(self, value):
         with pytest.raises(ValueError, match="processes must be a positive integer"):
             sweep_workers(value)
-        ring = get_ring(2)
-        op = r_plus_operator(n=2, standard=True)
+        # run_checks checks the count before any check runs, rank included.
         with pytest.raises(ValueError, match="processes"):
-            omega_sweep([ring.x(1, 1), ring.x(2, 2)], op, processes=value)
+            verify.run_checks(["rank"], n=3, processes=value)
 
     def test_pair_products_once_per_sweep(self, monkeypatch):
         # The workspace hands its sweep plan to the sweep, which would
@@ -1094,11 +1094,11 @@ class TestSweeps:
             planned.append(plan)
             return real_sweep(*args, plan=plan, **kwargs)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(poisson, "_half", counted)
         monkeypatch.setattr(verify, "omega_sweep", sweep)
-        ws = Workspace(BDTriple(4, 1, 3), processes=2)
-        labels, omegas, failures = ws.omega()
+        ws = Workspace(BDTriple(4, 1, 3))
+        with worker_count(2):
+            labels, omegas, failures = ws.omega()
         L = len(labels)
         assert failures == [] and len(omegas) == L * (L - 1) // 2
         assert len(calls) == len(ws.sweep_plan) == L * (L - 1) // 2
@@ -1144,12 +1144,11 @@ class TestSweeps:
 
         monkeypatch.setattr(poisson, "coefficient_from_tables", exhaust)
         with pytest.raises(MemoryError):
-            omega_sweep(funcs, op, processes=1, tables=tables)
+            omega_sweep(funcs, op, tables=tables)
         assert not _module_state_holds(tables, poisson, tasks)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 0)
-        with pytest.raises(MemoryError):
-            omega_sweep(funcs, op, processes=2, tables=tables)
+        with worker_count(2), pytest.raises(MemoryError):
+            omega_sweep(funcs, op, tables=tables)
         assert not _module_state_holds(tables, poisson, tasks)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1159,7 +1158,7 @@ class TestSweeps:
         # (the faulted seed's and the overflowing pair's) come back in
         # pair order, as in-process.
         started = []
-        cpus = 2
+        workers = 2
         fork = os.fork
 
         def counted():
@@ -1168,8 +1167,6 @@ class TestSweeps:
                 started.append(pid)
             return pid
 
-        # Patched so the pool is forced on a 1-CPU host too.
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(os, "fork", counted)
         monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 0)
         ring = get_ring(2)
@@ -1181,13 +1178,14 @@ class TestSweeps:
             cases.append(([cluster.functions[lab] for lab in cluster.labels], ws.op()))
         failures = []
         for funcs, op in cases:
-            serial = omega_sweep(funcs, op, processes=1)
+            serial = omega_sweep(funcs, op)
             assert not started
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
-            assert omega_sweep(funcs, op, processes=2) == serial
+            with worker_count(workers):
+                assert omega_sweep(funcs, op) == serial
             # The calling process runs one share, so two workers fork one child.
-            assert len(started) == cpus - 1
+            assert len(started) == workers - 1
             started.clear()
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
@@ -1201,14 +1199,13 @@ class TestSweeps:
         def refuse(*args, **kwargs):
             raise AssertionError("a worker was forked for a sweep below the threshold")
 
-        # Patched so that processes=2 is not capped to 1 on a 1-CPU host.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "fork", refuse)
         for triple in ((4, 1, 3), (5, 1, 3), (5, 2, 4)):
             funcs, op, tables = _seed_tables(BDTriple(*triple))
             pairs = [(ia, ib) for ia in range(len(funcs)) for ib in range(ia + 1, len(funcs))]
             assert sum(products for products, _ in poisson.sweep_plan(tables)) < tasks.POOL_MIN_PRODUCTS
-            omegas, failures = omega_sweep(funcs, op, processes=2, tables=tables)
+            with worker_count(2):
+                omegas, failures = omega_sweep(funcs, op, tables=tables)
             assert failures == [] and len(omegas) == len(pairs), triple
 
     def test_sweep_never_multiplies_polynomials(self, monkeypatch):
@@ -1220,7 +1217,7 @@ class TestSweeps:
             raise AssertionError("Poly.__mul__ called in the sweep")
 
         monkeypatch.setattr(Poly, "__mul__", refuse)
-        omegas, failures = omega_sweep(funcs, op, processes=1, tables=tables)
+        omegas, failures = omega_sweep(funcs, op, tables=tables)
         assert failures == [] and len(omegas) == 16 * 15 // 2
 
     def test_dead_worker_fails_the_sweep(self):

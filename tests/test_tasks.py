@@ -51,17 +51,24 @@ class TestRunner:
         # Costs deal the tasks out of order; results still come back in order.
         items = list(range(11))
         costs = [5, 1, 9, 2, 7, 3, 8, 4, 6, 1, 2]
-        assert run_tasks(lambda t: t * t, items, costs, 3) == [t * t for t in items]
-        assert len(forks) == 2 and _no_child_left()
-        assert run_tasks(lambda t: t * t, items, costs, 1) == [t * t for t in items]
-        assert run_tasks(lambda t: t * t, items[:1], costs[:1], 3) == [0]
+        with worker_count(3):
+            assert run_tasks(lambda t: t * t, items, costs) == [t * t for t in items]
+            assert len(forks) == 2 and _no_child_left()
+            assert run_tasks(lambda t: t * t, items[:1], costs[:1]) == [0]
+        with worker_count(1):
+            assert run_tasks(lambda t: t * t, items, costs) == [t * t for t in items]
         assert len(forks) == 2
 
     def test_threshold_and_worker_count(self, forks, monkeypatch):
         monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 100)
-        assert not tasks.forks([50, 49], 2) and tasks.forks([50, 50], 2)
-        assert not tasks.forks([50, 50], 1) and not tasks.forks([100], 4)
-        # A run that gives no worker count takes worker_count's, 1 outside it.
+        with worker_count(2):
+            assert not tasks.forks([50, 49]) and tasks.forks([50, 50])
+        with worker_count(1):
+            assert not tasks.forks([50, 50])
+        with worker_count(4):
+            assert not tasks.forks([100])
+        # Runs take worker_count's count, 1 outside every block.
+        assert not tasks.forks([50, 50])
         assert run_tasks(abs, [-1, -2], [50, 50]) == [1, 2] and not forks
         with worker_count(2):
             assert run_tasks(abs, [-1, -2], [50, 50]) == [1, 2]
@@ -71,16 +78,17 @@ class TestRunner:
         # A task of a forked run that runs tasks of its own runs them where
         # it runs, in a worker or in the calling process.
         def nested(t):
-            return run_tasks(lambda u: (os.getpid(), u), [t, t + 1], [1, 1], 2)
+            return run_tasks(lambda u: (os.getpid(), u), [t, t + 1], [1, 1])
 
-        out = run_tasks(nested, [0, 10], [1, 1], 2)
-        assert [[u for _, u in inner] for inner in out] == [[0, 1], [10, 11]]
-        assert [len({pid for pid, _ in inner}) for inner in out] == [1, 1]
-        assert os.getpid() in {pid for inner in out for pid, _ in inner}
-        assert len(forks) == 1 and _no_child_left()
-        # Outside a forked run, the same nested run forks.
-        assert [u for _, u in run_tasks(nested, [0], [1], 2)[0]] == [0, 1]
-        assert len(forks) == 2 and _no_child_left()
+        with worker_count(2):
+            out = run_tasks(nested, [0, 10], [1, 1])
+            assert [[u for _, u in inner] for inner in out] == [[0, 1], [10, 11]]
+            assert [len({pid for pid, _ in inner}) for inner in out] == [1, 1]
+            assert os.getpid() in {pid for inner in out for pid, _ in inner}
+            assert len(forks) == 1 and _no_child_left()
+            # Outside a forked run, the same nested run forks.
+            assert [u for _, u in run_tasks(nested, [0], [1])[0]] == [0, 1]
+            assert len(forks) == 2 and _no_child_left()
 
     def test_worker_overflow_reraises_with_serial_text(self, forks):
         # The task raises in the forked worker alone; the parent re-raises it.
@@ -91,8 +99,10 @@ class TestRunner:
                 raise ExponentOverflow("a product has an exponent of 128 or more in some variable")
             return t
 
-        with pytest.raises(ExponentOverflow, match="^a product has an exponent of 128 or more in some variable$"):
-            run_tasks(overflow, [0, 1, 2, 3], [4, 3, 2, 1], 2)
+        with worker_count(2), pytest.raises(
+            ExponentOverflow, match="^a product has an exponent of 128 or more in some variable$"
+        ):
+            run_tasks(overflow, [0, 1, 2, 3], [4, 3, 2, 1])
         assert len(forks) == 1 and _no_child_left()
 
     def test_earliest_failing_task_wins(self, forks):
@@ -103,8 +113,8 @@ class TestRunner:
             return t
 
         for workers in (1, 2):
-            with pytest.raises(ValueError, match="^task 1$"):
-                run_tasks(fail, [0, 1, 2, 3], [1, 1, 1, 1], workers)
+            with worker_count(workers), pytest.raises(ValueError, match="^task 1$"):
+                run_tasks(fail, [0, 1, 2, 3], [1, 1, 1, 1])
         assert len(forks) == 1 and _no_child_left()
 
     def test_killed_worker_raises_and_leaves_no_child(self, forks):
@@ -115,8 +125,8 @@ class TestRunner:
                 os.kill(os.getpid(), signal.SIGKILL)
             return t
 
-        with pytest.raises(WorkerDied, match="terminated abruptly"):
-            run_tasks(killed, [0, 1, 2, 3], [1, 1, 1, 1], 2)
+        with worker_count(2), pytest.raises(WorkerDied, match="terminated abruptly"):
+            run_tasks(killed, [0, 1, 2, 3], [1, 1, 1, 1])
         assert len(forks) == 1 and _no_child_left()
 
     def test_parent_error_reaps_children(self, forks):
@@ -129,8 +139,8 @@ class TestRunner:
                 raise KeyboardInterrupt
             return t
 
-        with pytest.raises(KeyboardInterrupt):
-            run_tasks(interrupted, [0, 1, 2], [1, 1, 1], 3)
+        with worker_count(3), pytest.raises(KeyboardInterrupt):
+            run_tasks(interrupted, [0, 1, 2], [1, 1, 1])
         assert len(forks) == 2 and _no_child_left()
 
 
@@ -182,13 +192,32 @@ class TestForkedDivision:
         assert _no_child_left()
 
 
+class TestOneWorkerRoute:
+    def test_library_runs_fork_only_within_worker_count(self, monkeypatch):
+        # worker_count is the one route to a fork: the (5,1,4) sweep and its
+        # (2,2) exchange, both above the threshold, each fork one child in a
+        # worker_count(2) block and none outside it, and give the same
+        # omegas and exchanged variable either way.
+        started = _count_forks(monkeypatch)
+        ws = Workspace(BDTriple(5, 1, 4))
+        serial = ws.omega()
+        x22 = mutate_seed(ws.exchange_seed(), (2, 2)).cluster.functions[2, 2]
+        assert not started
+        with worker_count(2):
+            ws = Workspace(BDTriple(5, 1, 4))
+            assert ws.omega() == serial
+            assert len(started) == 1 and _no_child_left()
+            assert mutate_seed(ws.exchange_seed(), (2, 2)).cluster.functions[2, 2] == x22
+            assert len(started) == 2 and _no_child_left()
+
+
 def _costs(monkeypatch):
     """Record the costs of every sweep's and every division's run_tasks call."""
     seen = {"sweep": [], "division": []}
     for module, kind in ((poisson, "sweep"), (polyring, "division")):
-        def spy(fn, items, costs, workers=None, kind=kind, real=module.run_tasks):
+        def spy(fn, items, costs, kind=kind, real=module.run_tasks):
             seen[kind].append(list(costs))
-            return real(fn, items, costs, workers)
+            return real(fn, items, costs)
 
         monkeypatch.setattr(module, "run_tasks", spy)
     return seen
@@ -215,7 +244,8 @@ class TestThreshold:
             reports = verify.run_checks(["all"], processes=2, **run)
             assert all(r.passed for r in reports), run
         sweeps, divisions = (seen[kind] for kind in ("sweep", "division"))
-        assert not any(tasks.forks(costs, 2) for costs in sweeps + divisions)
+        with worker_count(2):
+            assert not any(tasks.forks(costs) for costs in sweeps + divisions)
         assert max(map(sum, sweeps)) == 450_349 < tasks.POOL_MIN_PRODUCTS
         assert max(map(sum, divisions)) == 2 * 86_472
 
@@ -227,9 +257,10 @@ class TestThreshold:
         seen = _costs(monkeypatch)
         report = verify.run_checks(["regular"], triple=BDTriple(5, 1, 4), processes=2)[0]
         assert report.passed and report.details == {"exchanges": 18}
-        heavy = [costs for costs in seen["division"] if tasks.forks(costs, 2)]
-        assert [(len(costs), sum(costs)) for costs in heavy] == [(142, 661_008)]
-        assert len(started) == 1 and _no_child_left()
-        ws = Workspace(BDTriple(5, 1, 4))
-        plan = poisson.sweep_plan([ws.tables(f, ws.op()) for f in ws.cluster().functions.values()])
-        assert tasks.forks([p for p, _ in plan], 2) and sum(p for p, _ in plan) == 2_822_224
+        with worker_count(2):
+            heavy = [costs for costs in seen["division"] if tasks.forks(costs)]
+            assert [(len(costs), sum(costs)) for costs in heavy] == [(142, 661_008)]
+            assert len(started) == 1 and _no_child_left()
+            ws = Workspace(BDTriple(5, 1, 4))
+            plan = poisson.sweep_plan([ws.tables(f, ws.op()) for f in ws.cluster().functions.values()])
+            assert tasks.forks([p for p, _ in plan]) and sum(p for p, _ in plan) == 2_822_224

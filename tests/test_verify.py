@@ -210,7 +210,7 @@ SWAPPED_COMPANION_WITNESSES = [
 class TestCompatibilityWitnesses:
     @pytest.mark.parametrize("delta", sorted(PERTURBED_COMPAT_WITNESSES), ids=str)
     def test_perturbed_omega_witnesses_unchanged(self, delta):
-        ws = Workspace(BDTriple(4, 1, 3), processes=1)
+        ws = Workspace(BDTriple(4, 1, 3))
         labels, omegas, failures = ws.omega()
         omegas = dict(omegas)
         omegas[labels.index((2, 2)), labels.index((2, 3))] += delta
@@ -228,7 +228,7 @@ class TestBracketDifferenceWitnesses:
             return real(self, False if standard else standard)
 
         monkeypatch.setattr(Workspace, "op", exotic_for_both)
-        witnesses, details = verify.check_bracket_difference(Workspace(BDTriple(4, 1, 3), processes=1))
+        witnesses, details = verify.check_bracket_difference(Workspace(BDTriple(4, 1, 3)))
         assert len(witnesses) == len(SWAPPED_COMPANION_WITNESSES) == 30
         assert witnesses == [
             f"difference mismatch at coordinate pair (x[{ia // 4 + 1},{ia % 4 + 1}], x[{ib // 4 + 1},{ib % 4 + 1}]): {diff}"
@@ -465,7 +465,7 @@ class TestPairTest:
             return replace(c, ring=Coordinates(), functions=functions)
 
         monkeypatch.setattr(verify, "standard_cluster", cluster)
-        ws = Workspace(T312, standard=True, processes=1)
+        ws = Workspace(T312, standard=True)
         expected = {
             verify.check_log_canonical: f"pair ((1, 2), (3, 1)): {self.OVERFLOW}",
             verify.check_frozen_log_canonical_with_coordinates: f"frozen (3, 1) with x[1,1]: {self.OVERFLOW}",
