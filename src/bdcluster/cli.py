@@ -123,7 +123,8 @@ def _cmd_bracket(args) -> int:
         if lab not in cluster.functions:
             raise CliError(f"({lab[0]},{lab[1]}) is not a label of this cluster")
     ta, tb = ws.tables(cluster.functions[la], op), ws.tables(cluster.functions[lb], op)
-    # A reason in place of omega is a failed pair; a bracket that overflows exits 2.
+    # A reason in place of omega is a failed pair; a function that table keys
+    # do not fit is refused by the table pass and exits 2.
     omega = pair_test(ta, tb)
     br = unscale(bracket_from_tables(ta, tb), op.n)
     log_canonical = not isinstance(omega, str)

@@ -33,13 +33,13 @@ come from one pass over the terms of f (polymat._replacement_tables,
 which reads a template made once per size n), as term dicts, off the
 diagonal only: F_ii and F'_ii are f with each
 term times its degree in column or row i (Euler), which f's degree
-classes give.  The tables of a function that fits polyring's 4-bit
-table keys (every seed function and coordinate) are keyed by them, so
-every product of a pair test adds and hashes a key a quarter of a ring
-key's size; a pair whose tables differ in layout runs in ring keys
-(_one_layout), and keys go back to ring keys only where a user sees
-them: bracket_from_tables' bracket, a failing pair's division and
-bracketdiff's witness (_ring_sum, _ring_keys).
+classes give.  The tables are keyed by polyring's 4-bit table keys,
+so every product of a pair test adds and hashes a key a quarter of a
+ring key's size and can never carry; a function that does not fit them
+(a y, or an exponent above 6) is refused with a ValueError.  Keys go
+back to ring keys only where a user sees them: bracket_from_tables'
+bracket, a failing pair's division and bracketdiff's witness
+(_ring_sum, _ring_keys).
 
 Since <F, G> = tr(grad f X grad g X) = <F', G'>, the same bracket is
 <R_-(F), G> - <R_-(F'), G'> for R_- = R_+ - id, which takes minus the
@@ -56,21 +56,21 @@ integer matrices.  bracket_from_tables returns the integer pairing
 n^2 {f, g}: the diagonal of the half pairs with G as one bilinear form
 in the degree classes of f and g, and the rest pairs table entries
 directly, so no R_+ of a table is stored.  gradient_tables is the one
-place tables are made.  F, F', the degree classes and the largest
-exponents do not read the operator, so tables of f for a second
-operator are derived from the first operator's (its like= keyword)
-without a pass over f's terms; only what a pair test reads of f for
-each half of that operator, its classes' weight vectors and its nonzero
-off-diagonal factors, is made per operator, and the weight vectors are
-taken over too when the half's diagonal matrix is the same.
+place tables are made.  F, F' and the degree classes do not read the
+operator, so tables of f for a second operator are derived from the
+first operator's (its like= keyword) without a pass over f's terms;
+only what a pair test reads of f for each half of that operator, its
+classes' weight vectors and its nonzero off-diagonal factors, is made
+per operator, and the weight vectors are taken over too when the half's
+diagonal matrix is the same.
 coefficient_from_tables tests {f, g} = omega f g as the integer sum
 lc n^2 {f, g} - W f g = 0, with W the bracket's coefficient at the
 leading monomial of f g and lc that monomial's coefficient, so a
 log-canonical pair forms neither the bracket nor f g and makes one
 Fraction, omega = W / (lc n^2); a heavy sum goes one first-row slice
 at a time (polyring's one slicing rule), and a failing pair divides the
-bracket's products, in ring keys, by f g for its witness, never forming
-the bracket.
+bracket's products, mapped back to ring keys, by f g for its witness,
+never forming the bracket.
 omega_sweep runs it over all pairs by a per-pair plan (sweep_plan), each
 pair's (products, half) decided once by _half, the one place the half
 is chosen: the half goes to the pair's test, and the pair tests are the
@@ -78,7 +78,7 @@ tasks of tasks.run_tasks, each costing its products, so a sweep of
 POOL_MIN_PRODUCTS term products or more forks the workers that
 tasks.worker_count sets.  r_plus, sklyanin_bracket and unscale
 remove the n^2.  pair_test is the one pair step of every check that
-tests pairs: omega, or the reason there is none, an overflow included.
+tests pairs: omega, or the reason there is none.
 RPlusOperator.halves is the operator's one form, each half as one
 diagonal matrix and one entry list; r_plus reads R_+, and the bracket
 either half.
@@ -104,7 +104,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bdseed import BDTriple, structure_size
 from .polymat import _replacement_tables
-from .polyring import ExponentOverflow, NotDivisible, Poly, _divide, _normalize_scalar
+from .polyring import NotDivisible, Poly, _divide, _normalize_scalar
 from .tasks import run_tasks
 
 TensorKey = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -368,7 +368,7 @@ def verify_cybe(rt: Tensor, n: int) -> Tuple[bool, bool, List[str]]:
 # Sklyanin bracket
 
 
-Tables = namedtuple("Tables", "F Fp f classes top op lead halves nibbles")
+Tables = namedtuple("Tables", "F Fp f classes op lead halves")
 
 # What the pair tests of f read for one half of the operator, R_+ or R_-.
 Half = namedtuple("Half", "parts left right lsizes rsizes")
@@ -377,14 +377,11 @@ Half = namedtuple("Half", "parts left right lsizes rsizes")
 def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None) -> Tables:
     """The tables of f for op: F_ij, the terms of col_replace(f, i, j),
     F'_ij, those of row_replace(f, j, i), for i != j (the diagonal entries
-    are None), f, its degree classes {(column degrees, row degrees): part
-    of f} and the packed ring key of its maximum exponents (top), from one
-    pass over f's terms, or taken from like, the tables of f for another
-    operator, since none of them reads op; nibbles, whether the entries
-    and parts are keyed by table keys, as they are when f fits them
-    (PolyRing.fits_nibbles), or else by ring keys; lead, (key, index of
-    its class, coefficient) of f's leading term, None for f = 0, in the
-    same keys; then op and, for each of its halves
+    are None), f and its degree classes {(column degrees, row degrees):
+    part of f}, keyed by table keys, from one pass over f's terms, or taken
+    from like, the tables of f for another operator, since none of them
+    reads op; lead, (table key, index of its class, coefficient) of f's
+    leading term, None for f = 0; then op and, for each of its halves
     R_+ and R_- (RPlusOperator.halves), what each pair test of f reads
     there (_pairing).  A half's parts lists (part, u_c, v_c) for each class
     c, with u_c = (M col(c), -M row(c)) for the half's diagonal matrix M
@@ -394,12 +391,14 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
     for every slot, and lsizes and rsizes the sizes of F_s and F_t' per
     slot.  Tables derived from like also take each half's parts from
     like's when that half has the same M, as a pair's standard companion
-    has.  Entries are term dicts, with int coefficients when f's are."""
+    has.  Entries are term dicts, with int coefficients when f's are.
+    Raises ValueError when f is not a polynomial in x alone with no
+    exponent above 6 (polymat._replacement_tables)."""
     if like is None:
-        F, Fp, classes, top, nibbles = _replacement_tables(f)
+        F, Fp, classes = _replacement_tables(f)
         lead = _lead(classes)
     else:
-        F, Fp, classes, top, lead, nibbles = like.F, like.Fp, like.classes, like.top, like.lead, like.nibbles
+        F, Fp, classes, lead = like.F, like.Fp, like.classes, like.lead
     halves = []
     for h, (M, entries) in enumerate(op.halves):
         if like is not None and like.op.halves[h][0] == M:
@@ -415,7 +414,7 @@ def gradient_tables(f: Poly, op: RPlusOperator, *, like: Optional[Tables] = None
         left = [(slot, a, co) for slot, (a, _, co) in enumerate(slots) if a]
         right = [b for _, b, _ in slots]
         halves.append(Half(parts, left, right, tuple(len(a) for a, _, _ in slots), tuple(map(len, right))))
-    return Tables(F, Fp, f, classes, top, op, lead, tuple(halves), nibbles)
+    return Tables(F, Fp, f, classes, op, lead, tuple(halves))
 
 
 def _lead(classes) -> Optional[Tuple[int, int, int]]:
@@ -441,32 +440,11 @@ def _ring_keys(ring):
     return back
 
 
-def _one_layout(ta: Tables, tb: Tables) -> Tuple[Tables, Tables]:
-    """ta and tb with their keys in one layout: as they are, or, when one
-    is in table keys and the other is not, with the first one's every
-    term dict mapped back to ring keys, so the pair runs in ring keys."""
-    if ta.nibbles == tb.nibbles:
-        return ta, tb
-    t = ta if ta.nibbles else tb
-    back = _ring_keys(t.f.ring)
-    F, Fp = ([[e if e is None else back(e) for e in row] for row in T] for T in (t.F, t.Fp))
-    classes = {degs: back(part) for degs, part in t.classes.items()}
-    halves = tuple(
-        h._replace(parts=[(back(p), u, v) for p, u, v in h.parts], left=[(s, back(a), co) for s, a, co in h.left],
-                   right=[back(b) for b in h.right])
-        for h in t.halves
-    )
-    t = t._replace(F=F, Fp=Fp, classes=classes, lead=_lead(classes), halves=halves, nibbles=False)
-    return (t, tb) if ta.nibbles else (ta, t)
-
-
-def _ring_sum(t: Tables, products) -> dict:
-    """The nonzero sums of products (PolyRing.accumulate) over term dicts
-    in the key layout of t, keyed by ring keys."""
-    ring = t.f.ring
-    acc = ring.accumulate(products, guard=not t.nibbles)
-    acc = {m: c for m, c in acc.items() if c}
-    return ring.from_nibbles(acc) if t.nibbles else acc
+def _ring_sum(ring, products) -> dict:
+    """The nonzero sums of products (PolyRing.accumulate, unguarded) over
+    term dicts of tables, keyed by ring keys."""
+    acc = ring.accumulate(products, guard=False)
+    return ring.from_nibbles({m: c for m, c in acc.items() if c})
 
 
 def _half(ta: Tables, tb: Tables) -> Tuple[int, int]:
@@ -495,13 +473,9 @@ def _pairing(ta: Tables, tb: Tables, half: Optional[int] = None):
     row(d) M row(c) = u_c . v_d; every class pair is listed, in the order
     of f's classes then g's, weight 0 included.  The off-diagonal
     products pair each slot's F_s of f with the same slot's G_t' of g,
-    both nonzero.  The factors are the tables' own term dicts, so ta and
-    tb must share one key layout (_one_layout).
+    both nonzero.  The factors are the tables' own term dicts, in table
+    keys, whose sums cannot carry: an entry's exponents are at most 7.
     """
-    # A class pair of weight 0 never reaches the kernel and its exponent
-    # guard, so f g is guarded as a whole, by its largest exponents, in
-    # ring keys whatever the tables' layout.
-    ta.f.ring.check_exponents((ta.top + tb.top,))
     if half is None:
         half = _half(ta, tb)[1]
     ha, hb = ta.halves[half], tb.halves[half]
@@ -511,10 +485,9 @@ def _pairing(ta: Tables, tb: Tables, half: Optional[int] = None):
 
 def bracket_from_tables(ta: Tables, tb: Tables) -> Poly:
     """n^2 {f, g} from the tables of f and g for one operator (_pairing),
-    summed by the ring's product kernel."""
-    ta, tb = _one_layout(ta, tb)
+    summed by the ring's product kernel and keyed by ring keys."""
     diagonal, off_diagonal = _pairing(ta, tb)
-    return Poly(ta.f.ring, _ring_sum(ta, diagonal + off_diagonal))
+    return Poly(ta.f.ring, _ring_sum(ta.f.ring, diagonal + off_diagonal))
 
 
 def sklyanin_bracket(f: Poly, g: Poly, op: RPlusOperator) -> Poly:
@@ -533,14 +506,13 @@ def coefficient_from_tables(ta: Tables, tb: Tables, half: Optional[int] = None) 
     over every class pair, so the pair (c, d) carries the weight
     lc w(c, d) - W, and each off-diagonal product of _pairing carries lc
     times its coefficient.  PolyRing.slices groups these products by the
-    monomials' exponents in X's first row (nibble_row_mask on table keys,
-    first_row_mask on ring keys), and omega = W / (lc n^2) when
-    every group's sum is 0.  At the first group with a nonzero sum, the
-    exact division of the bracket's products (_pairing) by f g decides:
-    a constant quotient is omega, and any other quotient or a remainder
-    raises NotLogCanonical with its reason.
+    monomials' exponents in X's first row (nibble_row_mask), and they are
+    summed unguarded, since table keys cannot carry; omega = W / (lc n^2)
+    when every group's sum is 0.  At the first group with a nonzero sum,
+    the exact division of the bracket's products (_pairing), mapped back
+    to ring keys, by f g decides: a constant quotient is omega, and any
+    other quotient or a remainder raises NotLogCanonical with its reason.
     """
-    ta, tb = _one_layout(ta, tb)
     f, g, op = ta.f, tb.f, ta.op
     diagonal, off_diagonal = _pairing(ta, tb, half)
     if ta.lead is None or tb.lead is None:
@@ -556,18 +528,16 @@ def coefficient_from_tables(ta: Tables, tb: Tables, half: Optional[int] = None) 
         # Packed keys add without carry, so a hit at L - m is exactly one
         # factorization of L.
         W += co * sum(a.get(L - mb, 0) * cb for mb, cb in b.items())
-    ring, nibbles = f.ring, ta.nibbles
+    ring = f.ring
     products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
-    mask = ring.nibble_row_mask if nibbles else ring.first_row_mask
+    groups = ring.slices(products, ring.nibble_row_mask)
     # Each slice's sums are freed before the next slice is accumulated.
-    if any(any(ring.accumulate(group, guard=not nibbles).values()) for group in ring.slices(products, mask)):
+    if any(any(ring.accumulate(group, guard=False).values()) for group in groups):
         # The quotient is authoritative, so a wrong nonzero sum could cost
         # only time, never a verdict.  A zero bracket has W = 0 and zero
         # sums, so it never gets here.  The division runs in ring keys.
-        dividend = diagonal + off_diagonal
-        if nibbles:
-            back = _ring_keys(ring)
-            dividend = [(back(a), back(b), w) for a, b, w in dividend]
+        back = _ring_keys(ring)
+        dividend = [(back(a), back(b), w) for a, b, w in diagonal + off_diagonal]
         try:
             quo = _divide(dividend, f * g)
         except NotDivisible as e:
@@ -581,12 +551,12 @@ def coefficient_from_tables(ta: Tables, tb: Tables, half: Optional[int] = None) 
 def pair_test(ta: Tables, tb: Tables, half: Optional[int] = None) -> Union[Fraction, str]:
     """omega of f and g from their tables (coefficient_from_tables, in the
     half given or the one _half picks), or, when there is none, the
-    reason: the message of its NotLogCanonical, or of the ExponentOverflow
-    of a product with an exponent of 128 or more.  Every check that tests
-    pairs calls this, so a pair that overflows fails that pair alone."""
+    reason: the message of its NotLogCanonical.  Every check that tests
+    pairs calls this, so a pair that is not log-canonical fails that pair
+    alone."""
     try:
         return coefficient_from_tables(ta, tb, half)
-    except (NotLogCanonical, ExponentOverflow) as e:
+    except NotLogCanonical as e:
         return str(e)
 
 
@@ -628,7 +598,7 @@ def omega_sweep(
     plan: Optional[Sequence[Tuple[int, int]]] = None,
 ):
     """All pairwise coefficients.  Returns ({(ia, ib): omega}, failures)
-    with ia < ib and failures a list of (ia, ib, reason), overflows too.
+    with ia < ib and failures a list of (ia, ib, reason).
 
     tables, when given, are the functions' gradient tables for op, and
     plan their sweep_plan, each pair's (products, half), made here when

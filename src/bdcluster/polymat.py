@@ -18,7 +18,10 @@ and visits only the variables a term holds, so a pass costs per term,
 not per entry of the size.  The pass makes no diagonal entry: by
 Euler's identity F[i][i] (F'[i][i]) is f with each term times its
 degree in column (row) i, so the maps read those from f's degree
-classes, as the bracket does.
+classes, as the bracket does.  The tables are keyed by polyring's
+4-bit table keys, so the pass takes a polynomial in x alone with no
+exponent above 6, as every seed function, coordinate and one-step
+exchanged variable is, and refuses any other with a ValueError.
 
 Each minor of a determinant is one PolyRing.accumulate over its first
 row's (entry, subminor) products, memoized on its column set.
@@ -26,9 +29,8 @@ row's (entry, subminor) products, memoized on its column set.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 from itertools import compress
-from operator import or_
 from typing import List, Sequence, Tuple
 
 from .polyring import Poly, PolyRing
@@ -186,15 +188,14 @@ def build_Mtilde(
 
 
 @cache
-def _template(ring: PolyRing, nibbles: bool):
-    """The table pass's template for the ring's size n and key layout,
-    table keys (nibbles) or ring keys, made once per n and layout: for
-    each variable x[a,b] in x_units order, (b, a, targets), targets
-    listing (slot, delta) for every off-diagonal entry of F and F' that
-    x[a,b] reaches, slot b*n + t for F[b][t] and n*n + t*n + a for
-    F'[t][a], and delta the key of x[a,t] (x[t,b] for F') less that of
-    x[a,b]."""
-    n, unit = ring.n, ring.nibble_units if nibbles else ring.x_units
+def _template(ring: PolyRing):
+    """The table pass's template for the ring's size n, in table keys, made
+    once per n: for each variable x[a,b] in nibble_units order, (b, a,
+    targets), targets listing (slot, delta) for every off-diagonal entry
+    of F and F' that x[a,b] reaches, slot b*n + t for F[b][t] and n*n +
+    t*n + a for F'[t][a], and delta the table key of x[a,t] (x[t,b] for
+    F') less that of x[a,b]."""
+    n, unit = ring.n, ring.nibble_units
     return tuple(
         (b, a, tuple([(b * n + t, unit[a * n + t] - unit[a * n + b]) for t in range(n) if t != b]
                      + [(n * n + t * n + a, unit[t * n + b] - unit[a * n + b]) for t in range(n) if t != a]))
@@ -205,15 +206,15 @@ def _template(ring: PolyRing, nibbles: bool):
 
 def _replacement_tables(f: Poly):
     """F and F' of f off the diagonal from one pass over its terms, as
-    term dicts, with 1-based F[i][j] the terms of col_replace(f, i, j) and
-    F'[i][j] those of row_replace(f, j, i) for i != j, and None on the
-    diagonal; f's degree classes {(column degrees, row degrees): {monomial:
-    coefficient}}; the packed key of f's maximum exponent in each
-    variable; and whether the entries and classes are keyed by table keys
-    (PolyRing.nibble_key), as they are when that key fits them
-    (PolyRing.fits_nibbles), or else by ring keys.  Each term's key is
-    made once, and every entry key is it plus a template delta of the
-    same layout.
+    term dicts keyed by table keys (PolyRing.nibble_key), with 1-based
+    F[i][j] the terms of col_replace(f, i, j) and F'[i][j] those of
+    row_replace(f, j, i) for i != j, and None on the diagonal; and f's
+    degree classes {(column degrees, row degrees): {table key:
+    coefficient}}.  Raises ValueError when f does not fit table keys
+    (PolyRing.fits_nibbles): it must be a polynomial in x alone with no
+    exponent above 6.  Each term's key is made once, and every entry key
+    is it plus a template delta; an entry raises one exponent by 1, to at
+    most 7, so no key carries into its neighbour.
 
     A term c*m holding x[a,b]^e differentiates to c*e*m/x[a,b], so it
     adds c*e*m*x[a,t]/x[a,b] to F[b][t] and c*e*m*x[t,b]/x[a,b] to
@@ -226,9 +227,9 @@ def _replacement_tables(f: Poly):
     """
     ring = f.ring
     n = ring.n
-    top = ring.top(f._d)
-    nibbles = ring.fits_nibbles(top)
-    template = _template(ring, nibbles)
+    if not ring.fits_nibbles(ring.top(f._d)):
+        raise ValueError("gradient tables need a polynomial in x alone with no exponent above 6")
+    template = _template(ring)
     # F[i][j] accumulates in entries[i*n + j] and F'[i][j] in entries[n*n + i*n + j].
     entries = [{} for _ in range(2 * n * n)]
     classes: dict = {}
@@ -236,7 +237,7 @@ def _replacement_tables(f: Poly):
     for m, c in f._d.items():
         cdeg, rdeg = [0] * n, [0] * n
         exps = ring.x_exponents(m)
-        key = ring.nibble_key(exps) if nibbles else m
+        key = ring.nibble_key(exps)
         for k in compress(variables, exps):
             e = exps[k]
             b, a, targets = template[k]
@@ -248,21 +249,13 @@ def _replacement_tables(f: Poly):
                 made = key + delta
                 acc[made] = acc.get(made, 0) + ce
         classes.setdefault((tuple(cdeg), tuple(rdeg)), {})[key] = c
-    # Each ring key is m / x[a,b] times x[a,t] or x[t,b], a sum of keys, so
-    # the guard applies to the union of each entry's keys, cancelled ones
-    # too.  Table keys need none: every exponent stays at most 7.
-    seen = 0
     for s, acc in enumerate(entries):
-        if acc:
-            if not nibbles:
-                seen |= reduce(or_, acc)
-            if 0 in acc.values():
-                entries[s] = {k: v for k, v in acc.items() if v}
-    ring.check_exponents((seen,))
+        if 0 in acc.values():
+            entries[s] = {k: v for k, v in acc.items() if v}
     rows = [entries[i : i + n] for i in range(0, 2 * n * n, n)]
     for i in range(n):
         rows[i][i] = rows[n + i][i] = None
-    return rows[:n], rows[n:], classes, top, nibbles
+    return rows[:n], rows[n:], classes
 
 
 def _replacement(f: Poly, i: int, j: int, rows: bool) -> Poly:
@@ -272,14 +265,14 @@ def _replacement(f: Poly, i: int, j: int, rows: bool) -> Poly:
     n = f.ring.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"{'row' if rows else 'column'} index outside 1..{n}")
-    F, Fp, classes, _, nibbles = _replacement_tables(f)
+    F, Fp, classes = _replacement_tables(f)
     if i != j:
         terms = Fp[j - 1][i - 1] if rows else F[i - 1][j - 1]
     else:
         side = 1 if rows else 0
         terms = {m: c * degs[side][i - 1] for degs, part in classes.items() if degs[side][i - 1]
                  for m, c in part.items()}
-    return Poly(f.ring, f.ring.from_nibbles(terms) if nibbles else terms)
+    return Poly(f.ring, f.ring.from_nibbles(terms))
 
 
 def col_replace(f: Poly, i: int, j: int) -> Poly:
@@ -287,6 +280,8 @@ def col_replace(f: Poly, i: int, j: int) -> Poly:
 
     When f is the determinant of a submatrix of X using column i exactly
     once, this is the same determinant with column i replaced by column j.
+    It reads the table pass, so f must be a polynomial in x alone with no
+    exponent above 6 (ValueError otherwise).
     """
     return _replacement(f, i, j, False)
 
@@ -295,6 +290,6 @@ def row_replace(f: Poly, i: int, j: int) -> Poly:
     """The polynomial sum_k (df/dx[i,k]) * x[j,k].
 
     Replaces row i of a determinant by row j, in the same sense as
-    col_replace.
+    col_replace, and refuses the same polynomials.
     """
     return _replacement(f, i, j, True)

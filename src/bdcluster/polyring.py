@@ -19,9 +19,8 @@ neighbouring byte.
 Only this module reads the layout: every product of polynomials runs
 through one kernel, PolyRing.accumulate, every exponent test through one
 guard, PolyRing.check_exponents, and other modules read keys only
-through x_units, x_exponents, top and first_row_mask (by which poisson
-slices a pair test on ring keys), and table keys (below) only through
-the nibble_ and fits_nibbles helpers.  Once a sum of products
+through x_exponents and top, and table keys (below) only through the
+nibble_ and fits_nibbles helpers.  Once a sum of products
 reaches SLICE_PRODUCTS term products, PolyRing.slices splits it into
 slices, a slice being the terms whose keys agree under a mask, so that
 each slice is accumulated and freed before the next.  Every exact
@@ -35,19 +34,17 @@ key uses, so the kernel of a division in x alone never carries the y
 bytes.  Poly keys keep every byte, y's included, since stored digests
 hash raw keys; once the ring holds x alone, the cut is usually empty.
 
-The gradient tables of poisson carry table keys instead when the
-function fits them (fits_nibbles: no y, and no exponent above 6): x
-alone, 4 bits per variable, x[1,1] on top, so a table key is a quarter
-of a ring key and still orders as it does.  A table entry raises one
-exponent by 1, so its fields are at most 7, and the sum of two table
-keys is at most 14 in every field: a pair test's sum never carries into
-a neighbouring field, and accumulate skips its guard there (guard off),
-the ring guard on the two functions' largest exponents covering the
-pair.  The table pass makes each term's table key once (nibble_key) and
-adds template deltas built from nibble_units; the pair test slices by
-nibble_row_mask, X's first row; from_nibbles maps table keys back to
-ring keys where a user sees them.  A function that does not fit keeps
-ring keys.  The pair test itself sums one first-row slice at a time.
+The gradient tables of poisson carry table keys instead: x alone, 4
+bits per variable, x[1,1] on top, so a table key is a quarter of a ring
+key and still orders as it does.  Only a function that fits them is
+tabled (fits_nibbles: no y, and no exponent above 6).  A table entry
+raises one exponent by 1, so its fields are at most 7, and the sum of
+two table keys is at most 14 in every field: a pair test's sum never
+carries into a neighbouring field, and accumulate skips its guard there
+(guard off).  The table pass makes each term's table key once
+(nibble_key) and adds template deltas built from nibble_units; the pair
+test slices by nibble_row_mask, X's first row, one slice at a time;
+from_nibbles maps table keys back to ring keys where a user sees them.
 
 Coefficients are ints or fractions.Fraction, so arithmetic stays exact.
 const, scalar products and exact_divide give ints for integral values;
@@ -129,8 +126,6 @@ class PolyRing:
         self._himask = hi
         # x_units[(a-1)*n + (b-1)] is the key of x[a,b]; x comes first.
         self.x_units = tuple(1 << self._shift[k] for k in range(n * n))
-        # All ones on the bytes of x[1,1], ..., x[1,n]: a key's first-row part.
-        self.first_row_mask = sum(_DIGIT_MASK << self._shift[k] for k in range(n))
         self._x_shift = (self.nvars - n * n) * _BITS
         # nibble_units[k] is x_units[k] as a table key: x alone, x[1,1] in
         # the top nibble, so table keys compare as the ring's do.
@@ -175,8 +170,9 @@ class PolyRing:
         return (mono >> self._x_shift).to_bytes(self.n * self.n, "big")
 
     def fits_nibbles(self, top: int) -> bool:
-        """Whether a function whose largest exponents have the key top is
-        tabled in table keys: it holds no y, and no exponent above 6."""
+        """Whether a function whose largest exponents have the key top fits
+        table keys, as every tabled function must: it holds no y, and no
+        exponent above 6."""
         return not top & ((1 << self._x_shift) - 1) and max(self.x_exponents(top)) <= _NIBBLE_TOP
 
     def nibble_key(self, exps: bytes) -> int:

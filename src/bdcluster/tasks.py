@@ -16,9 +16,9 @@ back its results raises WorkerDied.  A forked run forks no further: the
 runs that its tasks start stay in process, in the workers and in the
 calling process alike.
 
-The worker count is the one that worker_count sets for a block, and 1
-outside every block, so a sweep or a division called outside one runs
-in process.  run_checks sets it for its checks, so the sweeps and the
+The worker count is the one that worker_count sets for a block, at most
+the CPU count, and 1 outside every block, so a sweep or a division
+called outside one runs in process.  run_checks sets it for its checks, so the sweeps and the
 exchanges' divisions split their tasks over the same workers.
 """
 
@@ -55,9 +55,10 @@ _forking = False
 
 @contextmanager
 def worker_count(count: int):
-    """Within the block, runs split their tasks over count workers."""
+    """Within the block, runs split their tasks over count workers, capped
+    by the CPU count, since a forked run starts all its workers at once."""
     global _workers
-    saved, _workers = _workers, count
+    saved, _workers = _workers, min(count, os.cpu_count() or 1)
     try:
         yield
     finally:

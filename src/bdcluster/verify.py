@@ -191,9 +191,9 @@ class Workspace:
 
     def tables(self, f: Poly, op: RPlusOperator):
         """The gradient tables of f for op, made once per distinct (f, op)
-        and kept for the workspace's life.  F, F', the degree classes and
-        top do not read op, so they are made once per distinct f, and
-        every further operator's tables of f are derived from them."""
+        and kept for the workspace's life.  F, F' and the degree classes do
+        not read op, so they are made once per distinct f, and every
+        further operator's tables of f are derived from them."""
         views = self._tables.setdefault(frozenset(f._d.items()), {})
         if op not in views:
             views[op] = gradient_tables(f, op, like=next(iter(views.values()), None))
@@ -427,8 +427,7 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
                 (ef.Fp[a - 1][a], eg.Fp[b][b - 1], nn),
                 (ef.Fp[b][b - 1], eg.Fp[a - 1][a], -nn),
             ]
-            # Every coordinate's tables share one key layout.
-            diff = _ring_sum(ef, products)
+            diff = _ring_sum(ring, products)
             if diff:
                 witnesses.append(
                     f"difference mismatch at coordinate pair ({coords[ia]}, {coords[ib]}): "

@@ -7,8 +7,8 @@ out, along which the coincidence structures (n = 2*alpha or n = 2*beta)
 expand; evaluate substitutes rational values for the variables of a
 polynomial; heap_exact_divide is exact division by a heap of every
 remainder monomial, the package's earlier algorithm; derivative_tables
-builds a function's gradient tables, degree classes and largest
-exponents from partial_derivative, variable by variable; class_pairing
+builds a function's gradient tables and degree classes from
+partial_derivative, variable by variable; class_pairing
 derives the bracket's products per pair from the tables' degree classes
 and the operator, in either half R_+ or R_- = R_+ - id, as the package
 did before its tables carried them; tensor_pairing reads the same
@@ -117,13 +117,12 @@ def heap_exact_divide(p: Poly, q: Poly) -> Poly:
 
 
 def derivative_tables(f: Poly):
-    """(F, F', classes, top) of f as polymat._replacement_tables gives
-    them, from partial_derivative and Poly arithmetic alone, 0-based:
-    F[b][t] = sum_a x[a,t] df/dx[a,b] and F'[t][a] = sum_b x[t,b]
-    df/dx[a,b] as term dicts, None on the diagonal; classes groups f's
-    terms by their (column degrees, row degrees) in x, read from
-    monomial_exponents; top is the key of the product of every variable
-    to its largest exponent in f."""
+    """(F, F', classes) of f as polymat._replacement_tables gives them,
+    in ring keys, from partial_derivative and Poly arithmetic alone,
+    0-based: F[b][t] = sum_a x[a,t] df/dx[a,b] and F'[t][a] = sum_b
+    x[t,b] df/dx[a,b] as term dicts, None on the diagonal; classes groups
+    f's terms by their (column degrees, row degrees) in x, read from
+    monomial_exponents."""
     ring = f.ring
     idx = range(ring.n)
 
@@ -134,18 +133,12 @@ def derivative_tables(f: Poly):
     F = [[None if b == t else sum((x(a, t) * d[a, b] for a in idx), ring.zero)._d for t in idx] for b in idx]
     Fp = [[None if t == a else sum((x(t, b) * d[a, b] for b in idx), ring.zero)._d for a in idx] for t in idx]
     classes: dict = {}
-    largest: dict = {}
     for m, c in f._d.items():
         exps = ring.monomial_exponents(m)
         cols = tuple(sum(exps.get(("x", a + 1, b + 1), 0) for a in idx) for b in idx)
         rows = tuple(sum(exps.get(("x", a + 1, b + 1), 0) for b in idx) for a in idx)
         classes.setdefault((cols, rows), {})[m] = c
-        for v, e in exps.items():
-            largest[v] = max(largest.get(v, 0), e)
-    top = ring.one
-    for v, e in largest.items():
-        top = top * ring.var(*v) ** e
-    return F, Fp, classes, max(top._d)
+    return F, Fp, classes
 
 
 def _half_lists(op, half: int):
@@ -257,17 +250,16 @@ def whole_pair_sums(ta: Tables, tb: Tables, half: int = 0):
     """(omega, sums, products) for the pair test of f and g in one half of
     the operator, from class_pairing alone: sums is the term dict of lc n^2
     {f, g} - W f g accumulated in one dict in ring keys, the products of
-    tables in table keys mapped back first (ring_keyed), zero sums and all,
-    omega = W / (lc n^2) when every sum is 0, else None, and products the
-    number of term products listed.  lc is the coefficient of lead f +
+    the tables mapped back from table keys first (ring_keyed), zero sums
+    and all, omega = W / (lc n^2) when every sum is 0, else None, and
+    products the number of term products listed.  lc is the coefficient of lead f +
     lead g in f g, and W that of n^2 {f, g}, read off the whole bracket."""
     f, g = ta.f, tb.f
     lf, lg = max(f._d), max(g._d)
     lc = f._d[lf] * g._d[lg]
     diagonal, off_diagonal = class_pairing(ta, tb, half)
-    if ta.nibbles:
-        keyed = ring_keyed(diagonal + off_diagonal, f.ring)
-        diagonal, off_diagonal = keyed[: len(diagonal)], keyed[len(diagonal) :]
+    keyed = ring_keyed(diagonal + off_diagonal, f.ring)
+    diagonal, off_diagonal = keyed[: len(diagonal)], keyed[len(diagonal) :]
     W = f.ring.accumulate(diagonal + off_diagonal).get(lf + lg, 0)
     products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
     sums = f.ring.accumulate(products)

@@ -6,6 +6,7 @@ from dataclasses import replace
 from bdcluster import cli, poisson, verify
 from bdcluster.bdseed import get_ring
 from bdcluster.cli import main
+from test_verify import REFUSAL
 
 
 def run(capsys, *argv):
@@ -252,8 +253,8 @@ class TestCheck:
         assert "error:" in err and "128" in err
 
     def test_bracket_overflow_exits_2(self, capsys, monkeypatch):
-        # The fused bracket kernel keeps the exponent guard: x[1,1]^64
-        # against itself reaches x[1,1]^128 in the pairing.
+        # x[1,1]^64 would reach x[1,1]^128 in the pairing against itself;
+        # table keys do not fit it, so the table pass refuses it first.
         standard = verify.standard_cluster
 
         def big(n, sl=False):
@@ -265,11 +266,11 @@ class TestCheck:
         rc, out, err = run(capsys, "bracket", "--n", "2", "--f", "1,2", "--g", "2,2")
         assert rc == 2
         assert out == ""
-        assert "error:" in err and "128" in err
+        assert err == f"error: {REFUSAL}\n"
 
-    def test_sweep_overflow_is_a_witness(self, capsys, monkeypatch):
-        # The same overflow inside a coefficient sweep belongs to one pair:
-        # check logcanon names both labels and fails instead of stopping.
+    def test_sweep_refusal_exits_2(self, capsys, monkeypatch):
+        # The same function in a coefficient sweep stops the check with the
+        # rule's text while its functions are tabled, before any pair test.
         standard = verify.standard_cluster
 
         def big(n, sl=False):
@@ -280,9 +281,9 @@ class TestCheck:
 
         monkeypatch.setattr(verify, "standard_cluster", big)
         rc, out, err = run(capsys, "check", "logcanon", "--n", "2")
-        assert rc == 1
-        assert err == ""
-        assert "  pair ((1, 2), (2, 2)): a product has an exponent of 128 or more in some variable\n" in out
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {REFUSAL}\n"
 
     def test_lonely_alpha_rejected(self, capsys):
         rc, _, err = run(capsys, "seed", "--n", "3", "--alpha", "1")

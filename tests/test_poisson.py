@@ -43,11 +43,20 @@ from bdcluster.poisson import (
     verify_cybe,
 )
 from bdcluster.polymat import col_replace, row_replace
-from bdcluster.polyring import ExponentOverflow, NotDivisible, Poly, PolyRing, partial_derivative
+from bdcluster.polyring import NotDivisible, Poly, PolyRing, exact_divide, partial_derivative
+from bdcluster.quiver import mutate_seed
 from bdcluster.tasks import worker_count
 from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
-from oracles import class_pairing, cybe_all_pairs, heap_exact_divide, tensor_pairing, unpack, whole_pair_sums
-from test_verify import _structures
+from oracles import (
+    class_pairing,
+    cybe_all_pairs,
+    derivative_tables,
+    heap_exact_divide,
+    tensor_pairing,
+    unpack,
+    whole_pair_sums,
+)
+from test_verify import REFUSAL, _structures
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
 # "n alpha beta ia ib omega" per pair of functions (see
@@ -72,12 +81,6 @@ def _in_half(half, fn, *args):
             return fn(*args)
         except NotLogCanonical as e:
             return str(e)
-
-
-def _ring_terms(t, terms):
-    """terms, a term dict in the key layout of the tables t, keyed by ring
-    keys (oracles.unpack when t is in table keys)."""
-    return unpack(terms, t.f.ring) if t.nibbles else terms
 
 
 def unit(n, i, j):
@@ -469,7 +472,7 @@ class TestSklyaninBracket:
                     want_grads = [
                         [[None if i == j else e._d for j, e in enumerate(row)] for i, row in enumerate(T)] for T in grads
                     ]
-                    got_grads = [[[e if e is None else _ring_terms(t, e) for e in row] for row in T] for T in t[:2]]
+                    got_grads = [[[e if e is None else unpack(e, ring) for e in row] for row in T] for T in t[:2]]
                     assert got_grads == want_grads, (n, pair, std, str(p))
                     for i in range(1, n + 1):
                         assert col_replace(p, i, i) == grads[0][i - 1][i - 1], (n, i, str(p))
@@ -498,7 +501,7 @@ class TestSklyaninBracket:
                             assert all(isinstance(c, int) for c in entry.values()), entry
                 for part in table.classes.values():
                     assert all(isinstance(c, int) for c in part.values()), part
-                parts = [m for part in table.classes.values() for m in _ring_terms(table, part)]
+                parts = [m for part in table.classes.values() for m in unpack(part, table.f.ring)]
                 assert sorted(parts) == sorted(table.f._d), str(table.f)
             for ia, ib in [(0, 1), (2, 5), (3, 7), (4, len(funcs) - 1)]:
                 br = bracket_from_tables(tables[ia], tables[ib])
@@ -533,59 +536,76 @@ class TestSklyaninBracket:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BRACKET_DIGEST
 
     def test_weight_zero_class_pair_keeps_the_overflow_guard(self):
-        # f = x[1,1]^64 and the x[1,1]^64 class of g = x[1,1]^64 + x[1,2]
-        # have equal column and row degrees, so their class pair has weight
-        # 0 and is never multiplied; f g still reaches x[1,1]^128.
-        ring = get_ring(2)
-        f = ring.x(1, 1) ** 64
-        g = f + ring.x(1, 2)
-        ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
-        assert list(ta.classes) == [((64, 0), (64, 0))] and ((64, 0), (64, 0)) in tb.classes
-        with pytest.raises(ExponentOverflow):
-            bracket_from_tables(ta, tb)
-
-    def test_overflow_guard_reads_max_exponents(self):
-        # The ORs of f's keys hold 64 | 63 = 0x7F in x[1,1], and with g's
-        # 0x01 they would reach the high bit; the largest exponents add
-        # up to 65 only.
+        # f = x[1,1]^6 and the x[1,1]^6 class of g = x[1,1]^6 + x[1,2] have
+        # equal column and row degrees, so their class pair has weight 0 and
+        # is never multiplied.  The rule that refuses an exponent above 6
+        # bounds f g by x[1,1]^12, so no guard on the pair is needed: the
+        # pair test divides in ring keys and agrees with the oracle.  At 7
+        # the rule refuses f itself.
         ring = get_ring(2)
         x11, x12 = ring.x(1, 1), ring.x(1, 2)
-        got = sklyanin_bracket(x11**64 + x11**63, x11 * x12, self.op)
-        assert got == 32 * x11**65 * x12 + Fraction(63, 2) * x11**64 * x12
+        f, g = x11**6, x11**6 + x12
+        ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
+        assert list(ta.classes) == [((6, 0), (6, 0))] and ((6, 0), (6, 0)) in tb.classes
+        want = 4 * _oracle_bracket(f, g, build_r_tensor(self.op), 2)
+        assert bracket_from_tables(ta, tb) == want == 12 * x11**6 * x12
+        with pytest.raises(NotDivisible) as e:
+            heap_exact_divide(want, f * g)
+        assert pair_test(ta, tb) == f"bracket is not divisible by the product: {e.value}"
+        for big in (x11**7, x11**7 + x12):
+            with pytest.raises(ValueError, match=REFUSAL):
+                gradient_tables(big, self.op)
+
+    def test_overflow_guard_reads_max_exponents(self):
+        # The rule reads f's largest exponent in each variable, not the OR
+        # of its keys: x[1,1]^6 + x[1,1]^5 x[1,2] ORs 6 | 5 = 7 in x[1,1],
+        # but its largest exponent is 6, so it is tabled.
+        ring = get_ring(2)
+        x11, x12 = ring.x(1, 1), ring.x(1, 2)
+        f = x11**6 + x11**5 * x12
+        got = sklyanin_bracket(f, x11 * x12, self.op)
+        assert got == _oracle_bracket(f, x11 * x12, build_r_tensor(self.op), 2)
+        assert got == 3 * x11**7 * x12 + 2 * x11**6 * x12**2
 
     def test_kernel_keeps_the_overflow_guard(self):
-        # F_11 = 64 x[1,1]^64 for both functions, so one product in the
-        # pairing reaches x[1,1]^128.
+        # The kernel sums table keys unguarded, so the guard is the rule the
+        # table pass applies to every function: x[1,1]^7 and x[1,1] +
+        # y[1,1] are refused, with the rule's text, by every entry point
+        # that tables a function, and x[1,1]^6 x[1,2] is tabled.
         ring = get_ring(2)
-        f = g = ring.x(1, 1) ** 64
-        ta = gradient_tables(f, self.op)
-        with pytest.raises(ExponentOverflow):
-            bracket_from_tables(ta, ta)
-        with pytest.raises(ExponentOverflow):
-            sklyanin_bracket(f, g, self.op)
-        # Every class pair of f f has weight 0 and no off-diagonal product
-        # is nonzero, so nothing is accumulated: only the guard on the
-        # largest exponents sees f f reach x[1,1]^128.
-        with pytest.raises(ExponentOverflow):
-            coefficient_from_tables(ta, ta)
-        # The tables themselves: d/dx[1,1] of x[1,1] x[1,2]^127, times
-        # x[1,2], reaches x[1,2]^128.
-        with pytest.raises(ExponentOverflow):
-            gradient_tables(ring.x(1, 1) * ring.x(1, 2) ** 127, self.op)
+        x11, x12 = ring.x(1, 1), ring.x(1, 2)
+        for bad in (x11**7, x11 + ring.y(1, 1)):
+            for call in (
+                lambda: gradient_tables(bad, self.op),
+                lambda: sklyanin_bracket(bad, x12, self.op),
+                lambda: sklyanin_bracket(x12, bad, self.op),
+                lambda: poisson_coefficient(bad, x12, self.op),
+                lambda: poisson_coefficient(x12, bad, self.op),
+                lambda: col_replace(bad, 1, 2),
+                lambda: row_replace(bad, 1, 2),
+            ):
+                with pytest.raises(ValueError, match=f"^{REFUSAL}$"):
+                    call()
+        f = x11**6 * x12
+        assert col_replace(f, 1, 2) == 6 * x11**5 * x12**2
+        assert sklyanin_bracket(f, x12, self.op) == 3 * x11**6 * x12**2
+        assert poisson_coefficient(f, x12, self.op) == 3
 
     def test_off_diagonal_overflow_passes_the_largest_exponents(self):
-        # The largest exponents of x[1,2] add up to 63 + 64, but F_12 =
-        # x[1,2]^64 and G_21 holds x[1,2]^64 x[2,1], so the strict upper
-        # part reaches x[1,2]^128; the guard on accumulated keys sees it.
+        # The largest exponents of x[1,2] are 6 in both functions, but
+        # F_12 = x[1,2]^7, and the strict upper part pairs it with G_21's
+        # x[1,2]^6 x[2,1], reaching x[1,2]^13, past the sum of the largest
+        # exponents; a 4-bit field holds it without carrying.
         ring = get_ring(2)
-        f = ring.x(1, 1) * ring.x(1, 2) ** 63
-        g = ring.x(1, 2) ** 64 * ring.x(2, 2)
+        x11, x12, x21, x22 = (ring.x(i, j) for i in (1, 2) for j in (1, 2))
+        f, g = x11 * x12**6, x12**6 * x22
         ta, tb = gradient_tables(f, self.op), gradient_tables(g, self.op)
-        assert not (ta.top + tb.top) & ring._himask
-        with pytest.raises(ExponentOverflow):
-            bracket_from_tables(ta, tb)
-        with pytest.raises(ExponentOverflow):
-            coefficient_from_tables(ta, tb)
+        assert Poly(ring, ring.from_nibbles(ta.F[0][1])) == x12**7
+        want = 4 * _oracle_bracket(f, g, build_r_tensor(self.op), 2)
+        assert bracket_from_tables(ta, tb) == want == 24 * x11 * x12**12 * x22 + 4 * x12**13 * x21
+        with pytest.raises(NotDivisible) as e:
+            heap_exact_divide(want, f * g)
+        assert pair_test(ta, tb) == f"bracket is not divisible by the product: {e.value}"
 
 
 def _random_poly(rng, ring):
@@ -641,8 +661,8 @@ class TestBracketHalves:
             tables = [gradient_tables(f, op) for f in funcs]
             for ia, ta in enumerate(tables):
                 for tb in tables[ia + 1 :]:
-                    sums = ring.accumulate(sum(tensor_pairing(ta, tb, rt), []), guard=not ta.nibbles)
-                    tensor = _ring_terms(ta, {m: c for m, c in sums.items() if c})
+                    sums = ring.accumulate(sum(tensor_pairing(ta, tb, rt), []), guard=False)
+                    tensor = unpack({m: c for m, c in sums.items() if c}, ring)
                     plus = _in_half(0, bracket_from_tables, ta, tb)
                     assert _in_half(1, bracket_from_tables, ta, tb) == plus == Poly(ring, tensor), (
                         op,
@@ -781,14 +801,14 @@ class TestSlicedPairTest:
                 if omega is None:
                     failures.append((ia, ib))
                     # A light pair test is one sum; exact division follows.
-                    assert products < polyring.SLICE_PRODUCTS and _ring_terms(ta, made[0]) == whole, where
+                    assert products < polyring.SLICE_PRODUCTS and unpack(made[0], ta.f.ring) == whole, where
                     continue
                 assert forced == {omega}, where
                 sliced = {}
                 for sums in made:
                     assert not sliced.keys() & sums.keys()
                     sliced.update(sums)
-                assert _ring_terms(ta, sliced) == whole, where
+                assert unpack(sliced, ta.f.ring) == whole, where
         # Most coordinate pairs fail, so the failure path is always compared;
         # only the pairs of seed functions (listed first) tell a faulted seed.
         seed_failures = [ib for _, ib in failures if ib < len(cluster.labels)]
@@ -824,14 +844,6 @@ class TestSlicedPairTest:
         monkeypatch.setattr(poisson, "coefficient_from_tables", counted)
         assert check_frozen_log_canonical_with_coordinates(Workspace(BDTriple(4, 1, 3))) == ([], {})
         assert calls == [1] * (5 * 16)
-
-
-def _in_ring_keys(fn, *args):
-    """fn(*args) with every table made in ring keys, as PolyRing.fits_nibbles
-    refuses every function."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PolyRing, "fits_nibbles", lambda self, top: False)
-        return fn(*args)
 
 
 def _seed_and_coordinate_functions(n_max=5):
@@ -873,37 +885,77 @@ def _poly_up_to(data, n, top):
     return f
 
 
-class TestTableKeys:
-    """Table keys against the ring-key tables that the same pass makes when
-    no function fits them, and against the derivative and tensor oracles."""
+def _ring_key_pair_test(ta, tb):
+    """omega of f and g, or the reason there is none in pair_test's words,
+    in ring keys: the bracket that bracket_from_tables forms, mapped back
+    to ring keys, divided by f g with exact_divide."""
+    try:
+        quo = exact_divide(bracket_from_tables(ta, tb), ta.f * tb.f)
+    except NotDivisible as e:
+        return f"bracket is not divisible by the product: {e}"
+    if quo._d.keys() - {0}:
+        return "bracket is a non-constant multiple of the product"
+    return Fraction(quo._d.get(0, 0), ta.op.n**2)
 
-    OVERFLOW = "a product has an exponent of 128 or more in some variable"
+
+class TestTableKeys:
+    """The 4-bit table keys of the gradient tables against ring-key
+    oracles (the derivative tables, the tensor bracket and the division of
+    a formed bracket), and the rule that refuses every function that does
+    not fit them."""
+
+    def test_every_tabled_function_fits(self):
+        # Every function the program tables fits table keys: the functions
+        # of the standard and every exotic seed for n = 3..6, on GL and SL,
+        # the coordinates, and every one-step exchanged variable of every
+        # n <= 5 pair.  A structure that needs a wider layout fails here,
+        # with the labels of the functions that do not fit.
+        misfits = []
+        for n in range(3, 7):
+            ring = get_ring(n)
+            named = [(f"x[{i},{j}]", ring.x(i, j)) for i in range(1, n + 1) for j in range(1, n + 1)]
+            pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
+            for sl in (False, True):
+                group = "SL" if sl else "GL"
+                seeds = [(f"{group} standard n={n}", standard_cluster(n, sl=sl))]
+                seeds += [(f"{group} ({n},{a},{b})", initial_cluster(BDTriple(n, a, b), sl=sl)) for a, b in pairs]
+                named += [(f"{name} seed {lab}", f) for name, seed in seeds for lab, f in seed.functions.items()]
+            for a, b in pairs if n <= 5 else ():
+                seed = Workspace(BDTriple(n, a, b)).exchange_seed()
+                named += [(f"({n},{a},{b}) exchange at {lab}", mutate_seed(seed, lab).cluster.functions[lab])
+                          for lab in seed.matrix.mutable_labels()]
+            misfits += [name for name, f in named if not ring.fits_nibbles(ring.top(f._d))]
+        assert not misfits, misfits
 
     def test_tables_unpack_to_the_ring_key_tables(self):
-        # Every entry, class part, lead and half of the tables of every seed
+        # Every entry, class part and lead of the tables of every seed
         # function and coordinate with n <= 5, unpacked, equals the ring-key
-        # tables' own; top and the sizes are the same.
+        # tables that oracles.derivative_tables builds from partial
+        # derivatives; each half's factors, coefficients and sizes are
+        # those of its entries on these tables.
         funcs = _seed_and_coordinate_functions()
         assert len(funcs) > 100
         for f, op in funcs:
             ring = f.ring
-            got, want = gradient_tables(f, op), _in_ring_keys(gradient_tables, f, op)
-            assert got.nibbles and not want.nibbles, str(f)
+            got = gradient_tables(f, op)
+            F, Fp, classes = derivative_tables(f)
 
             def back(terms):
                 return unpack(terms, ring)
 
-            for T, U in ((got.F, want.F), (got.Fp, want.Fp)):
+            for T, U in ((got.F, F), (got.Fp, Fp)):
                 assert [[e if e is None else back(e) for e in row] for row in T] == U, str(f)
-            assert {degs: back(part) for degs, part in got.classes.items()} == want.classes, str(f)
+            assert {degs: back(part) for degs, part in got.classes.items()} == classes, str(f)
             key, i, c = got.lead
-            assert (*back({key: c}).items(),) == ((want.lead[0], want.lead[2]),) and i == want.lead[1], str(f)
-            assert got.top == want.top and got.f is want.f, str(f)
-            for h, w in zip(got.halves, want.halves):
-                assert [(back(p), u, v) for p, u, v in h.parts] == w.parts, str(f)
-                assert [(s, back(a), co) for s, a, co in h.left] == w.left, str(f)
-                assert [back(b) for b in h.right] == w.right, str(f)
-                assert (h.lsizes, h.rsizes) == (w.lsizes, w.rsizes), str(f)
+            lead = max(f._d)
+            assert back({key: c}) == {lead: f._d[lead]} and lead in list(classes.values())[i], str(f)
+            for h, (_, entries) in zip(got.halves, op.halves):
+                slots = [(T[si][sj], T[tj][ti], sign * co) for T, sign in ((F, 1), (Fp, -1))
+                         for co, (si, sj), (ti, tj) in entries]
+                assert [(s, back(a), co) for s, a, co in h.left] == [(s, a, co) for s, (a, _, co) in enumerate(slots) if a]
+                assert [back(b) for b in h.right] == [b for _, b, _ in slots], str(f)
+                assert h.lsizes == tuple(len(a) for a, _, _ in slots), str(f)
+                assert h.rsizes == tuple(len(b) for _, b, _ in slots), str(f)
 
     @pytest.mark.parametrize(
         "n, pair, standard, fault",
@@ -913,23 +965,16 @@ class TestTableKeys:
     )
     def test_pair_tests_agree_in_both_layouts(self, n, pair, standard, fault):
         # Every pair of seed functions and coordinates gives the same omega,
-        # or the same reason, from table keys and from ring keys, each pair
-        # in the half that _half picks, which both layouts pick alike.
+        # or the same reason, from the pair test on table keys and from the
+        # formed bracket divided in ring keys (_ring_key_pair_test).
         ws = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
         cluster, op = ws.cluster(), ws.op()
         idx = range(1, n + 1)
         funcs = [cluster.functions[lab] for lab in cluster.labels]
         funcs += [cluster.ring.x(i, j) for i in idx for j in idx]
-        packed = [gradient_tables(f, op) for f in funcs]
-        ring_keyed = [_in_ring_keys(gradient_tables, f, op) for f in funcs]
-        assert all(t.nibbles for t in packed) and not any(t.nibbles for t in ring_keyed)
-        got, want = [], []
-        for ia in range(len(funcs)):
-            for ib in range(ia + 1, len(funcs)):
-                assert poisson._half(packed[ia], packed[ib]) == poisson._half(ring_keyed[ia], ring_keyed[ib])
-                got.append(pair_test(packed[ia], packed[ib]))
-                want.append(pair_test(ring_keyed[ia], ring_keyed[ib]))
-        assert got == want
+        tables = [gradient_tables(f, op) for f in funcs]
+        got = [pair_test(ta, tb) for ta, tb in combinations(tables, 2)]
+        assert got == [_ring_key_pair_test(ta, tb) for ta, tb in combinations(tables, 2)]
         # Only the faulted seeds fail among the seed functions' pairs.
         seeds = len(cluster.labels)
         seed_pairs = [w for (ia, ib), w in zip(combinations(range(len(funcs)), 2), got) if ib < seeds]
@@ -938,52 +983,42 @@ class TestTableKeys:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_the_rule_boundary(self, data):
-        # Polynomials whose largest exponent is 6, 7 or 8 are tabled in
-        # table keys exactly at 6; every pair, the mixed ones included,
-        # gives the same bracket and pair test as in ring keys, and the
-        # bracket equals the tensor oracle's.
+        # Polynomials whose largest exponent is 6, 7 or 8 are tabled exactly
+        # at 6 and refused above it; every pair of tabled ones gives the
+        # tensor oracle's bracket and the ring-key route's pair test.
         n = data.draw(st.integers(2, 3))
         tops = [data.draw(st.sampled_from([6, 7, 8])) for _ in range(2)]
         f, g = (_poly_up_to(data, n, top) for top in tops)
         op = r_plus_operator(n=n, standard=True) if n == 2 else r_plus_operator(BDTriple(3, 1, 2))
-        ta, tb = gradient_tables(f, op), gradient_tables(g, op)
-        assert [ta.nibbles, tb.nibbles] == [top == 6 for top in tops]
-        ra, rb = _in_ring_keys(gradient_tables, f, op), _in_ring_keys(gradient_tables, g, op)
-        for x, y, rx, ry in ((ta, tb, ra, rb), (tb, ta, rb, ra), (ta, ta, ra, ra)):
-            br = bracket_from_tables(x, y)
-            assert br == bracket_from_tables(rx, ry), (str(x.f), str(y.f))
-            assert br == n * n * _oracle_bracket(x.f, y.f, build_r_tensor(op), n), (str(x.f), str(y.f))
-            assert pair_test(x, y) == pair_test(rx, ry), (str(x.f), str(y.f))
+        tabled = []
+        for p, top in zip((f, g), tops):
+            if top == 6:
+                tabled.append(gradient_tables(p, op))
+            else:
+                with pytest.raises(ValueError, match=REFUSAL):
+                    gradient_tables(p, op)
+        for x in tabled:
+            for y in tabled:
+                br = bracket_from_tables(x, y)
+                assert br == n * n * _oracle_bracket(x.f, y.f, build_r_tensor(op), n), (str(x.f), str(y.f))
+                assert pair_test(x, y) == _ring_key_pair_test(x, y), (str(x.f), str(y.f))
 
     def test_boundary_exponents_do_not_carry(self):
         # x[1,1]^e x[1,2] against x[1,1]^e x[2,1] + x[1,1] x[2,2]^e: F
         # entries raise x[1,1] to e + 1, so at e = 7 two of them would fill
-        # a 4-bit field; e = 6 fits, e = 7 keeps ring keys, and both
-        # brackets equal the oracle's.
+        # a 4-bit field; e = 6 is tabled, and its brackets equal the
+        # oracle's, and e = 7 is refused.
         ring = get_ring(2)
         op = r_plus_operator(n=2, standard=True)
         x = ring.x
-        for e, fits in ((6, True), (7, False)):
-            f, g = x(1, 1) ** e * x(1, 2), x(1, 1) ** e * x(2, 1) + x(1, 1) * x(2, 2) ** e
-            ta, tb = gradient_tables(f, op), gradient_tables(g, op)
-            assert ta.nibbles == tb.nibbles == fits
-            want = 4 * _oracle_bracket(f, g, build_r_tensor(op), 2)
-            assert bracket_from_tables(ta, tb) == want == bracket_from_tables(tb, ta) * -1, e
-            assert bracket_from_tables(ta, ta) == 0 == bracket_from_tables(tb, tb), e
-
-    def test_the_overflow_text_is_kept(self):
-        # x[1,1]^64 against x[1,1]^64 + x[1,2], both in ring keys, fails with
-        # the overflow text; against x[1,2] in table keys, x[1,1]^64 pairs in
-        # ring keys: {x[1,1]^64, x[1,2]} = 32 x[1,1]^64 x[1,2].
-        ring = get_ring(2)
-        op = r_plus_operator(n=2, standard=True)
-        big, x12 = ring.x(1, 1) ** 64, ring.x(1, 2)
-        ta, tb = gradient_tables(big, op), gradient_tables(big + x12, op)
-        small = gradient_tables(x12, op)
-        assert not ta.nibbles and not tb.nibbles and small.nibbles
-        assert pair_test(ta, tb) == pair_test(tb, ta) == self.OVERFLOW
-        assert pair_test(ta, small) == 32 == -pair_test(small, ta)
-        assert bracket_from_tables(ta, small) == 4 * _oracle_bracket(big, x12, build_r_tensor(op), 2) == 128 * big * x12
+        f, g = x(1, 1) ** 6 * x(1, 2), x(1, 1) ** 6 * x(2, 1) + x(1, 1) * x(2, 2) ** 6
+        ta, tb = gradient_tables(f, op), gradient_tables(g, op)
+        want = 4 * _oracle_bracket(f, g, build_r_tensor(op), 2)
+        assert bracket_from_tables(ta, tb) == want == bracket_from_tables(tb, ta) * -1
+        assert bracket_from_tables(ta, ta) == 0 == bracket_from_tables(tb, tb)
+        for h in (x(1, 1) ** 7 * x(1, 2), x(1, 1) ** 7 * x(2, 1) + x(1, 1) * x(2, 2) ** 7):
+            with pytest.raises(ValueError, match=REFUSAL):
+                gradient_tables(h, op)
 
 
 class TestSweeps:
@@ -1037,15 +1072,14 @@ class TestSweeps:
         assert len(failures) == 1
         assert failures[0][:2] == (0, 1)
 
-    def test_overflowing_pair_is_a_failure(self):
-        # x[1,1]^64 against x[1,1]^64 + x[1,2] overflows; the sweep names
-        # that pair and still computes the others.
+    def test_untabled_function_stops_the_sweep(self):
+        # x[1,1]^64 does not fit table keys, so the sweep raises the rule's
+        # ValueError while tabling its functions, before any pair test.
         ring = get_ring(2)
         op = r_plus_operator(n=2, standard=True)
         big = ring.x(1, 1) ** 64
-        omegas, failures = omega_sweep([ring.x(1, 2), big, big + ring.x(1, 2)], op)
-        assert (1, 2, "a product has an exponent of 128 or more in some variable") in failures
-        assert omegas[(0, 1)] == -32
+        with pytest.raises(ValueError, match=f"^{REFUSAL}$"):
+            omega_sweep([ring.x(1, 2), big, big + ring.x(1, 2)], op)
 
     def test_sweep_workers_env(self, monkeypatch, capsys):
         # processes is the only worker setting, so BD_CLUSTER_THREADS, even
@@ -1155,8 +1189,8 @@ class TestSweeps:
 
     def test_forced_pool_matches_serial(self, monkeypatch):
         # With the threshold at 0 every sweep forks; omegas and failures
-        # (the faulted seed's and the overflowing pair's) come back in
-        # pair order, as in-process.
+        # (the faulted seed's and the pair x[1,1], x[2,2] of coordinates)
+        # come back in pair order, as in-process.
         started = []
         workers = 2
         fork = os.fork
@@ -1168,10 +1202,11 @@ class TestSweeps:
             return pid
 
         monkeypatch.setattr(os, "fork", counted)
+        # worker_count caps its count by the CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
         monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 0)
         ring = get_ring(2)
-        big = ring.x(1, 1) ** 64
-        cases = [([ring.x(1, 2), big, big + ring.x(1, 2)], r_plus_operator(n=2, standard=True))]
+        cases = [([ring.x(1, 2), ring.x(1, 1), ring.x(2, 2)], r_plus_operator(n=2, standard=True))]
         for fault in (None, Fault.DROP_PHI31_TERM):
             ws = Workspace(BDTriple(4, 1, 3), fault=fault)
             cluster = ws.cluster()

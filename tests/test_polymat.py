@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdcluster.polyring import ExponentOverflow, Poly, PolyRing, partial_derivative
+from bdcluster.polyring import Poly, PolyRing, partial_derivative
 from bdcluster.polymat import (
     IndexNotSpecial,
     IndexOutOfRange,
@@ -24,6 +24,7 @@ from bdcluster.polymat import (
 )
 from bdcluster.bdseed import BDTriple, initial_cluster, standard_cluster
 from oracles import build_Mtilde_shift, derivative_tables, unpack
+from test_verify import REFUSAL
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -380,17 +381,22 @@ class TestReplacements:
                     assert got == Poly(R4, weighted) == euler, (str(f), i, rows)
 
     def test_overflow_guard(self):
-        # d/dx[1,1] of x[1,1] x[1,2]^127, times x[1,2], reaches x[1,2]^128.
-        # Both maps read one table pass, so row_replace raises too.
-        f = R3.x(1, 1) * R3.x(1, 2) ** 127
-        with pytest.raises(ExponentOverflow):
-            col_replace(f, 1, 2)
-        with pytest.raises(ExponentOverflow):
-            row_replace(f, 1, 1)
+        # d/dx[1,1] of x[1,1] x[1,2]^7, times x[1,2], would fill x[1,2]'s
+        # 4-bit field with 8, so the table pass refuses every polynomial
+        # with an exponent above 6, or with a y, with the rule's text.
+        # Both maps read one table pass, so row_replace refuses them too,
+        # on the diagonal as well.  x[1,1] x[1,2]^6 is still tabled.
+        for f in (R3.x(1, 1) * R3.x(1, 2) ** 7, R3.x(1, 1) + R3.y(1, 1)):
+            for fn, i, j in ((col_replace, 1, 2), (row_replace, 1, 2), (row_replace, 1, 1)):
+                with pytest.raises(ValueError, match=f"^{REFUSAL}$"):
+                    fn(f, i, j)
+        f = R3.x(1, 1) * R3.x(1, 2) ** 6
+        assert col_replace(f, 1, 2) == R3.x(1, 2) ** 7
+        assert row_replace(f, 1, 1) == 7 * f
 
     def test_tables_match_derivative_oracle_on_seeds(self):
         # The templated pass against partial_derivative, entry by entry,
-        # with the degree classes and the largest exponents: every function
+        # with the degree classes: every function
         # of every exotic, standard and SL seed with n <= 5, and every
         # coordinate.
         funcs = {}
@@ -409,16 +415,16 @@ class TestReplacements:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_tables_match_derivative_oracle_on_random_polynomials(self, data):
-        # Random polynomials in x and y with exponents up to 3, and the zero
-        # polynomial (no terms).
+        # Random polynomials in x with exponents up to 6, the most table
+        # keys fit, and the zero polynomial (no terms).
         n = data.draw(st.integers(2, 4))
         ring = PolyRing(n)
-        variables = [(s, i, j) for s in ring.symbols for i in range(1, n + 1) for j in range(1, n + 1)]
+        variables = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         f = ring.zero
         for _ in range(data.draw(st.integers(0, 6))):
             term = ring.const(data.draw(st.fractions(-3, 3, max_denominator=3)))
-            for v, e in data.draw(st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=4)).items():
-                term = term * ring.var(*v) ** e
+            for v, e in data.draw(st.dictionaries(st.sampled_from(variables), st.integers(1, 6), max_size=4)).items():
+                term = term * ring.x(*v) ** e
             f = f + term
         _assert_tables_match_oracle(f)
         _assert_tables_match_oracle(ring.zero)
@@ -443,16 +449,13 @@ class TestReplacements:
 
 
 def _assert_tables_match_oracle(f):
-    # Entries and class parts in table keys are compared unpacked; the
-    # pass uses table keys exactly when f holds no y and no exponent above 6.
+    # Entries and class parts are in table keys, so they are compared
+    # unpacked.
     got, want = _replacement_tables(f), derivative_tables(f)
     ring = f.ring
-    exps = [e for m in f._d for e in ring.monomial_exponents(m).items()]
-    nibbles = got[4]
-    assert nibbles == all(v[0] == "x" and e <= 6 for v, e in exps), str(f)
 
     def ring_terms(terms):
-        return unpack(terms, ring) if nibbles and terms is not None else terms
+        return terms if terms is None else unpack(terms, ring)
 
     for T, U in zip(got[:2], want[:2]):
         assert len(T) == len(U) == f.ring.n
@@ -461,7 +464,6 @@ def _assert_tables_match_oracle(f):
             for j, (entry, wentry) in enumerate(zip(row, wrow)):
                 assert ring_terms(entry) == wentry, (str(f), i, j)
     assert {degs: ring_terms(part) for degs, part in got[2].items()} == want[2], str(f)
-    assert got[3] == want[3], str(f)
 
 
 def _layout_lines(n):

@@ -47,8 +47,10 @@ def _no_child_left():
 
 
 class TestRunner:
-    def test_results_in_task_order(self, forks):
+    def test_results_in_task_order(self, forks, monkeypatch):
         # Costs deal the tasks out of order; results still come back in order.
+        # Three CPUs, so that three workers fork two children.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         items = list(range(11))
         costs = [5, 1, 9, 2, 7, 3, 8, 4, 6, 1, 2]
         with worker_count(3):
@@ -129,9 +131,10 @@ class TestRunner:
             run_tasks(killed, [0, 1, 2, 3], [1, 1, 1, 1])
         assert len(forks) == 1 and _no_child_left()
 
-    def test_parent_error_reaps_children(self, forks):
+    def test_parent_error_reaps_children(self, forks, monkeypatch):
         # An error that is not a task's, here in the parent's share, still
-        # ends and reaps every worker before it propagates.
+        # ends and reaps every worker before it propagates.  Three CPUs, so
+        # that three workers fork two children.
         parent = os.getpid()
 
         def interrupted(t):
@@ -139,9 +142,19 @@ class TestRunner:
                 raise KeyboardInterrupt
             return t
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         with worker_count(3), pytest.raises(KeyboardInterrupt):
             run_tasks(interrupted, [0, 1, 2], [1, 1, 1])
         assert len(forks) == 2 and _no_child_left()
+
+    def test_worker_count_is_capped_by_the_cpu_count(self, forks):
+        # A forked run starts all its workers at once, so a block's count is
+        # capped by the CPU count, 2 here: three tasks, which uncapped would
+        # fork two children, fork one.
+        with worker_count(10**5):
+            assert tasks._workers == 2
+            assert run_tasks(lambda t: t + 1, [0, 1, 2], [1, 1, 1]) == [1, 2, 3]
+        assert len(forks) == 1 and _no_child_left() and tasks._workers == 1
 
 
 class TestForkedDivision:
