@@ -20,11 +20,11 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .bdseed import BDTriple, normalize_triple, seed_labels
+from .bdseed import BDTriple, normalize_triple
 from .poisson import bracket_from_tables, pair_test, unscale
 from .quiver import FrozenDirection, NotLaurentPolynomial, mutate_seed, to_dot
 from .tasks import WorkerDied
-from .verify import CHECKS, Fault, VerificationReport, Workspace, run_checks
+from .verify import CHECKS, Fault, Structure, VerificationReport, Workspace, run_checks, structure
 
 
 class CliError(Exception):
@@ -62,21 +62,21 @@ def _triple(args) -> Optional[BDTriple]:
     return normalize_triple(args.n, args.alpha, args.beta)
 
 
-def _workspace(args) -> Workspace:
-    return Workspace(_triple(args), args.n, args.sl, args.standard)
+def _structure(args) -> Structure:
+    return structure(_triple(args), args.n, args.sl, args.standard)
 
 
 def _cmd_seed(args) -> int:
-    ws = _workspace(args)
-    cluster, triple = ws.cluster(), ws.triple
+    s = _structure(args)
+    cluster = s.cluster
     if args.format == "json":
         payload = {
-            "n": args.n,
-            "alpha": triple.alpha if triple else None,
-            "beta": triple.beta if triple else None,
-            "transposed": triple.transposed if triple else False,
-            "sl": args.sl,
-            "standard": ws.standard,
+            "n": s.n,
+            "alpha": s.roots[0],
+            "beta": s.roots[1],
+            "transposed": s.triple.transposed if s.triple else False,
+            "sl": s.sl,
+            "standard": s.standard,
             "frozen": sorted(f"{i},{j}" for i, j in cluster.frozen),
             "functions": {
                 f"{i},{j}": str(cluster.functions[(i, j)]) for i, j in cluster.labels
@@ -91,7 +91,7 @@ def _cmd_seed(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
-    q = _workspace(args).quiver()
+    q = _structure(args).quiver
     if args.dot:
         print(to_dot(q))
         return 0
@@ -115,8 +115,8 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    ws = _workspace(args)
-    cluster, op = ws.cluster(), ws.op()
+    ws = Workspace(_structure(args))
+    cluster, op = ws.structure.cluster, ws.structure.op
     la = _parse_label(args.f)
     lb = _parse_label(args.g)
     for lab in (la, lb):
@@ -145,13 +145,13 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    ws = _workspace(args)
+    ws = Workspace(_structure(args))
     lab = _parse_label(args.at)
-    if lab not in seed_labels(ws.n, ws.triple, ws.sl)[0]:
+    if lab not in ws.structure.labels:
         raise CliError(f"{lab} is not a vertex")
     # On SL the printed GL variable represents the SL one.
     try:
-        new_seed = mutate_seed(ws.exchange_seed(), lab)
+        new_seed = mutate_seed(ws.exchange_seed, lab)
     except (FrozenDirection, NotLaurentPolynomial) as e:
         raise CliError(str(e)) from None
     new_var = new_seed.cluster.functions[lab]
@@ -175,17 +175,9 @@ def _print_reports(reports: List[VerificationReport], fmt: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    triple = _triple(args)
-    fault = Fault(args.inject_fault) if args.inject_fault else None
-    reports = run_checks(
-        [args.which],
-        triple=triple,
-        n=args.n,
-        sl=args.sl,
-        standard=args.standard,
-        fault=fault,
-        processes=args.processes,
-    )
+    # The flags make one structure, and --inject-fault one function of it.
+    reports = run_checks([args.which], triple=_triple(args), n=args.n, sl=args.sl, standard=args.standard,
+                         fault=Fault(args.inject_fault) if args.inject_fault else None, processes=args.processes)
     _print_reports(reports, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -272,8 +264,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, ArithmeticError, WorkerDied) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CliError, ValueError, ArithmeticError, WorkerDied, MemoryError, RecursionError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -531,7 +531,7 @@ def coefficient_from_tables(ta: Tables, tb: Tables, half: Optional[int] = None) 
     ring = f.ring
     products = [(a, b, lc * w - W) for a, b, w in diagonal] + [(a, b, lc * co) for a, b, co in off_diagonal]
     groups = ring.slices(products, ring.nibble_row_mask)
-    # Each slice's sums are freed before the next slice is accumulated.
+    # Each group's sums are freed before the next group is accumulated.
     if any(any(ring.accumulate(group, guard=False).values()) for group in groups):
         # The quotient is authoritative, so a wrong nonzero sum could cost
         # only time, never a verdict.  A zero bracket has W = 0 and zero

@@ -22,8 +22,9 @@ guard, PolyRing.check_exponents, and other modules read keys only
 through x_exponents and top, and table keys (below) only through the
 nibble_ and fits_nibbles helpers.  Once a sum of products
 reaches SLICE_PRODUCTS term products, PolyRing.slices splits it into
-slices, a slice being the terms whose keys agree under a mask, so that
-each slice is accumulated and freed before the next.  Every exact
+slices, a slice being the terms whose keys agree under a mask, and packs
+consecutive slices into groups below SLICE_PRODUCTS term products, so
+that each group is accumulated and freed before the next.  Every exact
 division, the pair test's of poisson included, is _divide: it slices its
 dividend by the variables the divisor lacks and hands each slice to the
 kernel _reduce, which walks only the terms that the divisor's leading
@@ -74,8 +75,9 @@ _DIGIT_MASK = (1 << _BITS) - 1
 _NIBBLE_BITS = 4
 _NIBBLE_TOP = 6
 
-# A sum of this many term products or more is split into slices
-# (PolyRing.slices), so it holds one slice's monomials at once: at most
+# A sum of this many term products or more is split into slices, packed
+# into groups of fewer products unless one slice alone has more
+# (PolyRing.slices), so it holds one group's monomials at once: at most
 # 9,573 for the heaviest (5,1,4) pair test, whose whole sum held 175,114.
 # Lighter sums, such as the few hundred tiny pair tests of the frozen,
 # somega and bracketdiff checks, are one slice over their own dicts, since
@@ -235,7 +237,10 @@ class PolyRing:
         and b_q of b whose keys k have k & mask = p and q, p + q = v,
         weight 0 dropped.  Packed keys add without carry, so a term of a_p
         times one of b_q lands in slice p + q.  Each distinct factor dict
-        is split once, however many products read it."""
+        is split once, however many products read it.  Consecutive slices
+        are packed into one group while it stays below SLICE_PRODUCTS term
+        products, so many small slices cost one sum, not one each; a
+        heavier slice is a group of its own."""
         if sum(len(a) * len(b) for a, b, _ in products) < SLICE_PRODUCTS:
             return [products]
         parts: Dict[int, list] = {}
@@ -252,7 +257,16 @@ class PolyRing:
             for p, ap in parts[id(a)]:
                 for q, bq in parts[id(b)]:
                     out[p + q].append((ap, bq, scale))
-        return out.values()
+        # The first slice, and each that would take a pack to SLICE_PRODUCTS, opens a pack.
+        packs, size = [], SLICE_PRODUCTS
+        for group in out.values():
+            cost = sum(len(a) * len(b) for a, b, _ in group)
+            if size + cost >= SLICE_PRODUCTS:
+                packs.append([])
+                size = 0
+            packs[-1] += group
+            size += cost
+        return packs
 
     def monomial_exponents(self, mono: int) -> Dict[VarId, int]:
         """Unpack a monomial key into {variable: exponent}, nonzero entries only."""

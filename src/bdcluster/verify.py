@@ -1,5 +1,14 @@
 """Machine verification of the defining properties of the cluster structures.
 
+A cluster structure is one value, a Structure: its seed's labels,
+frozen set, quiver and lazily made functions, the operator R_+ of the
+bracket it is checked against, and what the checks expect of it.  One
+builder, structure(triple, n, sl, standard), makes every structure
+the checks and the CLI verbs read, and nothing downstream re-decides it
+from those flags.  A Workspace caches what the checks derive from one
+structure: tables, the coefficient sweep, the exchange seed and the r
+tensor.
+
 Checks are run by name through run_checks, which looks each one up in
 CHECKS and returns one VerificationReport per check with a pass/fail
 status, a list of human-readable failure witnesses, details and wall
@@ -7,13 +16,14 @@ time.  Checks are pure computations in exact rational arithmetic;
 "pass" means the property holds on the nose for the requested size and
 pair.
 
-Two fault injections show that the checks can fail.  drop-phi31-term
-drops the leading term of the cluster function at (3,1); with n <= 5 it
-trips compat and regular, and logcanon and frozen on most pairs.
-zero-r0 zeroes c, the coefficients of r's diagonal part, in
-Workspace.op, so on the exotic structure logcanon, compat, frozen,
-somega and cybe fail, while rplus (both its sides read c) and
-bracketdiff (the wedge alone) pass.
+Two fault injections show that the checks can fail.  Each is a function
+from a structure to a new one (FAULTS), applied to its GL twin too.
+drop_phi31_term drops the leading term of the cluster function at
+(3,1); with n <= 5 it trips compat and regular, and logcanon and frozen
+on most pairs.  zero_r0 zeroes c, the coefficients of r's diagonal part,
+in every operator of the structure, so on the exotic structure
+logcanon, compat, frozen, somega and cybe fail, while rplus (both its
+sides read c) and bracketdiff (the wedge alone) pass.
 """
 
 from __future__ import annotations
@@ -22,14 +32,17 @@ import enum
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, partial
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .bdseed import (
     BDTriple,
     Cluster,
+    Label,
     get_ring,
     initial_cluster,
+    seed_labels,
     standard_cluster,
     structure_size,
 )
@@ -71,7 +84,7 @@ Outcome = Tuple[List[str], dict]
 
 
 class Fault(enum.Enum):
-    """Deliberate defects for negative-control runs."""
+    """Deliberate defects for negative-control runs (see FAULTS)."""
 
     DROP_PHI31_TERM = "drop-phi31-term"
     ZERO_R0 = "zero-r0"
@@ -96,98 +109,121 @@ class VerificationReport:
         return asdict(self)
 
 
-class Workspace:
-    """Caches the cluster, quiver, operator, tables and coefficients for
-    one (pair, mode, fault) so several checks can share them.
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """One cluster structure and the bracket it is checked against.
 
-    The checks and the CLI pick the structure here: the standard one
-    without a pair, else the pair's exotic structure, or its standard
-    companion when standard is set.
+    triple is the pair as given, None for the standard structure of size
+    n; standard says the seed is the standard one.  op is R_+ of the
+    structure's bracket; pair_ops is the pair's exotic operator and its
+    standard companion, which somega and bracketdiff read, None without
+    a pair.  expected_frozen and roots are what stable expects and what a
+    report prints.  gl is the GL structure that an SL one stands for in
+    exchanges, None on GL.  seed makes the seed (a Cluster) when cluster
+    is first read, so a check that reads no function computes no
+    determinant; an SL seed is its GL twin's without (1, 1).  A fault or
+    a test makes a new structure from one with dataclasses.replace.
     """
 
-    def __init__(
-        self,
-        triple: Optional[BDTriple] = None,
-        n: Optional[int] = None,
-        sl: bool = False,
-        standard: bool = False,
-        fault: Optional[Fault] = None,
-    ):
-        self.n = structure_size(triple, n)
-        if triple is None:
-            standard = True
-        self.triple = triple
-        # SL drops only (1, 1), so every seed with n >= 3 has the label.
-        if fault is Fault.DROP_PHI31_TERM and self.n < 3:
-            raise ValueError(f"fault {fault.value} needs label (3, 1), which n = {self.n} lacks")
-        self.sl = sl
-        self.standard = standard
-        self.fault = fault
-        self._cluster: Optional[Cluster] = None
-        self._quiver: Optional[Quiver] = None
-        self._ops: dict = {}
-        self._omega = None
-        # Each swept pair's (products, half), in pair order, once omega() ran.
+    n: int
+    sl: bool
+    triple: Optional[BDTriple]
+    standard: bool
+    labels: Tuple[Label, ...]
+    frozen: frozenset
+    quiver: Quiver
+    op: RPlusOperator
+    pair_ops: Optional[Tuple[RPlusOperator, RPlusOperator]]
+    expected_frozen: int
+    roots: Tuple[Optional[int], Optional[int]]
+    seed: Callable[[], Cluster]
+    gl: Optional["Structure"] = None
+
+    @cached_property
+    def cluster(self) -> Cluster:
+        return self.seed()
+
+
+def structure(triple: Optional[BDTriple] = None, n: Optional[int] = None, sl: bool = False,
+              standard: bool = False) -> Structure:
+    """The standard structure of size n without a pair; with one, the
+    pair's exotic structure, or its standard companion when standard is
+    set; on SL when sl is set.  An n given with a pair must be the pair's."""
+    n = structure_size(triple, n)
+    standard = standard or triple is None
+    pair_ops = None if triple is None else (r_plus_operator(triple, n), r_plus_operator(triple, n, True))
+    seed_triple = None if standard else triple
+    quiver = partial(standard_quiver, n) if standard else partial(bd_quiver, triple)
+    labels, frozen = seed_labels(n, seed_triple)
+    gl = Structure(
+        n=n, sl=False, triple=triple, standard=standard, labels=labels, frozen=frozen, quiver=quiver(sl=False),
+        op=pair_ops[standard] if pair_ops else r_plus_operator(None, n), pair_ops=pair_ops,
+        expected_frozen=2 * n - 1 if standard else 2 * n - 3,
+        roots=(triple.alpha, triple.beta) if triple else (None, None),
+        seed=lambda: standard_cluster(n) if standard else initial_cluster(triple),
+    )
+    if not sl:
+        return gl
+    labels, frozen = seed_labels(n, seed_triple, sl=True)
+
+    def seed() -> Cluster:
+        c = gl.cluster
+        return replace(c, labels=labels, frozen=frozen, functions={lab: c.functions[lab] for lab in labels})
+
+    return replace(gl, sl=True, labels=labels, frozen=frozen, quiver=quiver(sl=True),
+                   expected_frozen=gl.expected_frozen - 1, seed=seed, gl=gl)
+
+
+def drop_phi31_term(s: Structure) -> Structure:
+    """s with the leading term of its function at (3, 1) dropped."""
+    if s.n < 3:
+        raise ValueError(f"fault drop-phi31-term needs label (3, 1), which n = {s.n} lacks")
+
+    def seed() -> Cluster:
+        c = s.cluster
+        f = c.functions[3, 1]
+        lead = Poly(f.ring, {f.leading_monomial(): f.leading_coefficient()})
+        return replace(c, functions={**c.functions, (3, 1): f - lead})
+
+    return replace(s, seed=seed, gl=s.gl and drop_phi31_term(s.gl))
+
+
+def zero_r0(s: Structure) -> Structure:
+    """s with c, the coefficients of r's diagonal part, zeroed in every
+    operator, so every check that reads an r-matrix sees it."""
+    zeros = ((0,) * (s.n - 1),) * (s.n - 1)
+    pair_ops = s.pair_ops and tuple(replace(op, c=zeros) for op in s.pair_ops)
+    return replace(s, op=replace(s.op, c=zeros), pair_ops=pair_ops, gl=s.gl and zero_r0(s.gl))
+
+
+FAULTS = {Fault.DROP_PHI31_TERM: drop_phi31_term, Fault.ZERO_R0: zero_r0}
+
+
+class Workspace:
+    """Caches what the checks derive from one structure, so several checks
+    can share it: gradient tables, the coefficient sweep and its plan, the
+    exchange seed and the r tensor."""
+
+    def __init__(self, structure: Structure):
+        self.structure = structure
+        # Each swept pair's (products, half), in pair order, once omega is read.
         self.sweep_plan: List[Tuple[int, int]] = []
         # {f's terms: {op: tables of f for op}}
         self._tables: dict = {}
 
-    @property
-    def alpha(self) -> Optional[int]:
-        return self.triple.alpha if self.triple is not None else None
-
-    @property
-    def beta(self) -> Optional[int]:
-        return self.triple.beta if self.triple is not None else None
-
+    @cached_property
     def exchange_seed(self) -> Seed:
-        """The seed that one-step exchanges start from: this structure on
-        GL.  Exchanges divide in the ambient polynomial ring only there; on
-        SL the divisibility holds modulo det X = 1, and the GL variable
+        """The seed that one-step exchanges start from: the structure's GL
+        twin.  Exchanges divide in the ambient polynomial ring only there;
+        on SL the divisibility holds modulo det X = 1, and the GL variable
         represents the SL one."""
-        ws = self
-        if self.sl:
-            ws = Workspace(self.triple, self.n, False, self.standard, self.fault)
-        return make_seed(ws.cluster(), ws.quiver())
+        gl = self.structure.gl or self.structure
+        return make_seed(gl.cluster, gl.quiver)
 
-    def cluster(self) -> Cluster:
-        if self._cluster is None:
-            if self.standard:
-                c = standard_cluster(self.n, sl=self.sl)
-            else:
-                c = initial_cluster(self.triple, sl=self.sl)
-            if self.fault is Fault.DROP_PHI31_TERM:
-                lab = (3, 1)
-                f = c.functions[lab]
-                lead = f.leading_monomial()
-                funcs = dict(c.functions)
-                funcs[lab] = f - Poly(f.ring, {lead: f.leading_coefficient()})
-                c = replace(c, functions=funcs)
-            self._cluster = c
-        return self._cluster
-
-    def quiver(self) -> Quiver:
-        if self._quiver is None:
-            if self.standard:
-                self._quiver = standard_quiver(self.n, sl=self.sl)
-            else:
-                self._quiver = bd_quiver(self.triple, sl=self.sl)
-        return self._quiver
-
-    def op(self, standard: Optional[bool] = None) -> RPlusOperator:
-        """R_+ of this structure, or, with standard given, the pair's exotic
-        (False) or standard-companion (True) operator.  Every check reads
-        its r-matrix here, so the zero-r0 fault reaches them all."""
-        if standard is None:
-            standard = self.standard
-        if standard not in self._ops:
-            op = r_plus_operator(self.triple, self.n, standard)
-            if self.fault is Fault.ZERO_R0:
-                m = self.n - 1
-                zeros = tuple(tuple(0 for _ in range(m)) for _ in range(m))
-                op = replace(op, c=zeros)
-            self._ops[standard] = op
-        return self._ops[standard]
+    @cached_property
+    def r_tensor(self):
+        """The r tensor of the structure's operator, which cybe and rplus share."""
+        return build_r_tensor(self.structure.op)
 
     def tables(self, f: Poly, op: RPlusOperator):
         """The gradient tables of f for op, made once per distinct (f, op)
@@ -199,19 +235,17 @@ class Workspace:
             views[op] = gradient_tables(f, op, like=next(iter(views.values()), None))
         return views[op]
 
+    @cached_property
     def omega(self):
         """(labels, {(ia, ib): omega}, failures) over the cluster label order,
         from the workspace's tables of the cluster functions."""
-        if self._omega is None:
-            cluster = self.cluster()
-            labels = list(cluster.labels)
-            funcs = [cluster.functions[lab] for lab in labels]
-            op = self.op()
-            tables = [self.tables(f, op) for f in funcs]
-            self.sweep_plan = sweep_plan(tables)
-            omegas, failures = omega_sweep(funcs, op, tables=tables, plan=self.sweep_plan)
-            self._omega = (labels, omegas, failures)
-        return self._omega
+        s = self.structure
+        labels = list(s.labels)
+        funcs = [s.cluster.functions[lab] for lab in labels]
+        tables = [self.tables(f, s.op) for f in funcs]
+        self.sweep_plan = sweep_plan(tables)
+        omegas, failures = omega_sweep(funcs, s.op, tables=tables, plan=self.sweep_plan)
+        return labels, omegas, failures
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +254,7 @@ class Workspace:
 
 def check_log_canonical(ws: Workspace) -> Outcome:
     """Every pair of cluster functions has {f, g} = omega f g."""
-    labels, _, failures = ws.omega()
+    labels, _, failures = ws.omega
     products = [p for p, _ in ws.sweep_plan]
     witnesses = [
         f"pair ({labels[ia]}, {labels[ib]}): {reason}" for ia, ib, reason in failures
@@ -243,11 +277,11 @@ def check_compatibility(ws: Workspace) -> Outcome:
     the product under the opposite (incidence-oriented) convention is
     s times the recorded one.
     """
-    labels, omegas, failures = ws.omega()
+    labels, omegas, failures = ws.omega
     if failures:
         ia, ib, reason = failures[0]
         return [f"coefficient matrix undefined: pair ({labels[ia]}, {labels[ib]}): {reason}"], {}
-    em = to_exchange_matrix(ws.quiver())
+    em = to_exchange_matrix(ws.structure.quiver)
     cl_index = {lab: i for i, lab in enumerate(labels)}
     L = len(em.labels)
     # D omega in the exchange matrix's label order, antisymmetric, in ints:
@@ -288,7 +322,7 @@ def check_compatibility(ws: Workspace) -> Outcome:
 
 def check_rank(ws: Workspace) -> Outcome:
     """The exchange matrix has full rank, equal to the mutable count."""
-    em = to_exchange_matrix(ws.quiver())
+    em = to_exchange_matrix(ws.structure.quiver)
     rank = matrix_rank(em.entries)
     witnesses = []
     if rank != em.n_mutable:
@@ -298,13 +332,9 @@ def check_rank(ws: Workspace) -> Outcome:
 
 def check_stable_count(ws: Workspace) -> Outcome:
     """The frozen set has the predicted size (2(n-2) for the exotic
-    structure on SL, one more on GL; 2n-2 and 2n-1 for the standard)."""
-    nn = ws.n
-    if ws.standard:
-        expected = (2 * nn - 2) if ws.sl else (2 * nn - 1)
-    else:
-        expected = 2 * (nn - 2) if ws.sl else 2 * nn - 3
-    actual = len(ws.cluster().frozen)
+    structure on SL, one more on GL; 2n-2 and 2n-1 for the standard),
+    read from the structure's labels, without its functions."""
+    expected, actual = ws.structure.expected_frozen, len(ws.structure.frozen)
     witnesses = []
     if actual != expected:
         witnesses.append(f"{actual} frozen variables, expected {expected}")
@@ -315,9 +345,9 @@ def check_regularity(ws: Workspace) -> Outcome:
     """Every one-step exchange from the initial seed is a polynomial.
 
     Divisibility is checked in the ambient polynomial ring, so this
-    check always runs on the GL cluster (see Workspace.exchange_seed).
+    check always runs on the GL twin (see Workspace.exchange_seed).
     """
-    seed = ws.exchange_seed()
+    seed = ws.exchange_seed
     witnesses = []
     mutated = 0
     for lab in seed.matrix.mutable_labels():
@@ -331,9 +361,8 @@ def check_regularity(ws: Workspace) -> Outcome:
 
 def check_frozen_log_canonical_with_coordinates(ws: Workspace) -> Outcome:
     """Frozen variables are log-canonical with every matrix entry."""
-    cluster = ws.cluster()
-    op = ws.op()
-    idx = range(1, ws.n + 1)
+    cluster, op = ws.structure.cluster, ws.structure.op
+    idx = range(1, ws.structure.n + 1)
     coords = [((i, j), ws.tables(cluster.ring.x(i, j), op)) for i in idx for j in idx]
     witnesses = []
     for lab in sorted(cluster.frozen):
@@ -370,9 +399,9 @@ def check_s_omega(ws: Workspace) -> Outcome:
     exchange computations.  Since w is antisymmetric the two orders
     differ only by a global sign.
     """
-    n, alpha, beta = ws.n, ws.alpha, ws.beta
+    n, (alpha, beta) = ws.structure.n, ws.structure.roots
     cluster = standard_cluster(n)
-    op = ws.op(True)
+    op = ws.structure.pair_ops[1]
     tables = {lab: ws.tables(cluster.functions[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
     col_labels = [c[::-1] for c in row_labels]
@@ -410,12 +439,13 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
     exotic pairing, the standard one negated and the four wedge products
     negated, all scaled by n^2, and passes when every sum is 0.
     """
-    n, (a, b) = ws.n, ws.op(False).wedge
+    n, (exotic_op, companion_op) = ws.structure.n, ws.structure.pair_ops
+    a, b = exotic_op.wedge
     nn = n * n
     ring = get_ring(n)
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    exotic = [ws.tables(f, ws.op(False)) for f in coords]
-    std = [ws.tables(f, ws.op(True)) for f in coords]
+    exotic = [ws.tables(f, exotic_op) for f in coords]
+    std = [ws.tables(f, companion_op) for f in coords]
     witnesses = []
     for ia, (ef, sf) in enumerate(zip(exotic, std)):
         for ib in range(ia + 1, len(coords)):
@@ -439,16 +469,15 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
 def check_cybe(ws: Workspace) -> Outcome:
     """The r tensor solves the classical Yang-Baxter equation and
     r + r_21 is the split Casimir."""
-    rt = build_r_tensor(ws.op())
-    cybe, unitary, witnesses = verify_cybe(rt, ws.n)
+    rt = ws.r_tensor
+    cybe, unitary, witnesses = verify_cybe(rt, ws.structure.n)
     return witnesses, {"cybe": cybe, "unitary": unitary, "terms": len(rt)}
 
 
 def check_r_plus_consistency(ws: Workspace) -> Outcome:
     """The closed-form half operator agrees with the tensor contraction
     on every matrix unit."""
-    nn, op = ws.n, ws.op()
-    rt = build_r_tensor(op)
+    nn, op, rt = ws.structure.n, ws.structure.op, ws.r_tensor
     witnesses = []
     for k in range(nn):
         for l in range(nn):
@@ -491,7 +520,9 @@ def run_checks(
 
     "all" expands to every check in CHECKS order; the two lemma-level
     checks that need a pair (somega, bracketdiff) are skipped when none
-    was given.
+    was given.  The flags make one structure, and fault, when given, one
+    function of it.  A MemoryError or RecursionError names the check it
+    stopped.
     """
     expanded: List[str] = []
     for name in names:
@@ -506,17 +537,21 @@ def run_checks(
     # The one worker count of the sweeps and the exchanges' divisions,
     # checked before the workspace is made, so a bad count fails every check.
     with worker_count(sweep_workers(processes)):
-        ws = Workspace(triple, n, sl, standard, fault)
+        s = structure(triple, n, sl, standard)
+        ws = Workspace(FAULTS[fault](s) if fault else s)
         reports = []
         for name in expanded:
             started = time.perf_counter()
-            witnesses, details = globals()[CHECKS[name][0]](ws)
+            try:
+                witnesses, details = globals()[CHECKS[name][0]](ws)
+            except (MemoryError, RecursionError) as e:
+                raise type(e)(f"check {name} stopped by {type(e).__name__}" + (f": {e}" if str(e) else "")) from e
             reports.append(
                 VerificationReport(
                     check=name,
-                    n=ws.n,
-                    alpha=ws.alpha,
-                    beta=ws.beta,
+                    n=s.n,
+                    alpha=s.roots[0],
+                    beta=s.roots[1],
                     status="pass" if not witnesses else "fail",
                     witnesses=witnesses[:MAX_WITNESSES],
                     seconds=round(time.perf_counter() - started, 6),

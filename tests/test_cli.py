@@ -1,9 +1,12 @@
 """End-to-end tests of the command line, run in process."""
 
 import json
+import os
 from dataclasses import replace
 
-from bdcluster import cli, poisson, verify
+import pytest
+
+from bdcluster import bdseed, cli, poisson, verify
 from bdcluster.bdseed import get_ring
 from bdcluster.cli import main
 from test_verify import REFUSAL
@@ -229,6 +232,58 @@ class TestCheck:
             assert rc == 2, extra
             assert out == ""
             assert err.startswith("error:") and "(3, 1)" in err
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_exhaustion_in_process_is_an_error(self, capsys, monkeypatch, error):
+        # Running out of memory or stack proves nothing: exit 2, not the 1 of
+        # a failed check, with an error line that names the check.
+        def exhausted(*args):
+            raise error()
+
+        monkeypatch.setattr(poisson, "pair_test", exhausted)
+        rc, out, err = run(capsys, "check", "logcanon", "--n", "3", "--alpha", "1", "--beta", "2", "--processes", "1")
+        assert (rc, out) == (2, "")
+        assert err == f"error: check logcanon stopped by {error.__name__}\n"
+
+    def test_exhaustion_in_a_worker_is_an_error(self, capsys, monkeypatch):
+        # The (5,1,4) sweep forks with two workers; a MemoryError raised in
+        # the forked worker alone is re-raised in the parent and exits 2.
+        parent, forked = os.getpid(), []
+        real_pair_test, real_fork = poisson.pair_test, os.fork
+
+        def exhausted_in_worker(*args):
+            if os.getpid() != parent:
+                raise MemoryError()
+            return real_pair_test(*args)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+        monkeypatch.setattr(poisson, "pair_test", exhausted_in_worker)
+        rc, out, err = run(capsys, "check", "logcanon", "--n", "5", "--alpha", "1", "--beta", "4", "--processes", "2")
+        assert (rc, out, forked) == (2, "", [1])
+        assert err == "error: check logcanon stopped by MemoryError\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_checks_without_functions_compute_no_determinant(self, capsys, monkeypatch):
+        # The structure makes its seed functions only when a check reads
+        # one: cybe, rank, rplus and stable, and the quiver verb, never do.
+        class Computed(Exception):
+            pass
+
+        def refuse(m):
+            raise Computed("a determinant was computed")
+
+        monkeypatch.setattr(bdseed, "determinant", refuse)
+        bdseed.trailing_minor.cache_clear()
+        pair = ("--n", "5", "--alpha", "1", "--beta", "4")
+        for check in ("cybe", "rank", "rplus", "stable"):
+            for sl in ((), ("--sl",)):
+                rc, out, _ = run(capsys, "check", check, *pair, *sl)
+                assert rc == 0 and "status=pass" in out, (check, sl)
+        assert run(capsys, "quiver", *pair)[0] == 0
+        with pytest.raises(Computed):
+            run(capsys, "check", "regular", *pair)
 
     def test_equal_roots_rejected(self, capsys):
         rc, _, err = run(capsys, "check", "rank", "--n", "3", "--alpha", "2", "--beta", "2")

@@ -46,7 +46,7 @@ from bdcluster.polymat import col_replace, row_replace
 from bdcluster.polyring import NotDivisible, Poly, PolyRing, exact_divide, partial_derivative
 from bdcluster.quiver import mutate_seed
 from bdcluster.tasks import worker_count
-from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates
+from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates, structure
 from oracles import (
     class_pairing,
     cybe_all_pairs,
@@ -56,7 +56,7 @@ from oracles import (
     unpack,
     whole_pair_sums,
 )
-from test_verify import REFUSAL, _structures
+from test_verify import REFUSAL, _structures, built
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
 # "n alpha beta ia ib omega" per pair of functions (see
@@ -94,7 +94,7 @@ def unit(n, i, j):
 def _ops(n, pair, standard):
     """The operator of a structure of _structures() and its zero-r0 version."""
     triple = BDTriple(n, *pair) if pair else None
-    return [Workspace(triple, n, standard=standard, fault=fault).op() for fault in (None, Fault.ZERO_R0)]
+    return [built(triple, n, standard=standard, fault=fault).op for fault in (None, Fault.ZERO_R0)]
 
 
 def _apply_half(half, mat):
@@ -652,7 +652,7 @@ class TestBracketHalves:
         # and coordinates, for the structure's operator and its zero-r0
         # version.
         triple = BDTriple(n, *pair) if pair else None
-        cluster = Workspace(triple, n, standard=standard).cluster()
+        cluster = structure(triple, n, standard=standard).cluster
         ring, idx = cluster.ring, range(1, n + 1)
         funcs = [cluster.functions[lab] for lab in cluster.labels]
         funcs += [ring.x(i, j) for i in idx for j in idx]
@@ -686,8 +686,8 @@ class TestExoticCoefficients:
 def _seed_tables(triple):
     """The seed functions of a pair in label order, its exotic operator,
     and their tables."""
-    ws = Workspace(triple)
-    cluster, op = ws.cluster(), ws.op()
+    s = structure(triple)
+    cluster, op = s.cluster, s.op
     funcs = [cluster.functions[lab] for lab in cluster.labels]
     return funcs, op, [gradient_tables(f, op) for f in funcs]
 
@@ -717,14 +717,15 @@ class TestDerivedTables:
         # diagonal matrix M equals like's (exotic and companion share c)
         # takes like's parts as they are.
         triple = BDTriple(n, *pair) if pair else None
-        modes = (False, True) if pair else (True,)
+        # A pair's exotic operator and its standard companion, or the standard one.
         ops = [
-            Workspace(triple, n, standard=standard, fault=fault).op(std)
+            op
             for fault in (None, Fault.ZERO_R0)
-            for std in modes
+            for s in [built(triple, n, standard=standard, fault=fault)]
+            for op in s.pair_ops or (s.op,)
         ]
         assert len(set(ops)) == len(ops)
-        cluster = Workspace(triple, n, standard=standard).cluster()
+        cluster = structure(triple, n, standard=standard).cluster
         idx = range(1, n + 1)
         funcs = [cluster.functions[lab] for lab in cluster.labels]
         funcs += [cluster.ring.x(i, j) for i in idx for j in idx]
@@ -771,8 +772,8 @@ class TestSlicedPairTest:
         # same NotLogCanonical text.  The pair test's sums, zero sums
         # included, equal the whole sum (its slices disjoint), which also
         # pins W: a wrong W would leave (W' - W) lc f g in them.
-        ws = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
-        cluster, op = ws.cluster(), ws.op()
+        s = built(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
+        cluster, op = s.cluster, s.op
         idx = range(1, n + 1)
         funcs = [(lab, cluster.functions[lab]) for lab in cluster.labels]
         funcs += [(f"x[{i},{j}]", cluster.ring.x(i, j)) for i in idx for j in idx]
@@ -817,8 +818,8 @@ class TestSlicedPairTest:
     def test_no_slice_holds_the_whole_sum(self, monkeypatch):
         # (5,1,4), (1,2) x (2,3): 1,391,532 term products, whose sums held
         # 175,114 monomials in one dict.
-        ws = Workspace(BDTriple(5, 1, 4))
-        cluster, op = ws.cluster(), ws.op()
+        s = structure(BDTriple(5, 1, 4))
+        cluster, op = s.cluster, s.op
         ta, tb = (gradient_tables(cluster.functions[lab], op) for lab in ((1, 2), (2, 3)))
         assert poisson._half(ta, tb)[0] == 1_391_532
         made = _spy_accumulate(monkeypatch)
@@ -842,7 +843,7 @@ class TestSlicedPairTest:
             return out
 
         monkeypatch.setattr(poisson, "coefficient_from_tables", counted)
-        assert check_frozen_log_canonical_with_coordinates(Workspace(BDTriple(4, 1, 3))) == ([], {})
+        assert check_frozen_log_canonical_with_coordinates(Workspace(structure(BDTriple(4, 1, 3)))) == ([], {})
         assert calls == [1] * (5 * 16)
 
 
@@ -921,7 +922,7 @@ class TestTableKeys:
                 seeds += [(f"{group} ({n},{a},{b})", initial_cluster(BDTriple(n, a, b), sl=sl)) for a, b in pairs]
                 named += [(f"{name} seed {lab}", f) for name, seed in seeds for lab, f in seed.functions.items()]
             for a, b in pairs if n <= 5 else ():
-                seed = Workspace(BDTriple(n, a, b)).exchange_seed()
+                seed = Workspace(structure(BDTriple(n, a, b))).exchange_seed
                 named += [(f"({n},{a},{b}) exchange at {lab}", mutate_seed(seed, lab).cluster.functions[lab])
                           for lab in seed.matrix.mutable_labels()]
             misfits += [name for name, f in named if not ring.fits_nibbles(ring.top(f._d))]
@@ -967,8 +968,8 @@ class TestTableKeys:
         # Every pair of seed functions and coordinates gives the same omega,
         # or the same reason, from the pair test on table keys and from the
         # formed bracket divided in ring keys (_ring_key_pair_test).
-        ws = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
-        cluster, op = ws.cluster(), ws.op()
+        s = built(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
+        cluster, op = s.cluster, s.op
         idx = range(1, n + 1)
         funcs = [cluster.functions[lab] for lab in cluster.labels]
         funcs += [cluster.ring.x(i, j) for i in idx for j in idx]
@@ -1048,7 +1049,7 @@ class TestSweeps:
         for n in (3, 4, 5):
             for a in range(1, n):
                 for b in range(a + 1, n):
-                    _, omegas, failures = Workspace(BDTriple(n, a, b)).omega()
+                    _, omegas, failures = Workspace(structure(BDTriple(n, a, b))).omega
                     assert failures == []
                     lines += [f"{n} {a} {b} {ia} {ib} {w}" for (ia, ib), w in sorted(omegas.items())]
         assert len(lines) == 2196
@@ -1061,7 +1062,7 @@ class TestSweeps:
             raise AssertionError("a log-canonical pair reached exact division")
 
         monkeypatch.setattr(poisson, "_divide", refuse)
-        _, omegas, failures = Workspace(BDTriple(4, 1, 3)).omega()
+        _, omegas, failures = Workspace(structure(BDTriple(4, 1, 3))).omega
         assert failures == [] and len(omegas) == 16 * 15 // 2
 
     def test_omega_sweep_reports_failures(self):
@@ -1130,9 +1131,9 @@ class TestSweeps:
 
         monkeypatch.setattr(poisson, "_half", counted)
         monkeypatch.setattr(verify, "omega_sweep", sweep)
-        ws = Workspace(BDTriple(4, 1, 3))
+        ws = Workspace(structure(BDTriple(4, 1, 3)))
         with worker_count(2):
-            labels, omegas, failures = ws.omega()
+            labels, omegas, failures = ws.omega
         L = len(labels)
         assert failures == [] and len(omegas) == L * (L - 1) // 2
         assert len(calls) == len(ws.sweep_plan) == L * (L - 1) // 2
@@ -1208,9 +1209,9 @@ class TestSweeps:
         ring = get_ring(2)
         cases = [([ring.x(1, 2), ring.x(1, 1), ring.x(2, 2)], r_plus_operator(n=2, standard=True))]
         for fault in (None, Fault.DROP_PHI31_TERM):
-            ws = Workspace(BDTriple(4, 1, 3), fault=fault)
-            cluster = ws.cluster()
-            cases.append(([cluster.functions[lab] for lab in cluster.labels], ws.op()))
+            s = built(BDTriple(4, 1, 3), fault=fault)
+            cluster = s.cluster
+            cases.append(([cluster.functions[lab] for lab in cluster.labels], s.op))
         failures = []
         for funcs, op in cases:
             serial = omega_sweep(funcs, op)

@@ -148,6 +148,53 @@ def test_exact_division_inverts_multiplication(p, q):
     assert _typed(quot) == _typed(heap_exact_divide(p * q, q))
 
 
+class TestSlices:
+    @pytest.mark.parametrize("limit", [0, 1, 12, 60, 200, 10**6])
+    def test_packs_are_disjoint_and_add_up(self, monkeypatch, limit):
+        # Products of small x polynomials of size 3, sliced by the bytes of
+        # x[1,1] and x[1,2]: the packs' sums have disjoint keys and add up
+        # to the whole sum, cancelled sums included; a pack holds fewer than
+        # SLICE_PRODUCTS term products unless it is one slice, and the
+        # slices (SLICE_PRODUCTS 0) are packed in order.
+        x = R3.x
+        a = (x(1, 1) + 2 * x(1, 2) + x(2, 1)) ** 3 - x(3, 3)
+        b = (x(1, 1) - x(1, 2) + x(2, 2) + 1) ** 2
+        c = x(1, 2) * x(3, 1) - 3 * x(1, 1) ** 2
+        products = [(a._d, b._d, 1), (b._d, c._d, -2), (c._d, c._d, 0), (a._d, c._d, 5)]
+        whole = R3.accumulate(products)
+        mask = int.from_bytes(bytes([0xFF, 0xFF] + [0] * (R3.nvars - 2)), "big")
+
+        def cost(group):
+            return sum(len(p) * len(q) for p, q, _ in group)
+
+        monkeypatch.setattr(polyring, "SLICE_PRODUCTS", 0)
+        slices = [cost(g) for g in R3.slices(products, mask)]
+        monkeypatch.setattr(polyring, "SLICE_PRODUCTS", limit)
+        packs = list(R3.slices(products, mask))
+        merged = {}
+        for pack in packs:
+            sums = R3.accumulate(pack)
+            assert not merged.keys() & sums.keys()
+            merged.update(sums)
+        assert merged == whole
+        total = sum(slices)
+        if total < limit:
+            assert packs == [products]
+            return
+        assert len(slices) > 1 and sum(map(cost, packs)) == total
+        # Greedy packing of the slices in order.
+        expected, size = [[]], 0
+        for k in slices:
+            if expected[-1] and size + k >= limit:
+                expected.append([])
+                size = 0
+            expected[-1].append(k)
+            size += k
+        assert [cost(pack) for pack in packs] == [sum(e) for e in expected]
+        for pack, e in zip(packs, expected):
+            assert cost(pack) < limit or len(e) == 1
+
+
 def test_division_remainder_detected():
     p = R2.x(1, 1) * R2.x(2, 2) + 1
     with pytest.raises(NotDivisible):
@@ -207,14 +254,15 @@ class TestExactDivision:
         assert made == [{created: 0}]
         assert pushed == []
 
-    @pytest.mark.parametrize("slice_products", [20_000, 0])
+    @pytest.mark.parametrize("slice_products", [20_000, 3, 0])
     @given(s=mixed_polys, q=mixed_polys, r=mixed_polys)
     @settings(max_examples=200, deadline=None)
     def test_same_witness_as_the_heap_algorithm(self, slice_products, s, q, r):
         # s * q + r divides only when q divides r; otherwise both name the
         # same remainder term.  With SLICE_PRODUCTS 0 every dividend is
         # split by the variables q lacks, and the witness must be the
-        # largest of the failing slices' first ones.
+        # largest of the failing slices' first ones; with 3, slices are
+        # packed in groups of fewer than 3 term products.
         assume(q)
         p = s * q + r
         with pytest.MonkeyPatch.context() as mp:

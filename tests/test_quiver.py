@@ -25,7 +25,7 @@ from bdcluster.quiver import (
     to_dot,
     to_exchange_matrix,
 )
-from bdcluster.verify import Fault, Workspace, run_checks
+from bdcluster.verify import Fault, Workspace, run_checks, structure
 from oracles import heap_exact_divide
 from test_verify import _structures
 
@@ -261,14 +261,15 @@ class TestSlicedExchange:
     )
     def test_equals_the_whole_division(self, n, pair, standard):
         # Every structure of test_verify, each on GL.
-        seed = Workspace(BDTriple(n, *pair) if pair else None, n, standard=standard).exchange_seed()
+        seed = Workspace(structure(BDTriple(n, *pair) if pair else None, n, standard=standard)).exchange_seed
         for lab in seed.matrix.mutable_labels():
             got = mutate_seed(seed, lab).cluster.functions[lab]
             assert got._d == whole_exchange(seed, lab)._d, lab
 
     def test_no_division_sees_the_whole_numerator(self, monkeypatch):
-        # (5,2,4) at (2,2): the numerator has 35,264 terms in 43 slices.
-        # Each slice reaches the division kernel as accumulate's term dict,
+        # (5,2,4) at (2,2): the numerator has 35,264 terms in 43 slices,
+        # packed into 5 groups of fewer than SLICE_PRODUCTS products.  Each
+        # group reaches the division kernel as accumulate's term dict,
         # cancelled sums included, so only its nonzero entries count.
         sizes = []
         real = polyring._reduce
@@ -278,10 +279,10 @@ class TestSlicedExchange:
             return real(rem, qd, himask)
 
         monkeypatch.setattr(polyring, "_reduce", spy)
-        seed = Workspace(BDTriple(5, 2, 4)).exchange_seed()
+        seed = Workspace(structure(BDTriple(5, 2, 4))).exchange_seed
         mutate_seed(seed, (2, 2))
         assert sum(sizes) == 35_264
-        assert max(sizes) <= 2_000
+        assert sizes == [8_215, 7_669, 6_996, 7_193, 5_191]
 
     def test_only_keys_that_lead_q_divides_are_sorted(self, monkeypatch):
         # (5,2,4) at (2,2): each slice's walk is the keys of the slice that
@@ -307,7 +308,7 @@ class TestSlicedExchange:
 
         monkeypatch.setattr(polyring, "_reduce", spy)
         monkeypatch.setattr(polyring, "sorted", spy_sorted, raising=False)
-        seed = Workspace(BDTriple(5, 2, 4)).exchange_seed()
+        seed = Workspace(structure(BDTriple(5, 2, 4))).exchange_seed
         got = mutate_seed(seed, (2, 2)).cluster.functions[(2, 2)]
         monkeypatch.undo()
         assert walks == expected

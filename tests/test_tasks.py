@@ -10,7 +10,8 @@ from bdcluster.bdseed import BDTriple, get_ring, normalize_triple
 from bdcluster.polyring import ExponentOverflow, exact_divide
 from bdcluster.quiver import NotLaurentPolynomial, mutate_seed
 from bdcluster.tasks import WorkerDied, run_tasks, worker_count
-from bdcluster.verify import Fault, Workspace
+from bdcluster.verify import Fault, Workspace, structure
+from test_verify import built
 
 N4_PAIRS = [(3, 1, 2), (4, 1, 2), (4, 1, 3), (4, 2, 3)]
 
@@ -183,7 +184,7 @@ class TestForkedDivision:
         # regular's witnesses.
         monkeypatch.setattr(polyring, "SLICE_PRODUCTS", 0)
         triple = BDTriple(*pair)
-        seed = Workspace(triple, fault=fault).exchange_seed()
+        seed = Workspace(built(triple, fault=fault)).exchange_seed
 
         def exchanged(workers):
             out = []
@@ -212,15 +213,15 @@ class TestOneWorkerRoute:
         # worker_count(2) block and none outside it, and give the same
         # omegas and exchanged variable either way.
         started = _count_forks(monkeypatch)
-        ws = Workspace(BDTriple(5, 1, 4))
-        serial = ws.omega()
-        x22 = mutate_seed(ws.exchange_seed(), (2, 2)).cluster.functions[2, 2]
+        ws = Workspace(structure(BDTriple(5, 1, 4)))
+        serial = ws.omega
+        x22 = mutate_seed(ws.exchange_seed, (2, 2)).cluster.functions[2, 2]
         assert not started
         with worker_count(2):
-            ws = Workspace(BDTriple(5, 1, 4))
-            assert ws.omega() == serial
+            ws = Workspace(structure(BDTriple(5, 1, 4)))
+            assert ws.omega == serial
             assert len(started) == 1 and _no_child_left()
-            assert mutate_seed(ws.exchange_seed(), (2, 2)).cluster.functions[2, 2] == x22
+            assert mutate_seed(ws.exchange_seed, (2, 2)).cluster.functions[2, 2] == x22
             assert len(started) == 2 and _no_child_left()
 
 
@@ -264,7 +265,8 @@ class TestThreshold:
 
     def test_heavy_exchange_forks(self, monkeypatch):
         # Of (5,1,4) regular's 18 exchanges only (2,2) forks: 330,504
-        # numerator products in 142 slices, cost 661,008.  The (5,1,4)
+        # numerator products in 142 slices, packed into 19 tasks of fewer
+        # than SLICE_PRODUCTS products each, cost 661,008.  The (5,1,4)
         # sweep of 2.8 million products forks too.
         started = _count_forks(monkeypatch)
         seen = _costs(monkeypatch)
@@ -272,8 +274,9 @@ class TestThreshold:
         assert report.passed and report.details == {"exchanges": 18}
         with worker_count(2):
             heavy = [costs for costs in seen["division"] if tasks.forks(costs)]
-            assert [(len(costs), sum(costs)) for costs in heavy] == [(142, 661_008)]
+            assert [(len(costs), sum(costs)) for costs in heavy] == [(19, 661_008)]
             assert len(started) == 1 and _no_child_left()
-            ws = Workspace(BDTriple(5, 1, 4))
-            plan = poisson.sweep_plan([ws.tables(f, ws.op()) for f in ws.cluster().functions.values()])
+            ws = Workspace(structure(BDTriple(5, 1, 4)))
+            s = ws.structure
+            plan = poisson.sweep_plan([ws.tables(f, s.op) for f in s.cluster.functions.values()])
             assert tasks.forks([p for p, _ in plan]) and sum(p for p, _ in plan) == 2_822_224

@@ -17,7 +17,7 @@ import bdcluster
 from bdcluster import bdseed, cli, poisson, polymat, polyring, quiver, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import r_plus_operator
-from bdcluster.verify import Fault, Workspace, run_checks
+from bdcluster.verify import FAULTS, Fault, Workspace, run_checks, structure
 
 T312 = BDTriple(3, 1, 2)
 
@@ -37,6 +37,12 @@ def one(name, triple=None, **kwargs):
     """The report of a single check run through run_checks."""
     (report,) = run_checks([name], triple=triple, **kwargs)
     return report
+
+
+def built(triple=None, n=None, fault=None, **flags):
+    """The structure that run_checks makes from these arguments."""
+    s = structure(triple, n, **flags)
+    return FAULTS[fault](s) if fault else s
 
 
 def _structures():
@@ -60,14 +66,54 @@ class TestWorkspace:
         triple = BDTriple(n, *pair) if pair else None
         seen = {}
         for sl in (False, True):
-            ws = Workspace(triple, n, sl=sl, standard=standard)
-            cluster, quiver = ws.cluster(), ws.quiver()
+            s = structure(triple, n, sl=sl, standard=standard)
+            cluster, quiver = s.cluster, s.quiver
+            assert (s.labels, s.frozen) == (cluster.labels, cluster.frozen)
             assert cluster.labels == quiver.labels
             assert cluster.frozen == quiver.frozen
             seen[sl] = set(cluster.labels), set(cluster.frozen)
         gl_labels, gl_frozen = seen[False]
         assert seen[True] == (gl_labels - {(1, 1)}, gl_frozen - {(1, 1)})
         assert (1, 1) in gl_labels and (1, 1) in gl_frozen
+
+
+class TestStructure:
+    @pytest.mark.parametrize("sl", [False, True])
+    @pytest.mark.parametrize("fault", list(Fault), ids=lambda f: f.value)
+    def test_fault_returns_a_new_structure(self, fault, sl):
+        # A fault is a function on structures: its input, and the input's
+        # GL twin, keep their functions and operators; the output and its
+        # twin carry the defect.
+        s = structure(BDTriple(4, 1, 3), sl=sl)
+        twins = [s, s.gl] if sl else [s]
+        before = [(dict(t.cluster.functions), t.op, t.pair_ops) for t in twins]
+        faulted = FAULTS[fault](s)
+        assert faulted is not s and (faulted.gl is not s.gl) == sl
+        changed = [faulted, faulted.gl] if sl else [faulted]
+        for t, u, (functions, op, pair_ops) in zip(twins, changed, before):
+            assert (t.cluster.functions, t.op, t.pair_ops) == (functions, op, pair_ops)
+            assert (u.labels, u.frozen, u.quiver) == (t.labels, t.frozen, t.quiver)
+            if fault is Fault.DROP_PHI31_TERM:
+                assert u.op == op and u.pair_ops == pair_ops
+                assert [lab for lab in functions if u.cluster.functions[lab] != functions[lab]] == [(3, 1)]
+            else:
+                assert u.cluster.functions == functions
+                assert all(not any(map(any, o.c)) for o in (u.op, *u.pair_ops))
+                assert (u.op.wedge, [o.wedge for o in u.pair_ops]) == (op.wedge, [o.wedge for o in pair_ops])
+
+    def test_sl_reads_its_gl_twins_functions(self, monkeypatch):
+        # check all --sl builds the pair's block determinants once: the SL
+        # seed is its GL twin's less (1, 1), and regular exchanges on the twin.
+        made = []
+        real = verify.initial_cluster
+        monkeypatch.setattr(verify, "initial_cluster", lambda t: made.append(t) or real(t))
+        t = BDTriple(4, 1, 3)
+        reports = run_checks(["all"], triple=t, sl=True, processes=1)
+        assert all(r.passed for r in reports) and made == [t]
+        s = structure(t, sl=True)
+        assert s.labels == s.gl.labels[1:] and s.gl.labels[0] == (1, 1)
+        assert all(s.cluster.functions[lab] is s.gl.cluster.functions[lab] for lab in s.labels)
+        assert made == [t, t]
 
 
 class TestIndividualChecks:
@@ -213,25 +259,21 @@ SWAPPED_COMPANION_WITNESSES = [
 class TestCompatibilityWitnesses:
     @pytest.mark.parametrize("delta", sorted(PERTURBED_COMPAT_WITNESSES), ids=str)
     def test_perturbed_omega_witnesses_unchanged(self, delta):
-        ws = Workspace(BDTriple(4, 1, 3))
-        labels, omegas, failures = ws.omega()
+        ws = Workspace(structure(BDTriple(4, 1, 3)))
+        labels, omegas, failures = ws.omega
         omegas = dict(omegas)
         omegas[labels.index((2, 2)), labels.index((2, 3))] += delta
-        ws._omega = (labels, omegas, failures)
+        ws.omega = (labels, omegas, failures)
         witnesses, details = verify.check_compatibility(ws)
         assert witnesses == PERTURBED_COMPAT_WITNESSES[delta]
         assert details == {"diagonal_sign": None, "n_mutable": 11}
 
 
 class TestBracketDifferenceWitnesses:
-    def test_swapped_companion_witnesses_unchanged(self, monkeypatch):
-        real = Workspace.op
-
-        def exotic_for_both(self, standard=None):
-            return real(self, False if standard else standard)
-
-        monkeypatch.setattr(Workspace, "op", exotic_for_both)
-        witnesses, details = verify.check_bracket_difference(Workspace(BDTriple(4, 1, 3)))
+    def test_swapped_companion_witnesses_unchanged(self):
+        s = structure(BDTriple(4, 1, 3))
+        exotic_for_both = replace(s, pair_ops=(s.pair_ops[0],) * 2)
+        witnesses, details = verify.check_bracket_difference(Workspace(exotic_for_both))
         assert len(witnesses) == len(SWAPPED_COMPANION_WITNESSES) == 30
         assert witnesses == [
             f"difference mismatch at coordinate pair (x[{ia // 4 + 1},{ia % 4 + 1}], x[{ib // 4 + 1},{ib % 4 + 1}]): {diff}"
@@ -269,8 +311,8 @@ class TestFaults:
         assert any("sum at" in w for w in rep.witnesses)
 
     def test_zeroed_diagonal_reaches_every_r_matrix(self):
-        # The workspace zeroes c in the one operator each check reads, so
-        # the tensor sees it too and cybe fails with the bracket checks.
+        # The fault zeroes c in every operator of the structure, so the
+        # tensor sees it too and cybe fails with the bracket checks.
         # rplus compares two readings of the same c, and bracketdiff
         # (exotic minus companion is the wedge alone) does not depend on c.
         t = BDTriple(4, 1, 3)
@@ -279,8 +321,8 @@ class TestFaults:
         assert [r.check for r in failed] == ["logcanon", "compat", "frozen", "somega", "cybe"]
         assert all(r.witnesses for r in failed)
         assert [r.check for r in reports if r.passed] == ["rank", "stable", "regular", "bracketdiff", "rplus"]
-        assert Workspace(t).op(True) == r_plus_operator(t, standard=True)
-        zeroed = Workspace(t, fault=Fault.ZERO_R0).op(True)
+        assert structure(t).pair_ops[1] == r_plus_operator(t, standard=True)
+        zeroed = built(t, fault=Fault.ZERO_R0).pair_ops[1]
         assert zeroed.wedge is None and not any(v for row in zeroed.c for v in row)
 
     def test_fault_values(self):
@@ -290,29 +332,31 @@ class TestFaults:
 
 class TestPlantedDefects:
     """Neither fault reaches rank, stable or rplus, so each is shown to
-    fail, with its witness, on a defect planted in the workspace."""
+    fail, with its witness, on a defect planted in the structure that
+    run_checks builds."""
 
     def test_rank_deficient_exchange_matrix(self, monkeypatch):
         # Without its arcs, the mutable vertex (2, 2) has a zero row.
-        real = Workspace.quiver
+        real = verify.structure
 
-        def cut(self):
-            q = real(self)
-            return replace(q, arcs={arc: w for arc, w in q.arcs.items() if (2, 2) not in arc})
+        def cut(*args):
+            s = real(*args)
+            arcs = {arc: w for arc, w in s.quiver.arcs.items() if (2, 2) not in arc}
+            return replace(s, quiver=replace(s.quiver, arcs=arcs))
 
-        monkeypatch.setattr(Workspace, "quiver", cut)
+        monkeypatch.setattr(verify, "structure", cut)
         [rep] = run_checks(["rank"], triple=T312)
         assert rep.status == "fail"
         assert rep.witnesses == ["rank is 5, expected 6"]
 
     def test_extra_frozen_label(self, monkeypatch):
-        real = Workspace.cluster
+        real = verify.structure
 
-        def frozen_22(self):
-            c = real(self)
-            return replace(c, frozen=c.frozen | {(2, 2)})
+        def frozen_22(*args):
+            s = real(*args)
+            return replace(s, frozen=s.frozen | {(2, 2)})
 
-        monkeypatch.setattr(Workspace, "cluster", frozen_22)
+        monkeypatch.setattr(verify, "structure", frozen_22)
         [rep] = run_checks(["stable"], triple=T312)
         assert rep.status == "fail"
         assert rep.witnesses == ["4 frozen variables, expected 3"]
@@ -326,13 +370,13 @@ class TestPlantedDefects:
             def halves(self):
                 return poisson.RPlusOperator(self.n, self.c).halves
 
-        real = Workspace.op
+        real = verify.structure
 
-        def wedge_dropped(self, standard=None):
-            op = real(self, standard)
-            return WedgeDropped(op.n, op.c, op.wedge)
+        def wedge_dropped(*args):
+            s = real(*args)
+            return replace(s, op=WedgeDropped(s.op.n, s.op.c, s.op.wedge))
 
-        monkeypatch.setattr(Workspace, "op", wedge_dropped)
+        monkeypatch.setattr(verify, "structure", wedge_dropped)
         [rep] = run_checks(["rplus"], triple=BDTriple(4, 1, 3))
         assert rep.status == "fail"
         assert rep.witnesses == [
@@ -418,6 +462,16 @@ class TestRunChecks:
         assert all(r.passed for r in reports)
         assert len(made) == len(set(made))
 
+    def test_r_tensor_is_built_once(self, monkeypatch):
+        # cybe and rplus read the workspace's one tensor of the operator.
+        built_for = []
+        real = verify.build_r_tensor
+        monkeypatch.setattr(verify, "build_r_tensor", lambda op: built_for.append(op) or real(op))
+        t = BDTriple(4, 1, 3)
+        reports = run_checks(["cybe", "rplus", "all"], triple=t, processes=1)
+        assert all(r.passed for r in reports)
+        assert built_for == [r_plus_operator(t)]
+
     def test_each_function_is_tabled_once(self, monkeypatch):
         # F, F', the degree classes and top do not read the operator, so
         # one pass over f's terms serves every operator's tables of f: one
@@ -466,7 +520,7 @@ class TestPairTest:
             return replace(c, ring=Coordinates(), functions=functions)
 
         monkeypatch.setattr(verify, "standard_cluster", cluster)
-        ws = Workspace(T312, standard=True)
+        ws = Workspace(structure(T312, standard=True))
         for check in (verify.check_log_canonical, verify.check_frozen_log_canonical_with_coordinates,
                       verify.check_s_omega):
             with pytest.raises(ValueError, match=f"^{REFUSAL}$"):
