@@ -19,6 +19,11 @@ at the two special families of labels
 
 by determinants of 2x2-block matrices mixing two copies of X, and it
 unfreezes the border labels (alpha+1, 1) and (1, beta+1).
+
+standard_cluster and initial_cluster build GL seeds.  An SL seed is its
+GL twin's without the determinant label (1, 1), and verify.structure,
+the one builder of the structures that the checks and the verbs read,
+makes it so; nothing else in the package calls the two builders.
 """
 
 from __future__ import annotations
@@ -74,11 +79,14 @@ def normalize_triple(n: int, i: int, j: int) -> BDTriple:
 
 
 def structure_size(triple: Optional[BDTriple], n: Optional[int]) -> int:
-    """The matrix size of a pair, an explicit n, or both when they agree."""
+    """The matrix size of a pair, an explicit n, or both when they agree:
+    the one size check of every structure and operator."""
     if triple is None and n is None:
         raise ValueError("need a pair or an explicit size")
     if triple is not None and n not in (None, triple.n):
         raise ValueError(f"size n = {n} disagrees with the pair's n = {triple.n}")
+    if triple is None and n < 1:
+        raise ValueError(f"matrix size must be positive, got {n}")
     return n if triple is None else triple.n
 
 
@@ -131,28 +139,25 @@ def seed_labels(
     return tuple(labels), frozenset(frozen)
 
 
-def standard_cluster(n: int, sl: bool = False) -> Cluster:
-    """The seed of trailing minors with the whole border frozen."""
-    return _cluster(n, sl, None)
+def standard_cluster(n: int) -> Cluster:
+    """The GL seed of trailing minors with the whole border frozen."""
+    return _cluster(n, None)
 
 
-def initial_cluster(triple: BDTriple, sl: bool = False) -> Cluster:
-    """The exotic seed for a normalized pair: the standard seed with block
-    minors at the special labels and the two border labels
+def initial_cluster(triple: BDTriple) -> Cluster:
+    """The exotic GL seed for a normalized pair: the standard seed with
+    block minors at the special labels and the two border labels
     (alpha+1, 1), (1, beta+1) unfrozen."""
-    return _cluster(triple.n, sl, triple)
+    return _cluster(triple.n, triple)
 
 
-def _cluster(n: int, sl: bool, triple: Optional[BDTriple]) -> Cluster:
+def _cluster(n: int, triple: Optional[BDTriple]) -> Cluster:
     ring = get_ring(n)
-    labels, frozen = seed_labels(n, triple, sl)
-    blocks: Dict[Label, Poly] = {}
-    if triple is not None:
-        alpha, beta = triple.alpha, triple.beta
-        blocks = {
-            lab: determinant(build_Mtilde(ring, alpha, beta, *lab))
-            for lab in first_family(n, alpha) + second_family(n, beta)
-        }
-    functions = {lab: blocks[lab] if lab in blocks else trailing_minor(n, *lab) for lab in labels}
+    labels, frozen = seed_labels(n, triple)
+    special = first_family(n, triple.alpha) + second_family(n, triple.beta) if triple else []
+    functions = {
+        lab: determinant(build_Mtilde(ring, triple.alpha, triple.beta, *lab)) if lab in special else trailing_minor(n, *lab)
+        for lab in labels
+    }
     return Cluster(ring=ring, n=n, labels=labels, functions=functions, frozen=frozen)
 

@@ -24,7 +24,7 @@ from .bdseed import BDTriple, normalize_triple
 from .poisson import bracket_from_tables, pair_test, unscale
 from .quiver import FrozenDirection, NotLaurentPolynomial, mutate_seed, to_dot
 from .tasks import WorkerDied
-from .verify import CHECKS, Fault, Structure, VerificationReport, Workspace, run_checks, structure
+from .verify import CHECKS, FAULTS, Structure, VerificationReport, Workspace, run_checks, structure
 
 
 class CliError(Exception):
@@ -177,7 +177,7 @@ def _print_reports(reports: List[VerificationReport], fmt: str) -> None:
 def _cmd_check(args) -> int:
     # The flags make one structure, and --inject-fault one function of it.
     reports = run_checks([args.which], triple=_triple(args), n=args.n, sl=args.sl, standard=args.standard,
-                         fault=Fault(args.inject_fault) if args.inject_fault else None, processes=args.processes)
+                         fault=args.inject_fault, processes=args.processes)
     _print_reports(reports, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -211,7 +211,7 @@ def _check_args(p: argparse.ArgumentParser) -> None:
     _add_pair_args(p)
     p.add_argument(
         "--inject-fault",
-        choices=[f.value for f in Fault],
+        choices=list(FAULTS),
         default=None,
         help="negative control: plant a defect and watch the checks fail",
     )

@@ -2,9 +2,10 @@
 
 A cluster structure is one value, a Structure: its seed's labels,
 frozen set, quiver and lazily made functions, the operator R_+ of the
-bracket it is checked against, and what the checks expect of it.  One
-builder, structure(triple, n, sl, standard), makes every structure
-the checks and the CLI verbs read, and nothing downstream re-decides it
+bracket it is checked against, what the checks expect of it, and, with
+a pair, its standard companion, itself a Structure.  One builder,
+structure(triple, n, sl, standard), makes every structure and seed the
+checks and the CLI verbs read, and nothing downstream re-decides it
 from those flags.  A Workspace caches what the checks derive from one
 structure: tables, the coefficient sweep, the exchange seed and the r
 tensor.
@@ -17,22 +18,23 @@ time.  Checks are pure computations in exact rational arithmetic;
 pair.
 
 Two fault injections show that the checks can fail.  Each is a function
-from a structure to a new one (FAULTS), applied to its GL twin too.
+from a structure to a new one, listed in FAULTS under its CLI name, and
+applied to the structure's GL twin too.
 drop_phi31_term drops the leading term of the cluster function at
 (3,1); with n <= 5 it trips compat and regular, and logcanon and frozen
 on most pairs.  zero_r0 zeroes c, the coefficients of r's diagonal part,
 in every operator of the structure, so on the exotic structure
 logcanon, compat, frozen, somega and cybe fail, while rplus (both its
-sides read c) and bracketdiff (the wedge alone) pass.
+sides read c) and bracketdiff (the wedge alone) pass.  zero_r0 reaches
+the standard companion too; drop_phi31_term leaves it as it is.
 """
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -83,13 +85,6 @@ MAX_WITNESSES = 10
 Outcome = Tuple[List[str], dict]
 
 
-class Fault(enum.Enum):
-    """Deliberate defects for negative-control runs (see FAULTS)."""
-
-    DROP_PHI31_TERM = "drop-phi31-term"
-    ZERO_R0 = "zero-r0"
-
-
 @dataclass
 class VerificationReport:
     check: str
@@ -115,14 +110,15 @@ class Structure:
 
     triple is the pair as given, None for the standard structure of size
     n; standard says the seed is the standard one.  op is R_+ of the
-    structure's bracket; pair_ops is the pair's exotic operator and its
-    standard companion, which somega and bracketdiff read, None without
-    a pair.  expected_frozen and roots are what stable expects and what a
-    report prints.  gl is the GL structure that an SL one stands for in
-    exchanges, None on GL.  seed makes the seed (a Cluster) when cluster
-    is first read, so a check that reads no function computes no
-    determinant; an SL seed is its GL twin's without (1, 1).  A fault or
-    a test makes a new structure from one with dataclasses.replace.
+    structure's bracket.  expected_frozen and roots are what stable
+    expects and what a report prints.  gl is the GL structure that an SL
+    one stands for in exchanges, None on GL.  companion, None without a
+    pair, is the pair's standard companion, which somega and bracketdiff
+    read: the standard seed and quiver on GL under the pair's c without
+    the wedge.  seed makes the seed (a Cluster) when cluster is first
+    read, so a check that reads no function computes no determinant; an
+    SL seed is its GL twin's without (1, 1).  A fault or a test makes a
+    new structure from one with dataclasses.replace.
     """
 
     n: int
@@ -133,11 +129,11 @@ class Structure:
     frozen: frozenset
     quiver: Quiver
     op: RPlusOperator
-    pair_ops: Optional[Tuple[RPlusOperator, RPlusOperator]]
     expected_frozen: int
     roots: Tuple[Optional[int], Optional[int]]
     seed: Callable[[], Cluster]
     gl: Optional["Structure"] = None
+    companion: Optional["Structure"] = None
 
     @cached_property
     def cluster(self) -> Cluster:
@@ -148,30 +144,34 @@ def structure(triple: Optional[BDTriple] = None, n: Optional[int] = None, sl: bo
               standard: bool = False) -> Structure:
     """The standard structure of size n without a pair; with one, the
     pair's exotic structure, or its standard companion when standard is
-    set; on SL when sl is set.  An n given with a pair must be the pair's."""
+    set; on SL when sl is set.  An n given with a pair must be the pair's.
+    A pair's companion is the standard structure on GL under the pair's
+    operator without its wedge, and the standard structure with the pair
+    reads the companion's seed."""
     n = structure_size(triple, n)
-    standard = standard or triple is None
-    pair_ops = None if triple is None else (r_plus_operator(triple, n), r_plus_operator(triple, n, True))
-    seed_triple = None if standard else triple
-    quiver = partial(standard_quiver, n) if standard else partial(bd_quiver, triple)
-    labels, frozen = seed_labels(n, seed_triple)
-    gl = Structure(
-        n=n, sl=False, triple=triple, standard=standard, labels=labels, frozen=frozen, quiver=quiver(sl=False),
-        op=pair_ops[standard] if pair_ops else r_plus_operator(None, n), pair_ops=pair_ops,
-        expected_frozen=2 * n - 1 if standard else 2 * n - 3,
-        roots=(triple.alpha, triple.beta) if triple else (None, None),
-        seed=lambda: standard_cluster(n) if standard else initial_cluster(triple),
-    )
+    op = r_plus_operator(triple, n)
+    roots = (triple.alpha, triple.beta) if triple else (None, None)
+
+    def make(pair: Optional[BDTriple], sl: bool, op: RPlusOperator, seed, **links) -> Structure:
+        # The exotic seed and quiver of pair, or the standard ones without.
+        labels, frozen = seed_labels(n, pair, sl)
+        return Structure(n=n, sl=sl, triple=triple, standard=pair is None, labels=labels, frozen=frozen,
+                         quiver=bd_quiver(pair, sl) if pair else standard_quiver(n, sl), op=op,
+                         expected_frozen=(2 * n - 3 if pair else 2 * n - 1) - sl, roots=roots, seed=seed, **links)
+
+    std = make(None, False, replace(op, wedge=None), lambda: standard_cluster(n))
+    pair = None if standard else triple
+    gl = (make(pair, False, op, lambda: initial_cluster(pair), companion=std) if pair
+          else replace(std, seed=lambda: std.cluster, companion=triple and std))
     if not sl:
         return gl
-    labels, frozen = seed_labels(n, seed_triple, sl=True)
 
     def seed() -> Cluster:
         c = gl.cluster
-        return replace(c, labels=labels, frozen=frozen, functions={lab: c.functions[lab] for lab in labels})
+        return replace(c, labels=s.labels, frozen=s.frozen, functions={lab: c.functions[lab] for lab in s.labels})
 
-    return replace(gl, sl=True, labels=labels, frozen=frozen, quiver=quiver(sl=True),
-                   expected_frozen=gl.expected_frozen - 1, seed=seed, gl=gl)
+    s = make(pair, True, gl.op, seed, gl=gl, companion=gl.companion)
+    return s
 
 
 def drop_phi31_term(s: Structure) -> Structure:
@@ -189,14 +189,16 @@ def drop_phi31_term(s: Structure) -> Structure:
 
 
 def zero_r0(s: Structure) -> Structure:
-    """s with c, the coefficients of r's diagonal part, zeroed in every
-    operator, so every check that reads an r-matrix sees it."""
+    """s with c, the coefficients of r's diagonal part, zeroed in its
+    operator, its GL twin's and its companion's, so every check that
+    reads an r-matrix sees it."""
     zeros = ((0,) * (s.n - 1),) * (s.n - 1)
-    pair_ops = s.pair_ops and tuple(replace(op, c=zeros) for op in s.pair_ops)
-    return replace(s, op=replace(s.op, c=zeros), pair_ops=pair_ops, gl=s.gl and zero_r0(s.gl))
+    return replace(s, op=replace(s.op, c=zeros), gl=s.gl and zero_r0(s.gl),
+                   companion=s.companion and zero_r0(s.companion))
 
 
-FAULTS = {Fault.DROP_PHI31_TERM: drop_phi31_term, Fault.ZERO_R0: zero_r0}
+# Fault name, as --inject-fault takes it -> the function that plants it.
+FAULTS = {"drop-phi31-term": drop_phi31_term, "zero-r0": zero_r0}
 
 
 class Workspace:
@@ -250,6 +252,11 @@ class Workspace:
 
 # ----------------------------------------------------------------------
 # Individual checks.  Each takes a Workspace and returns an Outcome.
+
+
+def _exhausted(e: BaseException, where: str) -> BaseException:
+    """An exception of e's type whose text names where e stopped the run."""
+    return type(e)(where + (f": {e}" if str(e) else ""))
 
 
 def check_log_canonical(ws: Workspace) -> Outcome:
@@ -356,6 +363,8 @@ def check_regularity(ws: Workspace) -> Outcome:
             mutated += 1
         except NotLaurentPolynomial as e:
             witnesses.append(f"exchange at {lab}: {e}")
+        except (MemoryError, RecursionError) as e:
+            raise _exhausted(e, f"exchange at {lab}") from e
     return witnesses, {"exchanges": mutated}
 
 
@@ -386,12 +395,12 @@ def check_s_omega(ws: Workspace) -> Outcome:
     predicted values on every standard cluster function.
 
     With s(g) = w(f[n,a], g) - w(f[n,a+1], g) - w(f[n,b], g) + w(f[n,b+1], g)
-    (w = log-canonical coefficient for the pair's standard companion
-    bracket), s(g) is 1 on the first special family, -1 on column b+1,
-    and 0 elsewhere.  The column sum s' takes the row corners
-    transposed, and its rule is the row rule for (b, a) read at the
-    transposed label: 1 on the second special family, -1 on row a+1,
-    and 0 where the two meet.
+    (w = log-canonical coefficient for the bracket of the structure's
+    standard companion, on the companion's seed), s(g) is 1 on the first
+    special family, -1 on column b+1, and 0 elsewhere.  The column sum s'
+    takes the row corners transposed, and its rule is the row rule for
+    (b, a) read at the transposed label: 1 on the second special family,
+    -1 on row a+1, and 0 where the two meet.
 
     The right-column combination is taken with the sweep function in the
     first slot, s'(g) = w(g, f[a,n]) - w(g, f[a+1,n]) - ..., matching
@@ -399,9 +408,8 @@ def check_s_omega(ws: Workspace) -> Outcome:
     exchange computations.  Since w is antisymmetric the two orders
     differ only by a global sign.
     """
-    n, (alpha, beta) = ws.structure.n, ws.structure.roots
-    cluster = standard_cluster(n)
-    op = ws.structure.pair_ops[1]
+    n, (alpha, beta), companion = ws.structure.n, ws.structure.roots, ws.structure.companion
+    cluster, op = companion.cluster, companion.op
     tables = {lab: ws.tables(cluster.functions[lab], op) for lab in cluster.labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
     col_labels = [c[::-1] for c in row_labels]
@@ -427,8 +435,8 @@ def check_s_omega(ws: Workspace) -> Outcome:
 
 
 def check_bracket_difference(ws: Workspace) -> Outcome:
-    """The exotic and standard-companion brackets differ by the wedge
-    (a, b) of the exotic operator:
+    """The exotic and standard-companion brackets differ by the pair's
+    wedge (a, b):
 
         {f,g}_ab - {f,g}_std = f^(a<-a+1) g^(b+1<-b) - f^(b+1<-b) g^(a<-a+1)
                                - f_(a+1<-a) g_(b<-b+1) + f_(b<-b+1) g_(a+1<-a)
@@ -437,10 +445,14 @@ def check_bracket_difference(ws: Workspace) -> Outcome:
     entries of the gradient tables: f^(i<-j) = F[i][j] and
     f_(j<-i) = F'[i][j] (1-based).  Each pair is one accumulation of the
     exotic pairing, the standard one negated and the four wedge products
-    negated, all scaled by n^2, and passes when every sum is 0.
+    negated, all scaled by n^2, and passes when every sum is 0.  The
+    exotic operator is the structure's own with the pair's wedge, which
+    the exotic structure's already has; the standard one is the
+    companion's.
     """
-    n, (exotic_op, companion_op) = ws.structure.n, ws.structure.pair_ops
-    a, b = exotic_op.wedge
+    s = ws.structure
+    n, (a, b) = s.n, s.roots
+    exotic_op, companion_op = replace(s.op, wedge=(a, b)), s.companion.op
     nn = n * n
     ring = get_ring(n)
     coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -513,16 +525,16 @@ def run_checks(
     n: Optional[int] = None,
     sl: bool = False,
     standard: bool = False,
-    fault: Optional[Fault] = None,
+    fault: Optional[str] = None,
     processes: Optional[int] = None,
 ) -> List[VerificationReport]:
     """Run checks by name, sharing the coefficient sweep between them.
 
     "all" expands to every check in CHECKS order; the two lemma-level
     checks that need a pair (somega, bracketdiff) are skipped when none
-    was given.  The flags make one structure, and fault, when given, one
-    function of it.  A MemoryError or RecursionError names the check it
-    stopped.
+    was given.  The flags make one structure, and fault, when given, the
+    function of it that FAULTS names.  A MemoryError or RecursionError
+    names the check it stopped.
     """
     expanded: List[str] = []
     for name in names:
@@ -534,6 +546,8 @@ def run_checks(
             raise ValueError(f"{name} needs a pair")
         else:
             expanded.append(name)
+    if fault is not None and fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}")
     # The one worker count of the sweeps and the exchanges' divisions,
     # checked before the workspace is made, so a bad count fails every check.
     with worker_count(sweep_workers(processes)):
@@ -545,7 +559,7 @@ def run_checks(
             try:
                 witnesses, details = globals()[CHECKS[name][0]](ws)
             except (MemoryError, RecursionError) as e:
-                raise type(e)(f"check {name} stopped by {type(e).__name__}" + (f": {e}" if str(e) else "")) from e
+                raise _exhausted(e, f"check {name} stopped by {type(e).__name__}") from e
             reports.append(
                 VerificationReport(
                     check=name,

@@ -21,7 +21,7 @@ from bdcluster.quiver import (
     mutate_seed,
     to_exchange_matrix,
 )
-from bdcluster.verify import Fault, run_checks
+from bdcluster.verify import run_checks
 
 ALL_TRIPLES = [
     BDTriple(n, a, b)
@@ -396,12 +396,12 @@ def test_criterion_10_negative_controls():
     t = BDTriple(3, 1, 2)
     ok = True
 
-    rep = run_checks(["logcanon"], triple=t, fault=Fault.DROP_PHI31_TERM)[0]
+    rep = run_checks(["logcanon"], triple=t, fault="drop-phi31-term")[0]
     if rep.passed or not rep.witnesses or not any("(3, 1)" in w for w in rep.witnesses):
         ok = False
         print(f"  dropped term not caught: {rep.status} {rep.witnesses[:2]}")
 
-    rep = run_checks(["somega"], triple=t, fault=Fault.ZERO_R0)[0]
+    rep = run_checks(["somega"], triple=t, fault="zero-r0")[0]
     if rep.passed or not rep.witnesses:
         ok = False
         print(f"  zeroed diagonal not caught: {rep.status} {rep.witnesses[:2]}")

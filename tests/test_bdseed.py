@@ -21,6 +21,7 @@ from bdcluster.polymat import (
     first_family,
     second_family,
 )
+from bdcluster.verify import structure
 from oracles import build_Mtilde_shift, psi, theta
 
 
@@ -71,7 +72,7 @@ class TestStandardCluster:
         assert c.frozen == {(i, 1) for i in range(1, 5)} | {(1, j) for j in range(1, 5)}
 
     def test_sl_drops_the_determinant(self):
-        c = standard_cluster(4, sl=True)
+        c = structure(n=4, sl=True).cluster
         assert (1, 1) not in c.labels
         assert len(c.labels) == 15
         assert len(c.frozen) == 2 * 4 - 2
@@ -105,7 +106,7 @@ class TestInitialCluster:
     def test_sl_frozen_count(self):
         for n in (3, 4, 5):
             for a, b in all_pairs(n):
-                c = initial_cluster(BDTriple(n, a, b), sl=True)
+                c = structure(BDTriple(n, a, b), sl=True).cluster
                 assert len(c.frozen) == 2 * (n - 2)
                 assert (1, 1) not in c.labels
 

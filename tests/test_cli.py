@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from bdcluster import bdseed, cli, poisson, verify
+from bdcluster import bdseed, cli, poisson, polyring, verify
 from bdcluster.bdseed import get_ring
 from bdcluster.cli import main
 from test_verify import REFUSAL
@@ -265,6 +265,50 @@ class TestCheck:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_exhaustion_in_an_exchange_names_it(self, capsys, monkeypatch, error):
+        # The standard n = 3 seed is made, and its trailing minors cached,
+        # before accumulate is patched, so regular stops in its first
+        # exchange, at (2, 2), and the error line names it.
+        bdseed.standard_cluster(3)
+
+        def exhausted(self, *args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(polyring.PolyRing, "accumulate", exhausted)
+        rc, out, err = run(capsys, "check", "regular", "--n", "3", "--processes", "1")
+        assert (rc, out) == (2, "")
+        assert err == f"error: check regular stopped by {error.__name__}: exchange at (2, 2)\n"
+
+    def test_exhaustion_in_a_forked_exchange_names_it(self, capsys, monkeypatch):
+        # The division of the (5,1,4) (2,2) exchange forks with two workers;
+        # a MemoryError raised by accumulate in the forked worker alone is
+        # re-raised in the parent, which names the exchange.
+        parent, forked = os.getpid(), []
+        real_accumulate, real_fork = polyring.PolyRing.accumulate, os.fork
+
+        def exhausted_in_worker(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError()
+            return real_accumulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+        monkeypatch.setattr(polyring.PolyRing, "accumulate", exhausted_in_worker)
+        rc, out, err = run(capsys, "check", "regular", "--n", "5", "--alpha", "1", "--beta", "4", "--processes", "2")
+        assert (rc, out, forked) == (2, "", [1])
+        assert err == "error: check regular stopped by MemoryError: exchange at (2, 2)\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_size_below_one_is_refused(self, capsys, n):
+        # The one size check refuses it with the ring's message, before an
+        # operator, a quiver or a seed is made.
+        for verb in (["seed"], ["quiver"], ["check", "rank"], ["check", "all"], ["cybe"]):
+            rc, out, err = run(capsys, *verb, "--n", n)
+            assert (rc, out, err) == (2, "", f"error: matrix size must be positive, got {n}\n"), verb
+
     def test_checks_without_functions_compute_no_determinant(self, capsys, monkeypatch):
         # The structure makes its seed functions only when a check reads
         # one: cybe, rank, rplus and stable, and the quiver verb, never do.
@@ -301,7 +345,7 @@ class TestCheck:
 
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         # A verb whose arithmetic overflows the packed exponents.
-        monkeypatch.setattr(verify, "standard_cluster", lambda n, sl=False: get_ring(n).x(1, 1) ** 128)
+        monkeypatch.setattr(verify, "standard_cluster", lambda n: get_ring(n).x(1, 1) ** 128)
         rc, out, err = run(capsys, "seed", "--n", "3")
         assert rc == 2
         assert out == ""
@@ -312,8 +356,8 @@ class TestCheck:
         # table keys do not fit it, so the table pass refuses it first.
         standard = verify.standard_cluster
 
-        def big(n, sl=False):
-            c = standard(n, sl=sl)
+        def big(n):
+            c = standard(n)
             x = get_ring(n).x(1, 1) ** 64
             return replace(c, functions={**c.functions, (1, 2): x, (2, 2): x})
 
@@ -328,8 +372,8 @@ class TestCheck:
         # rule's text while its functions are tabled, before any pair test.
         standard = verify.standard_cluster
 
-        def big(n, sl=False):
-            c = standard(n, sl=sl)
+        def big(n):
+            c = standard(n)
             ring = get_ring(n)
             x = ring.x(1, 1) ** 64
             return replace(c, functions={**c.functions, (1, 2): x, (2, 2): x + ring.x(1, 2)})

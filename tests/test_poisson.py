@@ -46,7 +46,7 @@ from bdcluster.polymat import col_replace, row_replace
 from bdcluster.polyring import NotDivisible, Poly, PolyRing, exact_divide, partial_derivative
 from bdcluster.quiver import mutate_seed
 from bdcluster.tasks import worker_count
-from bdcluster.verify import Fault, Workspace, check_frozen_log_canonical_with_coordinates, structure
+from bdcluster.verify import FAULTS, Workspace, check_frozen_log_canonical_with_coordinates, structure
 from oracles import (
     class_pairing,
     cybe_all_pairs,
@@ -56,7 +56,7 @@ from oracles import (
     unpack,
     whole_pair_sums,
 )
-from test_verify import REFUSAL, _structures, built
+from test_verify import REFUSAL, _structures, built, fault_id
 
 # sha256 of every omega of all ten minimal pairs with n <= 5, one line
 # "n alpha beta ia ib omega" per pair of functions (see
@@ -94,7 +94,7 @@ def unit(n, i, j):
 def _ops(n, pair, standard):
     """The operator of a structure of _structures() and its zero-r0 version."""
     triple = BDTriple(n, *pair) if pair else None
-    return [built(triple, n, standard=standard, fault=fault).op for fault in (None, Fault.ZERO_R0)]
+    return [built(triple, n, standard=standard, fault=fault).op for fault in (None, "zero-r0")]
 
 
 def _apply_half(half, mat):
@@ -720,9 +720,9 @@ class TestDerivedTables:
         # A pair's exotic operator and its standard companion, or the standard one.
         ops = [
             op
-            for fault in (None, Fault.ZERO_R0)
-            for s in [built(triple, n, standard=standard, fault=fault)]
-            for op in s.pair_ops or (s.op,)
+            for fault in (None, "zero-r0")
+            for s in [built(triple, n, fault=fault)]
+            for op in ((s.op, s.companion.op) if s.companion else (s.op,))
         ]
         assert len(set(ops)) == len(ops)
         cluster = structure(triple, n, standard=standard).cluster
@@ -758,8 +758,8 @@ class TestDerivedTables:
 class TestSlicedPairTest:
     @pytest.mark.parametrize(
         "n, pair, standard, fault",
-        [(*s, None) for s in _structures()] + [(4, (1, 3), False, Fault.DROP_PHI31_TERM)],
-        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+        [(*s, None) for s in _structures()] + [(4, (1, 3), False, "drop-phi31-term")],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else fault_id(v) or str(v),
     )
     def test_equals_one_whole_sum(self, monkeypatch, n, pair, standard, fault):
         # Every pair of seed functions and coordinates against the oracles,
@@ -855,11 +855,11 @@ def _seed_and_coordinate_functions(n_max=5):
     for n in range(2, n_max + 1):
         ring = get_ring(n)
         for sl in (False, True):
-            seeds = [(standard_cluster(n, sl=sl), r_plus_operator(n=n, standard=True))]
+            seeds = [(structure(n=n, sl=sl).cluster, r_plus_operator(n=n, standard=True))]
             for a in range(1, n):
                 for b in range(a + 1, n):
                     t = BDTriple(n, a, b)
-                    seeds.append((initial_cluster(t, sl=sl), r_plus_operator(t)))
+                    seeds.append((structure(t, sl=sl).cluster, r_plus_operator(t)))
             for seed, op in seeds:
                 for f in seed.functions.values():
                     funcs.setdefault((n, frozenset(f._d.items())), (f, op))
@@ -918,8 +918,8 @@ class TestTableKeys:
             pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
             for sl in (False, True):
                 group = "SL" if sl else "GL"
-                seeds = [(f"{group} standard n={n}", standard_cluster(n, sl=sl))]
-                seeds += [(f"{group} ({n},{a},{b})", initial_cluster(BDTriple(n, a, b), sl=sl)) for a, b in pairs]
+                seeds = [(f"{group} standard n={n}", structure(n=n, sl=sl).cluster)]
+                seeds += [(f"{group} ({n},{a},{b})", structure(BDTriple(n, a, b), sl=sl).cluster) for a, b in pairs]
                 named += [(f"{name} seed {lab}", f) for name, seed in seeds for lab, f in seed.functions.items()]
             for a, b in pairs if n <= 5 else ():
                 seed = Workspace(structure(BDTriple(n, a, b))).exchange_seed
@@ -961,8 +961,8 @@ class TestTableKeys:
     @pytest.mark.parametrize(
         "n, pair, standard, fault",
         [(*s, None) for s in _structures() if s[0] > 2]
-        + [(n, pair, False, fault) for n, pair, std in _structures() if pair and not std and n in (3, 4) for fault in Fault],
-        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+        + [(n, pair, False, fault) for n, pair, std in _structures() if pair and not std and n in (3, 4) for fault in FAULTS],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else fault_id(v) or str(v),
     )
     def test_pair_tests_agree_in_both_layouts(self, n, pair, standard, fault):
         # Every pair of seed functions and coordinates gives the same omega,
@@ -1208,7 +1208,7 @@ class TestSweeps:
         monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 0)
         ring = get_ring(2)
         cases = [([ring.x(1, 2), ring.x(1, 1), ring.x(2, 2)], r_plus_operator(n=2, standard=True))]
-        for fault in (None, Fault.DROP_PHI31_TERM):
+        for fault in (None, "drop-phi31-term"):
             s = built(BDTriple(4, 1, 3), fault=fault)
             cluster = s.cluster
             cases.append(([cluster.functions[lab] for lab in cluster.labels], s.op))

@@ -22,7 +22,8 @@ from bdcluster.polymat import (
     row_replace,
     second_family,
 )
-from bdcluster.bdseed import BDTriple, initial_cluster, standard_cluster
+from bdcluster.bdseed import BDTriple
+from bdcluster.verify import structure
 from oracles import build_Mtilde_shift, derivative_tables, unpack
 from test_verify import REFUSAL
 
@@ -402,8 +403,8 @@ class TestReplacements:
         funcs = {}
         for n in range(2, 6):
             ring = PolyRing(n)
-            seeds = [standard_cluster(n, sl=sl) for sl in (False, True)]
-            seeds += [initial_cluster(BDTriple(n, a, b), sl=sl)
+            seeds = [structure(n=n, sl=sl).cluster for sl in (False, True)]
+            seeds += [structure(BDTriple(n, a, b), sl=sl).cluster
                       for a in range(1, n) for b in range(a + 1, n) for sl in (False, True)]
             coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
             for f in [*coords, *(f for seed in seeds for f in seed.functions.values())]:

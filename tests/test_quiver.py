@@ -25,7 +25,7 @@ from bdcluster.quiver import (
     to_dot,
     to_exchange_matrix,
 )
-from bdcluster.verify import Fault, Workspace, run_checks, structure
+from bdcluster.verify import Workspace, run_checks, structure
 from oracles import heap_exact_divide
 from test_verify import _structures
 
@@ -329,7 +329,7 @@ class TestSlicedExchange:
 
     @pytest.mark.parametrize("pair", sorted(DROPPED_TERM_WITNESSES), ids=lambda p: "-".join(map(str, p)))
     def test_dropped_term_witnesses_unchanged(self, pair):
-        (rep,) = run_checks(["regular"], triple=BDTriple(*pair), fault=Fault.DROP_PHI31_TERM)
+        (rep,) = run_checks(["regular"], triple=BDTriple(*pair), fault="drop-phi31-term")
         text = "\n".join(rep.witnesses)
         assert not rep.passed
         assert hashlib.sha256(text.encode()).hexdigest() == DROPPED_TERM_WITNESSES[pair], text

@@ -10,8 +10,8 @@ from bdcluster.bdseed import BDTriple, get_ring, normalize_triple
 from bdcluster.polyring import ExponentOverflow, exact_divide
 from bdcluster.quiver import NotLaurentPolynomial, mutate_seed
 from bdcluster.tasks import WorkerDied, run_tasks, worker_count
-from bdcluster.verify import Fault, Workspace, structure
-from test_verify import built
+from bdcluster.verify import Workspace, structure
+from test_verify import built, fault_id
 
 N4_PAIRS = [(3, 1, 2), (4, 1, 2), (4, 1, 3), (4, 2, 3)]
 
@@ -175,7 +175,7 @@ class TestForkedDivision:
         assert texts[0] == texts[1] == "a division reaches an exponent of 128 or more in some variable"
         assert len(forks) == 1 and _no_child_left()
 
-    @pytest.mark.parametrize("fault", [None, Fault.DROP_PHI31_TERM])
+    @pytest.mark.parametrize("fault", [None, "drop-phi31-term"], ids=fault_id)
     @pytest.mark.parametrize("pair", N4_PAIRS)
     def test_forced_pool_regular_matches_serial(self, forks, monkeypatch, pair, fault):
         # With the threshold at 0 and every dividend sliced, each exchange of

@@ -17,7 +17,7 @@ import bdcluster
 from bdcluster import bdseed, cli, poisson, polymat, polyring, quiver, verify
 from bdcluster.bdseed import BDTriple, get_ring, initial_cluster, standard_cluster
 from bdcluster.poisson import r_plus_operator
-from bdcluster.verify import FAULTS, Fault, Workspace, run_checks, structure
+from bdcluster.verify import FAULTS, Workspace, drop_phi31_term, run_checks, structure
 
 T312 = BDTriple(3, 1, 2)
 
@@ -43,6 +43,12 @@ def built(triple=None, n=None, fault=None, **flags):
     """The structure that run_checks makes from these arguments."""
     s = structure(triple, n, **flags)
     return FAULTS[fault](s) if fault else s
+
+
+def fault_id(v):
+    """The test id of a fault name, as a constant: Fault.ZERO_R0 for
+    zero-r0; None, pytest's own id, for any other parameter."""
+    return f"Fault.{v.upper().replace('-', '_')}" if isinstance(v, str) and v in FAULTS else None
 
 
 def _structures():
@@ -79,27 +85,48 @@ class TestWorkspace:
 
 class TestStructure:
     @pytest.mark.parametrize("sl", [False, True])
-    @pytest.mark.parametrize("fault", list(Fault), ids=lambda f: f.value)
+    @pytest.mark.parametrize("fault", list(FAULTS))
     def test_fault_returns_a_new_structure(self, fault, sl):
         # A fault is a function on structures: its input, and the input's
         # GL twin, keep their functions and operators; the output and its
-        # twin carry the defect.
+        # twin carry the defect.  Only zero-r0 reaches the companion.
         s = structure(BDTriple(4, 1, 3), sl=sl)
         twins = [s, s.gl] if sl else [s]
-        before = [(dict(t.cluster.functions), t.op, t.pair_ops) for t in twins]
+        before = [(dict(t.cluster.functions), t.op, t.companion.op) for t in twins]
         faulted = FAULTS[fault](s)
         assert faulted is not s and (faulted.gl is not s.gl) == sl
         changed = [faulted, faulted.gl] if sl else [faulted]
-        for t, u, (functions, op, pair_ops) in zip(twins, changed, before):
-            assert (t.cluster.functions, t.op, t.pair_ops) == (functions, op, pair_ops)
+        for t, u, (functions, op, companion_op) in zip(twins, changed, before):
+            assert (t.cluster.functions, t.op, t.companion.op) == (functions, op, companion_op)
             assert (u.labels, u.frozen, u.quiver) == (t.labels, t.frozen, t.quiver)
-            if fault is Fault.DROP_PHI31_TERM:
-                assert u.op == op and u.pair_ops == pair_ops
+            assert u.companion.cluster.functions == t.companion.cluster.functions
+            if fault == "drop-phi31-term":
+                assert u.op == op and u.companion is t.companion
                 assert [lab for lab in functions if u.cluster.functions[lab] != functions[lab]] == [(3, 1)]
             else:
                 assert u.cluster.functions == functions
-                assert all(not any(map(any, o.c)) for o in (u.op, *u.pair_ops))
-                assert (u.op.wedge, [o.wedge for o in u.pair_ops]) == (op.wedge, [o.wedge for o in pair_ops])
+                assert all(not any(map(any, o.c)) for o in (u.op, u.companion.op))
+                assert (u.op.wedge, u.companion.op.wedge) == (op.wedge, companion_op.wedge)
+
+    @pytest.mark.parametrize("sl", [False, True])
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_companion_is_the_standard_structure_on_gl(self, standard, sl):
+        # A pair's structure, exotic or standard, on GL or SL, holds the
+        # standard seed and quiver on GL under its operator without the
+        # wedge; the standard structure with the pair reads its seed.
+        t = BDTriple(4, 1, 3)
+        s = structure(t, sl=sl, standard=standard)
+        c, plain = s.companion, structure(n=4)
+        assert (c.n, c.sl, c.standard, c.triple, c.companion) == (4, False, True, t, None)
+        assert (c.labels, c.frozen, c.quiver) == (plain.labels, plain.frozen, plain.quiver)
+        assert c.cluster.functions == standard_cluster(4).functions
+        assert c.op == replace(structure(t).op, wedge=None) == r_plus_operator(t, standard=True)
+        assert c.op != plain.op
+        assert (s.gl or s).companion is c
+        if standard:
+            gl = s.gl or s
+            assert gl.cluster is c.cluster
+        assert structure(n=4).companion is None
 
     def test_sl_reads_its_gl_twins_functions(self, monkeypatch):
         # check all --sl builds the pair's block determinants once: the SL
@@ -272,7 +299,7 @@ class TestCompatibilityWitnesses:
 class TestBracketDifferenceWitnesses:
     def test_swapped_companion_witnesses_unchanged(self):
         s = structure(BDTriple(4, 1, 3))
-        exotic_for_both = replace(s, pair_ops=(s.pair_ops[0],) * 2)
+        exotic_for_both = replace(s, companion=replace(s.companion, op=s.op))
         witnesses, details = verify.check_bracket_difference(Workspace(exotic_for_both))
         assert len(witnesses) == len(SWAPPED_COMPANION_WITNESSES) == 30
         assert witnesses == [
@@ -284,14 +311,14 @@ class TestBracketDifferenceWitnesses:
 
 class TestFaults:
     def test_dropped_term_breaks_log_canonicality(self):
-        rep = one("logcanon", T312, fault=Fault.DROP_PHI31_TERM)
+        rep = one("logcanon", T312, fault="drop-phi31-term")
         assert not rep.passed
         assert rep.witnesses
         assert any("(3, 1)" in w for w in rep.witnesses)
 
     @pytest.mark.parametrize("pair", sorted(DROPPED_TERM_WITNESSES), ids=lambda p: "-".join(map(str, p)))
     def test_dropped_term_witnesses_unchanged(self, pair):
-        rep = one("logcanon", BDTriple(*pair), fault=Fault.DROP_PHI31_TERM)
+        rep = one("logcanon", BDTriple(*pair), fault="drop-phi31-term")
         text = "\n".join(rep.witnesses)
         assert hashlib.sha256(text.encode()).hexdigest() == DROPPED_TERM_WITNESSES[pair], text
 
@@ -301,12 +328,12 @@ class TestFaults:
         # Every pair test forced into R_+ (0) or R_- (1) names the same
         # witnesses.
         monkeypatch.setattr(poisson, "_half", lambda ta, tb: (0, half))
-        rep = one("logcanon", BDTriple(*pair), fault=Fault.DROP_PHI31_TERM, processes=1)
+        rep = one("logcanon", BDTriple(*pair), fault="drop-phi31-term", processes=1)
         text = "\n".join(rep.witnesses)
         assert hashlib.sha256(text.encode()).hexdigest() == DROPPED_TERM_WITNESSES[pair], text
 
     def test_zeroed_diagonal_breaks_sums(self):
-        rep = one("somega", T312, fault=Fault.ZERO_R0)
+        rep = one("somega", T312, fault="zero-r0")
         assert not rep.passed
         assert any("sum at" in w for w in rep.witnesses)
 
@@ -316,18 +343,20 @@ class TestFaults:
         # rplus compares two readings of the same c, and bracketdiff
         # (exotic minus companion is the wedge alone) does not depend on c.
         t = BDTriple(4, 1, 3)
-        reports = run_checks(["all"], triple=t, fault=Fault.ZERO_R0, processes=1)
+        reports = run_checks(["all"], triple=t, fault="zero-r0", processes=1)
         failed = [r for r in reports if not r.passed]
         assert [r.check for r in failed] == ["logcanon", "compat", "frozen", "somega", "cybe"]
         assert all(r.witnesses for r in failed)
         assert [r.check for r in reports if r.passed] == ["rank", "stable", "regular", "bracketdiff", "rplus"]
-        assert structure(t).pair_ops[1] == r_plus_operator(t, standard=True)
-        zeroed = built(t, fault=Fault.ZERO_R0).pair_ops[1]
+        assert structure(t).companion.op == r_plus_operator(t, standard=True)
+        zeroed = built(t, fault="zero-r0").companion.op
         assert zeroed.wedge is None and not any(v for row in zeroed.c for v in row)
 
     def test_fault_values(self):
-        assert Fault("drop-phi31-term") is Fault.DROP_PHI31_TERM
-        assert Fault("zero-r0") is Fault.ZERO_R0
+        # One registry, keyed by the names --inject-fault takes.
+        assert FAULTS == {"drop-phi31-term": verify.drop_phi31_term, "zero-r0": verify.zero_r0}
+        with pytest.raises(ValueError, match="unknown fault 'DROP_PHI31_TERM'"):
+            run_checks(["rank"], triple=T312, fault="DROP_PHI31_TERM")
 
 
 class TestPlantedDefects:
@@ -385,6 +414,23 @@ class TestPlantedDefects:
         ]
 
 
+    def test_defect_in_the_companions_seed(self, monkeypatch):
+        # somega reads the companion's seed, not the structure's, so the
+        # dropped term planted there alone fails it at (3, 1), which is no
+        # corner of (4,1,3)'s sums, and at no other label.
+        real = verify.structure
+
+        def planted(*args):
+            s = real(*args)
+            return replace(s, companion=drop_phi31_term(s.companion))
+
+        monkeypatch.setattr(verify, "structure", planted)
+        reports = run_checks(["somega", "logcanon"], triple=BDTriple(4, 1, 3))
+        assert [r.status for r in reports] == ["fail", "pass"]
+        witnesses = reports[0].witnesses
+        assert witnesses and all(w.startswith(("row sum at (3, 1): ", "column sum at (3, 1): ")) for w in witnesses)
+
+
 class TestReports:
     def test_report_dict_shape(self):
         rep = one("rank", T312)
@@ -398,7 +444,7 @@ class TestReports:
         assert isinstance(d["seconds"], float)
 
     def test_witness_cap(self):
-        rep = one("logcanon", T312, fault=Fault.DROP_PHI31_TERM)
+        rep = one("logcanon", T312, fault="drop-phi31-term")
         assert len(rep.witnesses) <= 10
 
 
@@ -495,7 +541,7 @@ class TestRunChecks:
         assert len(tabled) == len(set(tabled)) == 29
 
     def test_fault_propagates(self):
-        reports = run_checks(["logcanon"], triple=T312, fault=Fault.DROP_PHI31_TERM)
+        reports = run_checks(["logcanon"], triple=T312, fault="drop-phi31-term")
         assert not reports[0].passed
 
 
@@ -514,8 +560,8 @@ class TestPairTest:
             def x(self, i, j):
                 return big + ring.x(1, 2) if (i, j) == (1, 1) else ring.x(i, j)
 
-        def cluster(n, sl=False):
-            c = standard(n, sl=sl)
+        def cluster(n):
+            c = standard(n)
             functions = {**c.functions, (3, 1): big, (1, 2): big + ring.x(1, 2)}
             return replace(c, ring=Coordinates(), functions=functions)
 
@@ -542,7 +588,7 @@ class TestPairTest:
             for name, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, name, spy)
-        for fault in (None, *Fault):
+        for fault in (None, *FAULTS):
             run_checks(["all"], triple=BDTriple(4, 1, 3), fault=fault, processes=1)
         assert cli.main(["bracket", "--n", "3", "--alpha", "1", "--beta", "2", "--f", "3,2", "--g", "3,3"]) == 0
         x = get_ring(2).x(1, 2)
