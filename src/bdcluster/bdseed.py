@@ -20,15 +20,17 @@ at the two special families of labels
 by determinants of 2x2-block matrices mixing two copies of X, and it
 unfreezes the border labels (alpha+1, 1) and (1, beta+1).
 
-standard_cluster and initial_cluster build GL seeds.  An SL seed is its
-GL twin's without the determinant label (1, 1), and verify.structure,
+standard_cluster and initial_cluster build the functions of GL seeds;
+a seed's labels and frozen set are its quiver's (quiver.py), from
+seed_labels.  An SL seed is its GL twin's without the determinant label
+(1, 1), and verify.structure,
 the one builder of the structures that the checks and the verbs read,
 makes it so; nothing else in the package calls the two builders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -103,28 +105,21 @@ def trailing_minor(n: int, i: int, j: int) -> Poly:
     return determinant(build_M(get_ring(n), i, j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cluster:
-    """An initial extended cluster: labelled functions plus the frozen set."""
+    """An extended cluster: its ring and its functions by label, in the
+    label order of the seed's quiver, which holds the labels and the
+    frozen set.  Two clusters are equal only when they are one object."""
 
     ring: PolyRing
-    n: int
-    labels: Tuple[Label, ...]
-    functions: Dict[Label, Poly] = field(compare=False)
-    frozen: frozenset
-
-    def mutable_labels(self) -> Tuple[Label, ...]:
-        return tuple(lab for lab in self.labels if lab not in self.frozen)
-
-    def __getitem__(self, label: Label) -> Poly:
-        return self.functions[label]
+    functions: Dict[Label, Poly]
 
 
 def seed_labels(
     n: int, triple: Optional[BDTriple] = None, sl: bool = False
 ) -> Tuple[Tuple[Label, ...], frozenset]:
-    """The vertex labels of a seed and its frozen set, shared by the
-    cluster and the quiver.
+    """The vertex labels of a seed and its frozen set, which its quiver
+    holds; its cluster holds its functions in this label order.
 
     The labels are row-major; SL drops the determinant label (1, 1).
     The frozen labels are those of the first row and the first column,
@@ -140,24 +135,24 @@ def seed_labels(
 
 
 def standard_cluster(n: int) -> Cluster:
-    """The GL seed of trailing minors with the whole border frozen."""
+    """The GL cluster of trailing minors; the standard quiver freezes its
+    whole border."""
     return _cluster(n, None)
 
 
 def initial_cluster(triple: BDTriple) -> Cluster:
-    """The exotic GL seed for a normalized pair: the standard seed with
-    block minors at the special labels and the two border labels
-    (alpha+1, 1), (1, beta+1) unfrozen."""
+    """The exotic GL cluster for a normalized pair: the standard one with
+    block minors at the special labels.  Its quiver, bd_quiver, unfreezes
+    the two border labels (alpha+1, 1) and (1, beta+1)."""
     return _cluster(triple.n, triple)
 
 
 def _cluster(n: int, triple: Optional[BDTriple]) -> Cluster:
     ring = get_ring(n)
-    labels, frozen = seed_labels(n, triple)
     special = first_family(n, triple.alpha) + second_family(n, triple.beta) if triple else []
     functions = {
         lab: determinant(build_Mtilde(ring, triple.alpha, triple.beta, *lab)) if lab in special else trailing_minor(n, *lab)
-        for lab in labels
+        for lab in seed_labels(n)[0]
     }
-    return Cluster(ring=ring, n=n, labels=labels, functions=functions, frozen=frozen)
+    return Cluster(ring=ring, functions=functions)
 

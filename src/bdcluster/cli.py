@@ -68,7 +68,7 @@ def _structure(args) -> Structure:
 
 def _cmd_seed(args) -> int:
     s = _structure(args)
-    cluster = s.cluster
+    functions, q = s.cluster.functions, s.quiver
     if args.format == "json":
         payload = {
             "n": s.n,
@@ -77,16 +77,14 @@ def _cmd_seed(args) -> int:
             "transposed": s.triple.transposed if s.triple else False,
             "sl": s.sl,
             "standard": s.standard,
-            "frozen": sorted(f"{i},{j}" for i, j in cluster.frozen),
-            "functions": {
-                f"{i},{j}": str(cluster.functions[(i, j)]) for i, j in cluster.labels
-            },
+            "frozen": sorted(f"{i},{j}" for i, j in q.frozen),
+            "functions": {f"{i},{j}": str(functions[(i, j)]) for i, j in q.labels},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for lab in cluster.labels:
-            kind = "frozen " if lab in cluster.frozen else "mutable"
-            print(f"({lab[0]},{lab[1]}) {kind} {cluster.functions[lab]}")
+        for lab in q.labels:
+            kind = "frozen " if lab in q.frozen else "mutable"
+            print(f"({lab[0]},{lab[1]}) {kind} {functions[lab]}")
     return 0
 
 
@@ -147,7 +145,7 @@ def _cmd_bracket(args) -> int:
 def _cmd_mutate(args) -> int:
     ws = Workspace(_structure(args))
     lab = _parse_label(args.at)
-    if lab not in ws.structure.labels:
+    if lab not in ws.structure.quiver.labels:
         raise CliError(f"{lab} is not a vertex")
     # On SL the printed GL variable represents the SL one.
     try:

@@ -197,19 +197,17 @@ class RPlusOperator:
         return half(1, 0), half(-1, nn)
 
 
-def r_plus_operator(
-    triple: Optional[BDTriple] = None,
-    n: Optional[int] = None,
-    standard: bool = False,
-) -> RPlusOperator:
-    """R_+ of the pair's exotic structure, or of its standard companion
-    when standard is set; without a pair, the standard R_+ of size n.  An
-    n given with a pair must be the pair's."""
+def r_plus_operator(triple: Optional[BDTriple] = None, n: Optional[int] = None) -> RPlusOperator:
+    """R_+ of the pair's exotic structure; without a pair, the standard
+    R_+ of size n.  An n given with a pair must be the pair's.  The pair's
+    standard companion's is this one without its wedge,
+    replace(r_plus_operator(triple), wedge=None), which verify.structure
+    makes."""
     n = structure_size(triple, n)
     if triple is None:
         return RPlusOperator(n, build_r0(n))
     pair = (triple.alpha, triple.beta)
-    return RPlusOperator(n, build_r0(n, *pair), None if standard else pair)
+    return RPlusOperator(n, build_r0(n, *pair), pair)
 
 
 def unscale(x, n: int):

@@ -37,7 +37,9 @@ class NotLaurentPolynomial(ArithmeticError):
 
 @dataclass(frozen=True)
 class Quiver:
-    n: int
+    """A seed's vertex labels, row-major, its frozen set and its weighted
+    arcs: the one record of the labels and the frozen set of a seed."""
+
     labels: Tuple[Label, ...]
     frozen: frozenset
     arcs: Dict[Tuple[Label, Label], int]
@@ -80,7 +82,6 @@ def _quiver(n: int, sl: bool, triple: Optional[BDTriple]) -> Quiver:
         ]
     inside = set(labels)
     return Quiver(
-        n=n,
         labels=labels,
         frozen=frozen,
         arcs={arc: 1 for arc in arcs if arc[0] in inside and arc[1] in inside},
@@ -179,8 +180,10 @@ class Seed:
 
 
 def make_seed(cluster: Cluster, quiver: Quiver) -> Seed:
-    if set(quiver.labels) != set(cluster.labels):
-        raise ValueError("cluster and quiver have different vertex sets")
+    """The seed of a cluster whose functions are keyed by the quiver's
+    labels, in the quiver's order."""
+    if quiver.labels != tuple(cluster.functions):
+        raise ValueError("the cluster's labels are not the quiver's, in its order")
     return Seed(cluster=cluster, matrix=to_exchange_matrix(quiver))
 
 

@@ -1,9 +1,10 @@
 """Machine verification of the defining properties of the cluster structures.
 
-A cluster structure is one value, a Structure: its seed's labels,
-frozen set, quiver and lazily made functions, the operator R_+ of the
-bracket it is checked against, what the checks expect of it, and, with
-a pair, its standard companion, itself a Structure.  One builder,
+A cluster structure is one value, a Structure: its seed's quiver, which
+holds the labels and the frozen set, its lazily made functions, the
+operator R_+ of the bracket it is checked against and, with a pair, its
+standard companion, itself a Structure; its size, roots and expected
+frozen count are read from these.  One builder,
 structure(triple, n, sl, standard), makes every structure and seed the
 checks and the CLI verbs read, and nothing downstream re-decides it
 from those flags.  A Workspace caches what the checks derive from one
@@ -26,7 +27,10 @@ on most pairs.  zero_r0 zeroes c, the coefficients of r's diagonal part,
 in every operator of the structure, so on the exotic structure
 logcanon, compat, frozen, somega and cybe fail, while rplus (both its
 sides read c) and bracketdiff (the wedge alone) pass.  zero_r0 reaches
-the standard companion too; drop_phi31_term leaves it as it is.
+the standard companion too; drop_phi31_term leaves it as it is.  A fault
+refuses a structure it cannot change: drop_phi31_term one with n < 3,
+which has no label (3, 1), and zero_r0 one with n < 2, whose c has no
+entry.
 """
 
 from __future__ import annotations
@@ -41,10 +45,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .bdseed import (
     BDTriple,
     Cluster,
-    Label,
     get_ring,
     initial_cluster,
-    seed_labels,
     standard_cluster,
     structure_size,
 )
@@ -109,31 +111,42 @@ class Structure:
     """One cluster structure and the bracket it is checked against.
 
     triple is the pair as given, None for the standard structure of size
-    n; standard says the seed is the standard one.  op is R_+ of the
-    structure's bracket.  expected_frozen and roots are what stable
-    expects and what a report prints.  gl is the GL structure that an SL
+    n; standard says the seed is the standard one.  The quiver holds the
+    seed's labels and frozen set.  op is R_+ of the structure's bracket,
+    and its size is the structure's.  gl is the GL structure that an SL
     one stands for in exchanges, None on GL.  companion, None without a
     pair, is the pair's standard companion, which somega and bracketdiff
     read: the standard seed and quiver on GL under the pair's c without
-    the wedge.  seed makes the seed (a Cluster) when cluster is first
-    read, so a check that reads no function computes no determinant; an
-    SL seed is its GL twin's without (1, 1).  A fault or a test makes a
-    new structure from one with dataclasses.replace.
+    the wedge.  seed makes the seed's cluster, its functions in the
+    quiver's label order, when cluster is first read, so a check that
+    reads no function computes no determinant; an SL seed is its GL
+    twin's without (1, 1).  Every other fact of a structure is read from
+    these fields.  A fault or a test makes a new structure from one with
+    dataclasses.replace.
     """
 
-    n: int
-    sl: bool
     triple: Optional[BDTriple]
+    sl: bool
     standard: bool
-    labels: Tuple[Label, ...]
-    frozen: frozenset
     quiver: Quiver
     op: RPlusOperator
-    expected_frozen: int
-    roots: Tuple[Optional[int], Optional[int]]
     seed: Callable[[], Cluster]
     gl: Optional["Structure"] = None
     companion: Optional["Structure"] = None
+
+    @property
+    def n(self) -> int:
+        return self.op.n
+
+    @property
+    def roots(self) -> Tuple[Optional[int], Optional[int]]:
+        """The pair's roots, as a report prints them, or (None, None)."""
+        return (self.triple.alpha, self.triple.beta) if self.triple else (None, None)
+
+    @property
+    def expected_frozen(self) -> int:
+        """The frozen count that stable expects."""
+        return (2 * self.n - 1 if self.standard else 2 * self.n - 3) - self.sl
 
     @cached_property
     def cluster(self) -> Cluster:
@@ -150,14 +163,11 @@ def structure(triple: Optional[BDTriple] = None, n: Optional[int] = None, sl: bo
     reads the companion's seed."""
     n = structure_size(triple, n)
     op = r_plus_operator(triple, n)
-    roots = (triple.alpha, triple.beta) if triple else (None, None)
 
     def make(pair: Optional[BDTriple], sl: bool, op: RPlusOperator, seed, **links) -> Structure:
         # The exotic seed and quiver of pair, or the standard ones without.
-        labels, frozen = seed_labels(n, pair, sl)
-        return Structure(n=n, sl=sl, triple=triple, standard=pair is None, labels=labels, frozen=frozen,
-                         quiver=bd_quiver(pair, sl) if pair else standard_quiver(n, sl), op=op,
-                         expected_frozen=(2 * n - 3 if pair else 2 * n - 1) - sl, roots=roots, seed=seed, **links)
+        return Structure(triple=triple, sl=sl, standard=pair is None,
+                         quiver=bd_quiver(pair, sl) if pair else standard_quiver(n, sl), op=op, seed=seed, **links)
 
     std = make(None, False, replace(op, wedge=None), lambda: standard_cluster(n))
     pair = None if standard else triple
@@ -168,7 +178,7 @@ def structure(triple: Optional[BDTriple] = None, n: Optional[int] = None, sl: bo
 
     def seed() -> Cluster:
         c = gl.cluster
-        return replace(c, labels=s.labels, frozen=s.frozen, functions={lab: c.functions[lab] for lab in s.labels})
+        return replace(c, functions={lab: c.functions[lab] for lab in s.quiver.labels})
 
     s = make(pair, True, gl.op, seed, gl=gl, companion=gl.companion)
     return s
@@ -192,6 +202,8 @@ def zero_r0(s: Structure) -> Structure:
     """s with c, the coefficients of r's diagonal part, zeroed in its
     operator, its GL twin's and its companion's, so every check that
     reads an r-matrix sees it."""
+    if s.n < 2:
+        raise ValueError(f"fault zero-r0 needs an entry of c, which n = {s.n} lacks")
     zeros = ((0,) * (s.n - 1),) * (s.n - 1)
     return replace(s, op=replace(s.op, c=zeros), gl=s.gl and zero_r0(s.gl),
                    companion=s.companion and zero_r0(s.companion))
@@ -242,7 +254,7 @@ class Workspace:
         """(labels, {(ia, ib): omega}, failures) over the cluster label order,
         from the workspace's tables of the cluster functions."""
         s = self.structure
-        labels = list(s.labels)
+        labels = list(s.quiver.labels)
         funcs = [s.cluster.functions[lab] for lab in labels]
         tables = [self.tables(f, s.op) for f in funcs]
         self.sweep_plan = sweep_plan(tables)
@@ -340,8 +352,8 @@ def check_rank(ws: Workspace) -> Outcome:
 def check_stable_count(ws: Workspace) -> Outcome:
     """The frozen set has the predicted size (2(n-2) for the exotic
     structure on SL, one more on GL; 2n-2 and 2n-1 for the standard),
-    read from the structure's labels, without its functions."""
-    expected, actual = ws.structure.expected_frozen, len(ws.structure.frozen)
+    read from the structure's quiver, without its functions."""
+    expected, actual = ws.structure.expected_frozen, len(ws.structure.quiver.frozen)
     witnesses = []
     if actual != expected:
         witnesses.append(f"{actual} frozen variables, expected {expected}")
@@ -374,7 +386,7 @@ def check_frozen_log_canonical_with_coordinates(ws: Workspace) -> Outcome:
     idx = range(1, ws.structure.n + 1)
     coords = [((i, j), ws.tables(cluster.ring.x(i, j), op)) for i in idx for j in idx]
     witnesses = []
-    for lab in sorted(cluster.frozen):
+    for lab in sorted(ws.structure.quiver.frozen):
         ft = ws.tables(cluster.functions[lab], op)
         for (i, j), gt in coords:
             omega = pair_test(ft, gt)
@@ -409,13 +421,13 @@ def check_s_omega(ws: Workspace) -> Outcome:
     differ only by a global sign.
     """
     n, (alpha, beta), companion = ws.structure.n, ws.structure.roots, ws.structure.companion
-    cluster, op = companion.cluster, companion.op
-    tables = {lab: ws.tables(cluster.functions[lab], op) for lab in cluster.labels}
+    cluster, op, labels = companion.cluster, companion.op, companion.quiver.labels
+    tables = {lab: ws.tables(cluster.functions[lab], op) for lab in labels}
     row_labels = [(n, alpha), (n, alpha + 1), (n, beta), (n, beta + 1)]
     col_labels = [c[::-1] for c in row_labels]
     signs = (1, -1, -1, 1)
     witnesses = []
-    for lab in cluster.labels:
+    for lab in labels:
         for kind, corners, expected in (
             ("row", row_labels, _expected_s_omega(n, alpha, beta, lab)),
             ("column", col_labels, _expected_s_omega(n, beta, alpha, lab[::-1])),

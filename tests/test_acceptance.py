@@ -357,7 +357,7 @@ def test_criterion_09_property_suite():
     # bracket axioms on random inputs, standard n=2 and exotic n=3
     axioms = 0
     for ring, op in (
-        (get_ring(2), r_plus_operator(n=2, standard=True)),
+        (get_ring(2), r_plus_operator(n=2)),
         (get_ring(3), r_plus_operator(BDTriple(3, 1, 2))),
     ):
         for _ in range(20):

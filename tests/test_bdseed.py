@@ -11,6 +11,7 @@ from bdcluster.bdseed import (
     get_ring,
     initial_cluster,
     normalize_triple,
+    seed_labels,
     standard_cluster,
 )
 from bdcluster.polymat import (
@@ -66,49 +67,52 @@ class TestTriple:
 
 class TestStandardCluster:
     def test_label_count_and_frozen_gl(self):
-        c = standard_cluster(4)
-        assert len(c.labels) == 16
-        assert len(c.frozen) == 2 * 4 - 1
-        assert c.frozen == {(i, 1) for i in range(1, 5)} | {(1, j) for j in range(1, 5)}
+        labels, frozen = seed_labels(4)
+        assert tuple(standard_cluster(4).functions) == labels
+        assert len(labels) == 16
+        assert len(frozen) == 2 * 4 - 1
+        assert frozen == {(i, 1) for i in range(1, 5)} | {(1, j) for j in range(1, 5)}
 
     def test_sl_drops_the_determinant(self):
-        c = structure(n=4, sl=True).cluster
-        assert (1, 1) not in c.labels
-        assert len(c.labels) == 15
-        assert len(c.frozen) == 2 * 4 - 2
+        s = structure(n=4, sl=True)
+        assert (1, 1) not in s.cluster.functions
+        assert len(s.cluster.functions) == 15
+        assert len(s.quiver.frozen) == 2 * 4 - 2
 
     def test_functions_are_trailing_minors(self):
         c = standard_cluster(3)
         ring = c.ring
-        assert c[(3, 3)] == ring.x(3, 3)
-        assert c[(2, 2)] == ring.x(2, 2) * ring.x(3, 3) - ring.x(2, 3) * ring.x(3, 2)
-        for lab in c.labels:
-            assert c[lab] == determinant(build_M(ring, *lab))
+        f = c.functions
+        assert f[(3, 3)] == ring.x(3, 3)
+        assert f[(2, 2)] == ring.x(2, 2) * ring.x(3, 3) - ring.x(2, 3) * ring.x(3, 2)
+        for lab in f:
+            assert f[lab] == determinant(build_M(ring, *lab))
 
     def test_single_entry_corners(self):
         c = standard_cluster(5)
         for k in range(1, 6):
-            assert c[(5, k)] == c.ring.x(5, k)
-            assert c[(k, 5)] == c.ring.x(k, 5)
+            assert c.functions[(5, k)] == c.ring.x(5, k)
+            assert c.functions[(k, 5)] == c.ring.x(k, 5)
 
 
 class TestInitialCluster:
     def test_frozen_set_drops_two_border_labels(self):
         for n in (3, 4, 5):
             for a, b in all_pairs(n):
-                c = initial_cluster(BDTriple(n, a, b))
+                labels, frozen = seed_labels(n, BDTriple(n, a, b))
+                assert tuple(initial_cluster(BDTriple(n, a, b)).functions) == labels
                 border = {(i, 1) for i in range(1, n + 1)} | {
                     (1, j) for j in range(1, n + 1)
                 }
-                assert c.frozen == border - {(a + 1, 1), (1, b + 1)}
-                assert len(c.frozen) == 2 * n - 3
+                assert frozen == border - {(a + 1, 1), (1, b + 1)}
+                assert len(frozen) == 2 * n - 3
 
     def test_sl_frozen_count(self):
         for n in (3, 4, 5):
             for a, b in all_pairs(n):
-                c = structure(BDTriple(n, a, b), sl=True).cluster
-                assert len(c.frozen) == 2 * (n - 2)
-                assert (1, 1) not in c.labels
+                s = structure(BDTriple(n, a, b), sl=True)
+                assert len(s.quiver.frozen) == 2 * (n - 2)
+                assert (1, 1) not in s.cluster.functions
 
     def test_special_labels_get_block_determinants(self):
         for n in (3, 4):
@@ -117,17 +121,16 @@ class TestInitialCluster:
                 t = BDTriple(n, a, b)
                 c = initial_cluster(t)
                 special = set(first_family(n, a)) | set(second_family(n, b))
-                for lab in c.labels:
+                for lab, f in c.functions.items():
                     if lab in special:
-                        assert c[lab] == determinant(build_Mtilde(ring, a, b, *lab))
+                        assert f == determinant(build_Mtilde(ring, a, b, *lab))
                     else:
-                        assert c[lab] == determinant(build_M(ring, *lab))
+                        assert f == determinant(build_M(ring, *lab))
 
     def test_mutable_labels(self):
-        c = initial_cluster(BDTriple(3, 1, 2))
-        assert set(c.mutable_labels()) == set(c.labels) - c.frozen
-        assert (2, 1) in c.mutable_labels()
-        assert (1, 3) in c.mutable_labels()
+        # The pair unfreezes (alpha+1, 1) and (1, beta+1) of the border.
+        labels, frozen = seed_labels(3, BDTriple(3, 1, 2))
+        assert set(labels) - frozen == {(1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)}
 
 
 class TestClosedForms:

@@ -233,6 +233,26 @@ class TestCheck:
             assert out == ""
             assert err.startswith("error:") and "(3, 1)" in err
 
+    @pytest.mark.parametrize("fault", list(verify.FAULTS))
+    @pytest.mark.parametrize("sl", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize(
+        "n, pair, standard",
+        [(n, None, True) for n in range(1, 5)]
+        + [(n, (a, b), std) for n in (3, 4) for a in range(1, n) for b in range(a + 1, n) for std in (False, True)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_no_negative_control_passes(self, capsys, n, pair, standard, fault, sl):
+        # A fault either fails a check (exit 1) or refuses the structure it
+        # cannot change (exit 2, naming the fault); it never passes.
+        flags = ["--n", str(n)] + (["--alpha", str(pair[0]), "--beta", str(pair[1])] if pair else [])
+        flags += ["--standard"] * standard + ["--sl"] * sl
+        rc, out, err = run(capsys, "check", "all", *flags, "--inject-fault", fault, "--processes", "1")
+        assert rc in (1, 2), (rc, out)
+        if rc == 1:
+            assert "status=fail" in out
+        else:
+            assert out == "" and err.startswith(f"error: fault {fault} needs"), err
+
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
     def test_exhaustion_in_process_is_an_error(self, capsys, monkeypatch, error):
         # Running out of memory or stack proves nothing: exit 2, not the 1 of

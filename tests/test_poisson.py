@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -189,12 +190,12 @@ class TestRPlusOperator:
         assert r_plus_operator(BDTriple(4, 1, 3), n=4) == r_plus_operator(BDTriple(4, 1, 3))
 
     def test_upper_part_passes_through(self):
-        op = r_plus_operator(n=3, standard=True)
+        op = r_plus_operator(n=3)
         out = r_plus(op, unit(3, 1, 3))
         assert out == unit(3, 1, 3)
 
     def test_lower_part_dies_for_standard(self):
-        op = r_plus_operator(n=3, standard=True)
+        op = r_plus_operator(n=3)
         out = r_plus(op, unit(3, 3, 1))
         assert all(v == 0 for row in out for v in row)
 
@@ -214,7 +215,7 @@ class TestRPlusOperator:
 
     def test_standard_twin_disables_wedge(self):
         t = BDTriple(4, 1, 3)
-        twin = r_plus_operator(t, standard=True)
+        twin = replace(r_plus_operator(t), wedge=None)
         assert twin.c == build_r0(4, 1, 3)
         assert twin.wedge is None
         out = r_plus(twin, unit(4, 4, 3))
@@ -266,9 +267,9 @@ class TestRPlusOperator:
                     cases.append((n, (a, b), True))
         for n, pair, std in cases:
             if pair is None:
-                op = r_plus_operator(n=n, standard=True)
+                op = r_plus_operator(n=n)
             else:
-                op = r_plus_operator(BDTriple(n, *pair), standard=std)
+                op = structure(BDTriple(n, *pair), standard=std).op
             rt = build_r_tensor(op)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -329,7 +330,7 @@ class TestRTensor:
         rt = build_r_tensor(r_plus_operator(BDTriple(3, 1, 2)))
         assert rt[((2, 1), (2, 3))] == 1
         assert rt[((2, 3), (2, 1))] == -1
-        std = build_r_tensor(r_plus_operator(BDTriple(3, 1, 2), standard=True))
+        std = build_r_tensor(replace(r_plus_operator(BDTriple(3, 1, 2)), wedge=None))
         assert ((2, 1), (2, 3)) not in std
 
     def test_unitarity_directly(self):
@@ -386,7 +387,7 @@ class TestSklyaninBracket:
 
     def setup_method(self):
         self.ring = get_ring(2)
-        self.op = r_plus_operator(n=2, standard=True)
+        self.op = r_plus_operator(n=2)
 
     def x(self, i, j):
         return self.ring.x(i, j)
@@ -460,9 +461,9 @@ class TestSklyaninBracket:
         for n, pair, std in cases:
             ring = get_ring(n)
             if pair is None:
-                op = r_plus_operator(n=n, standard=True)
+                op = r_plus_operator(n=n)
             else:
-                op = r_plus_operator(BDTriple(n, *pair), standard=std)
+                op = structure(BDTriple(n, *pair), standard=std).op
             rt = build_r_tensor(op)
             for _ in range(3):
                 f, g = _random_poly(rng, ring), _random_poly(rng, ring)
@@ -491,7 +492,7 @@ class TestSklyaninBracket:
         t = BDTriple(4, 1, 3)
         funcs = list(initial_cluster(t).functions.values())
         for std in (False, True):
-            op = r_plus_operator(t, standard=std)
+            op = structure(t, standard=std).op
             tables = [gradient_tables(f, op) for f in funcs]
             for table in tables:
                 for mat in (table.F, table.Fp):
@@ -518,15 +519,15 @@ class TestSklyaninBracket:
             coords = [ring.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
             for a in range(1, n):
                 for b in range(a + 1, n):
-                    cluster = initial_cluster(BDTriple(n, a, b))
-                    funcs = [cluster.functions[lab] for lab in cluster.labels]
-                    frozen = [funcs.index(cluster.functions[lab]) for lab in cluster.frozen]
+                    s = structure(BDTriple(n, a, b))
+                    funcs = list(s.cluster.functions.values())
+                    frozen = [funcs.index(s.cluster.functions[lab]) for lab in s.quiver.frozen]
                     L = len(funcs)
                     pairs = [(i, j) for i in range(L) for j in range(L) if i != j]
                     pairs += [(i, L + k) for i in frozen for k in range(n * n)]
                     pairs += [(L + k, i) for i in frozen for k in range(n * n)]
                     for std in (False, True):
-                        op = r_plus_operator(BDTriple(n, a, b), standard=std)
+                        op = structure(BDTriple(n, a, b), standard=std).op
                         t = [gradient_tables(f, op) for f in funcs + coords]
                         lines += [
                             f"{n} {a} {b} {int(std)} {i} {j} {bracket_from_tables(t[i], t[j])}"
@@ -654,7 +655,7 @@ class TestBracketHalves:
         triple = BDTriple(n, *pair) if pair else None
         cluster = structure(triple, n, standard=standard).cluster
         ring, idx = cluster.ring, range(1, n + 1)
-        funcs = [cluster.functions[lab] for lab in cluster.labels]
+        funcs = list(cluster.functions.values())
         funcs += [ring.x(i, j) for i in idx for j in idx]
         for op in _ops(n, pair, standard):
             rt = build_r_tensor(op)
@@ -676,7 +677,7 @@ class TestExoticCoefficients:
         # Standard twin of the pair (1,2) in size 3; brackets against
         # x13 computed by hand from the diagonal part.
         ring = get_ring(3)
-        op = r_plus_operator(BDTriple(3, 1, 2), standard=True)
+        op = replace(r_plus_operator(BDTriple(3, 1, 2)), wedge=None)
         x = ring.x
         assert poisson_coefficient(x(3, 1), x(1, 3), op) == Fraction(-1, 3)
         assert poisson_coefficient(x(3, 2), x(1, 3), op) == 0
@@ -688,7 +689,7 @@ def _seed_tables(triple):
     and their tables."""
     s = structure(triple)
     cluster, op = s.cluster, s.op
-    funcs = [cluster.functions[lab] for lab in cluster.labels]
+    funcs = list(cluster.functions.values())
     return funcs, op, [gradient_tables(f, op) for f in funcs]
 
 
@@ -727,7 +728,7 @@ class TestDerivedTables:
         assert len(set(ops)) == len(ops)
         cluster = structure(triple, n, standard=standard).cluster
         idx = range(1, n + 1)
-        funcs = [cluster.functions[lab] for lab in cluster.labels]
+        funcs = list(cluster.functions.values())
         funcs += [cluster.ring.x(i, j) for i in idx for j in idx]
         fresh = [[gradient_tables(f, op) for op in ops] for f in funcs]
 
@@ -775,7 +776,7 @@ class TestSlicedPairTest:
         s = built(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
         cluster, op = s.cluster, s.op
         idx = range(1, n + 1)
-        funcs = [(lab, cluster.functions[lab]) for lab in cluster.labels]
+        funcs = list(cluster.functions.items())
         funcs += [(f"x[{i},{j}]", cluster.ring.x(i, j)) for i in idx for j in idx]
         tables = [gradient_tables(f, op) for _, f in funcs]
         made = _spy_accumulate(monkeypatch)
@@ -812,7 +813,7 @@ class TestSlicedPairTest:
                 assert unpack(sliced, ta.f.ring) == whole, where
         # Most coordinate pairs fail, so the failure path is always compared;
         # only the pairs of seed functions (listed first) tell a faulted seed.
-        seed_failures = [ib for _, ib in failures if ib < len(cluster.labels)]
+        seed_failures = [ib for _, ib in failures if ib < len(cluster.functions)]
         assert bool(seed_failures) == (fault is not None) and failures
 
     def test_no_slice_holds_the_whole_sum(self, monkeypatch):
@@ -855,7 +856,7 @@ def _seed_and_coordinate_functions(n_max=5):
     for n in range(2, n_max + 1):
         ring = get_ring(n)
         for sl in (False, True):
-            seeds = [(structure(n=n, sl=sl).cluster, r_plus_operator(n=n, standard=True))]
+            seeds = [(structure(n=n, sl=sl).cluster, r_plus_operator(n=n))]
             for a in range(1, n):
                 for b in range(a + 1, n):
                     t = BDTriple(n, a, b)
@@ -863,7 +864,7 @@ def _seed_and_coordinate_functions(n_max=5):
             for seed, op in seeds:
                 for f in seed.functions.values():
                     funcs.setdefault((n, frozenset(f._d.items())), (f, op))
-        op = r_plus_operator(n=n, standard=True)
+        op = r_plus_operator(n=n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 funcs.setdefault((n, frozenset(ring.x(i, j)._d.items())), (ring.x(i, j), op))
@@ -971,13 +972,13 @@ class TestTableKeys:
         s = built(BDTriple(n, *pair) if pair else None, n, standard=standard, fault=fault)
         cluster, op = s.cluster, s.op
         idx = range(1, n + 1)
-        funcs = [cluster.functions[lab] for lab in cluster.labels]
+        funcs = list(cluster.functions.values())
         funcs += [cluster.ring.x(i, j) for i in idx for j in idx]
         tables = [gradient_tables(f, op) for f in funcs]
         got = [pair_test(ta, tb) for ta, tb in combinations(tables, 2)]
         assert got == [_ring_key_pair_test(ta, tb) for ta, tb in combinations(tables, 2)]
         # Only the faulted seeds fail among the seed functions' pairs.
-        seeds = len(cluster.labels)
+        seeds = len(cluster.functions)
         seed_pairs = [w for (ia, ib), w in zip(combinations(range(len(funcs)), 2), got) if ib < seeds]
         assert any(isinstance(w, str) for w in seed_pairs) == (fault is not None)
 
@@ -990,7 +991,7 @@ class TestTableKeys:
         n = data.draw(st.integers(2, 3))
         tops = [data.draw(st.sampled_from([6, 7, 8])) for _ in range(2)]
         f, g = (_poly_up_to(data, n, top) for top in tops)
-        op = r_plus_operator(n=n, standard=True) if n == 2 else r_plus_operator(BDTriple(3, 1, 2))
+        op = r_plus_operator(n=n) if n == 2 else r_plus_operator(BDTriple(3, 1, 2))
         tabled = []
         for p, top in zip((f, g), tops):
             if top == 6:
@@ -1010,7 +1011,7 @@ class TestTableKeys:
         # a 4-bit field; e = 6 is tabled, and its brackets equal the
         # oracle's, and e = 7 is refused.
         ring = get_ring(2)
-        op = r_plus_operator(n=2, standard=True)
+        op = r_plus_operator(n=2)
         x = ring.x
         f, g = x(1, 1) ** 6 * x(1, 2), x(1, 1) ** 6 * x(2, 1) + x(1, 1) * x(2, 2) ** 6
         ta, tb = gradient_tables(f, op), gradient_tables(g, op)
@@ -1025,10 +1026,10 @@ class TestTableKeys:
 class TestSweeps:
     def test_omega_matrix_standard_n2(self):
         cl = standard_cluster(2)
-        op = r_plus_operator(n=2, standard=True)
-        labels = list(cl.labels)
+        op = r_plus_operator(n=2)
+        labels = list(cl.functions)
         assert labels == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        omegas, failures = omega_sweep([cl[lab] for lab in labels], op)
+        omegas, failures = omega_sweep([cl.functions[lab] for lab in labels], op)
         assert failures == []
         w = {(la, la): 0 for la in labels}
         for (ia, ib), v in omegas.items():
@@ -1067,7 +1068,7 @@ class TestSweeps:
 
     def test_omega_sweep_reports_failures(self):
         ring = get_ring(2)
-        op = r_plus_operator(n=2, standard=True)
+        op = r_plus_operator(n=2)
         omegas, failures = omega_sweep([ring.x(1, 1), ring.x(2, 2)], op)
         assert omegas == {}
         assert len(failures) == 1
@@ -1077,7 +1078,7 @@ class TestSweeps:
         # x[1,1]^64 does not fit table keys, so the sweep raises the rule's
         # ValueError while tabling its functions, before any pair test.
         ring = get_ring(2)
-        op = r_plus_operator(n=2, standard=True)
+        op = r_plus_operator(n=2)
         big = ring.x(1, 1) ** 64
         with pytest.raises(ValueError, match=f"^{REFUSAL}$"):
             omega_sweep([ring.x(1, 2), big, big + ring.x(1, 2)], op)
@@ -1207,11 +1208,11 @@ class TestSweeps:
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         monkeypatch.setattr(tasks, "POOL_MIN_PRODUCTS", 0)
         ring = get_ring(2)
-        cases = [([ring.x(1, 2), ring.x(1, 1), ring.x(2, 2)], r_plus_operator(n=2, standard=True))]
+        cases = [([ring.x(1, 2), ring.x(1, 1), ring.x(2, 2)], r_plus_operator(n=2))]
         for fault in (None, "drop-phi31-term"):
             s = built(BDTriple(4, 1, 3), fault=fault)
             cluster = s.cluster
-            cases.append(([cluster.functions[lab] for lab in cluster.labels], s.op))
+            cases.append((list(cluster.functions.values()), s.op))
         failures = []
         for funcs, op in cases:
             serial = omega_sweep(funcs, op)
@@ -1317,7 +1318,7 @@ def _module_state_holds(obj, *modules) -> bool:
 # check antisymmetry, Leibniz, and Jacobi on random small polynomials.
 
 R2 = get_ring(2)
-OP2 = r_plus_operator(n=2, standard=True)
+OP2 = r_plus_operator(n=2)
 R3 = get_ring(3)
 OP3 = r_plus_operator(BDTriple(3, 1, 2))
 

@@ -222,6 +222,17 @@ class TestSeedMutation:
             twice = mutate_seed(once, lab)
             assert twice.cluster.functions[lab] == seed.cluster.functions[lab]
 
+    def test_cluster_keyed_by_the_quiver_labels_in_order(self):
+        # The quiver holds the labels; a cluster with other labels, or the
+        # same labels in another order, makes no seed with it.
+        from dataclasses import replace
+
+        cluster = standard_cluster(3)
+        reordered = replace(cluster, functions=dict(reversed(cluster.functions.items())))
+        for other, quiver in ((cluster, standard_quiver(3, sl=True)), (reordered, standard_quiver(3))):
+            with pytest.raises(ValueError, match="not the quiver's, in its order"):
+                make_seed(other, quiver)
+
     def test_frozen_vertex_rejected(self):
         seed = make_seed(standard_cluster(3), standard_quiver(3))
         with pytest.raises(FrozenDirection):

@@ -69,18 +69,20 @@ class TestWorkspace:
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_cluster_and_quiver_share_labels_and_frozen(self, n, pair, standard):
+        # The quiver holds the labels and the frozen set; the seed's functions
+        # are keyed by its labels in its order, in every structure, its GL
+        # twin and companion, and in what each fault makes of them.
         triple = BDTriple(n, *pair) if pair else None
-        seen = {}
         for sl in (False, True):
             s = structure(triple, n, sl=sl, standard=standard)
-            cluster, quiver = s.cluster, s.quiver
-            assert (s.labels, s.frozen) == (cluster.labels, cluster.frozen)
-            assert cluster.labels == quiver.labels
-            assert cluster.frozen == quiver.frozen
-            seen[sl] = set(cluster.labels), set(cluster.frozen)
-        gl_labels, gl_frozen = seen[False]
-        assert seen[True] == (gl_labels - {(1, 1)}, gl_frozen - {(1, 1)})
-        assert (1, 1) in gl_labels and (1, 1) in gl_frozen
+            faulted = [FAULTS[f](s) for f in FAULTS if not (f == "drop-phi31-term" and n < 3)]
+            for t in [s] + faulted:
+                for u in filter(None, (t, t.gl, t.companion)):
+                    assert tuple(u.cluster.functions) == u.quiver.labels
+            if sl:
+                assert s.quiver.labels == tuple(lab for lab in s.gl.quiver.labels if lab != (1, 1))
+                assert s.quiver.frozen == s.gl.quiver.frozen - {(1, 1)}
+                assert (1, 1) in s.gl.quiver.labels and (1, 1) in s.gl.quiver.frozen
 
 
 class TestStructure:
@@ -98,7 +100,7 @@ class TestStructure:
         changed = [faulted, faulted.gl] if sl else [faulted]
         for t, u, (functions, op, companion_op) in zip(twins, changed, before):
             assert (t.cluster.functions, t.op, t.companion.op) == (functions, op, companion_op)
-            assert (u.labels, u.frozen, u.quiver) == (t.labels, t.frozen, t.quiver)
+            assert u.quiver is t.quiver
             assert u.companion.cluster.functions == t.companion.cluster.functions
             if fault == "drop-phi31-term":
                 assert u.op == op and u.companion is t.companion
@@ -118,9 +120,9 @@ class TestStructure:
         s = structure(t, sl=sl, standard=standard)
         c, plain = s.companion, structure(n=4)
         assert (c.n, c.sl, c.standard, c.triple, c.companion) == (4, False, True, t, None)
-        assert (c.labels, c.frozen, c.quiver) == (plain.labels, plain.frozen, plain.quiver)
+        assert c.quiver == plain.quiver
         assert c.cluster.functions == standard_cluster(4).functions
-        assert c.op == replace(structure(t).op, wedge=None) == r_plus_operator(t, standard=True)
+        assert c.op == replace(r_plus_operator(t), wedge=None)
         assert c.op != plain.op
         assert (s.gl or s).companion is c
         if standard:
@@ -138,8 +140,8 @@ class TestStructure:
         reports = run_checks(["all"], triple=t, sl=True, processes=1)
         assert all(r.passed for r in reports) and made == [t]
         s = structure(t, sl=True)
-        assert s.labels == s.gl.labels[1:] and s.gl.labels[0] == (1, 1)
-        assert all(s.cluster.functions[lab] is s.gl.cluster.functions[lab] for lab in s.labels)
+        assert s.quiver.labels == s.gl.quiver.labels[1:] and s.gl.quiver.labels[0] == (1, 1)
+        assert all(s.cluster.functions[lab] is s.gl.cluster.functions[lab] for lab in s.quiver.labels)
         assert made == [t, t]
 
 
@@ -348,7 +350,7 @@ class TestFaults:
         assert [r.check for r in failed] == ["logcanon", "compat", "frozen", "somega", "cybe"]
         assert all(r.witnesses for r in failed)
         assert [r.check for r in reports if r.passed] == ["rank", "stable", "regular", "bracketdiff", "rplus"]
-        assert structure(t).companion.op == r_plus_operator(t, standard=True)
+        assert structure(t).companion.op == replace(r_plus_operator(t), wedge=None)
         zeroed = built(t, fault="zero-r0").companion.op
         assert zeroed.wedge is None and not any(v for row in zeroed.c for v in row)
 
@@ -379,16 +381,19 @@ class TestPlantedDefects:
         assert rep.witnesses == ["rank is 5, expected 6"]
 
     def test_extra_frozen_label(self, monkeypatch):
+        # The quiver's frozen set is the one every check reads: stable
+        # counts it and rank's exchange matrix loses the frozen row.
         real = verify.structure
 
         def frozen_22(*args):
             s = real(*args)
-            return replace(s, frozen=s.frozen | {(2, 2)})
+            return replace(s, quiver=replace(s.quiver, frozen=s.quiver.frozen | {(2, 2)}))
 
         monkeypatch.setattr(verify, "structure", frozen_22)
-        [rep] = run_checks(["stable"], triple=T312)
-        assert rep.status == "fail"
-        assert rep.witnesses == ["4 frozen variables, expected 3"]
+        stable, rank = run_checks(["stable", "rank"], triple=T312)
+        assert stable.status == "fail"
+        assert stable.witnesses == ["4 frozen variables, expected 3"]
+        assert rank.details["n_mutable"] == 5
 
     def test_halves_without_the_tensors_wedge(self, monkeypatch):
         # The tensor reads op.wedge and the closed form reads op.halves, so
